@@ -1,25 +1,25 @@
 // DriveExecutor concurrency benchmarks: aggregate throughput scaling of an
-// eight-drive array as the worker pool grows (W=1/2/4), and pure
-// snapshot-read scaling over four drives.
+// eight-drive array as the worker pool grows (W=1/2/4), and pure read
+// scaling over the same eight drives.
 //
 // Unlike bench_cluster (which reconstructs a parallel makespan from serial,
 // attributed busy time), this bench runs REAL worker threads: every request
 // executes inside a private SimClock lane, the executor charges each task to
-// the earliest-free virtual capacity slot, and after Drain() the global clock
-// sits at the true overlapped makespan. The scaling numbers therefore measure
-// the concurrency substrate itself — striped ordering, snapshot reads,
-// deferred audit, idle-slice maintenance — not a post-hoc model.
+// a free virtual capacity slot, and after Drain() the global clock sits at
+// the true overlapped makespan. The scaling numbers therefore measure the
+// concurrency substrate itself — one task per drive in submission order,
+// cross-drive overlap, idle-slice maintenance — not a post-hoc model.
 //
 // Phase 1 (scaling): identical per-drive PostMark-style transaction streams
 // (read one object + append to another, periodic Sync barriers, periodic
 // cleaner maintenance requests) are pushed through DriveExecutor::SubmitFrame
-// at W=1, 2, 4. Exclusive appends serialise per drive (the time floor) but
-// overlap across drives; with more drives than workers the pool stays
-// saturated, so aggregate throughput should comfortably exceed 2x at W=4.
+// at W=1, 2, 4. Each drive runs its tasks one at a time, but drives overlap;
+// with more drives than workers the pool stays saturated, so aggregate
+// throughput should comfortably exceed 2x at W=4.
 //
-// Phase 2 (read scaling): a pure read stream over four drives, no mutations.
-// Reads are kShared snapshot ops — no locks, no ordering edges, no time-floor
-// updates — so W=4 isolates how the lock-free read path scales.
+// Phase 2 (read scaling): a pure read stream over eight drives, no
+// mutations. Reads take the drive's ordinary read path (cache insertion and
+// audit included), so W=4 isolates how reads scale across drives.
 //
 // Usage: bench_concurrency [--quick] [--check]
 //   --quick  smaller transaction counts (CI)
@@ -226,18 +226,15 @@ ScalePoint RunScale(int workers, bool quick) {
   return p;
 }
 
-// --- Phase 2: snapshot-read scaling (pure shared class) ----------------------
+// --- Phase 2: read scaling (reads only) ---------------------------------------
 
-// Pure kShared snapshot reads over eight drives, no exclusive chains at all:
-// isolates the lock-free read path. Reads never raise the per-drive time
-// floor and take no ordering edges against each other, so W=4 overlaps
-// device-bound reads across the array. (On a SINGLE drive the platter itself
-// serialises device-bound reads — BlockDevice is honest about that — so the
-// single-drive overlap number would always be ~1x and measure nothing. And
-// with exactly as many drives as workers the schedule is pairing-sensitive:
-// whichever drive loses the dispatch race collects idle gaps — see
-// DriveExecutor::gap_span — so, as in phase 1, the array is kept wider than
-// the worker pool to keep every capacity slot saturated.)
+// Pure reads over eight drives, no mutations: isolates the read path. Each
+// drive serves its reads one at a time, so W=4 overlaps reads across the
+// array. (A SINGLE drive would always measure ~1x. And with exactly as many
+// drives as workers the schedule is pairing-sensitive: whichever drive loses
+// the dispatch race collects idle gaps — see DriveExecutor::gap_span — so,
+// as in phase 1, the array is kept wider than the worker pool to keep every
+// capacity slot saturated.)
 ScalePoint RunReadOverlap(int workers, bool quick) {
   const size_t kDrives = 8;
   const uint32_t kObjects = quick ? 300 : 600;  // x4KB: ~1.2-2.4MB > 1MB cache
@@ -248,8 +245,8 @@ ScalePoint RunReadOverlap(int workers, bool quick) {
   DriveExecutor::Options eopts;
   eopts.workers = workers;
   // Prime every queue before releasing the workers: this phase measures how
-  // shared-class reads schedule across a saturated array, not how fast the
-  // submitting thread encodes frames.
+  // reads schedule across a saturated array, not how fast the submitting
+  // thread encodes frames.
   eopts.start_paused = true;
   eopts.max_pending_per_drive = kReads / kDrives + 1;
   DriveExecutor exec(rig->clock.get(), rig->drive_ptrs(), eopts);
@@ -286,10 +283,9 @@ ScalePoint RunReadOverlap(int workers, bool quick) {
     double b = ToSeconds((rig->devices[d]->stats() - disk0[d]).busy_time);
     p.busy_sum_s += b;
     p.busy_max_s = std::max(p.busy_max_s, b);
-    std::printf("  read drive %zu: busy %.3fs charged_span %.3fs gap %.3fs frontier %.3fs\n",
-                d, b, ToSeconds(exec.charged_span(static_cast<int>(d))),
-                ToSeconds(exec.gap_span(static_cast<int>(d))),
-                ToSeconds(rig->drives[d]->DeviceBusyUntil() - start));
+    std::printf("  read drive %zu: busy %.3fs charged_span %.3fs gap %.3fs\n", d, b,
+                ToSeconds(exec.charged_span(static_cast<int>(d))),
+                ToSeconds(exec.gap_span(static_cast<int>(d))));
   }
   return p;
 }
@@ -329,7 +325,7 @@ int Run(bool quick, bool check) {
     std::printf("bench_concurrency: scaling run W=%d (8 drives)...\n", w);
     scaling.push_back(RunScale(w, quick));
   }
-  std::printf("bench_concurrency: snapshot-read scaling (8 drives, W=1 vs W=4)...\n");
+  std::printf("bench_concurrency: read scaling (8 drives, W=1 vs W=4)...\n");
   ScalePoint read1 = RunReadOverlap(1, quick);
   ScalePoint read4 = RunReadOverlap(4, quick);
 
@@ -351,7 +347,7 @@ int Run(bool quick, bool check) {
                 scaling.front().ops_per_s > 0 ? p.ops_per_s / scaling.front().ops_per_s
                                               : 0);
   }
-  std::printf("\n=== Snapshot-read scaling (8 drives, shared class only) ===\n");
+  std::printf("\n=== Read scaling (8 drives, reads only) ===\n");
   std::printf("W=1 %.3fs vs W=4 %.3fs over %llu reads (%.2fx)\n", read1.elapsed_s,
               read4.elapsed_s, static_cast<unsigned long long>(read1.ops), read_speedup);
 
@@ -364,15 +360,15 @@ int Run(bool quick, bool check) {
       ok = false;
     }
     // Phase 2's gate is a serialization tripwire, not a throughput target: if
-    // shared-class reads ever took ordering edges against each other this
-    // ratio collapses to ~1.0x. The typical value is ~2x, but the schedule
-    // packs whole chains onto capacity slots, so one straggler worker can
-    // tail-chain a drive and shave the ratio; 1.5x keeps the tripwire firm
-    // without flaking on that packing noise.
+    // reads on different drives ever took ordering edges against each other
+    // this ratio collapses to ~1.0x. The schedule packs whole chains onto
+    // capacity slots, so one straggler worker can tail-chain a drive and
+    // shave the ratio; 1.5x keeps the tripwire firm without flaking on that
+    // packing noise.
     if (read_speedup < 1.5) {
       std::fprintf(stderr,
-                   "CHECK FAILED: snapshot-read scaling %.2fx < 1.5x (shared reads "
-                   "are not overlapping across drives)\n",
+                   "CHECK FAILED: read scaling %.2fx < 1.5x (reads are not "
+                   "overlapping across drives)\n",
                    read_speedup);
       ok = false;
     }

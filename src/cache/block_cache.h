@@ -51,9 +51,6 @@ class BlockCache {
   // Reads `sectors` sectors at `addr`, from cache if possible. Disk time on a
   // miss is attributed to `ctx` when non-null.
   Status Read(DiskAddr addr, uint64_t sectors, Bytes* out, OpContext* ctx = nullptr) {
-    if (ctx != nullptr && ctx->snapshot) {
-      return SnapshotRead(addr, sectors, out, ctx);
-    }
     if (Bytes* hit = cache_.Get(addr); hit != nullptr && hit->size() == sectors * kSectorSize) {
       *out = *hit;
       if (hits_counter_ != nullptr) hits_counter_->Inc();
@@ -101,9 +98,6 @@ class BlockCache {
   // driven cleaning from paying one full positioning delay per chain link
   // (a real cleaner streams whole segments for the same reason).
   Status ReadSectorClustered(DiskAddr addr, Bytes* out, OpContext* ctx = nullptr) {
-    if (ctx != nullptr && ctx->snapshot) {
-      return SnapshotRead(addr, 1, out, ctx);
-    }
     if (Bytes* hit = cache_.Get(addr); hit != nullptr && hit->size() == kSectorSize) {
       *out = *hit;
       if (hits_counter_ != nullptr) hits_counter_->Inc();
@@ -141,24 +135,6 @@ class BlockCache {
   uint64_t misses() const { return cache_.misses(); }
 
  private:
-  // Read path for snapshot-mode contexts (concurrent reader lanes): serve
-  // cache *hits* via Peek — no LRU reorder, no insert, no run detector, no
-  // prefetch — and go straight to disk on a miss. The cache structure is
-  // never mutated, so overlapped snapshot readers need no lock here; all
-  // counters they touch are atomic.
-  Status SnapshotRead(DiskAddr addr, uint64_t sectors, Bytes* out, OpContext* ctx) {
-    if (const Bytes* hit = cache_.Peek(addr);
-        hit != nullptr && hit->size() == sectors * kSectorSize) {
-      *out = *hit;
-      if (hits_counter_ != nullptr) hits_counter_->Inc();
-      return Status::Ok();
-    }
-    if (misses_counter_ != nullptr) misses_counter_->Inc();
-    S4_RETURN_IF_ERROR(device_->Read(addr, sectors, out, ctx));
-    if (sectors_read_counter_ != nullptr) sectors_read_counter_->Add(sectors);
-    return Status::Ok();
-  }
-
   // Sequential-run detector: one prior adjacent access arms prefetch.
   void NoteAccess(DiskAddr addr, uint64_t sectors) { next_expected_ = addr + sectors; }
 

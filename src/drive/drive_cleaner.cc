@@ -186,7 +186,7 @@ bool S4Drive::CleanerNeeded() const {
       ++free_like;
     }
   }
-  return free_like < std::max<uint32_t>(total / 4, options_.reserve_segments * 2);
+  return free_like < std::max<uint32_t>(total / 4, kReserveSegments * 2);
 }
 
 Result<uint32_t> S4Drive::RunCleanerPass(uint32_t max_compactions, bool force_compaction) {
@@ -329,40 +329,6 @@ Result<uint32_t> S4Drive::RunCleanerPass(uint32_t max_compactions, bool force_co
   }
   m_.cleaner_time_us->Add(clock_->Now() - t0);
   return reclaimable;
-}
-
-Result<bool> S4Drive::CleanForegroundSlice() {
-  OpContext cleaner_ctx = MakeContext(Credentials{}, RpcOp::kInvalid);
-  ScopedSpan span(&cleaner_ctx, "cleaner.slice");
-  ScopedActiveContext active(this, &cleaner_ctx);
-  uint32_t total = sut_->segment_count();
-  for (uint32_t probe = 0; probe < total; ++probe) {
-    SegmentId seg = (foreground_clean_cursor_ + probe) % total;
-    if (sut_->Info(seg).state != SegmentState::kFull) {
-      continue;
-    }
-    foreground_clean_cursor_ = (seg + 1) % total;
-    SimTime t0 = clock_->Now();
-    // The cleaner streams the whole segment to find what it holds — the cost
-    // the paper attributes to cleaning objects rather than segments comes on
-    // top, in the per-record relocation work of CompactSegment.
-    Bytes segment_bytes;
-    S4_RETURN_IF_ERROR(
-        device_->Read(sb_.SegmentStart(seg), sb_.segment_sectors, &segment_bytes, actx()));
-    // Relocation only pays when it can actually free the segment; history
-    // still inside the detection window pins it, so copying live data out
-    // would consume fresh log space for no gain.
-    if (sut_->Info(seg).history_sectors == 0) {
-      S4_RETURN_IF_ERROR(CompactSegment(seg).status());
-      if (sut_->Reclaimable(seg)) {
-        S4_RETURN_IF_ERROR(WriteCheckpoint());
-      }
-    }
-    m_.cleaner_segments_compacted->Inc();
-    m_.cleaner_time_us->Add(clock_->Now() - t0);
-    return true;
-  }
-  return false;
 }
 
 Result<bool> S4Drive::CompactSegment(SegmentId seg) {

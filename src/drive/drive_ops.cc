@@ -140,7 +140,7 @@ Status S4Drive::ApplyBlockWrite(ObjectId id, CachedObject* obj, SimTime now, uin
     e.time = now;
     e.old_size = old_size;
     e.new_size = new_size;
-    size_t n = std::min<size_t>(options_.max_deltas_per_entry, deltas.size() - i);
+    size_t n = std::min<size_t>(kMaxDeltasPerEntry, deltas.size() - i);
     e.blocks.assign(deltas.begin() + i, deltas.begin() + i + n);
     i += n;
     obj->pending.push_back(std::move(e));
@@ -358,14 +358,14 @@ Status S4Drive::Truncate(OpContext& ctx, ObjectId id, uint64_t new_size) {
     e.old_size = old_size;
     e.new_size = new_size;
     // Split oversized delta lists across multiple entries.
-    if (deltas.size() <= options_.max_deltas_per_entry) {
+    if (deltas.size() <= kMaxDeltasPerEntry) {
       e.blocks = std::move(deltas);
       obj->pending.push_back(std::move(e));
       m_.journal_entries->Inc();
     } else {
-      for (size_t i = 0; i < deltas.size(); i += options_.max_deltas_per_entry) {
+      for (size_t i = 0; i < deltas.size(); i += kMaxDeltasPerEntry) {
         JournalEntry part = e;
-        size_t n = std::min<size_t>(options_.max_deltas_per_entry, deltas.size() - i);
+        size_t n = std::min<size_t>(kMaxDeltasPerEntry, deltas.size() - i);
         part.blocks.assign(deltas.begin() + i, deltas.begin() + i + n);
         obj->pending.push_back(std::move(part));
         m_.journal_entries->Inc();
@@ -895,14 +895,14 @@ Status S4Drive::TrimAuditObject(uint64_t new_size) {
   e.time = now;
   e.old_size = old_size;
   e.new_size = new_size;
-  if (deltas.size() <= options_.max_deltas_per_entry) {
+  if (deltas.size() <= kMaxDeltasPerEntry) {
     e.blocks = std::move(deltas);
     obj->pending.push_back(std::move(e));
     m_.journal_entries->Inc();
   } else {
-    for (size_t i = 0; i < deltas.size(); i += options_.max_deltas_per_entry) {
+    for (size_t i = 0; i < deltas.size(); i += kMaxDeltasPerEntry) {
       JournalEntry part = e;
-      size_t n = std::min<size_t>(options_.max_deltas_per_entry, deltas.size() - i);
+      size_t n = std::min<size_t>(kMaxDeltasPerEntry, deltas.size() - i);
       part.blocks.assign(deltas.begin() + i, deltas.begin() + i + n);
       obj->pending.push_back(std::move(part));
       m_.journal_entries->Inc();

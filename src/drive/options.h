@@ -77,14 +77,9 @@ struct S4DriveOptions {
   // thread.
   int mount_scan_workers = 4;
 
-  // --- Costs / internals ---
-  SimDuration cpu_per_op = 20;            // per-RPC firmware overhead (us)
+  // --- Internals ---
   uint64_t journal_flush_entries = 64;    // pack pending entries at this count
   uint64_t checkpoint_interval_bytes = 8ull << 20;  // auto-checkpoint cadence
-  uint32_t reserve_segments = 4;          // kept free for internal flushes
-  // Max deltas per journal entry (large writes are split so every entry fits
-  // in a single journal sector).
-  uint32_t max_deltas_per_entry = 20;
 };
 
 }  // namespace s4

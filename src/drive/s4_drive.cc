@@ -172,9 +172,6 @@ OpContext S4Drive::MakeContext(const Credentials& creds, RpcOp op) {
   ctx.start_time = clock_->Now();
   ctx.clock = clock_;
   ctx.tracer = &tracer_;
-  // On a shared executor lane the op overlaps other readers on this drive:
-  // run it in snapshot mode (immutable-state reads only, deferred audit).
-  ctx.snapshot = clock_->ActiveLaneIsShared();
   return ctx;
 }
 
@@ -199,15 +196,7 @@ void S4Drive::EndOp(OpContext& ctx, const OpArgs& args, const Status& result,
   if (result.code() == ErrorCode::kPermissionDenied) {
     m_.ops_denied->Inc();
   }
-  if (ctx.snapshot) {
-    // Concurrent readers must not touch the shared audit buffer; the record
-    // is parked on this lane and replayed by FlushDeferredAudits under
-    // executor exclusivity, before anything could commit the audit tail.
-    DeferAudit(ctx.creds, args.op, args.object, args.offset, args.length, result,
-               args.time_based);
-  } else {
-    Audit(ctx.creds, args.op, args.object, args.offset, args.length, result, args.time_based);
-  }
+  Audit(ctx.creds, args.op, args.object, args.offset, args.length, result, args.time_based);
   m_.op_latency[static_cast<uint8_t>(args.op)]->Record(clock_->Now() - op_start);
 }
 
@@ -215,13 +204,7 @@ void S4Drive::AuditRejectedFrame(OpContext& ctx, const Status& reason) {
   m_.ops_total->Inc();
   metrics_.GetCounter("rpc.rejected_frames")->Inc();
   ChargeCpu(&ctx);
-  if (ctx.snapshot) {
-    // A hostile frame can be mis-peeked onto a shared lane; its kInvalid
-    // record defers like any snapshot-mode op's.
-    DeferAudit(ctx.creds, RpcOp::kInvalid, kInvalidObjectId, 0, 0, reason, false);
-  } else {
-    Audit(ctx.creds, RpcOp::kInvalid, kInvalidObjectId, 0, 0, reason, false);
-  }
+  Audit(ctx.creds, RpcOp::kInvalid, kInvalidObjectId, 0, 0, reason, false);
   m_.op_latency[0]->Record(clock_->Now() - ctx.start_time);
 }
 
@@ -1122,9 +1105,9 @@ void ApplyEntryForward(Inode* inode, bool* exists, const JournalEntry& e) {
 // ---------------------------------------------------------------------------
 
 void S4Drive::ChargeCpu(OpContext* ctx) {
-  clock_->Advance(options_.cpu_per_op);
+  clock_->Advance(kCpuPerOp);
   if (ctx != nullptr) {
-    ctx->cpu_time += options_.cpu_per_op;
+    ctx->cpu_time += kCpuPerOp;
   }
 }
 
@@ -1154,12 +1137,8 @@ Result<std::shared_ptr<const JournalSector>> S4Drive::ReadJournalSector(
   if (sectors_visited != nullptr) {
     ++*sectors_visited;
   }
-  // Snapshot mode (concurrent readers): the LRU may not be reordered or
-  // grown, so hits come from Peek and misses stay uncached.
-  bool snapshot = actx() != nullptr && actx()->snapshot;
   if (jsector_cache_ != nullptr) {
-    auto* cached = snapshot ? jsector_cache_->Peek(addr) : jsector_cache_->Get(addr);
-    if (cached != nullptr) {
+    if (auto* cached = jsector_cache_->Get(addr); cached != nullptr) {
       m_.jsector_cache_hits->Inc();
       return *cached;
     }
@@ -1173,19 +1152,14 @@ Result<std::shared_ptr<const JournalSector>> S4Drive::ReadJournalSector(
     return std::shared_ptr<const JournalSector>();
   }
   auto sector = std::make_shared<const JournalSector>(*std::move(decoded));
-  if (jsector_cache_ != nullptr && !snapshot) {
+  if (jsector_cache_ != nullptr) {
     jsector_cache_->Put(addr, sector, kSectorSize);
   }
   return sector;
 }
 
 Result<S4Drive::ObjectHandle> S4Drive::LoadObject(ObjectId id) {
-  // Snapshot mode: serve cache hits without reordering the LRU and build
-  // transient handles on misses (inserting could evict a dirty object, whose
-  // write-back mutates shared state no concurrent reader may touch).
-  bool snapshot = actx() != nullptr && actx()->snapshot;
-  if (ObjectHandle* cached = snapshot ? object_cache_->Peek(id) : object_cache_->Get(id);
-      cached != nullptr) {
+  if (ObjectHandle* cached = object_cache_->Get(id); cached != nullptr) {
     return *cached;
   }
   const ObjectMapEntry* entry = object_map_.Find(id);
@@ -1235,12 +1209,9 @@ Result<S4Drive::ObjectHandle> S4Drive::LoadObject(ObjectId id) {
     obj->exists = entry->live();
   }
   obj->inode.id = id;
-  if (!snapshot) {
-    object_cache_->Put(id, obj,
-                       CachedObjectCostImpl(obj->inode.blocks.size(), obj->pending.size(),
-                                            obj->inode.attrs.opaque.size(),
-                                            obj->inode.acl.size()));
-  }
+  object_cache_->Put(id, obj,
+                     CachedObjectCostImpl(obj->inode.blocks.size(), obj->pending.size(),
+                                          obj->inode.attrs.opaque.size(), obj->inode.acl.size()));
   // Re-fetch: Put may have evicted other entries but never the fresh one.
   return obj;
 }
@@ -1360,53 +1331,11 @@ Status S4Drive::MaybeAutoCheckpoint() {
 
 void S4Drive::Audit(const Credentials& creds, RpcOp op, ObjectId id, uint64_t offset,
                     uint64_t length, const Status& result, bool time_based) {
-  AuditAt(creds, op, id, offset, length, result, time_based, clock_->Now());
-}
-
-void S4Drive::DeferAudit(const Credentials& creds, RpcOp op, ObjectId id, uint64_t offset,
-                         uint64_t length, const Status& result, bool time_based) {
-  if (!options_.audit_enabled) {
-    return;
-  }
-  DeferredAudit d;
-  d.creds = creds;
-  d.op = op;
-  d.object = id;
-  d.offset = offset;
-  d.length = length;
-  d.result = result;
-  d.time_based = time_based;
-  d.time = clock_->Now();
-  deferred_audits_[clock_->ActiveLaneId()].push_back(d);
-}
-
-SimTime S4Drive::DeviceBusyUntil() const { return device_->busy_until(); }
-
-void S4Drive::FlushDeferredAudits() {
-  std::vector<DeferredAudit> all;
-  for (auto& lane : deferred_audits_) {
-    all.insert(all.end(), lane.begin(), lane.end());
-    lane.clear();
-  }
-  if (all.empty()) {
-    return;
-  }
-  // Replay in time order so the chronicle reads as one serial history even
-  // though the records were minted on overlapping snapshot lanes.
-  std::stable_sort(all.begin(), all.end(),
-                   [](const DeferredAudit& a, const DeferredAudit& b) { return a.time < b.time; });
-  for (const DeferredAudit& d : all) {
-    AuditAt(d.creds, d.op, d.object, d.offset, d.length, d.result, d.time_based, d.time);
-  }
-}
-
-void S4Drive::AuditAt(const Credentials& creds, RpcOp op, ObjectId id, uint64_t offset,
-                      uint64_t length, const Status& result, bool time_based, SimTime at) {
   if (!options_.audit_enabled) {
     return;
   }
   AuditRecord rec;
-  rec.time = at;
+  rec.time = clock_->Now();
   rec.client = creds.client;
   rec.user = creds.user;
   rec.op = op;

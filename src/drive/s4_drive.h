@@ -179,18 +179,6 @@ class S4Drive {
   // carries the sub-op count; latency is recorded for the whole envelope.
   void AuditBatchFrame(OpContext& ctx, uint64_t sub_ops, SimTime batch_start);
 
-  // Drains audit records deferred by snapshot-mode ops (concurrent readers
-  // must not mutate the shared audit buffer) into the chronicle, ordered by
-  // op time. The executor calls this with the drive exclusively held —
-  // before every exclusive task and at drain — so every record lands in the
-  // chain before the next Sync could commit it. A no-op on the serial path.
-  void FlushDeferredAudits();
-
-  // Simulated instant until which this drive's device is busy with
-  // already-issued commands: the device frontier an executor consults when
-  // choosing which drive to feed next.
-  SimTime DeviceBusyUntil() const;
-
   // ---- Cleaner (section 4.2.1) ----
   // One cleaning pass: expires versions older than the detection window,
   // reclaims empty segments, and compacts up to `max_compactions` fragmented
@@ -200,12 +188,6 @@ class S4Drive {
   Result<uint32_t> RunCleanerPass(uint32_t max_compactions, bool force_compaction = false);
   // True when free space is low enough that cleaning should run.
   bool CleanerNeeded() const;
-
-  // One slice of *continuous* cleaning (the paper's "cleaner competing with
-  // foreground activity", Figure 5): streams the next sealed segment off the
-  // disk in round-robin order and relocates whatever current data it holds.
-  // Returns false when there was no sealed segment to process.
-  Result<bool> CleanForegroundSlice();
 
   // Writes a device checkpoint (object map + segment usage table). Called
   // periodically and at clean shutdown; also makes cleaner-freed segments
@@ -288,6 +270,14 @@ class S4Drive {
   // Sentinel for block data destroyed by Flush/FlushO.
   static constexpr DiskAddr kPurgedAddr = ~0ull;
 
+  // Per-RPC firmware overhead charged by ChargeCpu.
+  static constexpr SimDuration kCpuPerOp = 20;
+  // Segments kept free for internal flushes (a floor on CleanerNeeded).
+  static constexpr uint32_t kReserveSegments = 4;
+  // Max deltas per journal entry: large writes are split so every entry fits
+  // in a single journal sector.
+  static constexpr uint32_t kMaxDeltasPerEntry = 20;
+
   S4Drive(BlockDevice* device, SimClock* clock, S4DriveOptions options);
 
   // --- request pipeline (s4_drive.cc) ---
@@ -305,22 +295,17 @@ class S4Drive {
   };
 
   // Sets the active context (the context deep layers charge) for a scope.
-  // The slot is per executor lane — concurrent snapshot readers each see
-  // their own active context without the drive holding any thread state.
   class ScopedActiveContext {
    public:
-    ScopedActiveContext(S4Drive* drive, OpContext* ctx)
-        : drive_(drive), lane_(drive->clock_->ActiveLaneId()),
-          prev_(drive->actx_[lane_]) {
-      drive_->actx_[lane_] = ctx;
+    ScopedActiveContext(S4Drive* drive, OpContext* ctx) : drive_(drive), prev_(drive->actx_) {
+      drive_->actx_ = ctx;
     }
-    ~ScopedActiveContext() { drive_->actx_[lane_] = prev_; }
+    ~ScopedActiveContext() { drive_->actx_ = prev_; }
     ScopedActiveContext(const ScopedActiveContext&) = delete;
     ScopedActiveContext& operator=(const ScopedActiveContext&) = delete;
 
    private:
     S4Drive* drive_;
-    int lane_;
     OpContext* prev_;
   };
 
@@ -471,12 +456,6 @@ class S4Drive {
   Status TrimAuditObject(uint64_t new_size);
   void Audit(const Credentials& creds, RpcOp op, ObjectId id, uint64_t offset, uint64_t length,
              const Status& result, bool time_based);
-  // Audit with an explicit record timestamp (deferred-record replay).
-  void AuditAt(const Credentials& creds, RpcOp op, ObjectId id, uint64_t offset,
-               uint64_t length, const Status& result, bool time_based, SimTime at);
-  // Appends to the calling lane's deferred-audit slot (snapshot-mode ops).
-  void DeferAudit(const Credentials& creds, RpcOp op, ObjectId id, uint64_t offset,
-                  uint64_t length, const Status& result, bool time_based);
   bool ObjectIsVersioned(ObjectId id) const;
   // ACL check against the *current* object state.
   Status CheckAccess(const CachedObject& obj, const Credentials& creds, uint8_t needed) const;
@@ -546,12 +525,10 @@ class S4Drive {
   Tracer tracer_;
   DriveCounters m_;
   // Context of the op currently inside Execute() (null outside any op);
-  // internals that sit below the op bodies charge I/O to it. One slot per
-  // executor lane (slot 0 is the serial path): each worker thread only ever
-  // touches its own lane's slot, so no locking is needed and the drive stays
-  // free of threading primitives.
-  OpContext* actx_[SimClock::kMaxLanes] = {};
-  OpContext* actx() const { return actx_[clock_->ActiveLaneId()]; }
+  // internals that sit below the op bodies charge I/O to it. The executor
+  // runs one task per drive at a time, so one slot suffices.
+  OpContext* actx_ = nullptr;
+  OpContext* actx() const { return actx_; }
 
   Superblock sb_;
   std::unique_ptr<SegmentUsageTable> sut_;
@@ -595,30 +572,12 @@ class S4Drive {
   uint64_t checkpoint_seq_ = 0;         // chunk seq covered by last checkpoint
   uint64_t bytes_since_checkpoint_ = 0;
 
-  SegmentId foreground_clean_cursor_ = 0;
-
   // Throttle state: per-client exponentially decayed write volume.
   struct ClientLoad {
     double bytes_per_sec = 0;
     SimTime last_update = 0;
   };
   std::unordered_map<ClientId, ClientLoad> client_load_;
-
-  // Audit records produced by snapshot-mode (shared-lane) ops, parked until
-  // the executor holds the drive exclusively. One slot per lane: a worker
-  // only appends to its own lane's vector, and FlushDeferredAudits (which
-  // reads all slots) only runs under exclusivity, so no locking is needed.
-  struct DeferredAudit {
-    Credentials creds;
-    RpcOp op = RpcOp::kInvalid;
-    ObjectId object = kInvalidObjectId;
-    uint64_t offset = 0;
-    uint64_t length = 0;
-    Status result = Status::Ok();
-    bool time_based = false;
-    SimTime time = 0;
-  };
-  std::vector<DeferredAudit> deferred_audits_[SimClock::kMaxLanes];
 
   Status eviction_error_ = Status::Ok();  // sticky; surfaced by the next Sync
 };

@@ -37,8 +37,7 @@ DriveExecutor::DriveExecutor(SimClock* clock, std::vector<S4Drive*> drives, Opti
     drives_.resize(drives.size());
     for (size_t i = 0; i < drives.size(); ++i) {
       S4_CHECK(drives[i] != nullptr);
-      drives_[i].drive = drives[i];
-      drives_[i].time_floor = clock->Now();
+      drives_[i].ready = clock->Now();
     }
     slot_free_.assign(static_cast<size_t>(opts_.workers), clock->Now());
     slot_busy_.assign(static_cast<size_t>(opts_.workers), false);
@@ -62,18 +61,15 @@ DriveExecutor::~DriveExecutor() {
   }
 }
 
-void DriveExecutor::Submit(int drive, uint64_t stripe, Mode mode, std::function<void()> fn) {
+void DriveExecutor::Submit(int drive, uint64_t /*stripe*/, Mode /*mode*/,
+                           std::function<void()> fn) {
   MutexLock lock(&mu_);
   S4_CHECK(drive >= 0 && drive < static_cast<int>(drives_.size()));
   DriveState& ds = drives_[static_cast<size_t>(drive)];
   while (ds.pending.size() >= opts_.max_pending_per_drive) {
     cv_space_.Wait(&mu_);
   }
-  Task t;
-  t.fn = std::move(fn);
-  t.stripe = stripe;
-  t.mode = mode;
-  ds.pending.push_back(std::move(t));
+  ds.pending.push_back(std::move(fn));
   cv_work_.NotifyOne();
 }
 
@@ -84,18 +80,15 @@ void DriveExecutor::Classify(const FramePeek& peek, uint64_t* stripe, Mode* mode
     return;  // batch envelope or malformed bytes: strictest class
   }
   switch (peek.op) {
+    case RpcOp::kCreate:
+      *mode = Mode::kExclusive;
+      *stripe = kAllocStripe;
+      return;
     case RpcOp::kRead:
     case RpcOp::kGetAttr:
     case RpcOp::kGetAclByUser:
     case RpcOp::kGetAclByIndex:
     case RpcOp::kGetVersionList:
-      *mode = Mode::kShared;
-      *stripe = StripeOf(peek.object);
-      return;
-    case RpcOp::kCreate:
-      *mode = Mode::kExclusive;
-      *stripe = kAllocStripe;
-      return;
     case RpcOp::kWrite:
     case RpcOp::kXorWrite:
     case RpcOp::kAppend:
@@ -131,9 +124,9 @@ void DriveExecutor::AttachMaintenance(int drive, std::function<bool()> step) {
   MutexLock lock(&mu_);
   S4_CHECK(drive >= 0 && drive < static_cast<int>(drives_.size()));
   DriveState& ds = drives_[static_cast<size_t>(drive)];
-  // The hook may only be (re)bound while the drive is quiet: a worker invokes
+  // The hook may only be (re)bound while the drive is idle: a worker invokes
   // it outside the lock.
-  S4_CHECK(!ds.running_exclusive && ds.running_shared == 0);
+  S4_CHECK(!ds.running);
   ds.maintenance = std::move(step);
 }
 
@@ -144,12 +137,6 @@ void DriveExecutor::SubmitMaintenance(int drive) {
     drives_[static_cast<size_t>(drive)].maint_pending = true;
   }
   cv_work_.NotifyAll();
-}
-
-bool DriveExecutor::HasQueuedForeground(int drive) const {
-  MutexLock lock(&mu_);
-  S4_CHECK(drive >= 0 && drive < static_cast<int>(drives_.size()));
-  return !drives_[static_cast<size_t>(drive)].pending.empty();
 }
 
 uint64_t DriveExecutor::completed(int drive) const {
@@ -195,12 +182,6 @@ void DriveExecutor::Drain() {
   while (!AllQuiet()) {
     cv_drain_.Wait(&mu_);
   }
-  // Exclusivity established (workers cannot start anything while we hold the
-  // lock and nothing is running): replay audit records parked by trailing
-  // snapshot readers.
-  for (DriveState& ds : drives_) {
-    ds.drive->FlushDeferredAudits();
-  }
   --drain_waiters_;
   cv_work_.NotifyAll();
 }
@@ -214,71 +195,32 @@ bool DriveExecutor::AllQuiet() const {
   return true;
 }
 
-bool DriveExecutor::FirstRunnable(const DriveState& ds, size_t* index_out) const {
-  if (ds.pending.empty()) {
-    return false;
-  }
-  const bool nothing_running = ds.running_shared == 0 && !ds.running_exclusive;
-  // A head task overtaken too often stops all passing: scan only the head.
-  const size_t scan_limit =
-      ds.pending.front().head_passes >= opts_.max_head_passes ? 1 : ds.pending.size();
-  std::vector<uint64_t> earlier;  // stripes of older pending tasks in scan
-  for (size_t i = 0; i < scan_limit; ++i) {
-    const Task& t = ds.pending[i];
-    bool runnable = false;
-    if (t.mode == Mode::kBarrier) {
-      runnable = i == 0 && nothing_running;
-    } else if (t.mode == Mode::kExclusive) {
-      runnable = nothing_running &&
-                 std::find(earlier.begin(), earlier.end(), t.stripe) == earlier.end();
-    } else {  // kShared
-      runnable =
-          !ds.running_exclusive &&
-          std::find(earlier.begin(), earlier.end(), t.stripe) == earlier.end() &&
-          std::find(ds.running_stripes.begin(), ds.running_stripes.end(), t.stripe) ==
-              ds.running_stripes.end();
-    }
-    if (runnable) {
-      *index_out = i;
-      return true;
-    }
-    if (t.mode == Mode::kBarrier) {
-      return false;  // nothing younger passes a pending barrier
-    }
-    earlier.push_back(t.stripe);
-  }
-  return false;
-}
-
-bool DriveExecutor::FindWork(int* drive_out, Task* task_out, bool* is_maint_out) {
+bool DriveExecutor::FindWork(int* drive_out, std::function<void()>* task_out,
+                             bool* is_maint_out) {
   const int n = static_cast<int>(drives_.size());
   for (int k = 0; k < n; ++k) {
     const int d = (next_drive_ + k) % n;
     DriveState& ds = drives_[static_cast<size_t>(d)];
-    const bool nothing_running = ds.running_shared == 0 && !ds.running_exclusive;
     // Maintenance slice: only in a foreground-idle gap — unless it has been
     // starved past the limit, in which case one slice jumps the queue.
-    if (ds.maint_pending && ds.maintenance && nothing_running && drain_waiters_ == 0 &&
-        (ds.pending.empty() || ds.fg_since_maint >= opts_.maintenance_starvation_limit)) {
-      ds.running_exclusive = true;
+    if (ds.maint_pending && ds.maintenance && !ds.running && drain_waiters_ == 0 &&
+        (ds.pending.empty() || ds.fg_since_maint >= kMaintenanceStarvationLimit)) {
+      ds.running = true;
       *drive_out = d;
       *is_maint_out = true;
       next_drive_ = (d + 1) % n;
       return true;
     }
   }
-  // Foreground: gather each drive's first runnable task, then pick the drive
-  // to feed. Primary key: fewest tasks in flight — a drive already serving a
-  // task has a stale horizon (it will jump when that task completes), so a
-  // second dispatch there mostly stacks onto the same platter timeline while
-  // an idle drive's platter sits unused. Secondary key: the earliest
-  // achievable start time given the free capacity slots, so work lands where
-  // it can begin soonest. Tertiary key: the smallest gap that start would
-  // insert into the drive's serialized timeline — when two drives could start
-  // at the same instant, feed the one whose chain the slot extends seamlessly
-  // and leave the laggard for the worker whose slot matches it. Without the
-  // gap key, racing workers swap drives and each swap ratchets the laggard's
-  // chain up to the leader's time, serializing chains that should overlap.
+  // Foreground: among idle drives with queued work, pick the one to feed.
+  // Primary key: the earliest achievable start time given the free capacity
+  // slots, so work lands where it can begin soonest. Secondary key: the
+  // smallest gap that start would insert into the drive's timeline — when two
+  // drives could start at the same instant, feed the one whose timeline the
+  // slot extends seamlessly and leave the laggard for the worker whose slot
+  // matches it. Without the gap key, racing workers swap drives and each swap
+  // ratchets the laggard's ready time up to the leader's, serializing
+  // timelines that should overlap.
   SimTime min_free_slot = 0;
   bool have_slot = false;
   for (size_t s = 0; s < slot_free_.size(); ++s) {
@@ -291,30 +233,18 @@ bool DriveExecutor::FindWork(int* drive_out, Task* task_out, bool* is_maint_out)
     }
   }
   int best = -1;
-  size_t best_index = 0;
-  int best_inflight = 0;
   SimTime best_start = 0;
   SimDuration best_gap = 0;
   for (int k = 0; k < n; ++k) {
     const int d = (next_drive_ + k) % n;
-    DriveState& ds = drives_[static_cast<size_t>(d)];
-    size_t index = 0;
-    if (!FirstRunnable(ds, &index)) {
+    const DriveState& ds = drives_[static_cast<size_t>(d)];
+    if (ds.running || ds.pending.empty()) {
       continue;
     }
-    const int inflight = ds.running_shared + (ds.running_exclusive ? 1 : 0);
-    // horizon covers lane time the device never saw (cache hits, CPU);
-    // DeviceBusyUntil covers commands issued by still-running tasks.
-    const SimTime chain = std::max(
-        std::max(ds.time_floor, ds.horizon), ds.drive->DeviceBusyUntil());
-    const SimTime start = std::max(min_free_slot, chain);
-    const SimDuration gap = start - chain;
-    if (best < 0 || inflight < best_inflight ||
-        (inflight == best_inflight &&
-         (start < best_start || (start == best_start && gap < best_gap)))) {
+    const SimTime start = std::max(min_free_slot, ds.ready);
+    const SimDuration gap = start - ds.ready;
+    if (best < 0 || start < best_start || (start == best_start && gap < best_gap)) {
       best = d;
-      best_index = index;
-      best_inflight = inflight;
       best_start = start;
       best_gap = gap;
     }
@@ -323,17 +253,9 @@ bool DriveExecutor::FindWork(int* drive_out, Task* task_out, bool* is_maint_out)
     return false;
   }
   DriveState& ds = drives_[static_cast<size_t>(best)];
-  if (best_index > 0) {
-    ++ds.pending.front().head_passes;
-  }
-  *task_out = std::move(ds.pending[best_index]);
-  ds.pending.erase(ds.pending.begin() + static_cast<std::ptrdiff_t>(best_index));
-  if (task_out->mode == Mode::kShared) {
-    ++ds.running_shared;
-    ds.running_stripes.push_back(task_out->stripe);
-  } else {
-    ds.running_exclusive = true;
-  }
+  *task_out = std::move(ds.pending.front());
+  ds.pending.pop_front();
+  ds.running = true;
   *drive_out = best;
   *is_maint_out = false;
   next_drive_ = (best + 1) % n;
@@ -345,26 +267,15 @@ void DriveExecutor::WorkerLoop(int worker) {
   mu_.Lock();
   for (;;) {
     int d = -1;
-    Task task;
+    std::function<void()> task;
     bool is_maint = false;
     if (!paused_ && FindWork(&d, &task, &is_maint)) {
       DriveState& ds = drives_[static_cast<size_t>(d)];
-      const bool exclusive = is_maint || task.mode != Mode::kShared;
-      // Exclusive work chains on the drive's horizon: one mutation stream per
-      // drive, strictly after everything the drive has already been charged
-      // for. Shared snapshot reads start at the floor only — their lanes may
-      // overlap on one drive because immutable reads take no locks; any media
-      // commands they issue still serialise (and are charged the queueing
-      // wait) on the device's own busy timeline, while cache hits genuinely
-      // overlap. Cross-drive tasks overlap freely — that is where the
-      // array's parallelism is.
-      const SimTime chain =
-          exclusive ? std::max(ds.time_floor, ds.horizon) : ds.time_floor;
       // Charge the task to a capacity slot (not to this OS thread): simulated
       // parallelism = worker count, independent of which thread won the
       // dispatch race. Best fit: the latest-free slot that does not delay the
-      // chain, so low slots stay available for lagging drives; if every slot
-      // is ahead of the chain, the earliest one delays it least. At most
+      // drive, so low slots stay available for lagging drives; if every slot
+      // is ahead of the drive, the earliest one delays it least. At most
       // `workers` tasks run at once, so an idle slot always exists.
       size_t slot = slot_free_.size();
       for (size_t s = 0; s < slot_free_.size(); ++s) {
@@ -377,8 +288,8 @@ void DriveExecutor::WorkerLoop(int worker) {
         }
         const SimTime cur = slot_free_[s];
         const SimTime sel = slot_free_[slot];
-        const bool cur_fits = cur <= chain;
-        const bool sel_fits = sel <= chain;
+        const bool cur_fits = cur <= ds.ready;
+        const bool sel_fits = sel <= ds.ready;
         if ((cur_fits && (!sel_fits || cur > sel)) ||
             (!cur_fits && !sel_fits && cur < sel)) {
           slot = s;
@@ -386,25 +297,19 @@ void DriveExecutor::WorkerLoop(int worker) {
       }
       S4_CHECK(slot < slot_free_.size());
       slot_busy_[slot] = true;
-      const SimTime start = std::max(slot_free_[slot], chain);
-      // Diagnostic only: sim time this start leaves the drive frontier idle.
-      const SimTime frontier = std::max(ds.time_floor, ds.horizon);
-      ds.gap_span += start > frontier ? start - frontier : 0;
+      const SimTime start = std::max(slot_free_[slot], ds.ready);
+      // Diagnostic only: sim time this start leaves the drive idle.
+      ds.gap_span += start - ds.ready;
       bool more_maint = false;
       mu_.Unlock();
       SimTime end;
       {
         // Lane ids are 1-based; 0 is the serial (no-lane) path.
-        SimClock::Lane lane(clock_, worker + 1, start, /*shared=*/!exclusive);
-        if (exclusive) {
-          // Safe exactly here: nothing else runs on this drive, so parked
-          // snapshot-reader audit records can be appended to the chronicle.
-          ds.drive->FlushDeferredAudits();
-        }
+        SimClock::Lane lane(clock_, worker + 1, start);
         if (is_maint) {
           more_maint = ds.maintenance();
         } else {
-          task.fn();
+          task();
         }
         end = lane.now();
       }
@@ -413,18 +318,9 @@ void DriveExecutor::WorkerLoop(int worker) {
       slot_free_[slot] = end;
       slot_busy_[slot] = false;
       ds.charged_span += end - start;
-      ds.horizon = std::max(ds.horizon, end);
-      if (exclusive) {
-        ds.running_exclusive = false;
-        // The floor hands simulated time from one exclusive op to the next,
-        // keeping per-drive version timestamps strictly ascending.
-        ds.time_floor = std::max(ds.time_floor, end);
-      } else {
-        --ds.running_shared;
-        auto it = std::find(ds.running_stripes.begin(), ds.running_stripes.end(), task.stripe);
-        S4_CHECK(it != ds.running_stripes.end());
-        ds.running_stripes.erase(it);
-      }
+      // Lane time only moves forward, so end >= start >= ready.
+      ds.ready = end;
+      ds.running = false;
       if (is_maint) {
         ++ds.maint_slices;
         ds.fg_since_maint = 0;

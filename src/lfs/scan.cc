@@ -1,7 +1,5 @@
 #include "src/lfs/scan.h"
 
-#include <algorithm>
-
 #include "src/util/crc32.h"
 
 namespace s4 {
@@ -51,11 +49,8 @@ Result<std::vector<ScannedChunk>> ScanSegment(BlockDevice* device, const Superbl
     // The summary CRC only proves the summary sector persisted. A power cut
     // can land the summary and tear the payload (the chunk is one sequential
     // write, but the platter commits sector by sector). Verify the payload
-    // CRC before trusting the chunk; a mismatch means a torn tail. Chunks at
-    // or below verify_after_seq predate the checkpoint and were durable when
-    // it was written, so the check is skipped.
-    if (payload > 0 && summary->seq > opts.verify_after_seq &&
-        Crc32c(sectors_at(rel + 1, payload)) != summary->payload_crc) {
+    // CRC before trusting the chunk; a mismatch means a torn tail.
+    if (payload > 0 && Crc32c(sectors_at(rel + 1, payload)) != summary->payload_crc) {
       break;  // torn chunk: stop scanning this segment
     }
     ScannedChunk chunk;
@@ -80,24 +75,6 @@ Result<std::vector<ScannedChunk>> ScanSegment(BlockDevice* device, const Superbl
     rel += 1 + payload;
   }
   return chunks;
-}
-
-Result<std::vector<ScannedChunk>> ScanLogAfter(BlockDevice* device, const Superblock& sb,
-                                               uint64_t after_seq) {
-  std::vector<ScannedChunk> all;
-  SegmentScanOptions opts;
-  opts.verify_after_seq = after_seq;  // pre-checkpoint payloads cannot be torn
-  for (SegmentId seg = 0; seg < sb.segment_count; ++seg) {
-    S4_ASSIGN_OR_RETURN(std::vector<ScannedChunk> chunks, ScanSegment(device, sb, seg, opts));
-    for (auto& c : chunks) {
-      if (c.seq > after_seq) {
-        all.push_back(std::move(c));
-      }
-    }
-  }
-  std::sort(all.begin(), all.end(),
-            [](const ScannedChunk& a, const ScannedChunk& b) { return a.seq < b.seq; });
-  return all;
 }
 
 }  // namespace s4

@@ -39,10 +39,6 @@ struct SegmentScanOptions {
   // older than the scan's floor is leftover platter data from the segment's
   // previous life, not log tail — everything after it is equally stale.
   uint64_t min_seq = 0;
-  // Skip the payload read + CRC for chunks with seq <= this. Chunks at or
-  // below the checkpoint seq were durable before the checkpoint was written,
-  // so they cannot be the torn tail; only their summaries drive the scan.
-  uint64_t verify_after_seq = 0;
 };
 
 // Reads the chunks of `segment` front to back. Stops at the first sector that
@@ -51,11 +47,6 @@ struct SegmentScanOptions {
 Result<std::vector<ScannedChunk>> ScanSegment(BlockDevice* device, const Superblock& sb,
                                               SegmentId segment,
                                               const SegmentScanOptions& opts = {});
-
-// Scans every segment and returns all chunks with seq > after_seq, sorted by
-// seq — the roll-forward stream for crash recovery.
-Result<std::vector<ScannedChunk>> ScanLogAfter(BlockDevice* device, const Superblock& sb,
-                                               uint64_t after_seq);
 
 }  // namespace s4
 

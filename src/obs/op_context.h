@@ -31,14 +31,6 @@ struct OpContext {
   // standalone drive. Stamped at the S4RpcServer boundary.
   int32_t shard = -1;
 
-  // Snapshot mode: this request runs on a shared (concurrent-reader) executor
-  // lane, overlapping other readers on the same drive. Read paths must then
-  // only touch immutable state — sealed segments, committed versions,
-  // cache *hits* — and may not insert into or reorder any cache, defer their
-  // audit records, and skip admission accounting. Set by S4Drive::MakeContext
-  // from the clock's active lane; always false on the serial path.
-  bool snapshot = false;
-
   // Wiring; null members degrade gracefully (spans become no-ops).
   SimClock* clock = nullptr;
   Tracer* tracer = nullptr;

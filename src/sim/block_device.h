@@ -162,16 +162,6 @@ class BlockDevice {
     MutexLock lock(&mu_);
     return stats_;
   }
-  // Simulated instant until which the arm is busy serving already-issued
-  // commands. A command issued with a lane clock behind this queues (and is
-  // charged the wait), so schedulers use it as the drive's device frontier.
-  // Deliberately a mutex acquisition, not a lock-free read: the executor
-  // calls it from dispatch (rank kExecutor -> kDevice is the sanctioned
-  // nesting) and a stale frontier would mis-schedule, not just mis-report.
-  SimTime busy_until() const S4_EXCLUDES(mu_) {
-    MutexLock lock(&mu_);
-    return free_until_;
-  }
   void ResetStats() S4_EXCLUDES(mu_) {
     MutexLock lock(&mu_);
     stats_ = DiskStats();
@@ -218,9 +208,9 @@ class BlockDevice {
   SimClock* clock_;
   DiskModel model_;
   // One command at a time: guards media contents, fault state, stats, and the
-  // arm's busy timeline against concurrent executor lanes. Rank kDevice: the
-  // executor's dispatch lock (kExecutor) is the only lock ever held when a
-  // command arrives, via busy_until() from FindWork.
+  // arm's busy timeline against concurrent lanes (mount's RunOnLanes scan
+  // sends one device commands from several lanes). Rank kDevice: a leaf, no
+  // other lock is held when a command arrives.
   mutable Mutex mu_{LockRank::kDevice, "BlockDevice"};
   // The injector is passive state consulted and mutated under the command
   // lock; both the pointer and the pointee are covered by mu_.

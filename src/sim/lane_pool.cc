@@ -25,7 +25,7 @@ Status RunOnLanes(SimClock* clock, int workers,
     for (int k = 0; k < w; ++k) {
       threads.emplace_back([&, k] {
         // Lane ids are 1-based; id 0 is the unbound serial path.
-        SimClock::Lane lane(clock, k + 1, start, /*shared=*/false);
+        SimClock::Lane lane(clock, k + 1, start);
         for (size_t i = static_cast<size_t>(k); i < tasks.size();
              i += static_cast<size_t>(w)) {
           results[i] = tasks[i]();

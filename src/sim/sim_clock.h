@@ -26,9 +26,8 @@ namespace s4 {
 
 class SimClock {
  public:
-  // Lane ids are small dense integers so per-lane state elsewhere (e.g. the
-  // drive's active-context slots) can be plain arrays indexed by lane. Id 0
-  // is reserved for "no lane" (the serial path); workers use 1..kMaxLanes-1.
+  // Lane ids are small dense integers. Id 0 is reserved for "no lane" (the
+  // serial path); workers use 1..kMaxLanes-1.
   static constexpr int kMaxLanes = 17;
 
   SimClock() = default;
@@ -67,8 +66,8 @@ class SimClock {
   // clock (AbsorbLane) once all lanes drain.
   class Lane {
    public:
-    Lane(SimClock* clock, int id, SimTime start, bool shared)
-        : clock_(clock), prev_(tls_lane_), id_(id), now_(start), shared_(shared) {
+    Lane(SimClock* clock, int id, SimTime start)
+        : clock_(clock), prev_(tls_lane_), id_(id), now_(start) {
       S4_CHECK(id > 0 && id < kMaxLanes);
       tls_lane_ = this;
     }
@@ -79,8 +78,6 @@ class SimClock {
 
     int id() const { return id_; }
     SimTime now() const { return now_; }
-    void set_now(SimTime t) { now_ = t; }
-    bool shared() const { return shared_; }
 
    private:
     friend class SimClock;
@@ -88,22 +85,7 @@ class SimClock {
     Lane* prev_;
     int id_;
     SimTime now_;
-    bool shared_;
   };
-
-  // Lane id the calling thread is bound to on *this* clock; 0 when unbound.
-  int ActiveLaneId() const {
-    const Lane* lane = ActiveLane();
-    return lane == nullptr ? 0 : lane->id_;
-  }
-
-  // Whether the calling thread's active lane was opened in shared
-  // (concurrent-reader) mode. The drive uses this to pick snapshot read
-  // paths that never mutate shared state.
-  bool ActiveLaneIsShared() const {
-    const Lane* lane = ActiveLane();
-    return lane != nullptr && lane->shared_;
-  }
 
   // Fold a finished lane's end time into the global clock: simulated time
   // after a parallel epoch is the max over the lanes (the makespan), not the

@@ -27,10 +27,10 @@
 //
 //   kExecutor (10) -> kDevice (20) -> kMetrics (30) -> kTracer (40)
 //
-// A thread may only acquire ranks in strictly increasing order. The only
-// nested acquisition today is executor -> device (DriveExecutor::FindWork
-// consults BlockDevice::busy_until() while holding the dispatch lock);
-// metrics and tracer are leaf locks that never nest inside each other.
+// A thread may only acquire ranks in strictly increasing order. No lock nests
+// inside another today: the executor releases its dispatch lock before a
+// task touches a drive, the device lock is held only for one command, and
+// metrics and tracer are leaf locks.
 // Adding a mutex = pick the lowest rank that is strictly greater than every
 // lock held when yours is acquired, add it to the enum and the DESIGN.md
 // table, and give every field it protects an S4_GUARDED_BY.
@@ -190,14 +190,14 @@ class S4_CAPABILITY("shared_mutex") SharedMutex {
 #endif
   }
 
-  void LockShared() S4_ACQUIRE_SHARED() {
+  void LockReader() S4_ACQUIRE_SHARED() {
 #if S4_LOCK_RANK_CHECKS
     internal::PushLockRank(this, rank_, name_);
 #endif
     mu_.lock_shared();
   }
 
-  void UnlockShared() S4_RELEASE_SHARED() {
+  void UnlockReader() S4_RELEASE_SHARED() {
     mu_.unlock_shared();
 #if S4_LOCK_RANK_CHECKS
     internal::PopLockRank(this);
@@ -243,9 +243,9 @@ class S4_SCOPED_CAPABILITY WriterLock {
 class S4_SCOPED_CAPABILITY ReaderLock {
  public:
   explicit ReaderLock(SharedMutex* mu) S4_ACQUIRE_SHARED(mu) : mu_(mu) {
-    mu_->LockShared();
+    mu_->LockReader();
   }
-  ~ReaderLock() S4_RELEASE() { mu_->UnlockShared(); }
+  ~ReaderLock() S4_RELEASE() { mu_->UnlockReader(); }
 
   ReaderLock(const ReaderLock&) = delete;
   ReaderLock& operator=(const ReaderLock&) = delete;

@@ -120,26 +120,6 @@ TEST_F(LfsTest, SegmentRolloverSealsAndAllocates) {
   EXPECT_GE(full, 1u);
 }
 
-TEST_F(LfsTest, ScanLogAfterOrdersBySeq) {
-  for (int i = 0; i < 40; ++i) {
-    ASSERT_OK(writer_->Append(RecordKind::kData, 1, i, Block(1)).status());
-    if (i % 5 == 4) {
-      ASSERT_OK(writer_->Flush());
-    }
-  }
-  ASSERT_OK(writer_->Flush());
-  ASSERT_OK_AND_ASSIGN(std::vector<ScannedChunk> all, ScanLogAfter(device_.get(), sb_, 0));
-  ASSERT_GE(all.size(), 8u);
-  for (size_t i = 1; i < all.size(); ++i) {
-    EXPECT_GT(all[i].seq, all[i - 1].seq);
-  }
-  // Filtering works.
-  uint64_t mid = all[all.size() / 2].seq;
-  ASSERT_OK_AND_ASSIGN(std::vector<ScannedChunk> later,
-                       ScanLogAfter(device_.get(), sb_, mid));
-  EXPECT_EQ(later.size(), all.size() - (all.size() / 2) - 1);
-}
-
 TEST_F(LfsTest, UsageTableLifecycle) {
   SimTime now = clock_->Now();
   auto seg = sut_->Allocate(now);

@@ -1,6 +1,6 @@
 // Fixture: S4L009 must fire — a drive-layer thread means the layer is trying
 // to schedule work on its own instead of relying on the executor's
-// stripe/exclusivity scheduling. (Raw mutexes are S4L010's fixture.)
+// one-task-per-drive scheduling. (Raw mutexes are S4L010's fixture.)
 #include <thread>
 
 namespace s4 {

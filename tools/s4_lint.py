@@ -46,9 +46,10 @@ flows through the audited, versioning write path):
                               and src/util/sync.* (the wrappers themselves).
                               The drive, LFS, journal, cache and RPC layers
                               stay single-threaded by construction: the
-                              executor's exclusivity rules are their only
-                              lock. (Raw mutex/lock/condvar primitives are
-                              S4L010's business.)
+                              executor runs at most one task per drive at a
+                              time, and that is their only lock. (Raw
+                              mutex/lock/condvar primitives are S4L010's
+                              business.)
   S4L010 lock-discipline      (a) The raw std:: locking primitives (mutex,
                               condition_variable, lock_guard, unique_lock,
                               ...) appear only in src/util/sync.*; everyone
@@ -463,7 +464,7 @@ def check_cluster_drive_api(root):
 
 
 # S4L009: threading primitives and where they are allowed. Everything outside
-# the allowlist runs single-threaded under the executor's exclusivity rules;
+# the allowlist runs single-threaded: the executor runs one task per drive;
 # a stray thread or atomic elsewhere means a layer is trying to synchronise on
 # its own, which the concurrency argument (DESIGN.md §14) does not cover.
 # Raw mutex/condvar/lock-RAII primitives are covered by S4L010, which confines
@@ -503,7 +504,7 @@ def check_threading_confinement(root):
                     f"threading primitive ({m.group(0).strip()}) outside "
                     "src/exec, src/obs, src/sim; layers below the executor "
                     "are single-threaded by construction — rely on its "
-                    "stripe/exclusivity scheduling instead"))
+                    "one-task-per-drive scheduling instead"))
     return findings
 
 
