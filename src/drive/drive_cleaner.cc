@@ -179,14 +179,8 @@ bool S4Drive::CleanerNeeded() const {
   if (!options_.cleaner_enabled) {
     return false;
   }
-  uint32_t total = sut_->segment_count();
-  uint32_t free_like = 0;
-  for (SegmentId seg = 0; seg < total; ++seg) {
-    if (sut_->Info(seg).state == SegmentState::kFree || sut_->Reclaimable(seg)) {
-      ++free_like;
-    }
-  }
-  return free_like < std::max<uint32_t>(total / 4, kReserveSegments * 2);
+  return sut_->FreeOrReclaimableSegments() <
+         std::max<uint32_t>(sut_->segment_count() / 4, kReserveSegments * 2);
 }
 
 Result<uint32_t> S4Drive::RunCleanerPass(uint32_t max_compactions, bool force_compaction) {

@@ -210,7 +210,7 @@ class S4Drive {
   const SegmentUsageTable& usage_table() const { return *sut_; }
   const SegmentWriterStats& writer_stats() const { return writer_->stats(); }
   SimDuration detection_window() const { return detection_window_; }
-  // Fraction of segments not free (0..1).
+  // Fraction of segments neither free nor reclaimable (0..1).
   double SpaceUtilization() const;
   uint64_t HistoryPoolBytes() const;
   uint64_t LiveBytes() const;

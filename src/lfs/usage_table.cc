@@ -4,10 +4,35 @@
 #include "src/util/codec.h"
 
 namespace s4 {
+namespace {
+
+bool IsReclaimable(const SegmentInfo& info) {
+  return info.state == SegmentState::kFull && info.live_sectors == 0 &&
+         info.history_sectors == 0;
+}
+
+bool FreeOrReclaimable(const SegmentInfo& info) {
+  return info.state == SegmentState::kFree || IsReclaimable(info);
+}
+
+}  // namespace
 
 SegmentUsageTable::SegmentUsageTable(uint32_t segment_count, uint32_t segment_sectors)
-    : segment_sectors_(segment_sectors) {
+    : segment_sectors_(segment_sectors), free_or_reclaimable_(segment_count) {
   segments_.resize(segment_count);
+}
+
+template <typename Fn>
+void SegmentUsageTable::Update(SegmentId seg, Fn&& mutate) {
+  SegmentInfo& info = segments_[seg];
+  bool was_counted = FreeOrReclaimable(info);
+  mutate(info);
+  bool counted = FreeOrReclaimable(info);
+  if (counted && !was_counted) {
+    ++free_or_reclaimable_;
+  } else if (!counted && was_counted) {
+    --free_or_reclaimable_;
+  }
 }
 
 std::optional<SegmentId> SegmentUsageTable::Allocate(SimTime now) {
@@ -15,9 +40,11 @@ std::optional<SegmentId> SegmentUsageTable::Allocate(SimTime now) {
   for (uint32_t i = 0; i < n; ++i) {
     SegmentId seg = (next_alloc_hint_ + i) % n;
     if (segments_[seg].state == SegmentState::kFree) {
-      segments_[seg] = SegmentInfo();
-      segments_[seg].state = SegmentState::kActive;
-      segments_[seg].last_write_time = now;
+      Update(seg, [now](SegmentInfo& s) {
+        s = SegmentInfo();
+        s.state = SegmentState::kActive;
+        s.last_write_time = now;
+      });
       next_alloc_hint_ = (seg + 1) % n;
       return seg;
     }
@@ -27,12 +54,18 @@ std::optional<SegmentId> SegmentUsageTable::Allocate(SimTime now) {
 
 void SegmentUsageTable::Seal(SegmentId seg) {
   S4_CHECK(segments_[seg].state == SegmentState::kActive);
-  segments_[seg].state = SegmentState::kFull;
+  Update(seg, [](SegmentInfo& s) { s.state = SegmentState::kFull; });
+}
+
+void SegmentUsageTable::SetState(SegmentId seg, SegmentState state) {
+  Update(seg, [state](SegmentInfo& s) { s.state = state; });
 }
 
 void SegmentUsageTable::AddLive(SegmentId seg, uint32_t n, SimTime now) {
-  segments_[seg].live_sectors += n;
-  segments_[seg].last_write_time = now;
+  Update(seg, [n, now](SegmentInfo& s) {
+    s.live_sectors += n;
+    s.last_write_time = now;
+  });
 }
 
 void SegmentUsageTable::AddWritten(SegmentId seg, uint32_t n) {
@@ -41,39 +74,29 @@ void SegmentUsageTable::AddWritten(SegmentId seg, uint32_t n) {
 
 void SegmentUsageTable::LiveToHistory(SegmentId seg, uint32_t n) {
   S4_CHECK(segments_[seg].live_sectors >= n);
-  segments_[seg].live_sectors -= n;
-  segments_[seg].history_sectors += n;
+  Update(seg, [n](SegmentInfo& s) {
+    s.live_sectors -= n;
+    s.history_sectors += n;
+  });
 }
 
 void SegmentUsageTable::ReleaseHistory(SegmentId seg, uint32_t n) {
   S4_CHECK(segments_[seg].history_sectors >= n);
-  segments_[seg].history_sectors -= n;
+  Update(seg, [n](SegmentInfo& s) { s.history_sectors -= n; });
 }
 
 void SegmentUsageTable::ReleaseLive(SegmentId seg, uint32_t n) {
   S4_CHECK(segments_[seg].live_sectors >= n);
-  segments_[seg].live_sectors -= n;
+  Update(seg, [n](SegmentInfo& s) { s.live_sectors -= n; });
 }
 
 bool SegmentUsageTable::Reclaimable(SegmentId seg) const {
-  const SegmentInfo& info = segments_[seg];
-  return info.state == SegmentState::kFull && info.live_sectors == 0 &&
-         info.history_sectors == 0;
+  return IsReclaimable(segments_[seg]);
 }
 
 void SegmentUsageTable::Reclaim(SegmentId seg) {
   S4_CHECK(Reclaimable(seg));
-  segments_[seg] = SegmentInfo();
-}
-
-uint32_t SegmentUsageTable::FreeSegments() const {
-  uint32_t n = 0;
-  for (const auto& s : segments_) {
-    if (s.state == SegmentState::kFree) {
-      ++n;
-    }
-  }
-  return n;
+  Update(seg, [](SegmentInfo& s) { s = SegmentInfo(); });
 }
 
 uint64_t SegmentUsageTable::LiveSectorsTotal() const {
@@ -141,7 +164,7 @@ Result<SegmentUsageTable> SegmentUsageTable::DecodeFrom(Decoder* dec) {
     s.live_sectors = static_cast<uint32_t>(live);
     s.history_sectors = static_cast<uint32_t>(hist);
     s.written_sectors = static_cast<uint32_t>(written);
-    table.segments_[i] = s;
+    table.Update(static_cast<SegmentId>(i), [&s](SegmentInfo& info) { info = s; });
   }
   S4_ASSIGN_OR_RETURN(uint64_t hint, dec->Varint());
   if (count > 0 && hint >= count) {

@@ -49,7 +49,7 @@ class SegmentUsageTable {
 
   // Crash-recovery override of a segment's state (roll-forward reconstructs
   // post-checkpoint allocations and seals).
-  void SetState(SegmentId seg, SegmentState state) { segments_[seg].state = state; }
+  void SetState(SegmentId seg, SegmentState state);
 
   // Accounting transitions. `n` is in sectors.
   void AddLive(SegmentId seg, uint32_t n, SimTime now);
@@ -68,7 +68,9 @@ class SegmentUsageTable {
   // Reclaimable().
   void Reclaim(SegmentId seg);
 
-  uint32_t FreeSegments() const;
+  // Segments that are free or Reclaimable(), kept current by every mutator
+  // so space checks on the op path cost O(1).
+  uint32_t FreeOrReclaimableSegments() const { return free_or_reclaimable_; }
   uint64_t LiveSectorsTotal() const;
   uint64_t HistorySectorsTotal() const;
 
@@ -87,9 +89,15 @@ class SegmentUsageTable {
   static Result<SegmentUsageTable> DecodeFrom(class Decoder* dec);
 
  private:
+  // Applies `mutate` to one segment's info and keeps free_or_reclaimable_ in
+  // step with it.
+  template <typename Fn>
+  void Update(SegmentId seg, Fn&& mutate);
+
   uint32_t segment_sectors_;
   std::vector<SegmentInfo> segments_;
   SegmentId next_alloc_hint_ = 0;
+  uint32_t free_or_reclaimable_ = 0;
 };
 
 }  // namespace s4

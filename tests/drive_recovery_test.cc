@@ -7,6 +7,12 @@
 namespace s4 {
 namespace {
 
+// SpaceUtilization() recomputed by scanning every segment, for checking the
+// drive's O(1) count after roll-forward has rebuilt the usage table.
+double RecountedUtilization(const SegmentUsageTable& sut) {
+  return 1.0 - static_cast<double>(RecountFreeOrReclaimable(sut)) / sut.segment_count();
+}
+
 TEST_F(DriveTest, RemountAfterCleanUnmount) {
   Credentials alice = User(100);
   ASSERT_OK_AND_ASSIGN(ObjectId id, drive_->Create(alice, BytesOf("a")));
@@ -97,6 +103,7 @@ TEST_F(DriveTest, MultipleCrashCycles) {
     synced.emplace_back(clock_->Now(), content);
     clock_->Advance(kMinute);
     CrashAndRemount();
+    EXPECT_EQ(drive_->SpaceUtilization(), RecountedUtilization(drive_->usage_table()));
     // All previously synced versions remain reconstructible after each crash.
     for (const auto& [t, expect] : synced) {
       ASSERT_OK_AND_ASSIGN(Bytes got, drive_->Read(alice, id, 0, 64, t));
@@ -122,6 +129,7 @@ TEST_F(DriveTest, CrashAfterManyObjectsAndCheckpoints) {
   ASSERT_OK_AND_ASSIGN(ObjectAttrs attrs_before, drive_->GetAttr(alice, ids[50]));
 
   CrashAndRemount();
+  EXPECT_EQ(drive_->SpaceUtilization(), RecountedUtilization(drive_->usage_table()));
   ASSERT_OK_AND_ASSIGN(ObjectAttrs attrs_after, drive_->GetAttr(alice, ids[50]));
   EXPECT_EQ(attrs_after.size, attrs_before.size);
   for (ObjectId id : ids) {

@@ -152,6 +152,67 @@ TEST_F(LfsTest, UsageTableSerializationRoundTrip) {
   EXPECT_EQ(restored.Info(*seg).state, SegmentState::kActive);
 }
 
+TEST_F(LfsTest, FreeOrReclaimableTracksEveryTransition) {
+  // A small table so random steps keep revisiting the same segments and
+  // cross the free/reclaimable boundary in both directions.
+  SegmentUsageTable table(12, sb_.segment_sectors);
+  ASSERT_EQ(table.FreeOrReclaimableSegments(), 12u);
+  Rng rng(13);
+  uint32_t reclaims = 0;
+  uint32_t round_trips = 0;
+  for (int step = 0; step < 20000; ++step) {
+    auto seg = static_cast<SegmentId>(rng.Below(table.segment_count()));
+    const SegmentInfo& info = table.Info(seg);
+    SimTime now = clock_->Now() + step;
+    switch (rng.Below(10)) {
+      case 0:
+        table.Allocate(now);
+        break;
+      case 1:
+        if (info.state == SegmentState::kActive) {
+          table.Seal(seg);
+        }
+        break;
+      case 2:
+        table.SetState(seg, static_cast<SegmentState>(rng.Below(3)));
+        break;
+      case 3:
+        table.AddLive(seg, static_cast<uint32_t>(rng.Below(3)), now);
+        break;
+      case 4:
+        table.AddWritten(seg, static_cast<uint32_t>(1 + rng.Below(8)));
+        break;
+      case 5:
+        table.LiveToHistory(seg, static_cast<uint32_t>(rng.Below(info.live_sectors + 1)));
+        break;
+      case 6:
+        table.ReleaseHistory(seg, static_cast<uint32_t>(rng.Below(info.history_sectors + 1)));
+        break;
+      case 7:
+        table.ReleaseLive(seg, static_cast<uint32_t>(rng.Below(info.live_sectors + 1)));
+        break;
+      case 8:
+        if (table.Reclaimable(seg)) {
+          table.Reclaim(seg);
+          ++reclaims;
+        }
+        break;
+      default: {
+        Encoder enc;
+        table.EncodeTo(&enc);
+        Decoder dec(enc.bytes());
+        ASSERT_OK_AND_ASSIGN(table, SegmentUsageTable::DecodeFrom(&dec));
+        ++round_trips;
+        break;
+      }
+    }
+    ASSERT_EQ(table.FreeOrReclaimableSegments(), RecountFreeOrReclaimable(table))
+        << "step " << step;
+  }
+  EXPECT_GT(reclaims, 100u);
+  EXPECT_GT(round_trips, 100u);
+}
+
 TEST_F(LfsTest, CompactionVictimPrefersEmptiest) {
   SimTime now = clock_->Now();
   SegmentId a = *sut_->Allocate(now);

@@ -22,6 +22,18 @@ namespace s4 {
   ASSERT_TRUE(tmp.ok()) << tmp.status().ToString();           \
   lhs = std::move(tmp).value()
 
+// Free or reclaimable segments found by scanning every segment, to check the
+// usage table's running FreeOrReclaimableSegments() count.
+inline uint32_t RecountFreeOrReclaimable(const SegmentUsageTable& table) {
+  uint32_t n = 0;
+  for (SegmentId seg = 0; seg < table.segment_count(); ++seg) {
+    if (table.Info(seg).state == SegmentState::kFree || table.Reclaimable(seg)) {
+      ++n;
+    }
+  }
+  return n;
+}
+
 // A small formatted drive on a small simulated disk, suitable for unit
 // tests: 64MB disk, 256KB segments, tiny caches so eviction paths are
 // exercised, 1-hour detection window.

@@ -164,6 +164,69 @@ TEST(Crc32Test, KnownVectors) {
   Bytes v = BytesOf("123456789");
   EXPECT_EQ(Crc32c(v), 0xE3069283u);
   EXPECT_EQ(Crc32c({}), 0x00000000u);
+
+  // RFC 3720 section B.4 (iSCSI) 32-byte vectors.
+  Bytes ascending(32);
+  Bytes descending(32);
+  for (uint8_t i = 0; i < 32; ++i) {
+    ascending[i] = i;
+    descending[i] = static_cast<uint8_t>(31 - i);
+  }
+  EXPECT_EQ(Crc32c(Bytes(32, 0x00)), 0x8A9136AAu);
+  EXPECT_EQ(Crc32c(Bytes(32, 0xFF)), 0x62A8AB43u);
+  EXPECT_EQ(Crc32c(ascending), 0x46DD794Eu);
+  EXPECT_EQ(Crc32c(descending), 0x113FDB5Cu);
+}
+
+TEST(Crc32Test, HardwareMatchesTable) {
+  // The table loop is the reference: it must give the standard value.
+  Bytes check = BytesOf("123456789");
+  EXPECT_EQ(Crc32cFinish(internal::Crc32cExtendTable(Crc32cInit(), check)), 0xE3069283u);
+
+  internal::Crc32cExtendFn hardware = internal::Crc32cExtendHardware();
+  if (hardware == nullptr) {
+    GTEST_SKIP() << "no SSE4.2 crc32 instruction on this build or CPU";
+  }
+  auto both = [&](uint32_t state, ByteSpan data) {
+    uint32_t want = internal::Crc32cExtendTable(state, data);
+    EXPECT_EQ(hardware(state, data), want) << "len " << data.size();
+    return want;
+  };
+
+  // Every length up to 1,100 at every start offset within a word, so each
+  // head/8-byte-body/tail split and alignment is exercised.
+  Rng rng(7);
+  Bytes data = rng.RandomBytes(1100 + 8);
+  for (size_t offset = 0; offset < 8; ++offset) {
+    for (size_t len = 0; len <= 1100; ++len) {
+      both(Crc32cInit(), ByteSpan(data).subspan(offset, len));
+    }
+  }
+
+  // Large buffers: 10,891 bytes leaves a 3-byte tail, 64 KiB leaves none.
+  for (size_t len : {size_t{10891}, size_t{65536}}) {
+    both(Crc32cInit(), rng.RandomBytes(len));
+  }
+
+  // Chained Extend across random split points matches the one-shot value on
+  // both paths.
+  Bytes big = rng.RandomBytes(20000);
+  uint32_t whole = both(Crc32cInit(), big);
+  EXPECT_EQ(Crc32cExtend(Crc32cInit(), big), whole);
+  for (int trial = 0; trial < 50; ++trial) {
+    uint32_t table_state = Crc32cInit();
+    uint32_t hardware_state = Crc32cInit();
+    size_t off = 0;
+    while (off < big.size()) {
+      size_t n = std::min<size_t>(rng.Below(300), big.size() - off);
+      ByteSpan piece = ByteSpan(big).subspan(off, n);
+      table_state = internal::Crc32cExtendTable(table_state, piece);
+      hardware_state = hardware(hardware_state, piece);
+      ASSERT_EQ(hardware_state, table_state) << "trial " << trial << " at " << off;
+      off += n;
+    }
+    EXPECT_EQ(table_state, whole);
+  }
 }
 
 TEST(Crc32Test, IncrementalMatchesOneShot) {
