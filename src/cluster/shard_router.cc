@@ -232,6 +232,10 @@ RpcResponse ShardRouter::SendShardOrError(uint32_t shard, RpcRequest req) {
   return resp.ok() ? std::move(*resp) : StatusResp(resp.status());
 }
 
+RpcResponse ShardRouter::SendOnLane(SimClock::FanOut& fan, uint32_t shard, RpcRequest req) {
+  return fan.Run(shard, [&] { return SendShardOrError(shard, std::move(req)); });
+}
+
 size_t ShardRouter::Enqueue(BatchCtx& ctx, uint32_t shard, RpcRequest req, bool maint,
                             int32_t group) {
   if (ctx.pending.empty()) {
@@ -290,8 +294,9 @@ void ShardRouter::FlushShard(BatchCtx& ctx, uint32_t shard) {
 
 void ShardRouter::FlushAll(BatchCtx& ctx) {
   if (ctx.pending.empty()) return;
+  SimClock::FanOut fan(clock_, eps_.size());
   for (uint32_t s = 0; s < eps_.size(); ++s) {
-    FlushShard(ctx, s);
+    fan.Run(s, [&] { FlushShard(ctx, s); });
   }
 }
 
@@ -541,6 +546,9 @@ Result<Bytes> ShardRouter::ReconstructRange(const ShardMap::GidInfo& info, uint6
   if (!Readable(g.parity_shard)) {
     return Status::Unavailable("parity shard is down too");
   }
+  // The parity and member fetches are independent: the range costs the
+  // slowest of them, not their sum.
+  SimClock::FanOut fan(clock_, eps_.size());
   RpcRequest pread;
   pread.op = RpcOp::kRead;
   pread.creds = admin_;
@@ -548,7 +556,7 @@ Result<Bytes> ShardRouter::ReconstructRange(const ShardMap::GidInfo& info, uint6
   pread.offset = kParityDataOffset + offset;
   pread.length = length;
   pread.at = at;
-  RpcResponse presp = SendShardOrError(g.parity_shard, std::move(pread));
+  RpcResponse presp = SendOnLane(fan, g.parity_shard, std::move(pread));
   Bytes acc;
   if (presp.ok()) {
     acc = std::move(presp.data);
@@ -572,7 +580,7 @@ Result<Bytes> ShardRouter::ReconstructRange(const ShardMap::GidInfo& info, uint6
     mread.offset = offset;
     mread.length = length;
     mread.at = at;
-    RpcResponse mresp = SendShardOrError(mi->shard, std::move(mread));
+    RpcResponse mresp = SendOnLane(fan, mi->shard, std::move(mread));
     if (IsMissing(mresp.code)) {
       continue;  // deleted / not yet created at `at`: contributes zeros
     }
@@ -995,10 +1003,11 @@ ShardRouter::SubPlan ShardRouter::PlanSub(RpcRequest req, BatchCtx& ctx) {
     case RpcOp::kSetWindow: {
       FlushAll(ctx);
       Status merged = Status::Ok();
+      SimClock::FanOut fan(clock_, eps_.size());
       for (uint32_t s = 0; s < eps_.size(); ++s) {
         if (state_[s] == ShardState::kDead) continue;
         RpcRequest sub = req;
-        Status st = SendShardOrError(s, std::move(sub)).ToStatus();
+        Status st = SendOnLane(fan, s, std::move(sub)).ToStatus();
         if (!st.ok() && merged.ok()) merged = st;
       }
       plan.resp = StatusResp(merged);
@@ -1324,13 +1333,17 @@ Result<bool> ShardRouter::RebuildTick(uint64_t budget_bytes) {
 }
 
 Status ShardRouter::MaintainShards() {
+  SimClock::FanOut fan(clock_, eps_.size());
   for (uint32_t s = 0; s < eps_.size(); ++s) {
     if (state_[s] == ShardState::kDead) continue;
     S4Drive* d = eps_[s].drive;
     if (!d->CleanerNeeded()) continue;
-    SimTime t0 = clock_->Now();
-    Status st = d->RunCleanerPass(2).status();
-    busy_[s] += clock_->Now() - t0;
+    Status st = fan.Run(s, [&] {
+      SimTime t0 = clock_->Now();
+      Status pass = d->RunCleanerPass(2).status();
+      busy_[s] += clock_->Now() - t0;
+      return pass;
+    });
     S4_RETURN_IF_ERROR(st);
   }
   return Status::Ok();

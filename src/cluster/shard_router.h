@@ -22,6 +22,15 @@
 // lost shard's deterministic create sequence under a per-tick byte budget so
 // foreground traffic keeps flowing, and resuming idempotently after a crash
 // by reading the spare's own allocation cursor.
+//
+// Timing: member drives are independent devices, each on its own network
+// link, so requests the router sends to several shards and then waits for
+// overlap in simulated time. FlushAll's per-shard envelopes, the fetches of
+// a degraded reconstruction, the kFlush/kSetWindow fan-out and
+// MaintainShards' cleaner passes each run in one SimClock::FanOut scope: a
+// shard's requests run on that shard's lane, in the same host order as
+// ever, and the call then waits for its slowest shard. Format, Mount,
+// AddShard, PersistMapEverywhere and the rebuild's own sends stay serial.
 #ifndef S4_SRC_CLUSTER_SHARD_ROUTER_H_
 #define S4_SRC_CLUSTER_SHARD_ROUTER_H_
 
@@ -32,6 +41,7 @@
 
 #include "src/cluster/shard_map.h"
 #include "src/rpc/client.h"
+#include "src/sim/sim_clock.h"
 
 namespace s4 {
 
@@ -146,13 +156,15 @@ class ShardRouter : public S4ClientApi {
   const RebuildProgress& rebuild_progress() const { return rebuild_progress_; }
 
   // Runs a cleaner pass on each live shard that wants one (the array-level
-  // analogue of the bench harness's idle-time maintenance loop).
+  // analogue of the bench harness's idle-time maintenance loop); the passes
+  // overlap, one per shard lane.
   Status MaintainShards();
 
   const RouterStats& rstats() const { return stats_; }
-  // Time this router spent inside each shard's request path, on the shared
-  // sim clock. A real array overlaps these; benches reconstruct the parallel
-  // makespan as (elapsed - sum(busy) + max(busy)).
+  // Simulated time each shard spent serving this router's requests: the sum
+  // of its requests' spans, measured on the shard's own lane inside fan-outs.
+  // Fan-outs overlap shards, so elapsed time is below the sum over shards;
+  // bench_cluster bounds a run's parallel makespan by the busiest shard.
   const std::vector<SimDuration>& attributed_busy() const { return busy_; }
 
  private:
@@ -197,9 +209,13 @@ class ShardRouter : public S4ClientApi {
   // death detection on kUnavailable.
   Result<RpcResponse> SendShard(uint32_t shard, RpcRequest req);
   RpcResponse SendShardOrError(uint32_t shard, RpcRequest req);
+  // SendShardOrError on `shard`'s lane of a fan-out scope.
+  RpcResponse SendOnLane(SimClock::FanOut& fan, uint32_t shard, RpcRequest req);
 
   // Flushing cannot itself fail: transport errors become per-sub error
   // responses in ctx.results, and device loss is recorded as shard state.
+  // FlushAll sends every shard's envelope on that shard's lane, so it costs
+  // the slowest envelope; FlushShard alone runs on the caller's clock.
   void FlushShard(BatchCtx& ctx, uint32_t shard);
   void FlushAll(BatchCtx& ctx);
   size_t Enqueue(BatchCtx& ctx, uint32_t shard, RpcRequest req, bool maint, int32_t group);
@@ -229,7 +245,7 @@ class ShardRouter : public S4ClientApi {
   Result<LaneImage> ReadLaneAt(const ShardMap::GidInfo& info,
                                std::optional<SimTime> at);
   // XOR-reconstructs [offset, offset+length) of `gid`'s content at time `at`
-  // from the parity object and the surviving members.
+  // from the parity object and the surviving members, fetched in one fan-out.
   Result<Bytes> ReconstructRange(const ShardMap::GidInfo& info, uint64_t offset,
                                  uint64_t length, std::optional<SimTime> at);
   RpcResponse DegradedOp(const RpcRequest& req, const ShardMap::GidInfo& info);

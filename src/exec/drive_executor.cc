@@ -28,7 +28,7 @@ DriveExecutor::DriveExecutor(SimClock* clock, std::vector<S4Drive*> drives, Opti
     : clock_(clock), opts_(opts) {
   S4_CHECK(clock != nullptr);
   S4_CHECK(!drives.empty());
-  S4_CHECK(opts_.workers >= 1 && opts_.workers <= SimClock::kMaxLanes - 1);
+  S4_CHECK(opts_.workers >= 1 && opts_.workers <= kMaxWorkers);
   S4_CHECK(opts_.max_pending_per_drive >= 1);
   {
     // No worker exists yet; the lock scope keeps the guarded-state writes
@@ -45,7 +45,7 @@ DriveExecutor::DriveExecutor(SimClock* clock, std::vector<S4Drive*> drives, Opti
   }
   threads_.reserve(static_cast<size_t>(opts_.workers));
   for (int w = 0; w < opts_.workers; ++w) {
-    threads_.emplace_back([this, w] { WorkerLoop(w); });
+    threads_.emplace_back([this] { WorkerLoop(); });
   }
 }
 
@@ -263,7 +263,7 @@ bool DriveExecutor::FindWork(int* drive_out, std::function<void()>* task_out,
   return true;
 }
 
-void DriveExecutor::WorkerLoop(int worker) {
+void DriveExecutor::WorkerLoop() {
   mu_.Lock();
   for (;;) {
     int d = -1;
@@ -304,8 +304,7 @@ void DriveExecutor::WorkerLoop(int worker) {
       mu_.Unlock();
       SimTime end;
       {
-        // Lane ids are 1-based; 0 is the serial (no-lane) path.
-        SimClock::Lane lane(clock_, worker + 1, start);
+        SimClock::Lane lane(clock_, start);
         if (is_maint) {
           more_maint = ds.maintenance();
         } else {

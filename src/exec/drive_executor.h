@@ -55,9 +55,12 @@ class DriveExecutor {
   // slice runs even though the drive is not idle.
   static constexpr uint64_t kMaintenanceStarvationLimit = 128;
 
+  // Upper bound on Options::workers (each worker is one host thread).
+  static constexpr int kMaxWorkers = 16;
+
   struct Options {
-    // Worker threads; capped at SimClock::kMaxLanes - 1 so every worker owns
-    // a clock lane.
+    // Worker threads, 1..kMaxWorkers; each runs its tasks on its own clock
+    // lane.
     int workers = 1;
     // Submit() blocks while a drive already has this many queued tasks.
     size_t max_pending_per_drive = 512;
@@ -143,7 +146,7 @@ class DriveExecutor {
     SimDuration gap_span = 0;      // sum of (slot start - ready) idle gaps
   };
 
-  void WorkerLoop(int worker);
+  void WorkerLoop();
   // Picks the next drive to serve under mu_; returns false if none. On
   // success the drive is marked running and, for foreground work, its head
   // task moved into *task_out.

@@ -4,14 +4,19 @@
 #include <thread>
 
 namespace s4 {
+namespace {
+
+// Upper bound on the worker threads (one host thread each) a call starts.
+constexpr int kMaxWorkers = 16;
+
+}  // namespace
 
 Status RunOnLanes(SimClock* clock, int workers,
                   const std::vector<std::function<Status()>>& tasks) {
   if (tasks.empty()) {
     return Status::Ok();
   }
-  int w = std::min<int>({workers, static_cast<int>(tasks.size()),
-                         SimClock::kMaxLanes - 1});
+  int w = std::min<int>({workers, static_cast<int>(tasks.size()), kMaxWorkers});
   std::vector<Status> results(tasks.size());
   if (w <= 1) {
     for (size_t i = 0; i < tasks.size(); ++i) {
@@ -24,8 +29,7 @@ Status RunOnLanes(SimClock* clock, int workers,
     threads.reserve(static_cast<size_t>(w));
     for (int k = 0; k < w; ++k) {
       threads.emplace_back([&, k] {
-        // Lane ids are 1-based; id 0 is the unbound serial path.
-        SimClock::Lane lane(clock, k + 1, start);
+        SimClock::Lane lane(clock, start);
         for (size_t i = static_cast<size_t>(k); i < tasks.size();
              i += static_cast<size_t>(w)) {
           results[i] = tasks[i]();

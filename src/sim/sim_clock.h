@@ -14,10 +14,17 @@
 // timeline) still serialise lanes where the hardware would. When no lane is
 // bound — every pre-existing single-threaded path — the clock behaves exactly
 // as before, reading and advancing the global now_.
+//
+// Fan-out scopes (SimClock::FanOut) use the same lanes on the caller's own
+// thread: independent requests to different devices each run on their
+// device's lane, and the caller's clock then jumps to the latest lane end.
 #ifndef S4_SRC_SIM_SIM_CLOCK_H_
 #define S4_SRC_SIM_SIM_CLOCK_H_
 
+#include <algorithm>
 #include <atomic>
+#include <type_traits>
+#include <vector>
 
 #include "src/util/check.h"
 #include "src/util/time.h"
@@ -26,10 +33,6 @@ namespace s4 {
 
 class SimClock {
  public:
-  // Lane ids are small dense integers. Id 0 is reserved for "no lane" (the
-  // serial path); workers use 1..kMaxLanes-1.
-  static constexpr int kMaxLanes = 17;
-
   SimClock() = default;
   explicit SimClock(SimTime start) : now_(start) {}
 
@@ -63,12 +66,13 @@ class SimClock {
   // RAII binding of the calling thread to a private lane of this clock.
   // The lane's timestamp starts at `start` and lives in the Lane object;
   // the executor reads it back after the task and folds it into the global
-  // clock (AbsorbLane) once all lanes drain.
+  // clock (AbsorbLane) once all lanes drain. Bindings nest: a Lane restores
+  // the thread's previous lane when it ends, so a FanOut can run inside an
+  // executor task.
   class Lane {
    public:
-    Lane(SimClock* clock, int id, SimTime start)
-        : clock_(clock), prev_(tls_lane_), id_(id), now_(start) {
-      S4_CHECK(id > 0 && id < kMaxLanes);
+    Lane(SimClock* clock, SimTime start)
+        : clock_(clock), prev_(tls_lane_), now_(start) {
       tls_lane_ = this;
     }
     ~Lane() { tls_lane_ = prev_; }
@@ -76,15 +80,55 @@ class SimClock {
     Lane(const Lane&) = delete;
     Lane& operator=(const Lane&) = delete;
 
-    int id() const { return id_; }
     SimTime now() const { return now_; }
 
    private:
     friend class SimClock;
     SimClock* clock_;
     Lane* prev_;
-    int id_;
     SimTime now_;
+  };
+
+  // RAII fan-out of independent requests over `keys` lanes (one per device),
+  // all on the caller's thread. Run(key, fn) runs fn bound to key's lane: a
+  // key's first request starts at the scope's start, and a later one resumes
+  // where that key's lane ended, so requests to one key serialise while
+  // different keys overlap. On exit the caller's clock — global, or the
+  // caller's own lane — advances to the latest lane end: the scope costs its
+  // slowest key, not the sum. Every clock advance inside the scope must go
+  // through Run.
+  class FanOut {
+   public:
+    FanOut(SimClock* clock, size_t keys)
+        : clock_(clock), end_(clock->Now()), lane_ends_(keys, end_) {}
+    ~FanOut() { clock_->AdvanceTo(end_); }
+
+    FanOut(const FanOut&) = delete;
+    FanOut& operator=(const FanOut&) = delete;
+
+    template <typename Fn>
+    auto Run(size_t key, Fn&& fn) {
+      S4_CHECK(key < lane_ends_.size());
+      Lane lane(clock_, lane_ends_[key]);
+      if constexpr (std::is_void_v<std::invoke_result_t<Fn&>>) {
+        fn();
+        Finish(key, lane.now());
+      } else {
+        auto result = fn();
+        Finish(key, lane.now());
+        return result;
+      }
+    }
+
+   private:
+    void Finish(size_t key, SimTime end) {
+      lane_ends_[key] = end;
+      end_ = std::max(end_, end);
+    }
+
+    SimClock* clock_;
+    SimTime end_;  // latest lane end so far; the scope's start until a Run
+    std::vector<SimTime> lane_ends_;
   };
 
   // Fold a finished lane's end time into the global clock: simulated time

@@ -1,10 +1,12 @@
 // ShardRouter: sharded multi-drive S4 with XOR parity redundancy and paced
 // online rebuild. Covers deterministic routing/remount, epoch growth,
 // degraded current+historical reads after a device loss, survivor audit
-// verification, budget-paced rebuild under foreground traffic, and
-// idempotent rebuild resume after a power cut on the spare.
+// verification, budget-paced rebuild under foreground traffic, idempotent
+// rebuild resume after a power cut on the spare, and the fan-out timing
+// contract (per-shard requests overlap; a call waits for its slowest shard).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <set>
 
 #include "src/cluster/shard_router.h"
@@ -16,6 +18,61 @@ namespace {
 
 Bytes BytesOf(const std::string& s) { return Bytes(s.begin(), s.end()); }
 std::string StringOf(const Bytes& b) { return std::string(b.begin(), b.end()); }
+
+// One shard call as seen on the clock: which shard, when it started, when it
+// returned.
+struct CallSpan {
+  size_t shard = 0;
+  SimTime start = 0;
+  SimTime end = 0;
+};
+
+// Forwards to a shard's transport and logs every call's span, so a test can
+// see which requests overlapped.
+class SpanLoggingTransport : public RpcTransport {
+ public:
+  SpanLoggingTransport(RpcTransport* inner, SimClock* clock, size_t shard,
+                       std::vector<CallSpan>* log)
+      : inner_(inner), clock_(clock), shard_(shard), log_(log) {}
+
+  Result<Bytes> Call(ByteSpan request) override {
+    SimTime start = clock_->Now();
+    auto resp = inner_->Call(request);
+    log_->push_back(CallSpan{shard_, start, clock_->Now()});
+    return resp;
+  }
+
+ private:
+  RpcTransport* inner_;
+  SimClock* clock_;
+  size_t shard_;
+  std::vector<CallSpan>* log_;
+};
+
+TEST(SimClockFanOutTest, RequestsToOneKeySerialiseOnItsLane) {
+  SimClock clock(SimTime{100});
+  {
+    SimClock::FanOut fan(&clock, 2);
+    fan.Run(0, [&] {
+      EXPECT_EQ(clock.Now(), 100);
+      clock.Advance(10);
+    });
+    fan.Run(1, [&] {
+      EXPECT_EQ(clock.Now(), 100);  // other keys start at the scope's start
+      clock.Advance(25);
+    });
+    // A second request to key 0 resumes where key 0's lane ended.
+    SimTime second_start = fan.Run(0, [&] {
+      SimTime t = clock.Now();
+      clock.Advance(30);
+      return t;
+    });
+    EXPECT_EQ(second_start, 110);
+    EXPECT_EQ(clock.Now(), 100);  // the caller's clock waits for the scope's end
+  }
+  // Key 0's lane ends at 140, key 1's at 125: the scope costs its slowest key.
+  EXPECT_EQ(clock.Now(), 140);
+}
 
 class ClusterShardTest : public ::testing::Test {
  protected:
@@ -106,6 +163,29 @@ class ClusterShardTest : public ::testing::Test {
       objs.emplace_back(*id, content);
     }
     return objs;
+  }
+
+  // Tears the whole array down and formats an identical one on a new clock.
+  void RebuildFixture() {
+    router_.reset();
+    transports_.clear();
+    servers_.clear();
+    drives_.clear();
+    injectors_.clear();
+    devices_.clear();
+    SetUp();
+  }
+
+  // Shards holding each object's data or its group's parity.
+  std::set<uint32_t> ShardsTouched(
+      const std::vector<std::pair<ObjectId, std::string>>& objs) const {
+    std::set<uint32_t> shards;
+    for (const auto& [id, content] : objs) {
+      const ShardMap::GidInfo* info = router_->map().Find(id);
+      shards.insert(info->shard);
+      if (info->group >= 0) shards.insert(router_->map().group(info->group).parity_shard);
+    }
+    return shards;
   }
 
   // Pumps RebuildTick until completion; returns tick count.
@@ -525,6 +605,125 @@ TEST_F(ClusterShardTest, CreatesBlockWhileHomeShardIsDownThenResume) {
   ASSERT_OK_AND_ASSIGN(Bytes got, router_->Read(id, 0, 64));
   EXPECT_EQ(StringOf(got), "minted post-rebuild");
   (void)objs;
+}
+
+TEST_F(ClusterShardTest, SyncWaitsForItsSlowestShard) {
+  auto objs = Populate(8);
+  ASSERT_EQ(ShardsTouched(objs).size(), kShards);
+  const std::vector<SimDuration> busy0 = router_->attributed_busy();
+  const SimTime t0 = clock_->Now();
+  ASSERT_OK(router_->Sync());
+  const SimDuration advance = clock_->Now() - t0;
+  SimDuration sum = 0;
+  SimDuration slowest = 0;
+  for (size_t i = 0; i < kShards; ++i) {
+    SimDuration d = router_->attributed_busy()[i] - busy0[i];
+    EXPECT_GT(d, 0) << "shard " << i;
+    sum += d;
+    slowest = std::max(slowest, d);
+  }
+  // Every shard flushes its envelope on its own lane, all starting together.
+  EXPECT_EQ(advance, slowest);
+  EXPECT_LT(advance, sum);
+}
+
+TEST_F(ClusterShardTest, DegradedReadWaitsForItsSlowestFetch) {
+  ASSERT_OK_AND_ASSIGN(ObjectId id, router_->Create({}));
+  ASSERT_OK(router_->Write(id, 0, BytesOf("content of the lost shard")));
+  Populate(8);  // fills id's parity group with siblings on other shards
+  ASSERT_OK(router_->Sync());
+  // Remount the array over transports that log every shard call's span.
+  std::vector<CallSpan> log;
+  std::vector<std::unique_ptr<SpanLoggingTransport>> logged;
+  std::vector<ShardEndpoint> eps = Endpoints();
+  for (size_t i = 0; i < kShards; ++i) {
+    logged.push_back(
+        std::make_unique<SpanLoggingTransport>(eps[i].transport, clock_.get(), i, &log));
+    eps[i].transport = logged.back().get();
+  }
+  router_.reset();
+  ASSERT_OK_AND_ASSIGN(router_,
+                       ShardRouter::Mount(eps, clock_.get(), User(100), RouterOpts()));
+  const ShardMap::GidInfo* info = router_->map().Find(id);
+  ASSERT_GE(info->group, 0);
+  const ShardMap::Group& group = router_->map().group(info->group);
+  router_->FailShard(info->shard);
+
+  log.clear();
+  const SimTime t0 = clock_->Now();
+  ASSERT_OK_AND_ASSIGN(Bytes got, router_->Read(id, 0, 64));
+  const SimTime t1 = clock_->Now();
+  EXPECT_EQ(StringOf(got), "content of the lost shard");
+
+  // First the lane record (the read's length depends on it), then one
+  // fan-out: the parity range plus every surviving member's range.
+  ASSERT_EQ(log.size(), 1 + group.members.size());
+  EXPECT_EQ(log[0].shard, group.parity_shard);
+  EXPECT_EQ(log[0].start, t0);
+  const SimTime fan_start = log[0].end;
+  SimTime latest = fan_start;
+  SimDuration sum = 0;
+  std::set<size_t> fetched;
+  for (size_t i = 1; i < log.size(); ++i) {
+    EXPECT_EQ(log[i].start, fan_start) << "fetch " << i;
+    latest = std::max(latest, log[i].end);
+    sum += log[i].end - log[i].start;
+    fetched.insert(log[i].shard);
+  }
+  EXPECT_EQ(fetched.size(), group.members.size());
+  EXPECT_EQ(fetched.count(info->shard), 0u);
+  EXPECT_EQ(t1, latest);
+  EXPECT_LT(t1 - fan_start, sum);
+}
+
+TEST_F(ClusterShardTest, FanOutTimingIsDeterministic) {
+  auto run = [&] {
+    auto objs = Populate(12);
+    std::vector<RpcRequest> batch;
+    for (const auto& [id, content] : objs) {
+      RpcRequest a;
+      a.op = RpcOp::kAppend;
+      a.object = id;
+      a.data = BytesOf("+batched");
+      batch.push_back(std::move(a));
+    }
+    RpcRequest sync;
+    sync.op = RpcOp::kSync;
+    batch.push_back(std::move(sync));
+    auto resps = router_->CallBatch(std::move(batch));
+    S4_CHECK(resps.ok());
+    S4_CHECK(router_->MaintainShards().ok());
+    router_->FailShard(1);
+    for (const auto& [id, content] : objs) {
+      S4_CHECK(router_->Read(id, 0, 64).ok());
+    }
+    return std::make_pair(clock_->Now(), router_->attributed_busy());
+  };
+  auto first = run();
+  RebuildFixture();
+  auto second = run();
+  EXPECT_EQ(first.first, second.first);
+  EXPECT_EQ(first.second, second.second);
+}
+
+TEST_F(ClusterShardTest, FanOutOnACallerLaneAdvancesOnlyThatLane) {
+  auto objs = Populate(8);
+  ASSERT_EQ(ShardsTouched(objs).size(), kShards);
+  const std::vector<SimDuration> busy0 = router_->attributed_busy();
+  const SimTime global = clock_->Now();
+  SimTime lane_end = 0;
+  {
+    // The caller is itself on a lane, as an executor worker would be.
+    SimClock::Lane lane(clock_.get(), global);
+    ASSERT_OK(router_->Sync());
+    lane_end = lane.now();
+  }
+  SimDuration slowest = 0;
+  for (size_t i = 0; i < kShards; ++i) {
+    slowest = std::max(slowest, router_->attributed_busy()[i] - busy0[i]);
+  }
+  EXPECT_EQ(lane_end - global, slowest);
+  EXPECT_EQ(clock_->Now(), global);
 }
 
 }  // namespace

@@ -134,8 +134,14 @@ def compare_one(name, base, cur, threshold):
         for n in sorted(set(bpts) | set(cpts)):
             row(f"cluster.n{n}.tx_per_s", get(bpts.get(n, {}), "tx_per_s"),
                 get(cpts.get(n, {}), "tx_per_s"), invert=True)
+            row(f"cluster.n{n}.elapsed_tx_per_s",
+                get(bpts.get(n, {}), "elapsed_tx_per_s"),
+                get(cpts.get(n, {}), "elapsed_tx_per_s"), invert=True)
         row("cluster.speedup_4x", get(base, "cluster", "speedup_4x"),
             get(cur, "cluster", "speedup_4x"), invert=True)
+        row("cluster.elapsed_speedup_4x",
+            get(base, "cluster", "elapsed_speedup_4x"),
+            get(cur, "cluster", "elapsed_speedup_4x"), invert=True)
         row("cluster.degraded.penalty_x",
             get(base, "cluster", "degraded", "penalty_x"),
             get(cur, "cluster", "degraded", "penalty_x"))
