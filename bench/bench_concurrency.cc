@@ -3,19 +3,21 @@
 // scaling over the same eight drives.
 //
 // Unlike bench_cluster (which reconstructs a parallel makespan from serial,
-// attributed busy time), this bench runs REAL worker threads: every request
-// executes inside a private SimClock lane, the executor charges each task to
-// a free virtual capacity slot, and after Drain() the global clock sits at
+// attributed busy time), this bench runs REAL worker threads: drive d is
+// bound to worker d % W, each worker runs its drives' tasks in submission
+// order on its own SimClock lane, and after Drain() the global clock sits at
 // the true overlapped makespan. The scaling numbers therefore measure the
-// concurrency substrate itself — one task per drive in submission order,
-// cross-drive overlap, idle-slice maintenance — not a post-hoc model.
+// concurrency substrate itself — per-worker FIFO, cross-drive overlap,
+// idle-slice maintenance — not a post-hoc model. Only maintenance placement
+// depends on host timing; every elapsed time and speedup is identical from
+// run to run.
 //
 // Phase 1 (scaling): identical per-drive PostMark-style transaction streams
 // (read one object + append to another, periodic Sync barriers, periodic
 // cleaner maintenance requests) are pushed through DriveExecutor::SubmitFrame
-// at W=1, 2, 4. Each drive runs its tasks one at a time, but drives overlap;
-// with more drives than workers the pool stays saturated, so aggregate
-// throughput should comfortably exceed 2x at W=4.
+// at W=1, 2, 4. Each worker serves 8/W drives one task at a time, and
+// workers overlap, so aggregate throughput should comfortably exceed 2x at
+// W=4.
 //
 // Phase 2 (read scaling): a pure read stream over eight drives, no
 // mutations. Reads take the drive's ordinary read path (cache insertion and
@@ -23,8 +25,8 @@
 //
 // Usage: bench_concurrency [--quick] [--check]
 //   --quick  smaller transaction counts (CI)
-//   --check  exit non-zero unless W=4 aggregate throughput >= 2x W=1 in both
-//            phases
+//   --check  exit non-zero unless W=4 aggregate throughput >= 2x W=1
+//            (phase 1) and W=4 read throughput >= 1.5x W=1 (phase 2)
 #include <algorithm>
 #include <cstdio>
 #include <cstring>
@@ -220,8 +222,7 @@ ScalePoint RunScale(int workers, bool quick) {
     double b = ToSeconds((rig->devices[d]->stats() - disk0[d]).busy_time);
     p.busy_sum_s += b;
     p.busy_max_s = std::max(p.busy_max_s, b);
-    std::printf("  drive %zu: busy %.3fs charged_span %.3fs\n", d, b,
-                ToSeconds(exec.charged_span(static_cast<int>(d))));
+    std::printf("  drive %zu: busy %.3fs\n", d, b);
   }
   return p;
 }
@@ -230,11 +231,9 @@ ScalePoint RunScale(int workers, bool quick) {
 
 // Pure reads over eight drives, no mutations: isolates the read path. Each
 // drive serves its reads one at a time, so W=4 overlaps reads across the
-// array. (A SINGLE drive would always measure ~1x. And with exactly as many
-// drives as workers the schedule is pairing-sensitive: whichever drive loses
-// the dispatch race collects idle gaps — see DriveExecutor::gap_span — so,
-// as in phase 1, the array is kept wider than the worker pool to keep every
-// capacity slot saturated.)
+// array. (A SINGLE drive would always measure ~1x.) Reads are spread evenly
+// over the drives, and at W=4 each worker serves two of them, so the
+// workers carry equal shares.
 ScalePoint RunReadOverlap(int workers, bool quick) {
   const size_t kDrives = 8;
   const uint32_t kObjects = quick ? 300 : 600;  // x4KB: ~1.2-2.4MB > 1MB cache
@@ -244,11 +243,6 @@ ScalePoint RunReadOverlap(int workers, bool quick) {
   auto rig = MakeRig(kDrives, kObjects, kObjectBytes);
   DriveExecutor::Options eopts;
   eopts.workers = workers;
-  // Prime every queue before releasing the workers: this phase measures how
-  // reads schedule across a saturated array, not how fast the submitting
-  // thread encodes frames.
-  eopts.start_paused = true;
-  eopts.max_pending_per_drive = kReads / kDrives + 1;
   DriveExecutor exec(rig->clock.get(), rig->drive_ptrs(), eopts);
 
   uint64_t rng = 0xfeedull;
@@ -268,7 +262,6 @@ ScalePoint RunReadOverlap(int workers, bool quick) {
     exec.SubmitFrame(static_cast<int>(d), rig->servers[d].get(),
                      ReadFrame(objs[next() % objs.size()], 0, kObjectBytes));
   }
-  exec.Start();
   exec.Drain();
 
   ScalePoint p;
@@ -283,9 +276,7 @@ ScalePoint RunReadOverlap(int workers, bool quick) {
     double b = ToSeconds((rig->devices[d]->stats() - disk0[d]).busy_time);
     p.busy_sum_s += b;
     p.busy_max_s = std::max(p.busy_max_s, b);
-    std::printf("  read drive %zu: busy %.3fs charged_span %.3fs gap %.3fs\n", d, b,
-                ToSeconds(exec.charged_span(static_cast<int>(d))),
-                ToSeconds(exec.gap_span(static_cast<int>(d))));
+    std::printf("  read drive %zu: busy %.3fs\n", d, b);
   }
   return p;
 }
@@ -361,10 +352,9 @@ int Run(bool quick, bool check) {
     }
     // Phase 2's gate is a serialization tripwire, not a throughput target: if
     // reads on different drives ever took ordering edges against each other
-    // this ratio collapses to ~1.0x. The schedule packs whole chains onto
-    // capacity slots, so one straggler worker can tail-chain a drive and
-    // shave the ratio; 1.5x keeps the tripwire firm without flaking on that
-    // packing noise.
+    // this ratio collapses to ~1.0x. The ratio is deterministic and bounded
+    // by the busiest worker's share of the read time, so it can sit below
+    // 4x without any serialization; 1.5x is far from both.
     if (read_speedup < 1.5) {
       std::fprintf(stderr,
                    "CHECK FAILED: read scaling %.2fx < 1.5x (reads are not "

@@ -94,9 +94,7 @@ Result<uint64_t> S4Drive::ExpireObjectHistory(ObjectId id, ObjectMapEntry* entry
       sut_->ReleaseLive(sb_.SegmentOf(addr), 1);
       ++freed_sectors;
       block_cache_->Invalidate(addr);
-      if (jsector_cache_ != nullptr) {
-        jsector_cache_->Remove(addr);
-      }
+      jsector_cache_.Remove(addr);
     } else {
       chain_fully_freed = false;
     }

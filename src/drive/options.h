@@ -15,10 +15,6 @@ struct S4DriveOptions {
   // --- Caches (paper: 128MB buffer cache, 32MB object cache) ---
   uint64_t block_cache_bytes = 32ull << 20;
   uint64_t object_cache_bytes = 8ull << 20;
-  // Sequential read-ahead window of the buffer cache (sectors). When a miss
-  // continues a sequential run inside a sealed segment, up to this many
-  // sectors are streamed with one disk command. 0 disables read-ahead.
-  uint64_t readahead_sectors = 128;
 
   // --- Self-securing behaviour ---
   // Guaranteed detection window (adjustable at runtime via SetWindow).
@@ -50,16 +46,12 @@ struct S4DriveOptions {
   // --- Administrative access (section 3.5) ---
   uint64_t admin_key = 0xA11ACCE55ull;
 
-  // --- History access (version waypoints + journal-sector cache) ---
+  // --- History access (version waypoints) ---
   // A (time -> sector) waypoint is recorded every this many journal sectors
   // of an object's chain, giving time-bounded walks and deep back-in-time
   // reads a seek target instead of an O(chain) scan from the head. 0 disables
   // waypoints (the pre-indexed behaviour; used as the bench baseline).
   uint32_t waypoint_interval_sectors = 8;
-  // Dedicated LRU of *decoded* journal sectors, so repeated chain walks
-  // (cleaner, version lists, reconstruction) skip the re-read + re-decode.
-  // 0 disables the cache.
-  uint64_t jsector_cache_bytes = 2ull << 20;
 
   // --- Cleaner pacing ---
   // Incremental cleaning: candidate objects come from an expiry index ordered
@@ -70,12 +62,6 @@ struct S4DriveOptions {
   // Journal sectors one cleaner pass may read while expiring history; objects
   // left unvisited stay queued for the next pass. 0 = unlimited.
   uint64_t cleaner_pass_sector_budget = 4096;
-
-  // --- Mount / recovery ---
-  // Clock lanes fanned across independent dirty-segment scans during mount
-  // roll-forward (see src/sim/lane_pool.h). 1 = serial scan on the caller's
-  // thread.
-  int mount_scan_workers = 4;
 
   // --- Internals ---
   uint64_t journal_flush_entries = 64;    // pack pending entries at this count

@@ -7,7 +7,6 @@
 #include <functional>
 #include <optional>
 
-#include "src/sim/lane_pool.h"
 #include "src/util/check.h"
 #include "src/util/crc32.h"
 #include "src/util/logging.h"
@@ -299,10 +298,6 @@ Status S4Drive::DoFormat() {
       eviction_error_ = s;
     }
   });
-  if (options_.jsector_cache_bytes > 0) {
-    jsector_cache_ = std::make_unique<LruCache<DiskAddr, std::shared_ptr<const JournalSector>>>(
-        options_.jsector_cache_bytes);
-  }
 
   S4_RETURN_IF_ERROR(InitReservedObjects());
   RebuildExpiryIndex();
@@ -507,11 +502,8 @@ Status S4Drive::LoadDeviceCheckpoint() {
 }
 
 void S4Drive::ConfigureReadahead() {
-  if (options_.readahead_sectors == 0) {
-    return;
-  }
   block_cache_->SetPrefetchPolicy(
-      options_.readahead_sectors, [this](DiskAddr addr) -> DiskAddr {
+      kReadaheadSectors, [this](DiskAddr addr) -> DiskAddr {
         if (sut_ == nullptr || addr < sb_.first_segment) {
           return addr;  // superblock / checkpoint regions: no prefetch
         }
@@ -678,10 +670,6 @@ Status S4Drive::DoMount() {
       eviction_error_ = s;
     }
   });
-  if (options_.jsector_cache_bytes > 0) {
-    jsector_cache_ = std::make_unique<LruCache<DiskAddr, std::shared_ptr<const JournalSector>>>(
-        options_.jsector_cache_bytes);
-  }
   writer_ = std::make_unique<SegmentWriter>(device_, &sb_, sut_.get(), clock_, checkpoint_seq_);
 
   const bool fast_path = clean && sb_.clean_seq == checkpoint_seq_;
@@ -770,50 +758,34 @@ Status S4Drive::RollForward(uint64_t checkpoint_seq, OpContext* ctx) {
     }
   }
 
-  const int workers = std::max(1, options_.mount_scan_workers);
   std::vector<SegmentScan> scans;  // non-empty scans, for replay and resume
   uint64_t scanned = 0;
   {
     ScopedSpan span(ctx, "mount.scan");
-    // Wave 0: the checkpoint-time active(s), scanned unconditionally — a
-    // rollover with an empty pending queue seals the old active without
-    // planting a chunk in its successor, so "active yielded nothing" must
-    // not end the chain.
-    std::vector<std::function<Status()>> tasks;
+    // The checkpoint-time active(s) are scanned unconditionally — a rollover
+    // with an empty pending queue seals the old active without planting a
+    // chunk in its successor, so "active yielded nothing" must not end the
+    // chain.
     for (auto& s : actives) {
-      tasks.push_back([&scan_one, ps = &s] { return scan_one(ps); });
-    }
-    S4_RETURN_IF_ERROR(RunOnLanes(clock_, workers, tasks));
-    scanned += actives.size();
-    for (auto& s : actives) {
+      S4_RETURN_IF_ERROR(scan_one(&s));
+      ++scanned;
       if (!s.chunks.empty()) {
         scans.push_back(s);  // copy: `actives` also feeds the resume fallback
       }
     }
-    // The free chain, in waves of `workers`: scan a wave in parallel, then
-    // inspect it in allocation order and stop at the first empty scan.
-    bool done = false;
-    for (size_t base = 0; base < free_order.size() && !done; base += workers) {
-      size_t count = std::min<size_t>(workers, free_order.size() - base);
-      std::vector<SegmentScan> wave(count);
-      tasks.clear();
-      for (size_t i = 0; i < count; ++i) {
-        wave[i].seg = free_order[base + i];
-        tasks.push_back([&scan_one, ps = &wave[i]] { return scan_one(ps); });
+    // The free chain, serially in allocation order, up to the first segment
+    // with no fresh chunk. One disk arm serves every candidate, so segments
+    // are read back to back rather than interleaved, and nothing past the
+    // end of the chain is read.
+    for (SegmentId seg : free_order) {
+      SegmentScan s;
+      s.seg = seg;
+      S4_RETURN_IF_ERROR(scan_one(&s));
+      ++scanned;
+      if (s.chunks.empty()) {
+        break;
       }
-      S4_RETURN_IF_ERROR(RunOnLanes(clock_, workers, tasks));
-      // Count only candidates inspected up to (and including) the chain
-      // terminator, so the metric is independent of wave width: a wide wave
-      // may speculatively scan segments past the first empty one, but those
-      // results are discarded and never feed recovery.
-      for (auto& s : wave) {
-        ++scanned;
-        if (s.chunks.empty()) {
-          done = true;
-          break;
-        }
-        scans.push_back(std::move(s));
-      }
+      scans.push_back(std::move(s));
     }
   }
   m_.recovery_segments_scanned->Add(scanned);
@@ -1137,13 +1109,11 @@ Result<std::shared_ptr<const JournalSector>> S4Drive::ReadJournalSector(
   if (sectors_visited != nullptr) {
     ++*sectors_visited;
   }
-  if (jsector_cache_ != nullptr) {
-    if (auto* cached = jsector_cache_->Get(addr); cached != nullptr) {
-      m_.jsector_cache_hits->Inc();
-      return *cached;
-    }
-    m_.jsector_cache_misses->Inc();
+  if (auto* cached = jsector_cache_.Get(addr); cached != nullptr) {
+    m_.jsector_cache_hits->Inc();
+    return *cached;
   }
+  m_.jsector_cache_misses->Inc();
   S4_ASSIGN_OR_RETURN(Bytes raw, ReadRecord(addr, 1));
   auto decoded = JournalSector::Decode(raw);
   if (!decoded.ok()) {
@@ -1152,9 +1122,7 @@ Result<std::shared_ptr<const JournalSector>> S4Drive::ReadJournalSector(
     return std::shared_ptr<const JournalSector>();
   }
   auto sector = std::make_shared<const JournalSector>(*std::move(decoded));
-  if (jsector_cache_ != nullptr) {
-    jsector_cache_->Put(addr, sector, kSectorSize);
-  }
+  jsector_cache_.Put(addr, sector, kSectorSize);
   return sector;
 }
 
@@ -1243,11 +1211,9 @@ Status S4Drive::FlushObjectJournal(ObjectId id, CachedObject* obj) {
       entry->NoteJournalSector(sector.entries.back().time, addr,
                                options_.waypoint_interval_sectors);
     }
-    if (jsector_cache_ != nullptr) {
-      // Warm-insert the decoded form: history walks over recent sectors (the
-      // common diagnosis case) then skip both the read and the decode.
-      jsector_cache_->Put(addr, std::make_shared<const JournalSector>(sector), kSectorSize);
-    }
+    // Warm-insert the decoded form: history walks over recent sectors (the
+    // common diagnosis case) then skip both the read and the decode.
+    jsector_cache_.Put(addr, std::make_shared<const JournalSector>(sector), kSectorSize);
     head = addr;
     m_.journal_sectors_written->Inc();
   }

@@ -277,6 +277,12 @@ class S4Drive {
   // Max deltas per journal entry: large writes are split so every entry fits
   // in a single journal sector.
   static constexpr uint32_t kMaxDeltasPerEntry = 20;
+  // Sequential read-ahead window of the buffer cache (sectors): when a miss
+  // continues a sequential run inside a sealed segment, up to this many
+  // sectors are streamed with one disk command.
+  static constexpr uint64_t kReadaheadSectors = 128;
+  // Capacity of the decoded-journal-sector cache.
+  static constexpr uint64_t kJsectorCacheBytes = 2ull << 20;
 
   S4Drive(BlockDevice* device, SimClock* clock, S4DriveOptions options);
 
@@ -538,9 +544,8 @@ class S4Drive {
   ObjectMap object_map_;
   // Decoded-journal-sector cache: chain walks (history reads, version lists,
   // cleaner) hit this before the buffer cache, skipping re-read + re-decode.
-  // Null when options_.jsector_cache_bytes == 0. Entries are invalidated when
-  // the cleaner frees the underlying sector.
-  std::unique_ptr<LruCache<DiskAddr, std::shared_ptr<const JournalSector>>> jsector_cache_;
+  // Entries are invalidated when the cleaner frees the underlying sector.
+  LruCache<DiskAddr, std::shared_ptr<const JournalSector>> jsector_cache_{kJsectorCacheBytes};
   // Incremental-cleaner expiry index: oldest retained entry time -> object.
   // An object with reclaimable history always appears here with a key no
   // larger than its true oldest time (too-small keys cost one wasted pop;

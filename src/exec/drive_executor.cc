@@ -29,23 +29,25 @@ DriveExecutor::DriveExecutor(SimClock* clock, std::vector<S4Drive*> drives, Opti
   S4_CHECK(clock != nullptr);
   S4_CHECK(!drives.empty());
   S4_CHECK(opts_.workers >= 1 && opts_.workers <= kMaxWorkers);
-  S4_CHECK(opts_.max_pending_per_drive >= 1);
+  for (S4Drive* drive : drives) {
+    S4_CHECK(drive != nullptr);
+  }
+  const size_t n_workers = std::min(static_cast<size_t>(opts_.workers), drives.size());
   {
     // No worker exists yet; the lock scope keeps the guarded-state writes
     // visibly disciplined for the thread-safety analysis all the same.
     MutexLock lock(&mu_);
     drives_.resize(drives.size());
-    for (size_t i = 0; i < drives.size(); ++i) {
-      S4_CHECK(drives[i] != nullptr);
-      drives_[i].ready = clock->Now();
+    for (size_t w = 0; w < n_workers; ++w) {
+      workers_.emplace_back();
     }
-    slot_free_.assign(static_cast<size_t>(opts_.workers), clock->Now());
-    slot_busy_.assign(static_cast<size_t>(opts_.workers), false);
-    paused_ = opts_.start_paused;
   }
-  threads_.reserve(static_cast<size_t>(opts_.workers));
-  for (int w = 0; w < opts_.workers; ++w) {
-    threads_.emplace_back([this] { WorkerLoop(); });
+  // Every lane starts at the construction-time clock, read here rather than
+  // on the new thread so the start cannot depend on when the thread runs.
+  const SimTime start = clock->Now();
+  threads_.reserve(n_workers);
+  for (size_t w = 0; w < n_workers; ++w) {
+    threads_.emplace_back([this, w, start] { WorkerLoop(w, start); });
   }
 }
 
@@ -54,23 +56,31 @@ DriveExecutor::~DriveExecutor() {
   {
     MutexLock lock(&mu_);
     stop_ = true;
+    for (Worker& w : workers_) {
+      w.cv.NotifyOne();
+    }
   }
-  cv_work_.NotifyAll();
   for (std::thread& t : threads_) {
     t.join();
   }
 }
 
+size_t DriveExecutor::Index(int drive) const {
+  S4_CHECK(drive >= 0 && drive < static_cast<int>(drives_.size()));
+  return static_cast<size_t>(drive);
+}
+
 void DriveExecutor::Submit(int drive, uint64_t /*stripe*/, Mode /*mode*/,
                            std::function<void()> fn) {
   MutexLock lock(&mu_);
-  S4_CHECK(drive >= 0 && drive < static_cast<int>(drives_.size()));
-  DriveState& ds = drives_[static_cast<size_t>(drive)];
-  while (ds.pending.size() >= opts_.max_pending_per_drive) {
+  const size_t d = Index(drive);
+  while (drives_[d].queued >= kMaxPendingPerDrive) {
     cv_space_.Wait(&mu_);
   }
-  ds.pending.push_back(std::move(fn));
-  cv_work_.NotifyOne();
+  ++drives_[d].queued;
+  Worker& w = WorkerOf(d);
+  w.queue.push_back(Task{d, std::move(fn)});
+  w.cv.NotifyOne();
 }
 
 void DriveExecutor::Classify(const FramePeek& peek, uint64_t* stripe, Mode* mode) {
@@ -122,8 +132,7 @@ void DriveExecutor::SubmitFrame(int drive, S4RpcServer* server, Bytes frame, Byt
 
 void DriveExecutor::AttachMaintenance(int drive, std::function<bool()> step) {
   MutexLock lock(&mu_);
-  S4_CHECK(drive >= 0 && drive < static_cast<int>(drives_.size()));
-  DriveState& ds = drives_[static_cast<size_t>(drive)];
+  DriveState& ds = drives_[Index(drive)];
   // The hook may only be (re)bound while the drive is idle: a worker invokes
   // it outside the lock.
   S4_CHECK(!ds.running);
@@ -131,213 +140,97 @@ void DriveExecutor::AttachMaintenance(int drive, std::function<bool()> step) {
 }
 
 void DriveExecutor::SubmitMaintenance(int drive) {
-  {
-    MutexLock lock(&mu_);
-    S4_CHECK(drive >= 0 && drive < static_cast<int>(drives_.size()));
-    drives_[static_cast<size_t>(drive)].maint_pending = true;
-  }
-  cv_work_.NotifyAll();
+  MutexLock lock(&mu_);
+  const size_t d = Index(drive);
+  drives_[d].maint_pending = true;
+  WorkerOf(d).cv.NotifyOne();
 }
 
 uint64_t DriveExecutor::completed(int drive) const {
   MutexLock lock(&mu_);
-  S4_CHECK(drive >= 0 && drive < static_cast<int>(drives_.size()));
-  return drives_[static_cast<size_t>(drive)].completed;
+  return drives_[Index(drive)].completed;
 }
 
 uint64_t DriveExecutor::maintenance_slices(int drive) const {
   MutexLock lock(&mu_);
-  S4_CHECK(drive >= 0 && drive < static_cast<int>(drives_.size()));
-  return drives_[static_cast<size_t>(drive)].maint_slices;
-}
-
-SimDuration DriveExecutor::charged_span(int drive) const {
-  MutexLock lock(&mu_);
-  S4_CHECK(drive >= 0 && drive < static_cast<int>(drives_.size()));
-  return drives_[static_cast<size_t>(drive)].charged_span;
-}
-
-SimDuration DriveExecutor::gap_span(int drive) const {
-  MutexLock lock(&mu_);
-  S4_CHECK(drive >= 0 && drive < static_cast<int>(drives_.size()));
-  return drives_[static_cast<size_t>(drive)].gap_span;
-}
-
-void DriveExecutor::Start() {
-  MutexLock lock(&mu_);
-  if (paused_) {
-    paused_ = false;
-    cv_work_.NotifyAll();
-  }
+  return drives_[Index(drive)].maint_slices;
 }
 
 void DriveExecutor::Drain() {
   MutexLock lock(&mu_);
-  // Draining a parked executor would hang on its own queue: un-park first.
-  if (paused_) {
-    paused_ = false;
-    cv_work_.NotifyAll();
-  }
   ++drain_waiters_;
   while (!AllQuiet()) {
     cv_drain_.Wait(&mu_);
   }
   --drain_waiters_;
-  cv_work_.NotifyAll();
+  // Maintenance held back for the drain may run again.
+  for (Worker& w : workers_) {
+    w.cv.NotifyOne();
+  }
 }
 
 bool DriveExecutor::AllQuiet() const {
   for (const DriveState& ds : drives_) {
-    if (!DriveQuiet(ds)) {
+    if (ds.queued != 0 || ds.running) {
       return false;
     }
   }
   return true;
 }
 
-bool DriveExecutor::FindWork(int* drive_out, std::function<void()>* task_out,
-                             bool* is_maint_out) {
-  const int n = static_cast<int>(drives_.size());
-  for (int k = 0; k < n; ++k) {
-    const int d = (next_drive_ + k) % n;
-    DriveState& ds = drives_[static_cast<size_t>(d)];
-    // Maintenance slice: only in a foreground-idle gap — unless it has been
-    // starved past the limit, in which case one slice jumps the queue.
-    if (ds.maint_pending && ds.maintenance && !ds.running && drain_waiters_ == 0 &&
-        (ds.pending.empty() || ds.fg_since_maint >= kMaintenanceStarvationLimit)) {
-      ds.running = true;
-      *drive_out = d;
-      *is_maint_out = true;
-      next_drive_ = (d + 1) % n;
-      return true;
-    }
-  }
-  // Foreground: among idle drives with queued work, pick the one to feed.
-  // Primary key: the earliest achievable start time given the free capacity
-  // slots, so work lands where it can begin soonest. Secondary key: the
-  // smallest gap that start would insert into the drive's timeline — when two
-  // drives could start at the same instant, feed the one whose timeline the
-  // slot extends seamlessly and leave the laggard for the worker whose slot
-  // matches it. Without the gap key, racing workers swap drives and each swap
-  // ratchets the laggard's ready time up to the leader's, serializing
-  // timelines that should overlap.
-  SimTime min_free_slot = 0;
-  bool have_slot = false;
-  for (size_t s = 0; s < slot_free_.size(); ++s) {
-    if (slot_busy_[s]) {
-      continue;
-    }
-    if (!have_slot || slot_free_[s] < min_free_slot) {
-      min_free_slot = slot_free_[s];
-      have_slot = true;
-    }
-  }
-  int best = -1;
-  SimTime best_start = 0;
-  SimDuration best_gap = 0;
-  for (int k = 0; k < n; ++k) {
-    const int d = (next_drive_ + k) % n;
-    const DriveState& ds = drives_[static_cast<size_t>(d)];
-    if (ds.running || ds.pending.empty()) {
-      continue;
-    }
-    const SimTime start = std::max(min_free_slot, ds.ready);
-    const SimDuration gap = start - ds.ready;
-    if (best < 0 || start < best_start || (start == best_start && gap < best_gap)) {
-      best = d;
-      best_start = start;
-      best_gap = gap;
-    }
-  }
-  if (best < 0) {
-    return false;
-  }
-  DriveState& ds = drives_[static_cast<size_t>(best)];
-  *task_out = std::move(ds.pending.front());
-  ds.pending.pop_front();
-  ds.running = true;
-  *drive_out = best;
-  *is_maint_out = false;
-  next_drive_ = (best + 1) % n;
-  cv_space_.NotifyAll();
-  return true;
-}
-
-void DriveExecutor::WorkerLoop() {
+void DriveExecutor::WorkerLoop(size_t w, SimTime start) {
+  SimClock::Lane lane(clock_, start);
   mu_.Lock();
+  Worker& me = workers_[w];
   for (;;) {
-    int d = -1;
+    // A due maintenance slice of one of this worker's drives goes first;
+    // otherwise the head of the queue.
+    size_t d = drives_.size();
+    for (size_t i = w; i < drives_.size(); i += workers_.size()) {
+      if (MaintenanceDue(drives_[i])) {
+        d = i;
+        break;
+      }
+    }
+    const bool is_maint = d < drives_.size();
     std::function<void()> task;
-    bool is_maint = false;
-    if (!paused_ && FindWork(&d, &task, &is_maint)) {
-      DriveState& ds = drives_[static_cast<size_t>(d)];
-      // Charge the task to a capacity slot (not to this OS thread): simulated
-      // parallelism = worker count, independent of which thread won the
-      // dispatch race. Best fit: the latest-free slot that does not delay the
-      // drive, so low slots stay available for lagging drives; if every slot
-      // is ahead of the drive, the earliest one delays it least. At most
-      // `workers` tasks run at once, so an idle slot always exists.
-      size_t slot = slot_free_.size();
-      for (size_t s = 0; s < slot_free_.size(); ++s) {
-        if (slot_busy_[s]) {
-          continue;
+    if (!is_maint) {
+      if (me.queue.empty()) {
+        if (stop_) {
+          break;
         }
-        if (slot == slot_free_.size()) {
-          slot = s;
-          continue;
-        }
-        const SimTime cur = slot_free_[s];
-        const SimTime sel = slot_free_[slot];
-        const bool cur_fits = cur <= ds.ready;
-        const bool sel_fits = sel <= ds.ready;
-        if ((cur_fits && (!sel_fits || cur > sel)) ||
-            (!cur_fits && !sel_fits && cur < sel)) {
-          slot = s;
-        }
+        me.cv.Wait(&mu_);
+        continue;
       }
-      S4_CHECK(slot < slot_free_.size());
-      slot_busy_[slot] = true;
-      const SimTime start = std::max(slot_free_[slot], ds.ready);
-      // Diagnostic only: sim time this start leaves the drive idle.
-      ds.gap_span += start - ds.ready;
-      bool more_maint = false;
-      mu_.Unlock();
-      SimTime end;
-      {
-        SimClock::Lane lane(clock_, start);
-        if (is_maint) {
-          more_maint = ds.maintenance();
-        } else {
-          task();
-        }
-        end = lane.now();
-      }
-      clock_->AbsorbLane(end);
-      mu_.Lock();
-      slot_free_[slot] = end;
-      slot_busy_[slot] = false;
-      ds.charged_span += end - start;
-      // Lane time only moves forward, so end >= start >= ready.
-      ds.ready = end;
-      ds.running = false;
-      if (is_maint) {
-        ++ds.maint_slices;
-        ds.fg_since_maint = 0;
-        if (!more_maint) {
-          ds.maint_pending = false;
-        }
-      } else {
-        ++ds.completed;
-        ++ds.fg_since_maint;
-      }
-      cv_work_.NotifyAll();
-      cv_drain_.NotifyAll();
-      continue;
+      d = me.queue.front().drive;
+      task = std::move(me.queue.front().fn);
+      me.queue.pop_front();
+      --drives_[d].queued;
+      cv_space_.NotifyAll();
     }
-    if (stop_) {
-      break;
+    DriveState& ds = drives_[d];
+    ds.running = true;
+    mu_.Unlock();
+    bool more_maint = false;
+    if (is_maint) {
+      more_maint = ds.maintenance();
+    } else {
+      task();
     }
-    cv_work_.Wait(&mu_);
+    clock_->AbsorbLane(lane.now());
+    mu_.Lock();
+    ds.running = false;
+    if (is_maint) {
+      ++ds.maint_slices;
+      ds.fg_since_maint = 0;
+      if (!more_maint) {
+        ds.maint_pending = false;
+      }
+    } else {
+      ++ds.completed;
+      ++ds.fg_since_maint;
+    }
+    cv_drain_.NotifyAll();
   }
   mu_.Unlock();
 }

@@ -16,8 +16,7 @@ Result<std::vector<ScannedChunk>> ScanSegment(BlockDevice* device, const Superbl
   // Probe one sector first: segments probed for emptiness (the roll-forward
   // chain terminator) stay a single-sector read. On a valid summary, pull the
   // whole remaining tail in one command — on a seek-dominated device one long
-  // transfer beats a positioning delay per chunk, and it keeps lane-parallel
-  // scans from turning every per-chunk read into a cross-segment seek.
+  // transfer beats a positioning delay per chunk.
   Bytes buf;
   S4_RETURN_IF_ERROR(device->Read(seg_start + offset, 1, &buf));
   auto probe = ChunkSummary::Decode(buf);

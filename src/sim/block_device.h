@@ -208,9 +208,11 @@ class BlockDevice {
   SimClock* clock_;
   DiskModel model_;
   // One command at a time: guards media contents, fault state, stats, and the
-  // arm's busy timeline against concurrent lanes (mount's RunOnLanes scan
-  // sends one device commands from several lanes). Rank kDevice: a leaf, no
-  // other lock is held when a command arrives.
+  // arm's busy timeline against concurrent callers. The executor binds each
+  // drive (and so its device) to one worker, but the device stays safe to
+  // call from any thread: stats and fault state may be read or set from
+  // outside the worker that issues commands. Rank kDevice: a leaf, no other
+  // lock is held when a command arrives.
   mutable Mutex mu_{LockRank::kDevice, "BlockDevice"};
   // The injector is passive state consulted and mutated under the command
   // lock; both the pointer and the pointee are covered by mu_.

@@ -2,11 +2,15 @@
 //
 // Devices advance the clock by the modelled cost of each operation; workloads
 // may also advance it to represent client think time (e.g. compilation in the
-// SSH-build benchmark). Because no component reads wall-clock time, every
-// benchmark run is deterministic.
+// SSH-build benchmark). No component reads wall-clock time, so a
+// single-threaded run is deterministic. Under the drive executor the schedule
+// is too — each drive is bound to one worker lane, and a lane's timeline
+// depends only on the order tasks were submitted to it — except where a
+// maintenance slice lands, which is decided by whether a queue is empty at a
+// host-time instant.
 //
-// Concurrency lanes: an executor worker may bind its thread to a private
-// *lane* of the clock (SimClock::Lane). While bound, Now()/Advance()/
+// Concurrency lanes: an executor worker binds its thread to a private *lane*
+// of the clock (SimClock::Lane). While bound, Now()/Advance()/
 // AdvanceTo() act on the lane's own timestamp instead of the global one, so
 // overlapping requests each accumulate their own simulated time — CPU and
 // transfer costs that genuinely overlap are charged in parallel rather than
@@ -64,11 +68,11 @@ class SimClock {
   }
 
   // RAII binding of the calling thread to a private lane of this clock.
-  // The lane's timestamp starts at `start` and lives in the Lane object;
-  // the executor reads it back after the task and folds it into the global
-  // clock (AbsorbLane) once all lanes drain. Bindings nest: a Lane restores
-  // the thread's previous lane when it ends, so a FanOut can run inside an
-  // executor task.
+  // The lane's timestamp starts at `start` and lives in the Lane object; an
+  // executor worker holds one for its whole life and folds its time into the
+  // global clock (AbsorbLane) after every task. Bindings nest: a Lane
+  // restores the thread's previous lane when it ends, so a FanOut can run
+  // inside an executor task.
   class Lane {
    public:
     Lane(SimClock* clock, SimTime start)
@@ -131,9 +135,9 @@ class SimClock {
     std::vector<SimTime> lane_ends_;
   };
 
-  // Fold a finished lane's end time into the global clock: simulated time
-  // after a parallel epoch is the max over the lanes (the makespan), not the
-  // sum. Called by the executor with lanes quiesced or from its own lock.
+  // Fold a lane's time into the global clock: simulated time after a
+  // parallel epoch is the max over the lanes (the makespan), not the sum.
+  // Safe from any thread: the update is a CAS-max.
   void AbsorbLane(SimTime end) {
     SimTime cur = now_.load(std::memory_order_relaxed);
     while (end > cur &&

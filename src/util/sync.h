@@ -105,7 +105,7 @@ namespace s4 {
 // lock can slot in without renumbering. DESIGN.md section 16 is the
 // authoritative table; keep the two in sync.
 enum class LockRank : int {
-  kExecutor = 10,  // DriveExecutor::mu_ — dispatch queues and drive states
+  kExecutor = 10,  // DriveExecutor::mu_ — worker queues and drive states
   kDevice = 20,    // BlockDevice::mu_ — media, fault state, arm timeline
   kMetrics = 30,   // MetricRegistry::mu_ — instrument maps (leaf)
   kTracer = 40,    // Tracer::mu_ — span buffer (leaf)

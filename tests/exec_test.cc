@@ -1,9 +1,9 @@
 // DriveExecutor tests: frame classification, same-object ordering under a
-// multi-worker pool, the one-task-per-drive contract, parallel speedup
-// across drives, audit completeness, the idle-slice maintenance hook, and
-// thread-safety of the per-endpoint NetStats accumulator. Run these under
-// -DS4_SANITIZE=thread in CI: they are the data-race regression net for the
-// whole concurrency substrate.
+// multi-worker pool, the one-task-per-drive contract, a schedule that host
+// timing cannot move, parallel speedup across drives, audit completeness,
+// the idle-slice maintenance hook, and thread-safety of the per-endpoint
+// NetStats accumulator. Run these under -DS4_SANITIZE=thread in CI: they are
+// the data-race regression net for the whole concurrency substrate.
 #include <gtest/gtest.h>
 
 #include <array>
@@ -288,6 +288,81 @@ TEST(DriveExecutorTest, OneTaskPerDriveInSubmissionOrder) {
           << "drive " << d << " ran task " << ran[static_cast<size_t>(i)] << " at position " << i;
     }
   }
+}
+
+// The schedule is a function of the submission order alone. One LCG-chosen
+// stream of reads and appends over four drives and two workers is submitted
+// twice: as one burst, and trickled with a host sleep between submissions so
+// that workers go idle and wake again. Every task must run over the same
+// simulated span, and the drained clock must land at the same instant.
+TEST(DriveExecutorTest, ScheduleIgnoresHostTiming) {
+  constexpr int kDrives = 4;
+  constexpr int kTasks = 160;
+  struct Span {
+    SimTime start = 0;
+    SimTime end = 0;
+  };
+  auto run = [](bool trickle, std::vector<Span>* spans, SimTime* drained) {
+    Rig rig = MakeRig(kDrives);
+    std::vector<std::vector<ObjectId>> ids(kDrives);
+    for (int d = 0; d < kDrives; ++d) {
+      S4Drive* drive = rig.drives[static_cast<size_t>(d)].get();
+      for (int i = 0; i < 4; ++i) {
+        auto id = drive->Create(UserCreds(), {});
+        ASSERT_OK(id.status());
+        ASSERT_OK(drive->Write(UserCreds(), *id, 0, Bytes(2048, 0x3C)));
+        ids[static_cast<size_t>(d)].push_back(*id);
+      }
+    }
+    spans->assign(kTasks, Span{});
+    std::atomic<int> failed{0};
+    uint64_t lcg = 0x2545f491ull;
+    {
+      DriveExecutor::Options opts;
+      opts.workers = 2;
+      DriveExecutor exec(rig.clock.get(), rig.drive_ptrs(), opts);
+      for (int i = 0; i < kTasks; ++i) {
+        lcg = lcg * 6364136223846793005ull + 1442695040888963407ull;
+        const uint64_t r = lcg >> 33;
+        const auto d = static_cast<size_t>(r % kDrives);
+        const ObjectId id = ids[d][(r >> 4) % ids[d].size()];
+        Bytes frame = (r >> 8) % 3 == 0 ? AppendFrame(id, 512, static_cast<uint8_t>(i))
+                                        : ReadFrame(id, 0, 2048);
+        uint64_t stripe = 0;
+        DriveExecutor::Mode mode = DriveExecutor::Mode::kBarrier;
+        DriveExecutor::Classify(PeekRequestFrame(frame), &stripe, &mode);
+        SimClock* clock = rig.clock.get();
+        S4RpcServer* server = rig.servers[d].get();
+        Span* span = &(*spans)[static_cast<size_t>(i)];
+        exec.Submit(static_cast<int>(d), stripe, mode,
+                    [clock, server, span, &failed, frame = std::move(frame)] {
+                      span->start = clock->Now();
+                      auto resp = RpcResponse::Decode(server->Handle(frame));
+                      if (!resp.ok() || !resp->ok()) {
+                        failed.fetch_add(1);
+                      }
+                      span->end = clock->Now();
+                    });
+        if (trickle) {
+          std::this_thread::sleep_for(std::chrono::microseconds(300));
+        }
+      }
+      exec.Drain();
+    }
+    EXPECT_EQ(failed.load(), 0);
+    *drained = rig.clock->Now();
+  };
+
+  std::vector<Span> burst, trickled;
+  SimTime burst_end = 0, trickled_end = 0;
+  run(/*trickle=*/false, &burst, &burst_end);
+  run(/*trickle=*/true, &trickled, &trickled_end);
+  ASSERT_EQ(burst.size(), trickled.size());
+  for (size_t i = 0; i < burst.size(); ++i) {
+    EXPECT_EQ(burst[i].start, trickled[i].start) << "task " << i;
+    EXPECT_EQ(burst[i].end, trickled[i].end) << "task " << i;
+  }
+  EXPECT_EQ(burst_end, trickled_end);
 }
 
 // Every read run under the executor appends its own audit record on the

@@ -232,9 +232,8 @@ TEST(LockFreeAuditTest, SimClockLanesAndAbsorb) {
 }
 
 TEST(LockFreeAuditTest, DeviceConcurrentWriters) {
-  // Mount's lane-parallel segment scan sends one device commands from
-  // several threads; the device lock (rank kDevice) must keep concurrent
-  // writers consistent and TSan-clean.
+  // The device is callable from any thread; the device lock (rank kDevice)
+  // must keep concurrent writers consistent and TSan-clean.
   SimClock clock;
   BlockDevice dev(/*sector_count=*/1 << 16, &clock);
   constexpr int kThreads = 4;
