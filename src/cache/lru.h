@@ -28,23 +28,19 @@ class LruCache {
   uint64_t capacity() const { return capacity_; }
   uint64_t used() const { return used_; }
   size_t entry_count() const { return index_.size(); }
-  uint64_t hits() const { return hits_; }
-  uint64_t misses() const { return misses_; }
 
   // Returns a pointer to the cached value and marks it most-recently-used,
   // or nullptr. The pointer is invalidated by any mutation of the cache.
   Value* Get(const Key& key) {
     auto it = index_.find(key);
     if (it == index_.end()) {
-      ++misses_;
       return nullptr;
     }
-    ++hits_;
     order_.splice(order_.begin(), order_, it->second);
     return &it->second->value;
   }
 
-  // Peek without touching recency or hit statistics.
+  // Peek without touching recency.
   Value* Peek(const Key& key) {
     auto it = index_.find(key);
     return it == index_.end() ? nullptr : &it->second->value;
@@ -133,8 +129,6 @@ class LruCache {
   EvictFn evict_fn_;
   uint64_t capacity_;
   uint64_t used_ = 0;
-  uint64_t hits_ = 0;
-  uint64_t misses_ = 0;
   std::list<Entry> order_;
   std::unordered_map<Key, typename std::list<Entry>::iterator> index_;
 };

@@ -84,17 +84,15 @@ Result<uint64_t> S4Drive::ExpireObjectHistory(ObjectId id, ObjectMapEntry* entry
       if (e.type == JournalEntryType::kWrite || e.type == JournalEntryType::kTruncate) {
         for (const auto& d : e.blocks) {
           if (d.old_addr != kNullAddr && versioned && !IsPurged(id, e.time)) {
-            sut_->ReleaseHistory(sb_.SegmentOf(d.old_addr), kSectorsPerBlock);
+            ReleaseSectors(d.old_addr, kSectorsPerBlock, /*history=*/true);
             freed_sectors += kSectorsPerBlock;
           }
         }
       }
     }
     if (sector_fully_expired) {
-      sut_->ReleaseLive(sb_.SegmentOf(addr), 1);
+      ReleaseSectors(addr, 1, /*history=*/false);
       ++freed_sectors;
-      block_cache_->Invalidate(addr);
-      jsector_cache_.Remove(addr);
     } else {
       chain_fully_freed = false;
     }
@@ -115,7 +113,7 @@ Result<uint64_t> S4Drive::ExpireObjectHistory(ObjectId id, ObjectMapEntry* entry
           for (const auto& [index, baddr] : inode->blocks) {
             (void)index;
             if (baddr != kNullAddr) {
-              sut_->ReleaseHistory(sb_.SegmentOf(baddr), kSectorsPerBlock);
+              ReleaseSectors(baddr, kSectorsPerBlock, /*history=*/true);
               freed_sectors += kSectorsPerBlock;
             }
           }
@@ -132,7 +130,7 @@ Result<uint64_t> S4Drive::ExpireObjectHistory(ObjectId id, ObjectMapEntry* entry
                          << " unreadable during full expiry: "
                          << inode.status().ToString();
       }
-      sut_->ReleaseLive(sb_.SegmentOf(entry->checkpoint_addr), entry->checkpoint_sectors);
+      ReleaseSectors(entry->checkpoint_addr, entry->checkpoint_sectors, /*history=*/false);
       freed_sectors += entry->checkpoint_sectors;
     }
     (void)chain_fully_freed;
@@ -350,12 +348,11 @@ Result<bool> S4Drive::CompactSegment(SegmentId seg) {
             DiskAddr new_addr,
             writer_->Append(RecordKind::kData, rec.object_id, rec.block_index, content, actx()));
         block_cache_->Insert(new_addr, content);
-        block_cache_->Invalidate(rec.addr);
         obj->inode.blocks[rec.block_index] = new_addr;
         obj->dirty = true;
         // A physical move, not a new version: the old copy's live count moves
         // with it rather than becoming history.
-        sut_->ReleaseLive(seg, rec.sectors);
+        ReleaseSectors(rec.addr, rec.sectors, /*history=*/false);
         m_.cleaner_sectors_copied->Add(rec.sectors);
         moved_any = true;
         if (std::find(touched.begin(), touched.end(), rec.object_id) == touched.end()) {

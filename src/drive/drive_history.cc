@@ -329,7 +329,7 @@ Status S4Drive::PurgeObjectVersions(ObjectId id, SimTime from, SimTime to) {
     if (e.type == JournalEntryType::kWrite || e.type == JournalEntryType::kTruncate) {
       for (const auto& d : e.blocks) {
         if (d.old_addr != kNullAddr && versioned) {
-          sut_->ReleaseHistory(sb_.SegmentOf(d.old_addr), kSectorsPerBlock);
+          ReleaseSectors(d.old_addr, kSectorsPerBlock, /*history=*/true);
         }
       }
       ++purged_count;

@@ -126,7 +126,7 @@ void S4Drive::SupersedeBlock(ObjectId id, DiskAddr old_addr) {
   if (ObjectIsVersioned(id)) {
     sut_->LiveToHistory(sb_.SegmentOf(old_addr), kSectorsPerBlock);
   } else {
-    sut_->ReleaseLive(sb_.SegmentOf(old_addr), kSectorsPerBlock);
+    ReleaseSectors(old_addr, kSectorsPerBlock, /*history=*/false);
   }
 }
 

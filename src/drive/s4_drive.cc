@@ -289,7 +289,6 @@ Status S4Drive::DoFormat() {
   sut_ = std::make_unique<SegmentUsageTable>(sb_.segment_count, sb_.segment_sectors);
   writer_ = std::make_unique<SegmentWriter>(device_, &sb_, sut_.get(), clock_, /*next_seq=*/1);
   block_cache_ = std::make_unique<BlockCache>(device_, options_.block_cache_bytes, &metrics_);
-  ConfigureReadahead();
   object_cache_ =
       std::make_unique<LruCache<ObjectId, ObjectHandle>>(options_.object_cache_bytes);
   object_cache_->set_evict_fn([this](const ObjectId& id, ObjectHandle&& obj) {
@@ -501,21 +500,6 @@ Status S4Drive::LoadDeviceCheckpoint() {
   return Status::Ok();
 }
 
-void S4Drive::ConfigureReadahead() {
-  block_cache_->SetPrefetchPolicy(
-      kReadaheadSectors, [this](DiskAddr addr) -> DiskAddr {
-        if (sut_ == nullptr || addr < sb_.first_segment) {
-          return addr;  // superblock / checkpoint regions: no prefetch
-        }
-        SegmentId seg = sb_.SegmentOf(addr);
-        if (seg >= sut_->segment_count() ||
-            sut_->Info(seg).state != SegmentState::kFull) {
-          return addr;  // active or free segment: platter may be stale
-        }
-        return sb_.SegmentStart(seg) + sb_.segment_sectors;
-      });
-}
-
 // ---------------------------------------------------------------------------
 // Mount & crash recovery
 // ---------------------------------------------------------------------------
@@ -661,7 +645,6 @@ Status S4Drive::DoMount() {
   }
 
   block_cache_ = std::make_unique<BlockCache>(device_, options_.block_cache_bytes, &metrics_);
-  ConfigureReadahead();
   object_cache_ =
       std::make_unique<LruCache<ObjectId, ObjectHandle>>(options_.object_cache_bytes);
   object_cache_->set_evict_fn([this](const ObjectId& id, ObjectHandle&& obj) {
@@ -806,73 +789,11 @@ Status S4Drive::RollForward(uint64_t checkpoint_seq, OpContext* ctx) {
   m_.recovery_chunks_replayed->Add(fresh.size());
   ScopedSpan replay_span(ctx, "mount.replay");
 
-  // Replay. Objects touched post-checkpoint are materialised from their inode
-  // checkpoints and mutated forward so deletes can account their blocks.
+  // Replay. Objects touched post-checkpoint are materialised as LoadObject
+  // would (inode checkpoint plus the chain the checkpointed map references)
+  // and mutated forward so deletes can account their blocks. The replay keeps
+  // its own map so recovery never depends on the object cache.
   std::map<ObjectId, std::shared_ptr<CachedObject>> rebuilt;
-  auto materialize = [&](ObjectId id) -> Result<std::shared_ptr<CachedObject>> {
-    auto it = rebuilt.find(id);
-    if (it != rebuilt.end()) {
-      return it->second;
-    }
-    auto obj = std::make_shared<CachedObject>();
-    const ObjectMapEntry* entry = object_map_.Find(id);
-    if (entry != nullptr && entry->checkpoint_addr != kNullAddr) {
-      Bytes record;
-      S4_RETURN_IF_ERROR(device_->Read(entry->checkpoint_addr, entry->checkpoint_sectors,
-                                       &record));
-      S4_ASSIGN_OR_RETURN(obj->inode, Inode::DecodeCheckpoint(record));
-      obj->exists = entry->live();
-    } else {
-      obj->inode.id = id;
-      obj->exists = entry != nullptr && entry->live();
-    }
-    rebuilt[id] = obj;
-    return obj;
-  };
-  // materialize() gives the state as of the object's last inode checkpoint.
-  // Entries between that inode checkpoint and the device checkpoint live in
-  // journal sectors the checkpointed map already references (journal_head);
-  // materialize_full applies those too — the chain replay is done inline so
-  // recovery never depends on the object cache.
-  auto materialize_full = [&](ObjectId id) -> Result<std::shared_ptr<CachedObject>> {
-    auto it = rebuilt.find(id);
-    if (it != rebuilt.end()) {
-      return it->second;
-    }
-    S4_ASSIGN_OR_RETURN(std::shared_ptr<CachedObject> obj, materialize(id));
-    const ObjectMapEntry* entry = object_map_.Find(id);
-    if (entry != nullptr && entry->journal_head != kNullAddr) {
-      // Collect sectors newer than the inode checkpoint, oldest first.
-      std::vector<JournalSector> sectors;
-      DiskAddr addr = entry->journal_head;
-      while (addr != kNullAddr) {
-        Bytes raw;
-        S4_RETURN_IF_ERROR(device_->Read(addr, 1, &raw));
-        auto sector = JournalSector::Decode(raw);
-        if (!sector.ok() || sector->object_id != id) {
-          break;  // chain ran into reclaimed space; older state unreachable
-        }
-        bool all_older = !sector->entries.empty() &&
-                         sector->entries.back().time <= entry->checkpoint_time;
-        DiskAddr prev = sector->prev;
-        sectors.push_back(std::move(*sector));
-        if (all_older) {
-          break;
-        }
-        addr = prev;
-      }
-      std::reverse(sectors.begin(), sectors.end());
-      for (const auto& sector : sectors) {
-        for (const auto& e : sector.entries) {
-          if (e.time <= entry->checkpoint_time) {
-            continue;
-          }
-          ApplyEntryForward(&obj->inode, &obj->exists, e);
-        }
-      }
-    }
-    return obj;
-  };
 
   uint64_t max_seq = checkpoint_seq > 0 ? checkpoint_seq - 1 : 0;
   for (const ScannedChunk* chunk : fresh) {
@@ -909,12 +830,12 @@ Status S4Drive::RollForward(uint64_t checkpoint_seq, OpContext* ctx) {
           obj->inode.id = id;
           rebuilt[id] = obj;
         }
-        S4_ASSIGN_OR_RETURN(std::shared_ptr<CachedObject> obj, materialize_full(id));
-        if (entry == nullptr) {
-          entry = object_map_.Find(id);
-        }
         if (entry == nullptr) {
           return Status::DataCorruption("journal entry for unknown object");
+        }
+        std::shared_ptr<CachedObject>& obj = rebuilt[id];
+        if (obj == nullptr) {
+          S4_ASSIGN_OR_RETURN(obj, MaterializeObject(id, *entry));
         }
         bool versioned = ObjectIsVersioned(id);
         // Accounting for data the entry introduced / superseded.
@@ -926,7 +847,7 @@ Status S4Drive::RollForward(uint64_t checkpoint_seq, OpContext* ctx) {
             if (versioned) {
               sut_->LiveToHistory(sb_.SegmentOf(d.old_addr), kSectorsPerBlock);
             } else {
-              sut_->ReleaseLive(sb_.SegmentOf(d.old_addr), kSectorsPerBlock);
+              ReleaseSectors(d.old_addr, kSectorsPerBlock, /*history=*/false);
             }
           }
         }
@@ -936,8 +857,8 @@ Status S4Drive::RollForward(uint64_t checkpoint_seq, OpContext* ctx) {
             sut_->AddLive(sb_.SegmentOf(e.checkpoint_addr), e.checkpoint_sectors, e.time);
             if (entry->checkpoint_addr != kNullAddr &&
                 entry->checkpoint_addr != e.checkpoint_addr) {
-              sut_->ReleaseLive(sb_.SegmentOf(entry->checkpoint_addr),
-                                entry->checkpoint_sectors);
+              ReleaseSectors(entry->checkpoint_addr, entry->checkpoint_sectors,
+                             /*history=*/false);
             }
             entry->checkpoint_addr = e.checkpoint_addr;
             entry->checkpoint_sectors = e.checkpoint_sectors;
@@ -953,7 +874,7 @@ Status S4Drive::RollForward(uint64_t checkpoint_seq, OpContext* ctx) {
               if (versioned) {
                 sut_->LiveToHistory(sb_.SegmentOf(addr), kSectorsPerBlock);
               } else {
-                sut_->ReleaseLive(sb_.SegmentOf(addr), kSectorsPerBlock);
+                ReleaseSectors(addr, kSectorsPerBlock, /*history=*/false);
               }
             }
           }
@@ -1092,16 +1013,21 @@ bool S4Drive::ObjectIsVersioned(ObjectId id) const {
 
 Result<Bytes> S4Drive::ReadRecord(DiskAddr addr, uint32_t sectors) {
   Bytes out;
-  if (writer_->ReadPending(addr, sectors, &out)) {
-    return out;
+  if (!writer_->ReadPending(addr, sectors, &out)) {
+    S4_RETURN_IF_ERROR(block_cache_->Read(addr, sectors, &out, actx()));
   }
-  if (sectors == 1) {
-    // Journal sectors: cluster the read backward along the chain direction.
-    S4_RETURN_IF_ERROR(block_cache_->ReadSectorClustered(addr, &out, actx()));
-    return out;
-  }
-  S4_RETURN_IF_ERROR(block_cache_->Read(addr, sectors, &out, actx()));
   return out;
+}
+
+void S4Drive::ReleaseSectors(DiskAddr addr, uint32_t sectors, bool history) {
+  SegmentId seg = sb_.SegmentOf(addr);
+  if (history) {
+    sut_->ReleaseHistory(seg, sectors);
+  } else {
+    sut_->ReleaseLive(seg, sectors);
+  }
+  block_cache_->Invalidate(addr);
+  jsector_cache_.Remove(addr);
 }
 
 Result<std::shared_ptr<const JournalSector>> S4Drive::ReadJournalSector(
@@ -1114,7 +1040,16 @@ Result<std::shared_ptr<const JournalSector>> S4Drive::ReadJournalSector(
     return *cached;
   }
   m_.jsector_cache_misses->Inc();
-  S4_ASSIGN_OR_RETURN(Bytes raw, ReadRecord(addr, 1));
+  Bytes raw;
+  if (!writer_->ReadPending(addr, 1, &raw)) {
+    // Cluster the read backward along the chain direction, but only within
+    // the sector's own segment and never in the active one: the writer's
+    // open chunk lives there, and a neighbour still pending in it has a
+    // stale platter image and no raw cache entry to shield it.
+    SegmentId seg = sb_.SegmentOf(addr);
+    DiskAddr floor = seg == writer_->active_segment() ? addr : sb_.SegmentStart(seg);
+    S4_RETURN_IF_ERROR(block_cache_->ReadSectorClustered(addr, floor, &raw, actx()));
+  }
   auto decoded = JournalSector::Decode(raw);
   if (!decoded.ok()) {
     // Not an error to the walker: the chain crossed into reclaimed (possibly
@@ -1134,53 +1069,48 @@ Result<S4Drive::ObjectHandle> S4Drive::LoadObject(ObjectId id) {
   if (entry == nullptr) {
     return Status::NotFound("no such object");
   }
-  auto obj = std::make_shared<CachedObject>();
-  obj->exists = entry->live();
-  if (entry->checkpoint_addr != kNullAddr) {
-    S4_ASSIGN_OR_RETURN(Bytes record, ReadRecord(entry->checkpoint_addr,
-                                                 entry->checkpoint_sectors));
-    S4_ASSIGN_OR_RETURN(obj->inode, Inode::DecodeCheckpoint(record));
-  } else {
-    obj->inode.id = id;
-  }
-  // Replay journal entries newer than the inode checkpoint.
-  if (entry->journal_head != kNullAddr) {
-    std::vector<JournalSector> sectors;
-    DiskAddr addr = entry->journal_head;
-    while (addr != kNullAddr) {
-      S4_ASSIGN_OR_RETURN(Bytes raw, ReadRecord(addr, 1));
-      auto sector = JournalSector::Decode(raw);
-      if (!sector.ok() || sector->object_id != id) {
-        break;  // chain crossed the history barrier into reclaimed space
-      }
-      bool all_older = !sector->entries.empty() &&
-                       sector->entries.back().time <= entry->checkpoint_time;
-      DiskAddr prev = sector->prev;
-      bool oldest_reached = !sector->entries.empty() &&
-                            sector->entries.front().time <= entry->history_barrier;
-      sectors.push_back(std::move(*sector));
-      if (all_older || oldest_reached) {
-        break;
-      }
-      addr = prev;
-    }
-    std::reverse(sectors.begin(), sectors.end());
-    bool exists = obj->exists;
-    for (const auto& sector : sectors) {
-      for (const auto& e : sector.entries) {
-        if (e.time <= entry->checkpoint_time) {
-          continue;
-        }
-        ApplyEntryForward(&obj->inode, &exists, e);
-      }
-    }
-    obj->exists = entry->live();
-  }
-  obj->inode.id = id;
+  S4_ASSIGN_OR_RETURN(ObjectHandle obj, MaterializeObject(id, *entry));
   object_cache_->Put(id, obj,
                      CachedObjectCostImpl(obj->inode.blocks.size(), obj->pending.size(),
                                           obj->inode.attrs.opaque.size(), obj->inode.acl.size()));
-  // Re-fetch: Put may have evicted other entries but never the fresh one.
+  return obj;
+}
+
+Result<S4Drive::ObjectHandle> S4Drive::MaterializeObject(ObjectId id,
+                                                         const ObjectMapEntry& entry) {
+  auto obj = std::make_shared<CachedObject>();
+  if (entry.checkpoint_addr != kNullAddr) {
+    S4_ASSIGN_OR_RETURN(Bytes record, ReadRecord(entry.checkpoint_addr,
+                                                 entry.checkpoint_sectors));
+    S4_ASSIGN_OR_RETURN(obj->inode, Inode::DecodeCheckpoint(record));
+  }
+  // Replay journal entries newer than the inode checkpoint, oldest first.
+  std::vector<std::shared_ptr<const JournalSector>> sectors;
+  DiskAddr addr = entry.journal_head;
+  while (addr != kNullAddr) {
+    S4_ASSIGN_OR_RETURN(std::shared_ptr<const JournalSector> sector,
+                        ReadJournalSector(addr, nullptr));
+    if (sector == nullptr || sector->object_id != id) {
+      break;  // chain crossed the history barrier into reclaimed space
+    }
+    sectors.push_back(sector);
+    if (!sector->entries.empty() &&
+        (sector->entries.back().time <= entry.checkpoint_time ||
+         sector->entries.front().time <= entry.history_barrier)) {
+      break;
+    }
+    addr = sector->prev;
+  }
+  bool exists = true;  // the replay's liveness is unused: the map entry decides
+  for (auto it = sectors.rbegin(); it != sectors.rend(); ++it) {
+    for (const auto& e : (*it)->entries) {
+      if (e.time > entry.checkpoint_time) {
+        ApplyEntryForward(&obj->inode, &exists, e);
+      }
+    }
+  }
+  obj->inode.id = id;
+  obj->exists = entry.live();
   return obj;
 }
 
@@ -1206,13 +1136,17 @@ Status S4Drive::FlushObjectJournal(ObjectId id, CachedObject* obj) {
     S4_ASSIGN_OR_RETURN(Bytes encoded, sector.Encode());
     S4_ASSIGN_OR_RETURN(DiskAddr addr,
                         writer_->Append(RecordKind::kJournal, id, 0, encoded, actx()));
-    block_cache_->Insert(addr, encoded);
+    // The decoded entry below is the sector's only cached copy. Drop any raw
+    // copy at this address: a clustered read may have refilled it from the
+    // platter image of the address's previous life.
+    block_cache_->Invalidate(addr);
     if (!sector.entries.empty()) {
       entry->NoteJournalSector(sector.entries.back().time, addr,
                                options_.waypoint_interval_sectors);
     }
     // Warm-insert the decoded form: history walks over recent sectors (the
-    // common diagnosis case) then skip both the read and the decode.
+    // common diagnosis case) and LoadObject's replay skip the read and the
+    // decode.
     jsector_cache_.Put(addr, std::make_shared<const JournalSector>(sector), kSectorSize);
     head = addr;
     m_.journal_sectors_written->Inc();
@@ -1252,7 +1186,7 @@ Status S4Drive::CheckpointObject(ObjectId id, CachedObject* obj) {
   // plus undo entries, never from old checkpoints (the exception is the final
   // checkpoint written at delete time, which is never superseded).
   if (entry->checkpoint_addr != kNullAddr) {
-    sut_->ReleaseLive(sb_.SegmentOf(entry->checkpoint_addr), entry->checkpoint_sectors);
+    ReleaseSectors(entry->checkpoint_addr, entry->checkpoint_sectors, /*history=*/false);
   }
   entry->checkpoint_addr = addr;
   entry->checkpoint_sectors = sectors;

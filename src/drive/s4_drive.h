@@ -277,10 +277,6 @@ class S4Drive {
   // Max deltas per journal entry: large writes are split so every entry fits
   // in a single journal sector.
   static constexpr uint32_t kMaxDeltasPerEntry = 20;
-  // Sequential read-ahead window of the buffer cache (sectors): when a miss
-  // continues a sequential run inside a sealed segment, up to this many
-  // sectors are streamed with one disk command.
-  static constexpr uint64_t kReadaheadSectors = 128;
   // Capacity of the decoded-journal-sector cache.
   static constexpr uint64_t kJsectorCacheBytes = 2ull << 20;
 
@@ -419,13 +415,21 @@ class S4Drive {
   Status ResumeWriterFromCheckpoint();
 
   // --- generic internals (s4_drive.cc) ---
-  // Arms the buffer cache's sequential read-ahead, confined to sealed
-  // segments (never the active segment: its tail can still receive appends,
-  // and caching its stale platter image would shadow later flushes).
-  void ConfigureReadahead();
   void ChargeCpu(OpContext* ctx);
+  // Reads a whole record (data block, inode checkpoint): writer pending
+  // buffer, then the buffer cache, then disk. Journal sectors go through
+  // ReadJournalSector instead.
   Result<Bytes> ReadRecord(DiskAddr addr, uint32_t sectors);
+  // Releases a record's sectors in the usage table (from the history pool
+  // when `history`, else from live) and drops the record from the buffer
+  // and journal-sector caches: a released address is never read again until
+  // the log reuses it.
+  void ReleaseSectors(DiskAddr addr, uint32_t sectors, bool history);
   Result<ObjectHandle> LoadObject(ObjectId id);
+  // Rebuilds an object from its inode checkpoint plus the journal entries
+  // newer than it, walking the chain through ReadJournalSector down to the
+  // history barrier. LoadObject's cache-miss body; roll-forward shares it.
+  Result<ObjectHandle> MaterializeObject(ObjectId id, const ObjectMapEntry& entry);
   Status EvictObject(ObjectId id, ObjectHandle obj);
   Status FlushObjectJournal(ObjectId id, CachedObject* obj);
   Status CheckpointObject(ObjectId id, CachedObject* obj);
@@ -493,12 +497,14 @@ class S4Drive {
   // than `start_at` — callers using it must not need entries above the bound.
   Status WalkJournal(ObjectId id, const CachedObject* obj, std::optional<SimTime> start_at,
                      const std::function<Result<bool>(const JournalEntry&)>& fn);
-  // Reads + decodes one journal sector, through the decoded-sector cache when
-  // enabled. `sectors_visited` (if non-null) counts every fetch, cached or
-  // not — it measures walk length, not disk traffic. Returns null (ok) when
-  // the sector no longer decodes as a journal sector of any object: the chain
-  // crossed into reclaimed territory and the walker should stop. Device read
-  // errors still propagate as errors.
+  // The one read path for journal sectors (history walks, the cleaner,
+  // LoadObject and roll-forward): the decoded-sector cache, then the writer's
+  // pending buffer, then a backward-clustered buffer-cache read, decoded and
+  // cached in decoded form. `sectors_visited` (if non-null) counts every
+  // fetch, cached or not — it measures walk length, not disk traffic.
+  // Returns null (ok) when the sector no longer decodes as a journal sector
+  // of any object: the chain crossed into reclaimed territory and the walker
+  // should stop. Device read errors still propagate as errors.
   Result<std::shared_ptr<const JournalSector>> ReadJournalSector(DiskAddr addr,
                                                                  uint64_t* sectors_visited);
   // Applies one journal entry in *undo* direction onto `view` (walking newest
@@ -542,9 +548,12 @@ class S4Drive {
   std::unique_ptr<BlockCache> block_cache_;
   std::unique_ptr<LruCache<ObjectId, ObjectHandle>> object_cache_;
   ObjectMap object_map_;
-  // Decoded-journal-sector cache: chain walks (history reads, version lists,
-  // cleaner) hit this before the buffer cache, skipping re-read + re-decode.
-  // Entries are invalidated when the cleaner frees the underlying sector.
+  // Decoded-journal-sector cache: the form a journal sector is cached in
+  // once appended (FlushObjectJournal inserts it here and invalidates the
+  // raw address in the buffer cache). Every chain walk (history reads, version
+  // lists, the cleaner, LoadObject, roll-forward) hits it before the buffer
+  // cache, skipping re-read and re-decode. ReleaseSectors drops an entry
+  // when the usage table releases its sector.
   LruCache<DiskAddr, std::shared_ptr<const JournalSector>> jsector_cache_{kJsectorCacheBytes};
   // Incremental-cleaner expiry index: oldest retained entry time -> object.
   // An object with reclaimable history always appears here with a key no

@@ -1,8 +1,14 @@
 // Version waypoints and the journal-sector cache: cadence, persistence
 // across checkpoint/remount/recovery, forward-vs-backward reconstruction
-// equivalence, seek savings, cache coherence against the cleaner, and a
+// equivalence, seek savings, cache coherence against the cleaner and against
+// address reuse, object reloads served from the decoded cache, and a
 // crash-point sweep with a checkpoint-heavy option set.
 #include <gtest/gtest.h>
+
+#include <set>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "tests/crash_harness.h"
 #include "tests/test_util.h"
@@ -29,6 +35,67 @@ class WaypointTest : public DriveTest {
     clock_->Advance(kSecond);
     ASSERT_OK(drive_->Write(alice, id, 0, data));
     ASSERT_OK(drive_->Sync(alice));
+  }
+
+  // The attributes object `id` gets in the round named `tag`.
+  static Bytes RoundAttrs(const std::string& tag, ObjectId id) {
+    return BytesOf(tag + "/" + std::to_string(id));
+  }
+
+  // One round: every object in `ids` sets its round attributes, then one
+  // Sync. Each object flushes one journal sector per round.
+  void SetAttrRound(const std::vector<ObjectId>& ids, const std::string& tag) {
+    clock_->Advance(kSecond);
+    for (ObjectId id : ids) {
+      ASSERT_OK(drive_->SetAttr(User(100), id, RoundAttrs(tag, id)));
+    }
+    ASSERT_OK(drive_->Sync(User(100)));
+  }
+
+  // 64 objects of 70 rounds each: more sectors than the 4,096-entry jsector
+  // cache holds, so walking them all evicts every other decoded sector.
+  void WriteReaders(std::vector<ObjectId>* readers) {
+    for (int i = 0; i < 64; ++i) {
+      ASSERT_OK_AND_ASSIGN(ObjectId id, drive_->Create(User(100), {}));
+      readers->push_back(id);
+    }
+    for (int round = 0; round < 70; ++round) {
+      ASSERT_NO_FATAL_FAILURE(SetAttrRound(*readers, "reader " + std::to_string(round)));
+    }
+  }
+
+  void WalkAll(const std::vector<ObjectId>& ids) {
+    for (ObjectId id : ids) {
+      ASSERT_OK(drive_->GetVersionList(Admin(), id).status());
+    }
+  }
+
+  // Admin ballast until at most one segment is free, then a remount (cold
+  // caches), cleaner passes that expire and compact whatever they can, and
+  // a checkpoint: the segments the cleaner freed are the only place left
+  // for the log to write.
+  void FillDiskAndClean() {
+    auto free_segments = [&] {
+      const SegmentUsageTable& sut = drive_->usage_table();
+      uint32_t n = 0;
+      for (SegmentId seg = 0; seg < sut.segment_count(); ++seg) {
+        n += sut.Info(seg).state == SegmentState::kFree ? 1 : 0;
+      }
+      return n;
+    };
+    ASSERT_OK_AND_ASSIGN(ObjectId ballast, drive_->Create(Admin(), {}));
+    Rng rng(16);
+    while (free_segments() > 1) {
+      ASSERT_OK(drive_->Append(Admin(), ballast, rng.RandomBytes(64 << 10)).status());
+      ASSERT_OK(drive_->Sync(Admin()));
+    }
+    ASSERT_OK(drive_->Unmount());
+    drive_.reset();
+    ASSERT_OK_AND_ASSIGN(drive_, S4Drive::Mount(device_.get(), clock_.get(), opts_));
+    for (int pass = 0; pass < 4; ++pass) {
+      ASSERT_OK(drive_->RunCleanerPass(8, /*force_compaction=*/true).status());
+    }
+    ASSERT_OK(drive_->WriteCheckpoint());
   }
 };
 
@@ -250,6 +317,189 @@ TEST_F(WaypointTest, CacheStaysCoherentWhenCleanerFreesSectors) {
     EXPECT_EQ(got, data);
   }
   EXPECT_OK(drive_->VerifyAllWaypoints());
+}
+
+TEST_F(WaypointTest, LoadObjectReplaysThroughDecodedSectorCache) {
+  // An appended journal sector is cached only in decoded form, so reloading
+  // an evicted object must replay its chain from the jsector cache without
+  // reading a sector from the platter.
+  S4DriveOptions o = WaypointOptions();
+  o.block_cache_bytes = 16ull << 20;  // keeps the inode checkpoint cached
+  SetUpDrive(o, 64ull << 20);
+  Credentials alice = User(100);
+  ASSERT_OK_AND_ASSIGN(ObjectId id, drive_->Create(alice, BytesOf("attrs")));
+  for (int i = 0; i < 4; ++i) {
+    clock_->Advance(kSecond);
+    ASSERT_OK(drive_->SetAttr(alice, id, BytesOf("attrs " + std::to_string(i))));
+    ASSERT_OK(drive_->Sync(alice));
+  }
+  // About 1,000 newer objects push the target out of the 64 KB object cache.
+  for (int i = 0; i < 1000; ++i) {
+    ASSERT_OK(drive_->Create(alice, {}).status());
+  }
+  ASSERT_OK(drive_->Sync(alice));
+
+  const MetricRegistry& m = drive_->metrics();
+  uint64_t jsector_hits = m.CounterValue("cache.jsector.hits");
+  uint64_t sectors_read = m.CounterValue("cache.sectors_read");
+  ASSERT_OK_AND_ASSIGN(ObjectAttrs attrs, drive_->GetAttr(alice, id));
+  EXPECT_EQ(attrs.opaque, BytesOf("attrs 3"));
+  EXPECT_GT(m.CounterValue("cache.jsector.hits"), jsector_hits);
+  EXPECT_EQ(m.CounterValue("cache.sectors_read"), sectors_read);
+}
+
+TEST_F(WaypointTest, ReusedJournalSectorNeverServesItsPreviousLife) {
+  // A clustered journal-sector read caches its raw neighbours from the
+  // platter, including neighbours the cleaner has already freed. When the
+  // log reuses such an address for another object's journal sector and the
+  // decoded copy is later evicted, a history walk must read the new sector,
+  // not the stale raw copy of the old one (which would end the walk early
+  // and return a newer version's attributes with an OK status).
+  S4DriveOptions o = WaypointOptions(/*interval=*/1);  // every sector a waypoint
+  o.detection_window = 10 * kMinute;
+  o.block_cache_bytes = 16ull << 20;
+  SetUpDrive(o, 32ull << 20);
+  Credentials alice = User(100);
+  auto sector_addrs = [&](ObjectId id) {
+    std::vector<DiskAddr> addrs;
+    auto entry = drive_->DebugObjectEntry(id);
+    if (entry.has_value()) {
+      for (const JournalWaypoint& w : entry->waypoints) {
+        addrs.push_back(w.addr);
+      }
+    }
+    return addrs;
+  };
+
+  // Journal sectors of objects that are then deleted and age out.
+  std::vector<ObjectId> doomed;
+  for (int i = 0; i < 64; ++i) {
+    ASSERT_OK_AND_ASSIGN(ObjectId id, drive_->Create(alice, {}));
+    doomed.push_back(id);
+  }
+  for (int round = 0; round < 8; ++round) {
+    ASSERT_NO_FATAL_FAILURE(SetAttrRound(doomed, "doomed " + std::to_string(round)));
+  }
+  std::set<DiskAddr> freed_addrs;
+  for (ObjectId id : doomed) {
+    for (DiskAddr a : sector_addrs(id)) {
+      freed_addrs.insert(a);
+    }
+    ASSERT_OK(drive_->Delete(alice, id));
+  }
+  ASSERT_OK(drive_->Sync(alice));
+  clock_->Advance(2 * o.detection_window);
+  std::vector<ObjectId> readers;
+  ASSERT_NO_FATAL_FAILURE(WriteReaders(&readers));
+  // The cleaner walks the deleted chains from cold caches, so its clustered
+  // reads refill addresses it has just freed.
+  ASSERT_NO_FATAL_FAILURE(FillDiskAndClean());
+
+  // Fresh objects write until their journal sectors land on freed
+  // addresses, then two more rounds.
+  std::vector<ObjectId> fresh;
+  for (int i = 0; i < 64; ++i) {
+    ASSERT_OK_AND_ASSIGN(ObjectId id, drive_->Create(alice, {}));
+    fresh.push_back(id);
+  }
+  auto reused_count = [&] {
+    size_t n = 0;
+    for (ObjectId id : fresh) {
+      for (DiskAddr a : sector_addrs(id)) {
+        n += freed_addrs.count(a);
+      }
+    }
+    return n;
+  };
+  std::vector<std::pair<SimTime, std::string>> rounds;
+  for (int extra = 2; extra > 0 && rounds.size() < 200;) {
+    std::string tag = "fresh " + std::to_string(rounds.size());
+    ASSERT_NO_FATAL_FAILURE(SetAttrRound(fresh, tag));
+    rounds.emplace_back(clock_->Now(), tag);
+    if (reused_count() > 0) {
+      --extra;
+    }
+  }
+  ASSERT_GT(reused_count(), 0u) << "no freed journal-sector address was reused";
+
+  // The reader walks evict the fresh decoded sectors; every fresh version
+  // must still read back exactly.
+  ASSERT_NO_FATAL_FAILURE(WalkAll(readers));
+  for (ObjectId id : fresh) {
+    for (const auto& [t, tag] : rounds) {
+      ASSERT_OK_AND_ASSIGN(ObjectAttrs attrs, drive_->GetAttr(Admin(), id, t));
+      EXPECT_EQ(attrs.opaque, RoundAttrs(tag, id)) << "object " << id;
+    }
+  }
+}
+
+TEST_F(WaypointTest, ClusteredReadNeverCachesAPendingNeighbour) {
+  // A clustered read also fills the raw neighbours below the sector it
+  // fetches. A journal sector still pending in the writer's open chunk has
+  // a stale platter image and, being cached only decoded, no raw entry to
+  // shield it. Here a history walk reads a freed address a few sectors
+  // above such a pending sector; once the sector is flushed and its decoded
+  // copy evicted, a time-based read must still see its real bytes.
+  // No waypoints: the time-based read must walk back through the sector.
+  S4DriveOptions o = WaypointOptions(/*interval=*/0);
+  o.detection_window = 10 * kMinute;
+  o.block_cache_bytes = 64ull << 20;  // keeps every raw fill to the end
+  o.journal_flush_entries = 1;        // a SetAttr appends its sector at once
+  SetUpDrive(o, 32ull << 20);
+  Credentials alice = User(100);
+  auto head = [&](ObjectId id) { return drive_->DebugObjectEntry(id)->journal_head; };
+
+  // X's first versions age out. A walk past X's surviving versions reads
+  // `freed`, the newest expired sector, whose segment the cleaner frees.
+  ASSERT_OK_AND_ASSIGN(ObjectId x, drive_->Create(alice, {}));
+  for (int round = 0; round < 8; ++round) {
+    ASSERT_NO_FATAL_FAILURE(SetAttrRound({x}, "x " + std::to_string(round)));
+  }
+  DiskAddr freed = head(x);
+  ASSERT_OK_AND_ASSIGN(ObjectId spacer, drive_->Create(alice, {}));
+  ASSERT_OK(drive_->Write(alice, spacer, 0, Bytes(o.segment_sectors * kSectorSize, 0x5a)));
+  ASSERT_OK(drive_->Delete(alice, spacer));
+  ASSERT_OK(drive_->Sync(alice));
+  clock_->Advance(2 * o.detection_window);
+  for (int round = 8; round < 10; ++round) {
+    ASSERT_NO_FATAL_FAILURE(SetAttrRound({x}, "x " + std::to_string(round)));
+  }
+  ASSERT_OK_AND_ASSIGN(ObjectId y, drive_->Create(alice, {}));
+  ASSERT_NO_FATAL_FAILURE(SetAttrRound({y}, "v1"));
+  SimTime v1_time = clock_->Now();
+  std::vector<ObjectId> readers;
+  ASSERT_NO_FATAL_FAILURE(WriteReaders(&readers));
+  ASSERT_NO_FATAL_FAILURE(FillDiskAndClean());
+  const Superblock& sb = drive_->superblock();
+  ASSERT_EQ(drive_->usage_table().Info(sb.SegmentOf(freed)).state, SegmentState::kFree);
+
+  // Append one sector at a time until the log is just below `freed`, then
+  // append Y's next version there and leave it pending.
+  ASSERT_OK(drive_->GetAttr(alice, y).status());  // loads Y far from `freed`
+  ASSERT_OK_AND_ASSIGN(ObjectId filler, drive_->Create(alice, {}));
+  for (int i = 0; i < 20000; ++i) {
+    DiskAddr a = head(filler);
+    if (a != kNullAddr && sb.SegmentOf(a) == sb.SegmentOf(freed) && a + 8 >= freed &&
+        a + 2 <= freed) {
+      break;
+    }
+    ASSERT_OK(drive_->SetAttr(alice, filler, BytesOf("filler")));
+  }
+  ASSERT_OK(drive_->SetAttr(alice, y, RoundAttrs("v2", y)));
+  DiskAddr pending = head(y);
+  ASSERT_TRUE(pending < freed && pending + 7 >= freed)
+      << "Y's sector landed at " << pending << ", not within 7 below " << freed;
+  uint64_t chunks = drive_->writer_stats().chunks_flushed;
+  ASSERT_OK(drive_->GetVersionList(Admin(), x).status());
+  ASSERT_EQ(drive_->writer_stats().chunks_flushed, chunks) << "Y's sector was flushed too soon";
+
+  // Flush Y's sector, evict its decoded copy, and read the version before.
+  ASSERT_OK(drive_->Sync(alice));
+  ASSERT_NO_FATAL_FAILURE(WalkAll(readers));
+  ASSERT_OK_AND_ASSIGN(ObjectAttrs then, drive_->GetAttr(Admin(), y, v1_time));
+  EXPECT_EQ(then.opaque, RoundAttrs("v1", y));
+  ASSERT_OK_AND_ASSIGN(ObjectAttrs now, drive_->GetAttr(Admin(), y));
+  EXPECT_EQ(now.opaque, RoundAttrs("v2", y));
 }
 
 TEST_F(WaypointTest, PurgedRangesNeverUseForwardReplay) {
