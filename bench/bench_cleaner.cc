@@ -5,12 +5,15 @@
 // foreground cleaning competing for the disk arm. Paper result: performance
 // falls as utilisation rises (cache + disk locality), and foreground
 // cleaning costs up to ~50% in the worst case — more than a classic LFS
-// cleaner, because S4 cleans object-by-object and history pins segments.
+// cleaner, because the paper's S4 cleans object-by-object and history pins
+// segments. This cleaner sweeps the log in write order instead.
 //
 // Scaled for the harness: 1GB disk (paper: 2GB), 10,000 transactions
 // (paper: 50,000). Utilisation is the swept variable either way.
 //
-// Usage: bench_cleaner [--quick]
+// Usage: bench_cleaner [--quick] [--check]
+//   --check  exit non-zero when a gate fails (steady-state sweep reads a log
+//            sector twice; idle-slice cleaning regresses foreground p99)
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
@@ -35,6 +38,8 @@ constexpr uint32_t kTransactions = 10000;
 constexpr uint64_t kBytesPerFile = 15 * 1024;
 
 bool g_quick = false;
+bool g_check = false;
+bool g_gate_failed = false;
 
 struct Point {
   double utilization = 0;
@@ -96,26 +101,28 @@ void RunPoint(::benchmark::State& state, uint32_t util_percent, bool cleaning) {
 }
 
 // ---------------------------------------------------------------------------
-// Steady-state cleaning cost: incremental (expiry index + waypoint seek) vs
-// the full-scan baseline. Most of the disk is pinned by static live data so
-// the cleaner runs in its space-pressure regime (no expiry batching), and a
-// small population of hot objects keeps window-long chains churning. Each
-// steady pass then has a little expirable tail per object; the full-scan
-// baseline re-reads every object's whole surviving chain to find it, while
-// the incremental cleaner seeks straight to it. The PR gate expects the
-// incremental passes to read >= 5x fewer journal sectors.
+// Steady-state sweep cost. Most of the disk is pinned by static live data so
+// the cleaner runs in its space-pressure regime, and a small population of
+// hot objects keeps window-long chains churning. After a warm-up pass drains
+// the backlog, each pass sweeps only the log that aged since the last one:
+// the gate is that no log sector is read twice, so the sectors the steady
+// passes scan are at most the sectors appended since the warm-up pass plus
+// one segment (the sweep reads a segment's fill at a time).
 // ---------------------------------------------------------------------------
 
 struct SteadyState {
   uint64_t passes = 0;
-  uint64_t walk_sectors = 0;
-  uint64_t objects_visited = 0;
+  uint64_t segments_swept = 0;
+  uint64_t sectors_scanned = 0;
+  uint64_t sectors_appended = 0;
+  uint64_t segment_sectors = 0;
+  uint64_t journal_sectors_decoded = 0;
+  double expiry_sim_ms = 0;
   uint64_t freed_sectors = 0;
 };
-SteadyState g_steady[2];                       // [incremental?]
-std::unique_ptr<Server> g_steady_server;       // incremental run, for the JSON
+std::unique_ptr<Server> g_steady_server;  // for the JSON
 
-SteadyState RunSteadyState(bool incremental) {
+SteadyState RunSteadyState() {
   const uint32_t kObjects = g_quick ? 4 : 6;
   const SimDuration kWindow = g_quick ? 10 * kMinute : 20 * kMinute;
   const SimDuration kSpacing = 10 * kSecond;
@@ -126,8 +133,7 @@ SteadyState RunSteadyState(bool incremental) {
   ServerOptions options;
   options.disk_bytes = 128ull << 20;
   options.detection_window = kWindow;
-  options.tweak_drive_options = [incremental](S4DriveOptions& o) {
-    o.cleaner_incremental = incremental;
+  options.tweak_drive_options = [](S4DriveOptions& o) {
     o.waypoint_interval_sectors = 4;
     // The static filler drives utilisation high on purpose; the throttle is
     // not what this scenario measures.
@@ -141,8 +147,7 @@ SteadyState RunSteadyState(bool incremental) {
   user.client = 1;
 
   // Pin ~80% of the disk with static live data: free segments drop below the
-  // cleaner's comfort threshold, which turns expiry batching off — the
-  // steady-state regime where every pass must earn its sectors back.
+  // cleaner's comfort threshold, so every pass also runs compaction.
   auto filler = drive->Create(user, {});
   S4_CHECK(filler.ok());
   Bytes mb(1 << 20, 0x42);
@@ -173,14 +178,18 @@ SteadyState RunSteadyState(bool incremental) {
     churn_step(step);
   }
 
-  // Warm-up pass: drains the half-window backlog (expensive in both modes,
-  // not what steady state measures).
+  // Warm-up pass: drains the half-window backlog (not what steady state
+  // measures).
   S4_CHECK(drive->RunCleanerPass(1).ok());
 
   const MetricRegistry& reg = drive->metrics();
   SteadyState result;
-  uint64_t sectors0 = reg.CounterValue("cleaner.walk_sectors_read");
-  uint64_t visited0 = reg.CounterValue("cleaner.objects_visited");
+  result.segment_sectors = drive->superblock().segment_sectors;
+  uint64_t swept0 = reg.CounterValue("cleaner.segments_swept");
+  uint64_t scanned0 = reg.CounterValue("cleaner.sweep_sectors_read");
+  uint64_t appended0 = drive->writer_stats().sectors_flushed;
+  uint64_t decoded0 = reg.CounterValue("cleaner.walk_sectors_read");
+  uint64_t sweep_us0 = reg.CounterValue("cleaner.sweep_time_us");
   uint64_t freed0 = reg.CounterValue("cleaner.sectors_expired");
   for (int pass = 0; pass < kPasses; ++pass) {
     for (uint64_t step = 0; step < kPassEvery / kSpacing; ++step) {
@@ -189,12 +198,14 @@ SteadyState RunSteadyState(bool incremental) {
     S4_CHECK(drive->RunCleanerPass(1).ok());
     ++result.passes;
   }
-  result.walk_sectors = reg.CounterValue("cleaner.walk_sectors_read") - sectors0;
-  result.objects_visited = reg.CounterValue("cleaner.objects_visited") - visited0;
+  result.segments_swept = reg.CounterValue("cleaner.segments_swept") - swept0;
+  result.sectors_scanned = reg.CounterValue("cleaner.sweep_sectors_read") - scanned0;
+  result.sectors_appended = drive->writer_stats().sectors_flushed - appended0;
+  result.journal_sectors_decoded = reg.CounterValue("cleaner.walk_sectors_read") - decoded0;
+  result.expiry_sim_ms =
+      static_cast<double>(reg.CounterValue("cleaner.sweep_time_us") - sweep_us0) / 1e3;
   result.freed_sectors = reg.CounterValue("cleaner.sectors_expired") - freed0;
-  if (incremental) {
-    g_steady_server = std::move(server);
-  }
+  g_steady_server = std::move(server);
   return result;
 }
 
@@ -312,32 +323,30 @@ void RunIdleSliceComparison() {
   if (idle.fg_p99_us > inl.fg_p99_us) {
     std::printf("\n!! GATE: idle-slice foreground p99 %.0fus regressed past inline "
                 "cleaning %.0fus\n", idle.fg_p99_us, inl.fg_p99_us);
+    g_gate_failed = true;
   }
 }
 
-void RunSteadyStateComparison() {
-  g_steady[1] = RunSteadyState(/*incremental=*/true);
-  g_steady[0] = RunSteadyState(/*incremental=*/false);
-  const SteadyState& inc = g_steady[1];
-  const SteadyState& full = g_steady[0];
-  double ratio = inc.walk_sectors > 0
-                     ? static_cast<double>(full.walk_sectors) / inc.walk_sectors
-                     : 0.0;
-  std::printf("\n=== Steady-state cleaning: incremental vs full-scan ===\n");
-  std::printf("%14s %14s %16s %14s\n", "mode", "walk sectors", "objects visited",
+void RunSteadyStateSweep() {
+  const SteadyState st = RunSteadyState();
+  std::printf("\n=== Steady-state cleaning: log-order sweep ===\n");
+  std::printf("%8s %16s %16s %17s %16s %15s %14s\n", "passes", "segments swept",
+              "sectors scanned", "sectors appended", "jsectors decoded", "expiry sim ms",
               "freed sectors");
-  std::printf("%14s %14llu %16llu %14llu\n", "incremental",
-              static_cast<unsigned long long>(inc.walk_sectors),
-              static_cast<unsigned long long>(inc.objects_visited),
-              static_cast<unsigned long long>(inc.freed_sectors));
-  std::printf("%14s %14llu %16llu %14llu\n", "full-scan",
-              static_cast<unsigned long long>(full.walk_sectors),
-              static_cast<unsigned long long>(full.objects_visited),
-              static_cast<unsigned long long>(full.freed_sectors));
-  std::printf("%14s %13.1fx\n", "ratio", ratio);
-  if (ratio < 5.0) {
-    std::printf("\n!! GATE: steady-state incremental pass read only %.1fx fewer sectors "
-                "than full scan (< 5x)\n", ratio);
+  std::printf("%8llu %16llu %16llu %17llu %16llu %15.1f %14llu\n",
+              static_cast<unsigned long long>(st.passes),
+              static_cast<unsigned long long>(st.segments_swept),
+              static_cast<unsigned long long>(st.sectors_scanned),
+              static_cast<unsigned long long>(st.sectors_appended),
+              static_cast<unsigned long long>(st.journal_sectors_decoded), st.expiry_sim_ms,
+              static_cast<unsigned long long>(st.freed_sectors));
+  if (st.sectors_scanned > st.sectors_appended + st.segment_sectors) {
+    std::printf("\n!! GATE: steady-state passes scanned %llu log sectors, more than the "
+                "%llu appended since the warm-up pass plus one %llu-sector segment\n",
+                static_cast<unsigned long long>(st.sectors_scanned),
+                static_cast<unsigned long long>(st.sectors_appended),
+                static_cast<unsigned long long>(st.segment_sectors));
+    g_gate_failed = true;
   }
   if (g_steady_server != nullptr) {
     char extra[1024];
@@ -353,17 +362,18 @@ void RunSteadyStateComparison() {
     }
     std::snprintf(extra, sizeof(extra),
                   "\"cleaner\": {\"steady_state\": {\"passes\": %llu, "
-                  "\"walk_sectors_incremental\": %llu, \"walk_sectors_full_scan\": %llu, "
-                  "\"freed_sectors_incremental\": %llu, \"freed_sectors_full_scan\": %llu, "
-                  "\"ratio\": %.2f}, "
+                  "\"segments_swept\": %llu, \"sectors_scanned\": %llu, "
+                  "\"sectors_appended\": %llu, \"journal_sectors_decoded\": %llu, "
+                  "\"expiry_sim_ms\": %.1f, \"freed_sectors\": %llu}, "
                   "\"idle_slice\": {\"fg_p99_us\": %.0f, \"fg_p99_us_inline\": %.0f, "
                   "\"fg_makespan_s\": %.3f, \"inline_makespan_s\": %.3f, "
                   "\"passes\": %llu}, \"figure5\": [%s]}",
-                  static_cast<unsigned long long>(inc.passes),
-                  static_cast<unsigned long long>(inc.walk_sectors),
-                  static_cast<unsigned long long>(full.walk_sectors),
-                  static_cast<unsigned long long>(inc.freed_sectors),
-                  static_cast<unsigned long long>(full.freed_sectors), ratio,
+                  static_cast<unsigned long long>(st.passes),
+                  static_cast<unsigned long long>(st.segments_swept),
+                  static_cast<unsigned long long>(st.sectors_scanned),
+                  static_cast<unsigned long long>(st.sectors_appended),
+                  static_cast<unsigned long long>(st.journal_sectors_decoded), st.expiry_sim_ms,
+                  static_cast<unsigned long long>(st.freed_sectors),
                   g_idle_slice[1].fg_p99_us, g_idle_slice[0].fg_p99_us,
                   g_idle_slice[1].fg_makespan_s, g_idle_slice[0].fg_makespan_s,
                   static_cast<unsigned long long>(g_idle_slice[1].cleaner_passes),
@@ -399,16 +409,18 @@ void PrintFigure5() {
 }  // namespace s4
 
 int main(int argc, char** argv) {
+  // Strip our own flags before handing argv to google-benchmark.
+  int out = 1;
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--quick") == 0) {
       s4::bench::g_quick = true;
-      for (int j = i; j + 1 < argc; ++j) {
-        argv[j] = argv[j + 1];
-      }
-      --argc;
-      break;
+    } else if (std::strcmp(argv[i], "--check") == 0) {
+      s4::bench::g_check = true;
+    } else {
+      argv[out++] = argv[i];
     }
   }
+  argc = out;
   for (bool cleaning : {false, true}) {
     for (uint32_t util : s4::bench::UtilizationTargets()) {
       std::string name = "Cleaner/util:" + std::to_string(util) + "/clean:" +
@@ -426,6 +438,6 @@ int main(int argc, char** argv) {
   ::benchmark::RunSpecifiedBenchmarks();
   s4::bench::PrintFigure5();
   s4::bench::RunIdleSliceComparison();
-  s4::bench::RunSteadyStateComparison();
-  return 0;
+  s4::bench::RunSteadyStateSweep();
+  return s4::bench::g_check && s4::bench::g_gate_failed ? 1 : 0;
 }

@@ -4,14 +4,11 @@
 // Read path order in the drive: segment-writer pending buffer -> this cache
 // -> disk. The drive keeps it to what will be read again: appended data
 // blocks and inode checkpoints are inserted as they are written, a journal
-// sector is cached decoded in the drive's jsector cache (its raw address is
-// invalidated here at append; raw copies arrive only as the neighbours of a
-// clustered read), and every record the usage table releases is dropped
-// here at that moment. There is no read-ahead.
+// sector is cached only decoded, in the drive's jsector cache (never here),
+// and every record the usage table releases is dropped here at that moment.
+// There is no read-ahead.
 #ifndef S4_SRC_CACHE_BLOCK_CACHE_H_
 #define S4_SRC_CACHE_BLOCK_CACHE_H_
-
-#include <algorithm>
 
 #include "src/cache/lru.h"
 #include "src/lfs/format.h"
@@ -49,37 +46,12 @@ class BlockCache {
     return Status::Ok();
   }
 
-  // Single-sector read with backward clustering: a chain's journal sectors
-  // sit a handful of records apart in the log and are walked newest-to-
-  // oldest, so on a miss the 4KB *ending* at `addr`, but starting no lower
-  // than `floor`, is fetched with one disk command and cached
-  // sector-by-sector. This is what keeps object-driven cleaning from paying
-  // one full positioning delay per chain link (a real cleaner streams whole
-  // segments for the same reason).
-  Status ReadSectorClustered(DiskAddr addr, DiskAddr floor, Bytes* out,
-                             OpContext* ctx = nullptr) {
-    if (Bytes* hit = cache_.Get(addr); hit != nullptr && hit->size() == kSectorSize) {
-      *out = *hit;
-      if (hits_counter_ != nullptr) hits_counter_->Inc();
-      return Status::Ok();
-    }
-    if (misses_counter_ != nullptr) misses_counter_->Inc();
-    DiskAddr start = std::max(addr >= 7 ? addr - 7 : 0, std::min(floor, addr));
-    Bytes run;
-    S4_RETURN_IF_ERROR(device_->Read(start, addr - start + 1, &run, ctx));
-    if (sectors_read_counter_ != nullptr) sectors_read_counter_->Add(addr - start + 1);
-    for (DiskAddr s = start; s <= addr; ++s) {
-      Bytes slice(run.begin() + (s - start) * kSectorSize,
-                  run.begin() + (s - start + 1) * kSectorSize);
-      if (s == addr) {
-        *out = slice;
-      }
-      // Fill only: an existing entry may hold content newer than the
-      // platter (data appended but not yet flushed).
-      if (cache_.Peek(s) == nullptr) {
-        cache_.Put(s, std::move(slice), kSectorSize);
-      }
-    }
+  // Reads past the cache, neither consulting nor filling it: for records the
+  // drive caches in another form (journal sectors, kept decoded). Counted in
+  // cache.sectors_read like any other platter read.
+  Status ReadUncached(DiskAddr addr, uint64_t sectors, Bytes* out, OpContext* ctx = nullptr) {
+    S4_RETURN_IF_ERROR(device_->Read(addr, sectors, out, ctx));
+    if (sectors_read_counter_ != nullptr) sectors_read_counter_->Add(sectors);
     return Status::Ok();
   }
 

@@ -3,13 +3,41 @@
 //
 // Unlike a classic LFS cleaner, liveness is not sufficient for reclamation:
 // a deprecated version may only be freed once it has aged out of the
-// detection window. The cleaner therefore works object-by-object — it scans
-// the object map for objects whose oldest retained version predates the
-// window, walks their journal chains (the extra reads the paper blames for
-// S4's higher cleaning cost), and frees expired data, journal sectors, and
-// delete-time checkpoints. Segments whose live and history counts both reach
-// zero become reclaimable; they are actually reused only after the next
-// device checkpoint so crash recovery can never replay stale chunks.
+// detection window. The paper's S4 cleans object by object, walking each
+// object's journal chain, and blames those random reads for its extra
+// cleaning cost. This cleaner instead sweeps the log itself in write (chunk
+// seq) order, one sequential read per segment range, as retention-aware
+// log-structured stores do: the log is written in time order, so everything
+// that has left the window sits behind one cursor.
+//
+//   Cursor. sweep_ names the next unswept chunk and advances after every
+//   chunk, so each journal sector is freed exactly once. It is persisted in
+//   the device checkpoint next to the usage table, which it must agree with:
+//   after a crash the sweep redoes exactly the frees the checkpoint lost.
+//   Entry times cannot serve as the cursor — Delete writes its checkpoint
+//   sector and its kDelete sector at the same instant.
+//   Eligibility. A chunk is swept once its write_time (its flush time, which
+//   bounds every entry in it) is at or below the cutoff — the active
+//   segment's flushed chunks included.
+//   Order. Segments are visited by the seq of their first chunk, and each is
+//   read only up to its current fill (written_sectors when sealed, the
+//   writer's flushed fill when active), so a reused segment's previous life
+//   is never read as current.
+//   Damage. The scan walks chunk summaries, which carry their own CRC, and
+//   each journal sector is decoded against its own CRC: a rotten record is
+//   counted on the metrics plane and stepped over, never a reason to stop.
+//   No I/O when nothing is old enough. sweep_time_ bounds the write time of
+//   the next unswept chunk (the format time, then the stopping chunk's time,
+//   or the pass time at the log head), so an idle pass reads nothing.
+//
+// Per journal sector the rules are the window's: entries newer than a live
+// object's inode checkpoint are the only record of its current state, so the
+// object is checkpointed first; purged versions and unversioned objects
+// release no history; an object's kDelete sector fully expires it (the
+// delete-time checkpoint and the blocks it references). Segments whose live
+// and history counts both reach zero become reclaimable; they are reused only
+// after the next device checkpoint so crash recovery can never replay stale
+// chunks.
 #include <algorithm>
 #include <cmath>
 
@@ -19,156 +47,225 @@
 
 namespace s4 {
 
-Result<uint64_t> S4Drive::ExpireObjectHistory(ObjectId id, ObjectMapEntry* entry,
-                                              SimTime cutoff, uint64_t* sectors_read) {
+namespace {
+
+// Sector offset, within its segment, just past a scanned chunk.
+uint32_t ChunkEnd(const Superblock& sb, const ScannedChunk& chunk) {
+  const ScannedRecord& last = chunk.records.back();
+  return static_cast<uint32_t>(last.addr + last.sectors - sb.SegmentStart(chunk.segment));
+}
+
+}  // namespace
+
+Status S4Drive::SweepExpiredLog(SimTime cutoff) {
+  if (cutoff < sweep_time_) {
+    return Status::Ok();  // nothing unswept is old enough
+  }
+  ScopedSpan span(actx(), "cleaner.sweep");
+  SimTime t0 = clock_->Now();
+  Status swept = [&]() -> Status {
+    while (true) {
+      if (sweep_ahead_.empty()) {
+        S4_ASSIGN_OR_RETURN(bool read, ReadAheadOfSweep());
+        if (!read) {
+          sweep_time_ = clock_->Now();  // at the log head
+          return Status::Ok();
+        }
+        continue;
+      }
+      const ScannedChunk& chunk = sweep_ahead_.front();
+      if (chunk.write_time > cutoff) {
+        sweep_time_ = chunk.write_time;
+        return Status::Ok();
+      }
+      S4_RETURN_IF_ERROR(ExpireChunk(chunk));
+      sweep_ = LogPosition{chunk.seq + 1, chunk.segment, ChunkEnd(sb_, chunk)};
+      sweep_ahead_.pop_front();
+    }
+  }();
+  m_.cleaner_sweep_time_us->Add(clock_->Now() - t0);
+  return swept;
+}
+
+Result<bool> S4Drive::ReadAheadOfSweep() {
+  auto fill = [this](SegmentId seg) {
+    return seg == writer_->active_segment() ? writer_->flushed_fill()
+                                            : sut_->Info(seg).written_sectors;
+  };
+  // Continue in the segment last read while it is still the same life (its
+  // first chunk precedes the read position) and has fill left to read. Past
+  // its end, or once it was reclaimed, the log continues in the segment
+  // whose first chunk is next in seq order.
+  SegmentId seg = sweep_read_.segment;
+  uint32_t start = sweep_read_.offset;
+  bool same_life = seg != kNullSegment && sut_->Info(seg).state != SegmentState::kFree &&
+                   sut_->Info(seg).first_seq != 0 && sut_->Info(seg).first_seq < sweep_read_.seq;
+  if (!same_life || (start >= fill(seg) && seg != writer_->active_segment())) {
+    seg = kNullSegment;
+    start = 0;
+    for (SegmentId s = 0; s < sut_->segment_count(); ++s) {
+      const SegmentInfo& info = sut_->Info(s);
+      if (info.state != SegmentState::kFree && info.first_seq >= sweep_read_.seq &&
+          (seg == kNullSegment || info.first_seq < sut_->Info(seg).first_seq)) {
+        seg = s;
+      }
+    }
+    if (seg == kNullSegment) {
+      return false;
+    }
+  }
+  const uint32_t end = fill(seg);
+  if (start >= end) {
+    return false;  // the writer's segment holds nothing newer
+  }
+  // Straight to the device, not through the block cache: a sweep must never
+  // evict the working set.
+  SegmentScanOptions opts;
+  opts.start_offset = start;
+  opts.end_offset = end;
+  opts.ctx = actx();
+  S4_ASSIGN_OR_RETURN(std::vector<ScannedChunk> chunks, ScanSegment(device_, sb_, seg, opts));
+  m_.cleaner_segments_swept->Inc();
+  m_.cleaner_sweep_sectors_read->Add(end - start);
+  uint32_t reached = start;
+  for (ScannedChunk& chunk : chunks) {
+    if (chunk.records.empty()) {
+      continue;  // the writer never flushes one; nothing to sweep in it
+    }
+    reached = ChunkEnd(sb_, chunk);
+    sweep_read_.seq = chunk.seq + 1;
+    sweep_ahead_.push_back(std::move(chunk));
+  }
+  if (reached < end) {
+    // A summary failed its CRC: where the chunks behind it start is lost, so
+    // the rest of this segment cannot be swept. Step past it.
+    m_.cleaner_sweep_damage->Inc();
+    sweep_read_.seq = std::max(sweep_read_.seq, sut_->Info(seg).first_seq + 1);
+  }
+  sweep_read_.segment = seg;
+  sweep_read_.offset = end;
+  return true;
+}
+
+Status S4Drive::ExpireChunk(const ScannedChunk& chunk) {
+  if (!chunk.payload_intact) {
+    m_.cleaner_sweep_damage->Inc();
+  }
+  std::vector<std::pair<DiskAddr, JournalSector>> sectors;
+  for (const ScannedRecord& rec : chunk.records) {
+    if (rec.kind != RecordKind::kJournal) {
+      continue;
+    }
+    auto decoded = JournalSector::Decode(rec.raw);
+    if (!decoded.ok()) {
+      m_.cleaner_sweep_damage->Inc();  // stays allocated: its entries are unknown
+      continue;
+    }
+    sectors.emplace_back(rec.addr, *std::move(decoded));
+  }
+  m_.cleaner_walk_sectors->Add(sectors.size());
+  // Entries newer than a live object's inode checkpoint are the only record
+  // of its current state: checkpoint such objects before anything is freed.
+  // Every fallible step happens here, so an error leaves the chunk whole for
+  // the next pass to sweep.
+  for (const auto& [addr, sector] : sectors) {
+    (void)addr;
+    const ObjectMapEntry* entry = object_map_.Find(sector.object_id);
+    if (entry == nullptr || !entry->live()) {
+      continue;
+    }
+    bool replays = std::any_of(sector.entries.begin(), sector.entries.end(),
+                               [entry](const JournalEntry& e) {
+                                 return e.time > entry->checkpoint_time &&
+                                        e.type != JournalEntryType::kCheckpoint;
+                               });
+    if (replays) {
+      S4_ASSIGN_OR_RETURN(ObjectHandle obj, LoadObject(sector.object_id));
+      S4_RETURN_IF_ERROR(CheckpointObject(sector.object_id, obj.get()));
+    }
+  }
+  uint64_t freed = 0;
+  for (const auto& [addr, sector] : sectors) {
+    freed += ExpireJournalSector(addr, sector);
+  }
+  m_.cleaner_sectors_expired->Add(freed);
+  return Status::Ok();
+}
+
+uint64_t S4Drive::ExpireJournalSector(DiskAddr addr, const JournalSector& sector) {
+  ReleaseSectors(addr, 1, /*history=*/false);
+  uint64_t freed = 1;
+  ObjectId id = sector.object_id;
+  ObjectMapEntry* entry = object_map_.Find(id);
+  if (entry == nullptr) {
+    return freed;
+  }
   bool versioned = ObjectIsVersioned(id);
-  bool full_expiry = !entry->live() && entry->delete_time <= cutoff;
-  uint64_t freed_sectors = 0;
-  SimTime barrier = entry->history_barrier;
-  SimTime oldest_surviving = INT64_MAX;
-  // Journal entries newer than the last inode checkpoint are the only record
-  // of the object's current state; their sectors may not be freed even when
-  // every version they describe has aged out. When such sectors block
-  // reclamation, the object is checkpointed at the end of this visit so the
-  // next visit can free them.
-  bool need_checkpoint = false;
-
-  // Walk the chain from the head, sector by sector, so expired journal
-  // sectors themselves can be freed. When the chain survives in part, the
-  // waypoint index lets the walk skip straight past the unexpirable prefix:
-  // every sector newer than the oldest waypoint above the cutoff holds only
-  // in-window entries. Those skipped sectors all survive, and the seek-start
-  // sector contributes a surviving entry no newer than any skipped entry, so
-  // `oldest_surviving` (hence the barrier) stays globally correct. A full
-  // expiry must free the whole chain, so it never seeks.
-  m_.cleaner_objects_visited->Inc();
-  DiskAddr addr = entry->journal_head;
-  bool chain_fully_freed = true;
-  if (options_.cleaner_incremental && !full_expiry) {
-    if (const JournalWaypoint* w = entry->SeekWaypointAbove(cutoff);
-        w != nullptr && w->addr != addr) {
-      addr = w->addr;
-      chain_fully_freed = false;  // the skipped newer sectors remain
-    }
-  }
-  while (addr != kNullAddr) {
-    S4_ASSIGN_OR_RETURN(std::shared_ptr<const JournalSector> sector,
-                        ReadJournalSector(addr, sectors_read));
-    if (sector == nullptr || sector->object_id != id) {
-      break;  // already reclaimed territory
-    }
-    if (!sector->entries.empty() && sector->entries.back().time <= barrier) {
-      break;  // entirely below the barrier: freed in an earlier pass
-    }
-    bool sector_fully_expired = true;
-    for (const auto& e : sector->entries) {
-      if (e.time <= barrier) {
-        continue;  // freed in an earlier pass
-      }
-      if (e.time > cutoff && !full_expiry) {
-        sector_fully_expired = false;
-        oldest_surviving = std::min(oldest_surviving, e.time);
-        continue;
-      }
-      // Entries newer than the inode checkpoint are still needed to replay
-      // the current state; defer them (and keep the barrier below them) until
-      // the end-of-visit checkpoint clears the way.
-      if (entry->live() && e.time > entry->checkpoint_time &&
-          e.type != JournalEntryType::kCheckpoint) {
-        sector_fully_expired = false;
-        need_checkpoint = true;
-        oldest_surviving = std::min(oldest_surviving, e.time);
-        continue;
-      }
-      // Expired entry: release the data it superseded.
-      if (e.type == JournalEntryType::kWrite || e.type == JournalEntryType::kTruncate) {
-        for (const auto& d : e.blocks) {
-          if (d.old_addr != kNullAddr && versioned && !IsPurged(id, e.time)) {
-            ReleaseSectors(d.old_addr, kSectorsPerBlock, /*history=*/true);
-            freed_sectors += kSectorsPerBlock;
-          }
+  bool deleted_here = false;
+  for (const JournalEntry& e : sector.entries) {
+    deleted_here |= e.type == JournalEntryType::kDelete;
+    // An expired entry releases the data it superseded.
+    if ((e.type == JournalEntryType::kWrite || e.type == JournalEntryType::kTruncate) &&
+        versioned && !IsPurged(id, e.time)) {
+      for (const auto& d : e.blocks) {
+        if (d.old_addr != kNullAddr) {
+          ReleaseSectors(d.old_addr, kSectorsPerBlock, /*history=*/true);
+          freed += kSectorsPerBlock;
         }
       }
     }
-    if (sector_fully_expired) {
-      ReleaseSectors(addr, 1, /*history=*/false);
-      ++freed_sectors;
+  }
+  if (deleted_here && !entry->live()) {
+    return freed + ExpireDeletedObject(id, *entry);
+  }
+  if (!sector.entries.empty()) {
+    entry->history_barrier = std::max(entry->history_barrier, sector.entries.back().time);
+  }
+  if (entry->journal_head == addr) {
+    // The whole chain is gone; the current state lives in the inode
+    // checkpoint (the guard in ExpireChunk saw to that).
+    entry->journal_head = kNullAddr;
+  }
+  // Waypoints at or below the barrier point into freed territory.
+  entry->PruneWaypoints(entry->history_barrier);
+  return freed;
+}
+
+uint64_t S4Drive::ExpireDeletedObject(ObjectId id, const ObjectMapEntry& entry) {
+  uint64_t freed = 0;
+  if (entry.checkpoint_addr != kNullAddr) {
+    // The delete-time checkpoint holds the final state, whose blocks became
+    // history at the delete.
+    auto raw = ReadRecord(entry.checkpoint_addr, entry.checkpoint_sectors);
+    Result<Inode> inode = raw.ok() ? Inode::DecodeCheckpoint(*raw) : Result<Inode>(raw.status());
+    if (inode.ok()) {
+      if (ObjectIsVersioned(id)) {
+        for (const auto& [index, baddr] : inode->blocks) {
+          (void)index;
+          if (baddr != kNullAddr) {
+            ReleaseSectors(baddr, kSectorsPerBlock, /*history=*/true);
+            freed += kSectorsPerBlock;
+          }
+        }
+      }
     } else {
-      chain_fully_freed = false;
+      // The checkpoint sectors themselves are still reclaimed below, but
+      // the history blocks the unreadable checkpoint references cannot be
+      // released — a permanent space leak if it keeps happening. Expiry
+      // must not fail over one bad object, so surface the swallowed error
+      // through the obs plane instead of propagating it.
+      m_.cleaner_checkpoint_decode_errors->Inc();
+      S4_LOG(kWarning) << "cleaner: checkpoint of object " << id << " at addr "
+                       << entry.checkpoint_addr
+                       << " unreadable during full expiry: " << inode.status().ToString();
     }
-    if (!sector->entries.empty() && sector->entries.front().time <= barrier) {
-      break;  // older sectors were freed in earlier passes
-    }
-    addr = sector->prev;
+    ReleaseSectors(entry.checkpoint_addr, entry.checkpoint_sectors, /*history=*/false);
+    freed += entry.checkpoint_sectors;
   }
-
-  if (full_expiry) {
-    // Release the final state itself: current blocks (history since the
-    // delete) and the delete-time checkpoint.
-    if (entry->checkpoint_addr != kNullAddr) {
-      auto raw = ReadRecord(entry->checkpoint_addr, entry->checkpoint_sectors);
-      Result<Inode> inode = raw.ok() ? Inode::DecodeCheckpoint(*raw) : Result<Inode>(raw.status());
-      if (inode.ok()) {
-        if (versioned) {
-          for (const auto& [index, baddr] : inode->blocks) {
-            (void)index;
-            if (baddr != kNullAddr) {
-              ReleaseSectors(baddr, kSectorsPerBlock, /*history=*/true);
-              freed_sectors += kSectorsPerBlock;
-            }
-          }
-        }
-      } else {
-        // The checkpoint sectors themselves are still reclaimed below, but
-        // the history blocks the unreadable checkpoint references cannot be
-        // released — a permanent space leak if it keeps happening. Expiry
-        // must not fail over one bad object, so surface the swallowed error
-        // through the obs plane instead of propagating it.
-        m_.cleaner_checkpoint_decode_errors->Inc();
-        S4_LOG(kWarning) << "cleaner: checkpoint of object " << id << " at addr "
-                         << entry->checkpoint_addr
-                         << " unreadable during full expiry: "
-                         << inode.status().ToString();
-      }
-      ReleaseSectors(entry->checkpoint_addr, entry->checkpoint_sectors, /*history=*/false);
-      freed_sectors += entry->checkpoint_sectors;
-    }
-    (void)chain_fully_freed;
-    object_cache_->Remove(id);
-    purged_.erase(id);
-    object_map_.Erase(id);
-    UpdateExpiryIndex(id, nullptr);
-  } else {
-    // The barrier never passes an entry whose reclamation was deferred.
-    entry->history_barrier =
-        oldest_surviving == INT64_MAX ? cutoff : std::min(cutoff, oldest_surviving - 1);
-    entry->oldest_time = oldest_surviving == INT64_MAX ? clock_->Now() : oldest_surviving;
-    if (chain_fully_freed && oldest_surviving == INT64_MAX) {
-      // Every reachable sector is gone; drop the head so this object stops
-      // being an expiry candidate until it is written again. (The current
-      // state lives in the inode checkpoint — the gate above guarantees no
-      // replay-needed entry is ever freed.)
-      entry->journal_head = kNullAddr;
-    }
-    // Waypoints at or below the barrier point into freed territory (a freed
-    // sector's newest entry never outlives the post-visit barrier); drop
-    // them so no later seek can land on a reclaimed sector.
-    entry->PruneWaypoints(entry->history_barrier);
-    if (need_checkpoint) {
-      // Checkpoint, then re-walk once: with checkpoint_time now ahead of the
-      // cutoff nothing is gated, so the deferred sectors free immediately.
-      S4_ASSIGN_OR_RETURN(ObjectHandle obj, LoadObject(id));
-      S4_RETURN_IF_ERROR(CheckpointObject(id, obj.get()));
-      entry = object_map_.Find(id);
-      S4_CHECK(entry != nullptr);
-      m_.cleaner_sectors_expired->Add(freed_sectors);
-      S4_ASSIGN_OR_RETURN(uint64_t more, ExpireObjectHistory(id, entry, cutoff, sectors_read));
-      return freed_sectors + more;
-    }
-    UpdateExpiryIndex(id, entry);
-  }
-  m_.cleaner_sectors_expired->Add(freed_sectors);
-  return freed_sectors;
+  object_cache_->Remove(id);
+  purged_.erase(id);
+  object_map_.Erase(id);
+  return freed;
 }
 
 bool S4Drive::CleanerNeeded() const {
@@ -187,100 +284,12 @@ Result<uint32_t> S4Drive::RunCleanerPass(uint32_t max_compactions, bool force_co
   ScopedActiveContext active(this, &cleaner_ctx);
   m_.cleaner_passes->Inc();
   SimTime t0 = clock_->Now();
+
+  // Phase 1: age-based expiry. The sweep takes everything that aged since
+  // the last pass; reclamation is only ever lazier than the guarantee.
   SimTime cutoff =
       options_.versioning_enabled ? clock_->Now() - detection_window_ : clock_->Now();
-
-  // Phase 1: age-based expiry. Expiry is batched when space is plentiful: an
-  // object is visited only once a quarter-window of entries has expired, so
-  // frequently cleaned long chains (directories) are walked O(1) times per
-  // window instead of on every pass. Under space pressure the batching is
-  // dropped so every expirable byte is reclaimed. Reclamation is only ever
-  // lazier than the guarantee, never earlier.
-  SimDuration slack =
-      options_.versioning_enabled && !CleanerNeeded() ? detection_window_ / 4 : 0;
-  auto ripe = [&](const ObjectMapEntry& entry) {
-    return entry.oldest_time + slack <= cutoff ||
-           (!entry.live() && entry.delete_time <= cutoff);
-  };
-  uint64_t walk_sectors = 0;
-  if (options_.cleaner_incremental) {
-    // Incremental: pop candidates off the expiry index in oldest-first order
-    // instead of scanning the whole object map. The pop bound is the bare
-    // cutoff (not cutoff - slack) so dead objects whose delete aged out still
-    // surface; objects that are indexed-expirable but batched away by the
-    // slack go back in unchanged. A per-pass sector budget caps the walk
-    // cost; whatever is left stays queued for the next pass.
-    uint64_t budget = options_.cleaner_pass_sector_budget;
-    std::vector<std::pair<SimTime, ObjectId>> unripe;
-    while (!expiry_index_.empty() && expiry_index_.begin()->first <= cutoff) {
-      if (budget != 0 && walk_sectors >= budget) {
-        break;
-      }
-      auto [key, id] = *expiry_index_.begin();
-      expiry_index_.erase(expiry_index_.begin());
-      expiry_pos_.erase(id);
-      ObjectMapEntry* entry = object_map_.Find(id);
-      if (entry == nullptr || entry->journal_head == kNullAddr) {
-        continue;  // stale index residue; stays dropped
-      }
-      if (!ripe(*entry)) {
-        // Batched away (or the key aged ahead of the entry). Reinsert after
-        // the loop — putting it straight back would pop it again forever.
-        m_.cleaner_objects_skipped_unripe->Inc();
-        unripe.emplace_back(key, id);
-        continue;
-      }
-      auto freed = ExpireObjectHistory(id, entry, cutoff, &walk_sectors);
-      if (!freed.ok()) {
-        for (const auto& [k, uid] : unripe) {
-          if (expiry_pos_.find(uid) == expiry_pos_.end()) {
-            expiry_pos_.emplace(uid, expiry_index_.emplace(k, uid));
-          }
-        }
-        return freed.status();
-      }
-    }
-    for (const auto& [k, uid] : unripe) {
-      if (expiry_pos_.find(uid) == expiry_pos_.end()) {
-        expiry_pos_.emplace(uid, expiry_index_.emplace(k, uid));
-      }
-    }
-    // Candidates deferred by the budget (still indexed at or below the
-    // cutoff, beyond the unripe ones just reinserted).
-    uint64_t ready = 0;
-    for (auto it = expiry_index_.begin();
-         it != expiry_index_.end() && it->first <= cutoff; ++it) {
-      ++ready;
-    }
-    if (ready > static_cast<uint64_t>(unripe.size())) {
-      m_.cleaner_objects_skipped_budget->Add(ready - unripe.size());
-    }
-  } else {
-    // Full scan (the pre-index behaviour; kept as the bench baseline).
-    std::vector<ObjectId> candidates;
-    for (const auto& [id, entry] : object_map_.entries()) {
-      if (ripe(entry) && entry.journal_head != kNullAddr) {
-        candidates.push_back(id);
-      }
-    }
-    // Visit candidates in log order: objects written together have adjacent
-    // journal sectors, so the clustered reads of one walk feed the next.
-    std::sort(candidates.begin(), candidates.end(), [this](ObjectId a, ObjectId b) {
-      const ObjectMapEntry* ea = object_map_.Find(a);
-      const ObjectMapEntry* eb = object_map_.Find(b);
-      return ea->journal_head < eb->journal_head;
-    });
-    for (ObjectId id : candidates) {
-      ObjectMapEntry* entry = object_map_.Find(id);
-      if (entry != nullptr) {
-        auto freed = ExpireObjectHistory(id, entry, cutoff, &walk_sectors);
-        if (!freed.ok()) {
-          return freed.status();
-        }
-      }
-    }
-  }
-  m_.cleaner_walk_sectors->Add(walk_sectors);
+  S4_RETURN_IF_ERROR(SweepExpiredLog(cutoff));
 
   // Phase 2: compaction of fragmented segments when space is low.
   uint32_t compacted = 0;

@@ -41,8 +41,7 @@ Result<ObjectId> S4Drive::Create(OpContext& ctx, Bytes opaque_attrs) {
     ObjectId id = object_map_.AllocateId();
     ObjectMapEntry entry;
     entry.create_time = now;
-    entry.oldest_time = now;
-    UpdateExpiryIndex(id, &object_map_.Put(id, entry));
+    object_map_.Put(id, entry);
 
     auto obj = std::make_shared<CachedObject>();
     obj->inode.id = id;
@@ -94,24 +93,27 @@ Result<Bytes> S4Drive::BuildBlockContent(const CachedObject& obj, uint64_t block
   // Invariant maintained by all writers: on-disk bytes at offsets >= object
   // size are zero, so reads never leak stale data across truncate/extend.
   uint64_t block_start = block_index * kBlockSize;
+  uint64_t valid_in_block =
+      valid_bytes > block_start ? std::min<uint64_t>(valid_bytes - block_start, kBlockSize) : 0;
+  uint64_t write_end = write_off + data.size();
+  uint64_t copy_from = std::max(write_off, block_start);
+  uint64_t copy_to = std::min(write_end, block_start + kBlockSize);
+  // Read the old block only when some of its valid bytes lie outside the
+  // written range: a write that covers them all replaces the block outright.
+  bool covered = valid_in_block == 0 ||
+                 (copy_from <= block_start && copy_to >= block_start + valid_in_block);
   Bytes content;
   DiskAddr old_addr = obj.inode.BlockAddr(block_index);
-  if (old_addr != kNullAddr) {
+  if (old_addr != kNullAddr && !covered) {
     S4_ASSIGN_OR_RETURN(content, ReadRecord(old_addr, kSectorsPerBlock));
+    // Zero anything beyond the currently valid prefix of this block.
+    if (valid_in_block < kBlockSize) {
+      std::memset(content.data() + valid_in_block, 0, kBlockSize - valid_in_block);
+    }
   } else {
     content.assign(kBlockSize, 0);
   }
-  // Zero anything beyond the currently valid prefix of this block.
-  uint64_t valid_in_block =
-      valid_bytes > block_start ? std::min<uint64_t>(valid_bytes - block_start, kBlockSize) : 0;
-  if (valid_in_block < kBlockSize) {
-    std::memset(content.data() + valid_in_block, 0, kBlockSize - valid_in_block);
-  }
   // Lay in the new data overlapping this block.
-  uint64_t write_end = write_off + data.size();
-  uint64_t block_end = block_start + kBlockSize;
-  uint64_t copy_from = std::max(write_off, block_start);
-  uint64_t copy_to = std::min(write_end, block_end);
   if (copy_from < copy_to) {
     std::memcpy(content.data() + (copy_from - block_start), data.data() + (copy_from - write_off),
                 copy_to - copy_from);
@@ -415,7 +417,6 @@ Status S4Drive::Delete(OpContext& ctx, ObjectId id) {
       SupersedeBlock(id, addr);
     }
     entry->delete_time = now;
-    UpdateExpiryIndex(id, entry);
     obj->exists = false;
     obj->dirty = false;
     return Status::Ok();

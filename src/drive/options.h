@@ -53,16 +53,6 @@ struct S4DriveOptions {
   // waypoints (the pre-indexed behaviour; used as the bench baseline).
   uint32_t waypoint_interval_sectors = 8;
 
-  // --- Cleaner pacing ---
-  // Incremental cleaning: candidate objects come from an expiry index ordered
-  // by oldest retained entry instead of a full object-map scan, and chain
-  // walks seek past unexpirable territory via waypoints. Disabling restores
-  // the full-scan, full-walk behaviour (the bench baseline).
-  bool cleaner_incremental = true;
-  // Journal sectors one cleaner pass may read while expiring history; objects
-  // left unvisited stay queued for the next pass. 0 = unlimited.
-  uint64_t cleaner_pass_sector_budget = 4096;
-
   // --- Internals ---
   uint64_t journal_flush_entries = 64;    // pack pending entries at this count
   uint64_t checkpoint_interval_bytes = 8ull << 20;  // auto-checkpoint cadence

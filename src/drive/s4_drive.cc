@@ -121,9 +121,10 @@ void S4Drive::InitMetrics() {
   m_.jsector_cache_hits = metrics_.GetCounter("cache.jsector.hits");
   m_.jsector_cache_misses = metrics_.GetCounter("cache.jsector.misses");
   m_.cleaner_walk_sectors = metrics_.GetCounter("cleaner.walk_sectors_read");
-  m_.cleaner_objects_visited = metrics_.GetCounter("cleaner.objects_visited");
-  m_.cleaner_objects_skipped_unripe = metrics_.GetCounter("cleaner.objects_skipped_unripe");
-  m_.cleaner_objects_skipped_budget = metrics_.GetCounter("cleaner.objects_skipped_budget");
+  m_.cleaner_segments_swept = metrics_.GetCounter("cleaner.segments_swept");
+  m_.cleaner_sweep_sectors_read = metrics_.GetCounter("cleaner.sweep_sectors_read");
+  m_.cleaner_sweep_time_us = metrics_.GetCounter("cleaner.sweep_time_us");
+  m_.cleaner_sweep_damage = metrics_.GetCounter("cleaner.sweep_damage");
   m_.cleaner_checkpoint_decode_errors =
       metrics_.GetCounter("cleaner.checkpoint_decode_errors");
   m_.recovery_clean_mounts = metrics_.GetCounter("recovery.clean_mounts");
@@ -299,7 +300,11 @@ Status S4Drive::DoFormat() {
   });
 
   S4_RETURN_IF_ERROR(InitReservedObjects());
-  RebuildExpiryIndex();
+  // Nothing is written before this instant, so the sweep has nothing to read
+  // until the format time leaves the window.
+  sweep_ = LogPosition{writer_->next_seq()};
+  sweep_read_ = sweep_;
+  sweep_time_ = clock_->Now();
   return WriteCheckpoint();
 }
 
@@ -310,7 +315,6 @@ Status S4Drive::InitReservedObjects() {
   {
     ObjectMapEntry e;
     e.create_time = now;
-    e.oldest_time = now;
     object_map_.Put(kAuditLogObjectId, e);
     auto obj = std::make_shared<CachedObject>();
     obj->inode.id = kAuditLogObjectId;
@@ -323,7 +327,6 @@ Status S4Drive::InitReservedObjects() {
   {
     ObjectMapEntry e;
     e.create_time = now;
-    e.oldest_time = now;
     object_map_.Put(kPartitionTableObjectId, e);
     auto obj = std::make_shared<CachedObject>();
     obj->inode.id = kPartitionTableObjectId;
@@ -348,6 +351,10 @@ Result<Bytes> S4Drive::EncodeDeviceCheckpoint() const {
   enc.PutI64(detection_window_);
   object_map_.EncodeTo(&enc);
   sut_->EncodeTo(&enc);
+  enc.PutVarint(sweep_.seq);
+  enc.PutVarint(sweep_.segment);
+  enc.PutVarint(sweep_.offset);
+  enc.PutI64(sweep_time_);
   enc.PutVarint(purged_.size());
   for (const auto& [id, ranges] : purged_) {
     enc.PutVarint(id);
@@ -464,6 +471,13 @@ Status S4Drive::LoadDeviceCheckpoint() {
   S4_ASSIGN_OR_RETURN(object_map_, ObjectMap::DecodeFrom(&dec));
   S4_ASSIGN_OR_RETURN(SegmentUsageTable sut, SegmentUsageTable::DecodeFrom(&dec));
   sut_ = std::make_unique<SegmentUsageTable>(std::move(sut));
+  S4_ASSIGN_OR_RETURN(sweep_.seq, dec.Varint());
+  S4_ASSIGN_OR_RETURN(uint64_t sweep_segment, dec.Varint());
+  S4_ASSIGN_OR_RETURN(uint64_t sweep_offset, dec.Varint());
+  S4_ASSIGN_OR_RETURN(sweep_time_, dec.I64());
+  sweep_.segment = static_cast<SegmentId>(sweep_segment);
+  sweep_.offset = static_cast<uint32_t>(sweep_offset);
+  sweep_read_ = sweep_;
   S4_ASSIGN_OR_RETURN(uint64_t npurged, dec.Varint());
   purged_.clear();
   for (uint64_t i = 0; i < npurged; ++i) {
@@ -665,7 +679,6 @@ Status S4Drive::DoMount() {
   } else {
     S4_RETURN_IF_ERROR(RollForward(checkpoint_seq_, &mount_ctx));
   }
-  RebuildExpiryIndex();
 
   // Mark the volume dirty before anything can touch the log (the audit-chain
   // pass below may trim a torn tail): a crash from here on must roll forward.
@@ -802,13 +815,13 @@ Status S4Drive::RollForward(uint64_t checkpoint_seq, OpContext* ctx) {
     if (sut_->Info(seg).state == SegmentState::kFree) {
       sut_->SetState(seg, SegmentState::kActive);
     }
-    sut_->AddWritten(seg, 1);  // summary sector
+    sut_->AddChunk(seg, chunk->seq);
     for (const auto& rec : chunk->records) {
       sut_->AddWritten(seg, rec.sectors);
       if (rec.kind != RecordKind::kJournal) {
         continue;  // accounted when a journal entry references it
       }
-      sut_->AddLive(seg, 1, chunk->write_time);
+      sut_->AddLive(seg, 1);
       // The scan captured the journal sector's bytes while it had the
       // segment in hand; decode in memory rather than seeking back to it.
       Bytes raw = rec.raw;
@@ -822,7 +835,6 @@ Status S4Drive::RollForward(uint64_t checkpoint_seq, OpContext* ctx) {
         if (e.type == JournalEntryType::kCreate) {
           ObjectMapEntry fresh_entry;
           fresh_entry.create_time = e.time;
-          fresh_entry.oldest_time = e.time;
           object_map_.Put(id, fresh_entry);
           object_map_.ReserveThrough(id);
           entry = object_map_.Find(id);
@@ -841,7 +853,7 @@ Status S4Drive::RollForward(uint64_t checkpoint_seq, OpContext* ctx) {
         // Accounting for data the entry introduced / superseded.
         for (const auto& d : e.blocks) {
           if (d.new_addr != kNullAddr) {
-            sut_->AddLive(sb_.SegmentOf(d.new_addr), kSectorsPerBlock, e.time);
+            sut_->AddLive(sb_.SegmentOf(d.new_addr), kSectorsPerBlock);
           }
           if (d.old_addr != kNullAddr) {
             if (versioned) {
@@ -851,19 +863,17 @@ Status S4Drive::RollForward(uint64_t checkpoint_seq, OpContext* ctx) {
             }
           }
         }
-        if (e.type == JournalEntryType::kCheckpoint ||
-            e.type == JournalEntryType::kDelete) {
-          if (e.checkpoint_addr != kNullAddr) {
-            sut_->AddLive(sb_.SegmentOf(e.checkpoint_addr), e.checkpoint_sectors, e.time);
-            if (entry->checkpoint_addr != kNullAddr &&
-                entry->checkpoint_addr != e.checkpoint_addr) {
-              ReleaseSectors(entry->checkpoint_addr, entry->checkpoint_sectors,
-                             /*history=*/false);
-            }
-            entry->checkpoint_addr = e.checkpoint_addr;
-            entry->checkpoint_sectors = e.checkpoint_sectors;
-            entry->checkpoint_time = e.time;
+        // A kDelete entry names the checkpoint its kCheckpoint entry already
+        // installed and accounted: each checkpoint counts live once.
+        if ((e.type == JournalEntryType::kCheckpoint || e.type == JournalEntryType::kDelete) &&
+            e.checkpoint_addr != kNullAddr && e.checkpoint_addr != entry->checkpoint_addr) {
+          sut_->AddLive(sb_.SegmentOf(e.checkpoint_addr), e.checkpoint_sectors);
+          if (entry->checkpoint_addr != kNullAddr) {
+            ReleaseSectors(entry->checkpoint_addr, entry->checkpoint_sectors, /*history=*/false);
           }
+          entry->checkpoint_addr = e.checkpoint_addr;
+          entry->checkpoint_sectors = e.checkpoint_sectors;
+          entry->checkpoint_time = e.time;
         }
         if (e.type == JournalEntryType::kDelete) {
           entry->delete_time = e.time;
@@ -880,6 +890,21 @@ Status S4Drive::RollForward(uint64_t checkpoint_seq, OpContext* ctx) {
           }
         }
         ApplyEntryForward(&obj->inode, &obj->exists, e);
+      }
+      if (sector.prev == kNullAddr && entry->journal_head != kNullAddr) {
+        // A fresh chain: after the checkpoint, a sweep freed this object's
+        // whole chain, so its barrier had reached the old head's newest
+        // entry. Restore that barrier (and prune the waypoints under it), or a
+        // read below it would walk the truncated chain and return a newer
+        // version. The old head cannot have been reused: reuse needs a
+        // device checkpoint.
+        S4_ASSIGN_OR_RETURN(std::shared_ptr<const JournalSector> old_head,
+                            ReadJournalSector(entry->journal_head, nullptr));
+        if (old_head != nullptr && old_head->object_id == id && !old_head->entries.empty()) {
+          entry->history_barrier =
+              std::max(entry->history_barrier, old_head->entries.back().time);
+          entry->PruneWaypoints(entry->history_barrier);
+        }
       }
       entry->journal_head = rec.addr;
       // Rebuild the waypoint cadence exactly as FlushObjectJournal laid it
@@ -1042,13 +1067,7 @@ Result<std::shared_ptr<const JournalSector>> S4Drive::ReadJournalSector(
   m_.jsector_cache_misses->Inc();
   Bytes raw;
   if (!writer_->ReadPending(addr, 1, &raw)) {
-    // Cluster the read backward along the chain direction, but only within
-    // the sector's own segment and never in the active one: the writer's
-    // open chunk lives there, and a neighbour still pending in it has a
-    // stale platter image and no raw cache entry to shield it.
-    SegmentId seg = sb_.SegmentOf(addr);
-    DiskAddr floor = seg == writer_->active_segment() ? addr : sb_.SegmentStart(seg);
-    S4_RETURN_IF_ERROR(block_cache_->ReadSectorClustered(addr, floor, &raw, actx()));
+    S4_RETURN_IF_ERROR(block_cache_->ReadUncached(addr, 1, &raw, actx()));
   }
   auto decoded = JournalSector::Decode(raw);
   if (!decoded.ok()) {
@@ -1136,24 +1155,20 @@ Status S4Drive::FlushObjectJournal(ObjectId id, CachedObject* obj) {
     S4_ASSIGN_OR_RETURN(Bytes encoded, sector.Encode());
     S4_ASSIGN_OR_RETURN(DiskAddr addr,
                         writer_->Append(RecordKind::kJournal, id, 0, encoded, actx()));
-    // The decoded entry below is the sector's only cached copy. Drop any raw
-    // copy at this address: a clustered read may have refilled it from the
-    // platter image of the address's previous life.
-    block_cache_->Invalidate(addr);
     if (!sector.entries.empty()) {
       entry->NoteJournalSector(sector.entries.back().time, addr,
                                options_.waypoint_interval_sectors);
     }
-    // Warm-insert the decoded form: history walks over recent sectors (the
-    // common diagnosis case) and LoadObject's replay skip the read and the
-    // decode.
-    jsector_cache_.Put(addr, std::make_shared<const JournalSector>(sector), kSectorSize);
+    // Warm-insert the decoded form where history walks will read it: recent
+    // sectors of versioned objects (the common diagnosis case). The audit
+    // log's one sector per Sync would only push those out.
+    if (ObjectIsVersioned(id)) {
+      jsector_cache_.Put(addr, std::make_shared<const JournalSector>(sector), kSectorSize);
+    }
     head = addr;
     m_.journal_sectors_written->Inc();
   }
   entry->journal_head = head;
-  // The object now has an on-disk chain, which makes it an expiry candidate.
-  UpdateExpiryIndex(id, entry);
   obj->pending.clear();
   pending_dirty_.erase(id);
   return Status::Ok();
@@ -1375,42 +1390,8 @@ uint64_t S4Drive::HistoryPoolBytes() const {
 uint64_t S4Drive::LiveBytes() const { return sut_->LiveSectorsTotal() * kSectorSize; }
 
 // ---------------------------------------------------------------------------
-// Cleaner expiry index and waypoint introspection
+// Introspection
 // ---------------------------------------------------------------------------
-
-void S4Drive::UpdateExpiryIndex(ObjectId id, const ObjectMapEntry* entry) {
-  auto pos = expiry_pos_.find(id);
-  // Only objects with an on-disk chain (or a pending full expiry after
-  // delete) can yield reclaimable history. Everything else stays out of the
-  // index. The key errs small, never large: a stale-small key costs one
-  // wasted pop, while an object missing from the index would never be
-  // cleaned.
-  bool wanted = entry != nullptr && (entry->journal_head != kNullAddr || !entry->live());
-  if (!wanted) {
-    if (pos != expiry_pos_.end()) {
-      expiry_index_.erase(pos->second);
-      expiry_pos_.erase(pos);
-    }
-    return;
-  }
-  SimTime key = entry->oldest_time;
-  if (pos != expiry_pos_.end()) {
-    if (pos->second->first == key) {
-      return;
-    }
-    expiry_index_.erase(pos->second);
-    expiry_pos_.erase(pos);
-  }
-  expiry_pos_.emplace(id, expiry_index_.emplace(key, id));
-}
-
-void S4Drive::RebuildExpiryIndex() {
-  expiry_index_.clear();
-  expiry_pos_.clear();
-  for (const auto& [id, entry] : object_map_.entries()) {
-    UpdateExpiryIndex(id, &entry);
-  }
-}
 
 Result<std::vector<DiskAddr>> S4Drive::DebugObjectBlockAddrs(ObjectId id) {
   S4_ASSIGN_OR_RETURN(ObjectHandle obj, LoadObject(id));

@@ -18,6 +18,7 @@
 #ifndef S4_SRC_DRIVE_S4_DRIVE_H_
 #define S4_SRC_DRIVE_S4_DRIVE_H_
 
+#include <deque>
 #include <functional>
 #include <map>
 #include <memory>
@@ -180,11 +181,12 @@ class S4Drive {
   void AuditBatchFrame(OpContext& ctx, uint64_t sub_ops, SimTime batch_start);
 
   // ---- Cleaner (section 4.2.1) ----
-  // One cleaning pass: expires versions older than the detection window,
-  // reclaims empty segments, and compacts up to `max_compactions` fragmented
-  // segments. Compaction normally runs only when space is low;
-  // `force_compaction` makes it unconditional (continuous foreground
-  // cleaning, as measured in Figure 5). Returns number of segments made free.
+  // One cleaning pass: sweeps the log in write order, expiring versions older
+  // than the detection window, reclaims empty segments, and compacts up to
+  // `max_compactions` fragmented segments. Compaction normally runs only
+  // when space is low; `force_compaction` makes it unconditional (continuous
+  // foreground cleaning, as measured in Figure 5). Returns number of
+  // segments made free.
   Result<uint32_t> RunCleanerPass(uint32_t max_compactions, bool force_compaction = false);
   // True when free space is low enough that cleaning should run.
   bool CleanerNeeded() const;
@@ -373,11 +375,15 @@ class S4Drive {
     Counter* history_forward_walks = nullptr;     // reconstructions replayed forward
     Counter* jsector_cache_hits = nullptr;
     Counter* jsector_cache_misses = nullptr;
-    // Incremental cleaner accounting.
-    Counter* cleaner_walk_sectors = nullptr;      // journal sectors read while expiring
-    Counter* cleaner_objects_visited = nullptr;
-    Counter* cleaner_objects_skipped_unripe = nullptr;  // popped but still in-window
-    Counter* cleaner_objects_skipped_budget = nullptr;  // deferred by sector budget
+    // Log-order expiry sweep accounting.
+    Counter* cleaner_walk_sectors = nullptr;      // journal sectors the sweep decoded
+    Counter* cleaner_segments_swept = nullptr;    // segment ranges read (one command each)
+    Counter* cleaner_sweep_sectors_read = nullptr;
+    Counter* cleaner_sweep_time_us = nullptr;
+    // Log damage the sweep met and stepped over: chunk payloads failing their
+    // CRC, journal sectors failing theirs (they stay allocated), and chunk
+    // summaries that hid the rest of their segment.
+    Counter* cleaner_sweep_damage = nullptr;
     // Full-expiry checkpoints that could not be read or decoded: the history
     // blocks they reference cannot be released (a silent space leak without
     // this counter).
@@ -497,11 +503,11 @@ class S4Drive {
   // than `start_at` — callers using it must not need entries above the bound.
   Status WalkJournal(ObjectId id, const CachedObject* obj, std::optional<SimTime> start_at,
                      const std::function<Result<bool>(const JournalEntry&)>& fn);
-  // The one read path for journal sectors (history walks, the cleaner,
-  // LoadObject and roll-forward): the decoded-sector cache, then the writer's
-  // pending buffer, then a backward-clustered buffer-cache read, decoded and
-  // cached in decoded form. `sectors_visited` (if non-null) counts every
-  // fetch, cached or not — it measures walk length, not disk traffic.
+  // The one read path for single journal sectors (history walks, LoadObject
+  // and roll-forward): the decoded-sector cache, then the writer's pending
+  // buffer, then a one-sector device read, decoded and cached in decoded
+  // form only. `sectors_visited` (if non-null) counts every fetch, cached or
+  // not — it measures walk length, not disk traffic.
   // Returns null (ok) when the sector no longer decodes as a journal sector
   // of any object: the chain crossed into reclaimed territory and the walker
   // should stop. Device read errors still propagate as errors.
@@ -516,15 +522,29 @@ class S4Drive {
   Status PurgeObjectVersions(ObjectId id, SimTime from, SimTime to);
 
   // --- cleaner / throttle (drive_cleaner.cc) ---
-  Result<uint64_t> ExpireObjectHistory(ObjectId id, ObjectMapEntry* entry, SimTime cutoff,
-                                       uint64_t* sectors_read);
+  // A place in the log just past a chunk: the chunk's segment, the sector
+  // offset after it, and the seq of the chunk expected next.
+  struct LogPosition {
+    uint64_t seq = 1;
+    SegmentId segment = kNullSegment;
+    uint32_t offset = 0;
+  };
+  // Phase 1 of a pass: sweeps every chunk written at or before `cutoff`, in
+  // seq order from the cursor.
+  Status SweepExpiredLog(SimTime cutoff);
+  // Reads the next stretch of log after sweep_read_ (the rest of one segment)
+  // into sweep_ahead_. Returns false at the log head.
+  Result<bool> ReadAheadOfSweep();
+  // Frees the journal sectors of one aged chunk and what their entries
+  // superseded, checkpointing first any live object they still replay.
+  Status ExpireChunk(const ScannedChunk& chunk);
+  // Frees one journal sector; returns the sectors released.
+  uint64_t ExpireJournalSector(DiskAddr addr, const JournalSector& sector);
+  // Full expiry of a deleted object at its kDelete sector: the delete-time
+  // checkpoint, the blocks it references, and the map entry.
+  uint64_t ExpireDeletedObject(ObjectId id, const ObjectMapEntry& entry);
   Result<bool> CompactSegment(SegmentId seg);
   void NoteClientWrite(ClientId client, uint64_t bytes);
-  // Expiry index maintenance: (re)positions `id` in expiry_index_ keyed by its
-  // oldest retained entry time; `entry` may be null for an erased object.
-  void UpdateExpiryIndex(ObjectId id, const ObjectMapEntry* entry);
-  // Rebuilds the whole index from the object map (format/mount/roll-forward).
-  void RebuildExpiryIndex();
 
   BlockDevice* device_;
   SimClock* clock_;
@@ -548,20 +568,25 @@ class S4Drive {
   std::unique_ptr<BlockCache> block_cache_;
   std::unique_ptr<LruCache<ObjectId, ObjectHandle>> object_cache_;
   ObjectMap object_map_;
-  // Decoded-journal-sector cache: the form a journal sector is cached in
-  // once appended (FlushObjectJournal inserts it here and invalidates the
-  // raw address in the buffer cache). Every chain walk (history reads, version
-  // lists, the cleaner, LoadObject, roll-forward) hits it before the buffer
-  // cache, skipping re-read and re-decode. ReleaseSectors drops an entry
-  // when the usage table releases its sector.
+  // Decoded-journal-sector cache: the only form a journal sector is cached
+  // in. It holds what history walks read: FlushObjectJournal warm-inserts the
+  // sectors of versioned objects only (the unversioned audit log appends one
+  // sector per Sync that no history read ever walks), and a miss is cached
+  // after its read. Every chain walk (history reads, version lists,
+  // LoadObject, roll-forward) hits it first, skipping re-read and re-decode.
+  // ReleaseSectors drops an entry when the usage table releases its sector.
   LruCache<DiskAddr, std::shared_ptr<const JournalSector>> jsector_cache_{kJsectorCacheBytes};
-  // Incremental-cleaner expiry index: oldest retained entry time -> object.
-  // An object with reclaimable history always appears here with a key no
-  // larger than its true oldest time (too-small keys cost one wasted pop;
-  // a missing object would never be cleaned, so updates err small).
-  std::multimap<SimTime, ObjectId> expiry_index_;
-  // Reverse position map so UpdateExpiryIndex is O(log n), not a scan.
-  std::unordered_map<ObjectId, std::multimap<SimTime, ObjectId>::iterator> expiry_pos_;
+  // The expiry sweep's cursor: every chunk below sweep_.seq has been swept
+  // exactly once. Persisted in the device checkpoint with the usage table, so
+  // after a crash the sweep redoes exactly the frees the checkpoint lost.
+  LogPosition sweep_;
+  // No unswept chunk was written before this time (persisted too): a pass
+  // whose cutoff is below it has nothing to sweep and reads nothing.
+  SimTime sweep_time_ = 0;
+  // Chunks read past the cursor but not yet old enough, oldest first, and
+  // where the next read starts. In memory only: a mount reads from sweep_.
+  std::deque<ScannedChunk> sweep_ahead_;
+  LogPosition sweep_read_;
   // Objects with unflushed pending journal entries (so Sync never scans the
   // whole object cache).
   std::unordered_set<ObjectId> pending_dirty_;

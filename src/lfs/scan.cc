@@ -1,5 +1,7 @@
 #include "src/lfs/scan.h"
 
+#include <algorithm>
+
 #include "src/util/crc32.h"
 
 namespace s4 {
@@ -10,24 +12,30 @@ Result<std::vector<ScannedChunk>> ScanSegment(BlockDevice* device, const Superbl
   std::vector<ScannedChunk> chunks;
   DiskAddr seg_start = sb.SegmentStart(segment);
   uint32_t offset = opts.start_offset;
-  if (offset >= sb.segment_sectors) {
+  const bool bounded = opts.end_offset != 0;
+  const uint32_t end = bounded ? std::min(opts.end_offset, sb.segment_sectors) : sb.segment_sectors;
+  if (offset >= end) {
     return chunks;
   }
-  // Probe one sector first: segments probed for emptiness (the roll-forward
-  // chain terminator) stay a single-sector read. On a valid summary, pull the
-  // whole remaining tail in one command — on a seek-dominated device one long
-  // transfer beats a positioning delay per chunk.
+  const uint32_t tail = end - offset;  // sectors in buf once full
   Bytes buf;
-  S4_RETURN_IF_ERROR(device->Read(seg_start + offset, 1, &buf));
-  auto probe = ChunkSummary::Decode(buf);
-  if (!probe.ok() || probe->seq < opts.min_seq) {
-    return chunks;  // unwritten, torn, or stale head: nothing to scan
-  }
-  const uint32_t tail = sb.segment_sectors - offset;  // sectors in buf once full
-  if (tail > 1) {
-    Bytes rest;
-    S4_RETURN_IF_ERROR(device->Read(seg_start + offset + 1, tail - 1, &rest));
-    buf.insert(buf.end(), rest.begin(), rest.end());
+  if (bounded) {
+    S4_RETURN_IF_ERROR(device->Read(seg_start + offset, tail, &buf, opts.ctx));
+  } else {
+    // Probe one sector first: segments probed for emptiness (the roll-forward
+    // chain terminator) stay a single-sector read. On a valid summary, pull
+    // the whole remaining tail in one command — on a seek-dominated device
+    // one long transfer beats a positioning delay per chunk.
+    S4_RETURN_IF_ERROR(device->Read(seg_start + offset, 1, &buf, opts.ctx));
+    auto probe = ChunkSummary::Decode(buf);
+    if (!probe.ok() || probe->seq < opts.min_seq) {
+      return chunks;  // unwritten, torn, or stale head: nothing to scan
+    }
+    if (tail > 1) {
+      Bytes rest;
+      S4_RETURN_IF_ERROR(device->Read(seg_start + offset + 1, tail - 1, &rest, opts.ctx));
+      buf.insert(buf.end(), rest.begin(), rest.end());
+    }
   }
   const auto sectors_at = [&buf](uint32_t rel, uint32_t n) {
     return ByteSpan(buf).subspan(uint64_t{rel} * kSectorSize, uint64_t{n} * kSectorSize);
@@ -49,13 +57,15 @@ Result<std::vector<ScannedChunk>> ScanSegment(BlockDevice* device, const Superbl
     // can land the summary and tear the payload (the chunk is one sequential
     // write, but the platter commits sector by sector). Verify the payload
     // CRC before trusting the chunk; a mismatch means a torn tail.
-    if (payload > 0 && Crc32c(sectors_at(rel + 1, payload)) != summary->payload_crc) {
+    bool intact = payload == 0 || Crc32c(sectors_at(rel + 1, payload)) == summary->payload_crc;
+    if (!intact && !bounded) {
       break;  // torn chunk: stop scanning this segment
     }
     ScannedChunk chunk;
     chunk.seq = summary->seq;
     chunk.write_time = summary->write_time;
     chunk.segment = segment;
+    chunk.payload_intact = intact;
     uint32_t rec_rel = rel + 1;
     DiskAddr addr = seg_start + offset + rec_rel;
     for (const auto& rec : summary->records) {

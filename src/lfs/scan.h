@@ -28,6 +28,9 @@ struct ScannedChunk {
   SimTime write_time;
   SegmentId segment;
   std::vector<ScannedRecord> records;
+  // False when the payload fails the summary's CRC. Only a bounded scan
+  // yields such a chunk; an unbounded one stops before it.
+  bool payload_intact = true;
 };
 
 struct SegmentScanOptions {
@@ -39,11 +42,20 @@ struct SegmentScanOptions {
   // older than the scan's floor is leftover platter data from the segment's
   // previous life, not log tail — everything after it is equally stale.
   uint64_t min_seq = 0;
+  // Sectors into the segment to stop at; 0 = unbounded. A bounded scan covers
+  // log the caller knows was written whole, such as a sealed segment up to
+  // its fill: it reads the range with one command and yields a chunk whose
+  // payload fails its CRC (flagged) instead of stopping there, so one rotten
+  // record does not hide the chunks behind it.
+  uint32_t end_offset = 0;
+  // Request the scan's disk reads are charged to (may be null).
+  OpContext* ctx = nullptr;
 };
 
 // Reads the chunks of `segment` front to back. Stops at the first sector that
 // does not decode as a valid chunk summary (the unwritten tail, or a torn
-// write). Returns the valid chunks found.
+// write) and, unless bounded, at the first chunk whose payload fails its CRC.
+// Returns the chunks found.
 Result<std::vector<ScannedChunk>> ScanSegment(BlockDevice* device, const Superblock& sb,
                                               SegmentId segment,
                                               const SegmentScanOptions& opts = {});

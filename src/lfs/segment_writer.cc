@@ -49,7 +49,7 @@ Status SegmentWriter::OpenSegmentIfNeeded() {
   if (active_segment_ != kNullSegment) {
     return Status::Ok();
   }
-  auto seg = sut_->Allocate(clock_->Now());
+  auto seg = sut_->Allocate();
   if (!seg.has_value()) {
     return Status::OutOfSpace("no free segments");
   }
@@ -108,7 +108,7 @@ Result<DiskAddr> SegmentWriter::Append(RecordKind kind, uint64_t object_id, uint
   chunk_.insert(chunk_.end(), payload.begin(), payload.end());
   pending_index_[addr] = {off, payload.size()};
 
-  sut_->AddLive(active_segment_, payload_sectors, clock_->Now());
+  sut_->AddLive(active_segment_, payload_sectors);
   sut_->AddWritten(active_segment_, payload_sectors);
   ++stats_.records_appended;
   return addr;
@@ -147,7 +147,7 @@ Status SegmentWriter::Flush(OpContext* ctx) {
 
   uint32_t chunk_sectors = static_cast<uint32_t>(chunk_.size() / kSectorSize);
   fill_sectors_ += chunk_sectors;
-  sut_->AddWritten(active_segment_, 1);  // the summary sector
+  sut_->AddChunk(active_segment_, pending_summary_.seq);
   ++stats_.chunks_flushed;
   stats_.sectors_flushed += chunk_sectors;
   stats_.bytes_flushed += chunk_.size();

@@ -58,6 +58,8 @@ class SegmentWriter {
 
   uint64_t next_seq() const { return next_seq_; }
   SegmentId active_segment() const { return active_segment_; }
+  // Sectors of the active segment already on disk (its flushed fill).
+  uint32_t flushed_fill() const { return fill_sectors_; }
 
   // Sectors left in the active segment (0 if none allocated yet).
   uint32_t ActiveSegmentRemaining() const;

@@ -35,15 +35,14 @@ void SegmentUsageTable::Update(SegmentId seg, Fn&& mutate) {
   }
 }
 
-std::optional<SegmentId> SegmentUsageTable::Allocate(SimTime now) {
+std::optional<SegmentId> SegmentUsageTable::Allocate() {
   uint32_t n = segment_count();
   for (uint32_t i = 0; i < n; ++i) {
     SegmentId seg = (next_alloc_hint_ + i) % n;
     if (segments_[seg].state == SegmentState::kFree) {
-      Update(seg, [now](SegmentInfo& s) {
+      Update(seg, [](SegmentInfo& s) {
         s = SegmentInfo();
         s.state = SegmentState::kActive;
-        s.last_write_time = now;
       });
       next_alloc_hint_ = (seg + 1) % n;
       return seg;
@@ -61,15 +60,20 @@ void SegmentUsageTable::SetState(SegmentId seg, SegmentState state) {
   Update(seg, [state](SegmentInfo& s) { s.state = state; });
 }
 
-void SegmentUsageTable::AddLive(SegmentId seg, uint32_t n, SimTime now) {
-  Update(seg, [n, now](SegmentInfo& s) {
-    s.live_sectors += n;
-    s.last_write_time = now;
-  });
+void SegmentUsageTable::AddLive(SegmentId seg, uint32_t n) {
+  Update(seg, [n](SegmentInfo& s) { s.live_sectors += n; });
 }
 
 void SegmentUsageTable::AddWritten(SegmentId seg, uint32_t n) {
   segments_[seg].written_sectors += n;
+}
+
+void SegmentUsageTable::AddChunk(SegmentId seg, uint64_t seq) {
+  SegmentInfo& info = segments_[seg];
+  info.written_sectors += 1;
+  if (info.first_seq == 0) {
+    info.first_seq = seq;
+  }
 }
 
 void SegmentUsageTable::LiveToHistory(SegmentId seg, uint32_t n) {
@@ -141,7 +145,7 @@ void SegmentUsageTable::EncodeTo(Encoder* enc) const {
     enc->PutVarint(s.live_sectors);
     enc->PutVarint(s.history_sectors);
     enc->PutVarint(s.written_sectors);
-    enc->PutI64(s.last_write_time);
+    enc->PutU64(s.first_seq);
   }
   enc->PutVarint(next_alloc_hint_);
 }
@@ -160,7 +164,7 @@ Result<SegmentUsageTable> SegmentUsageTable::DecodeFrom(Decoder* dec) {
     S4_ASSIGN_OR_RETURN(uint64_t live, dec->Varint());
     S4_ASSIGN_OR_RETURN(uint64_t hist, dec->Varint());
     S4_ASSIGN_OR_RETURN(uint64_t written, dec->Varint());
-    S4_ASSIGN_OR_RETURN(s.last_write_time, dec->I64());
+    S4_ASSIGN_OR_RETURN(s.first_seq, dec->U64());
     s.live_sectors = static_cast<uint32_t>(live);
     s.history_sectors = static_cast<uint32_t>(hist);
     s.written_sectors = static_cast<uint32_t>(written);

@@ -28,7 +28,10 @@ struct SegmentInfo {
   uint32_t live_sectors = 0;      // reachable from some object's current state
   uint32_t history_sectors = 0;   // reachable only via the history pool
   uint32_t written_sectors = 0;   // total payload+summary sectors ever written
-  SimTime last_write_time = 0;
+  // Seq of the first chunk written into the segment (0 = none yet). A
+  // segment's chunks are the seqs from here up to the next segment's
+  // first_seq, so ordering segments by it orders the whole log.
+  uint64_t first_seq = 0;
 };
 
 class SegmentUsageTable {
@@ -42,7 +45,7 @@ class SegmentUsageTable {
 
   // Allocates the next free segment (round robin from the last allocation).
   // Returns nullopt when no free segment exists.
-  std::optional<SegmentId> Allocate(SimTime now);
+  std::optional<SegmentId> Allocate();
 
   // Seals the active segment.
   void Seal(SegmentId seg);
@@ -52,8 +55,11 @@ class SegmentUsageTable {
   void SetState(SegmentId seg, SegmentState state);
 
   // Accounting transitions. `n` is in sectors.
-  void AddLive(SegmentId seg, uint32_t n, SimTime now);
+  void AddLive(SegmentId seg, uint32_t n);
   void AddWritten(SegmentId seg, uint32_t n);
+  // A chunk with sequence number `seq` landed: counts its summary sector and
+  // records the segment's first seq.
+  void AddChunk(SegmentId seg, uint64_t seq);
   // A write superseded data: the sectors stay on disk as history.
   void LiveToHistory(SegmentId seg, uint32_t n);
   // The cleaner expired historical sectors.

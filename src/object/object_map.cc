@@ -38,7 +38,6 @@ void ObjectMap::EncodeTo(Encoder* enc) const {
     enc->PutI64(e.checkpoint_time);
     enc->PutVarint(e.journal_head);
     enc->PutI64(e.history_barrier);
-    enc->PutI64(e.oldest_time);
     enc->PutVarint(e.waypoints.size());
     for (const JournalWaypoint& w : e.waypoints) {
       enc->PutI64(w.time);
@@ -63,7 +62,6 @@ Result<ObjectMap> ObjectMap::DecodeFrom(Decoder* dec) {
     S4_ASSIGN_OR_RETURN(e.checkpoint_time, dec->I64());
     S4_ASSIGN_OR_RETURN(e.journal_head, dec->Varint());
     S4_ASSIGN_OR_RETURN(e.history_barrier, dec->I64());
-    S4_ASSIGN_OR_RETURN(e.oldest_time, dec->I64());
     S4_ASSIGN_OR_RETURN(uint64_t nwp, dec->Varint());
     e.waypoints.reserve(nwp);
     for (uint64_t w = 0; w < nwp; ++w) {

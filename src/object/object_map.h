@@ -41,16 +41,11 @@ struct ObjectMapEntry {
   // entries so far are only in memory or none exist).
   DiskAddr journal_head = kNullAddr;
 
-  // History barrier: versions at or before this time have been reclaimed by
-  // the cleaner and are no longer reconstructible. Backward reconstruction
+  // History barrier: the newest entry time the cleaner has freed. Versions
+  // at or before it are no longer reconstructible. Backward reconstruction
   // never walks past it, so dangling chain pointers into reclaimed segments
   // are never followed.
   SimTime history_barrier = 0;
-
-  // Cleaner hint (the paper's per-object "oldest time"): the time of the
-  // oldest journal entry still held. The cleaner skips objects whose oldest
-  // entry is inside the window.
-  SimTime oldest_time = 0;
 
   // Sparse (time -> journal sector) index, oldest first, times strictly
   // ascending. Every waypoint satisfies time > history_barrier (entries at or

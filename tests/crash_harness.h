@@ -9,6 +9,14 @@
 //   3. The audit log decodes as a valid prefix (QueryAudit succeeds).
 //   4. No S4_CHECK fires anywhere in mount or verification (the process
 //      survives; checked implicitly).
+//   5. The cleaner picks up where the crash left it: a pass over the
+//      recovered state runs, the usage table's free count matches a recount,
+//      waypoints stay intact, and once the window passes with no new writes
+//      the history pool drains to zero (no frees lost, none repeated).
+//
+// Scripts may advance the clock and run cleaner passes, so snapshots can age
+// out of the detection window: a snapshot inside the window must read back
+// exactly, an older one exactly or not at all (aged out or gone).
 //
 // Used by fault_injection_test.cc to sweep power cuts across *every* write
 // boundary of a workload, in both clean-cut and torn-tail shapes.
@@ -38,13 +46,16 @@ namespace s4 {
 // One scripted client operation. `slot` names an object by script-local
 // index; the harness maps slots to ObjectIds as Creates succeed.
 struct ScriptOp {
-  enum Kind { kCreate, kWrite, kAppend, kTruncate, kSetAcl, kSync, kDelete };
+  // kAdvance moves the clock on by `advance`; kClean runs one cleaner pass
+  // (the drive's own maintenance, not a client RPC).
+  enum Kind { kCreate, kWrite, kAppend, kTruncate, kSetAcl, kSync, kDelete, kAdvance, kClean };
   Kind kind;
   size_t slot = 0;
   uint64_t offset = 0;   // kWrite
   uint64_t length = 0;   // kWrite/kAppend payload size; kTruncate new size
   uint8_t fill = 0;      // payload byte pattern
   AclEntry acl;          // kSetAcl
+  SimDuration advance = 0;  // kAdvance
 };
 
 class CrashHarness {
@@ -61,6 +72,23 @@ class CrashHarness {
         options_(options),
         disk_bytes_(disk_bytes),
         batched_(batched) {}
+
+  // Runs the script fault-free and hands the drive and the ObjectId of every
+  // script slot to `inspect` (for tests that pin what a script exercises).
+  void RunFaultFree(const std::function<void(S4Drive&, const std::vector<ObjectId>&)>& inspect) {
+    Run run = StartRun();
+    if (::testing::Test::HasFatalFailure()) {
+      return;
+    }
+    ReplayScript(&run);
+    EXPECT_TRUE(run.failed_at == kNoFailure)
+        << "fault-free run failed at op " << run.failed_at;
+    std::vector<ObjectId> ids;
+    for (const ModelObject& m : run.model) {
+      ids.push_back(m.id);
+    }
+    inspect(*run.drive, ids);
+  }
 
   // Runs the script fault-free and returns the number of disk write commands
   // issued after format — the space of crash points to sweep.
@@ -256,7 +284,8 @@ class CrashHarness {
 
   // Every post-recovery invariant: idempotence first (the other checks'
   // audited admin ops would extend the chain), then snapshot contents,
-  // version monotonicity, audit-log survival, and waypoint integrity.
+  // version monotonicity, audit-log survival, waypoint integrity, and last
+  // the cleaner (it ages every snapshot out).
   void VerifyAfterRecovery(Run& run) {
     VerifyRecoveryIdempotent(run);
     if (::testing::Test::HasFatalFailure()) {
@@ -266,6 +295,7 @@ class CrashHarness {
     VerifyVersionMonotonicity(run);
     VerifyAuditLog(run);
     EXPECT_OK(run.drive->VerifyAllWaypoints());
+    VerifyCleanerAfterRecovery(run);
   }
 
   // Runs the script fault-free, then cuts power at write `k` of the clean
@@ -424,6 +454,13 @@ class CrashHarness {
           }
           break;
         }
+        case ScriptOp::kAdvance:
+        case ScriptOp::kClean:
+          if (!MaintenanceStep(run, op)) {
+            run->failed_at = i;
+            return;
+          }
+          continue;  // not an RPC: no audit record to account
       }
       if (!ok) {
         run->failed_at = i;
@@ -431,6 +468,15 @@ class CrashHarness {
       }
       ++run->acked_ops;
     }
+  }
+
+  // kAdvance and kClean: clock and cleaner steps outside the RPC stream.
+  static bool MaintenanceStep(Run* run, const ScriptOp& op) {
+    if (op.kind == ScriptOp::kAdvance) {
+      run->clock->Advance(op.advance);
+      return true;
+    }
+    return run->drive->RunCleanerPass(2, /*force_compaction=*/true).ok();
   }
 
   // Batched mode: one script op. Mutations are buffered as kBatch sub-ops;
@@ -529,6 +575,17 @@ class CrashHarness {
         run->pending.push_back(std::move(sub));
         return FlushBatch(run);
       }
+      case ScriptOp::kAdvance:
+      case ScriptOp::kClean:
+        // The open batch goes first: the step applies to what precedes it.
+        if (!FlushBatch(run)) {
+          return false;
+        }
+        if (!MaintenanceStep(run, op)) {
+          run->failed_at = i;
+          return false;
+        }
+        return true;
     }
     return false;
   }
@@ -593,11 +650,19 @@ class CrashHarness {
   }
 
   // Invariant 1: each snapshot's contents are reproduced by time-based
-  // admin reads at the snapshot time.
+  // admin reads at the snapshot time. A snapshot older than the detection
+  // window may have been expired by a cleaner pass: then it reads back
+  // exactly or fails as aged out (kFailedPrecondition) or gone (kNotFound).
   void VerifySnapshots(Run& run) {
+    const SimTime kept_after = run.clock->Now() - options_.detection_window;
+    auto aged_out = [](const Status& s) {
+      return s.code() == ErrorCode::kFailedPrecondition || s.code() == ErrorCode::kNotFound;
+    };
     for (size_t si = 0; si < run.snapshots.size(); ++si) {
       const Snapshot& snap = run.snapshots[si];
-      SCOPED_TRACE("snapshot " + std::to_string(si) + " at t=" + std::to_string(snap.time));
+      const bool kept = snap.time > kept_after;
+      SCOPED_TRACE("snapshot " + std::to_string(si) + " at t=" + std::to_string(snap.time) +
+                   (kept ? "" : " (aged past the window)"));
       for (size_t slot = 0; slot < snap.objects.size(); ++slot) {
         const ModelObject& m = snap.objects[slot];
         if (!m.created) {
@@ -609,12 +674,20 @@ class CrashHarness {
           EXPECT_FALSE(attr.ok()) << "deleted object readable at snapshot time";
           continue;
         }
+        if (!kept && !attr.ok()) {
+          EXPECT_TRUE(aged_out(attr.status())) << attr.status().ToString();
+          continue;
+        }
         ASSERT_TRUE(attr.ok()) << attr.status().ToString();
         EXPECT_EQ(attr->size, m.content.size());
         if (m.content.empty()) {
           continue;
         }
         auto data = run.drive->Read(Admin(), m.id, 0, m.content.size(), snap.time);
+        if (!kept && !data.ok()) {
+          EXPECT_TRUE(aged_out(data.status())) << data.status().ToString();
+          continue;
+        }
         ASSERT_TRUE(data.ok()) << data.status().ToString();
         EXPECT_EQ(*data, m.content) << "content mismatch after recovery";
       }
@@ -656,6 +729,21 @@ class CrashHarness {
       EXPECT_GE(records->size(), run.acked_ops_at_last_sync)
           << "audit records acked before the last Sync were lost";
     }
+  }
+
+  // Invariant 5: the cleaner resumes from the recovered cursor. A pass runs
+  // (no S4_CHECK on a double free), the running free-segment count matches a
+  // recount, waypoints survive it, and once the window passes with no new
+  // writes a second pass drains the history pool: no free was lost.
+  void VerifyCleanerAfterRecovery(Run& run) {
+    EXPECT_OK(run.drive->RunCleanerPass(2, /*force_compaction=*/true).status());
+    const SegmentUsageTable& sut = run.drive->usage_table();
+    EXPECT_EQ(sut.FreeOrReclaimableSegments(), RecountFreeOrReclaimable(sut));
+    EXPECT_OK(run.drive->VerifyAllWaypoints());
+    run.clock->Advance(options_.detection_window + kSecond);
+    EXPECT_OK(run.drive->RunCleanerPass(2, /*force_compaction=*/true).status());
+    EXPECT_EQ(run.drive->HistoryPoolBytes(), 0u) << "history outlived the window";
+    EXPECT_EQ(sut.FreeOrReclaimableSegments(), RecountFreeOrReclaimable(sut));
   }
 
   // Recovery idempotence: mounting the same post-crash media again must land

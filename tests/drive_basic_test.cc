@@ -43,6 +43,27 @@ TEST_F(DriveTest, OverwriteKeepsOldVersion) {
   EXPECT_EQ(StringOf(old), "version one");
 }
 
+TEST_F(DriveTest, CoveredOverwriteReadsNothing) {
+  // A write covering every valid byte of a block replaces it without reading
+  // the old copy; the old copy still serves its version. Partial overwrites
+  // and truncate-then-extend still merge and zero: the property oracle
+  // (DrivePropertyTest.RandomOpsMatchOracle) and TruncateVersioned check them.
+  Credentials alice = User(100);
+  ASSERT_OK_AND_ASSIGN(ObjectId id, drive_->Create(alice, {}));
+  Bytes v1(kBlockSize, 0x11);
+  ASSERT_OK(drive_->Write(alice, id, 0, v1));
+  ASSERT_OK(drive_->Sync(alice));
+  SimTime t1 = clock_->Now();
+  CrashAndRemount();  // cold caches: the old block is only on the platter
+  clock_->Advance(kSecond);
+  ASSERT_OK(drive_->GetAttr(alice, id).status());  // the object itself is loaded
+  uint64_t reads = device_->stats().reads;
+  ASSERT_OK(drive_->Write(alice, id, 0, Bytes(kBlockSize, 0x22)));
+  EXPECT_EQ(device_->stats().reads, reads);
+  ASSERT_OK_AND_ASSIGN(Bytes old, drive_->Read(alice, id, 0, kBlockSize, t1));
+  EXPECT_EQ(old, v1);
+}
+
 TEST_F(DriveTest, EveryModificationIsAVersion) {
   // Unlike close-to-close versioning file systems, S4 versions every write.
   Credentials alice = User(100);

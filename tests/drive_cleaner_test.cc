@@ -263,37 +263,47 @@ TEST_F(DriveTest, CompactionSurvivesCrash) {
 }
 
 // ---------------------------------------------------------------------------
-// Incremental cleaner: expiry index, pass budget, idempotence
+// Log-order sweep: idle passes, idempotence, the cursor across remounts
 // ---------------------------------------------------------------------------
 
 TEST_F(DriveTest, CleanerPassOverCleanDriveReadsNothing) {
-  // After one pass has expired everything expirable, a second pass must be
-  // (near-)free: the expiry index holds no key at or below the cutoff, so no
-  // object is visited and no journal sector is read.
+  // A pass with nothing old enough to free must read nothing. The sweep
+  // remembers when the next unswept chunk was written: the format time on a
+  // fresh drive, the pass time once it has reached the log head, so neither
+  // a pass inside the first window nor one after everything expirable is
+  // gone reads a segment or a journal sector — not even the chunk written
+  // after the head was reached.
   Credentials alice = User(100);
+  const MetricRegistry& m = drive_->metrics();
   Rng rng(21);
+  std::vector<ObjectId> ids;
   for (int obj = 0; obj < 8; ++obj) {
     ASSERT_OK_AND_ASSIGN(ObjectId id, drive_->Create(alice, {}));
+    ids.push_back(id);
     for (int v = 0; v < 6; ++v) {
       ASSERT_OK(drive_->Write(alice, id, 0, rng.RandomBytes(4 * 1024)));
       clock_->Advance(kMinute);
     }
   }
   ASSERT_OK(drive_->Sync(alice));
+  ASSERT_OK(drive_->RunCleanerPass(8).status());
+  EXPECT_EQ(m.CounterValue("cleaner.segments_swept"), 0u) << "nothing has left the window";
   clock_->Advance(2 * kHour);
   ASSERT_OK(drive_->RunCleanerPass(8).status());
   EXPECT_EQ(drive_->HistoryPoolBytes(), 0u);
 
-  uint64_t read_before = drive_->metrics().CounterValue("cleaner.walk_sectors_read");
-  uint64_t visited_before = drive_->metrics().CounterValue("cleaner.objects_visited");
+  ASSERT_OK(drive_->Write(alice, ids[0], 0, rng.RandomBytes(4 * 1024)));
+  ASSERT_OK(drive_->Sync(alice));  // a chunk past the head, inside the window
+  uint64_t read_before = m.CounterValue("cleaner.walk_sectors_read");
+  uint64_t swept_before = m.CounterValue("cleaner.segments_swept");
   ASSERT_OK(drive_->RunCleanerPass(8).status());
-  EXPECT_EQ(drive_->metrics().CounterValue("cleaner.walk_sectors_read"), read_before);
-  EXPECT_EQ(drive_->metrics().CounterValue("cleaner.objects_visited"), visited_before);
+  EXPECT_EQ(m.CounterValue("cleaner.walk_sectors_read"), read_before);
+  EXPECT_EQ(m.CounterValue("cleaner.segments_swept"), swept_before);
 }
 
 TEST_F(DriveTest, CleanerIsIdempotentAfterDeferredCheckpointFrees) {
   // Entries newer than the object's inode checkpoint gate their sectors; the
-  // end-of-visit checkpoint + re-walk must free them within the pass, leaving
+  // sweep must checkpoint the object and free them within the pass, leaving
   // nothing for a second pass to redo on an unchanged drive.
   Credentials alice = User(100);
   ASSERT_OK_AND_ASSIGN(ObjectId id, drive_->Create(alice, {}));
@@ -307,89 +317,47 @@ TEST_F(DriveTest, CleanerIsIdempotentAfterDeferredCheckpointFrees) {
   ASSERT_OK_AND_ASSIGN(uint32_t first, drive_->RunCleanerPass(8));
   (void)first;
   EXPECT_EQ(drive_->HistoryPoolBytes(), 0u);
-  // The object is live and its chain fully reclaimed: it must have left the
-  // expiry index, so the second pass does not even visit it.
-  uint64_t visited_before = drive_->metrics().CounterValue("cleaner.objects_visited");
+  // The object is live and its chain fully reclaimed: the second pass finds
+  // nothing to sweep and does not even read its journal sectors.
+  uint64_t read_before = drive_->metrics().CounterValue("cleaner.walk_sectors_read");
   uint64_t expired_before = drive_->metrics().CounterValue("cleaner.sectors_expired");
   ASSERT_OK(drive_->RunCleanerPass(8).status());
-  EXPECT_EQ(drive_->metrics().CounterValue("cleaner.objects_visited"), visited_before);
+  EXPECT_EQ(drive_->metrics().CounterValue("cleaner.walk_sectors_read"), read_before);
   EXPECT_EQ(drive_->metrics().CounterValue("cleaner.sectors_expired"), expired_before);
   // Current state intact throughout.
   ASSERT_OK_AND_ASSIGN(ObjectAttrs attrs, drive_->GetAttr(alice, id));
   EXPECT_EQ(attrs.size, 8 * 1024u);
 }
 
-TEST_F(DriveTest, SectorBudgetPacesThePassAndCarriesWorkOver) {
-  // A tiny per-pass budget must (a) stop the pass early, reporting the
-  // deferred candidates, and (b) still reclaim everything across repeated
-  // passes — pacing trades latency, never correctness.
-  SetUpDrive([] {
-    S4DriveOptions o = SmallOptions();
-    o.cleaner_pass_sector_budget = 4;
-    return o;
-  }(), 64ull << 20);
+TEST_F(DriveTest, SweepKeepsSurvivorsAndFullyExpiresTheDeleted) {
+  // One sweep over chains that aged out: survivors stay readable, the
+  // deleted object is gone entirely, and the history pool drains to zero.
   Credentials alice = User(100);
-  Rng rng(23);
-  for (int obj = 0; obj < 12; ++obj) {
+  Rng rng(24);
+  std::vector<ObjectId> ids;
+  for (int obj = 0; obj < 6; ++obj) {
     ASSERT_OK_AND_ASSIGN(ObjectId id, drive_->Create(alice, {}));
-    for (int v = 0; v < 4; ++v) {
-      ASSERT_OK(drive_->Write(alice, id, 0, rng.RandomBytes(4 * 1024)));
+    ids.push_back(id);
+    for (int v = 0; v < 5; ++v) {
+      ASSERT_OK(drive_->Write(alice, id, 0, rng.RandomBytes(6 * 1024)));
       ASSERT_OK(drive_->Sync(alice));
       clock_->Advance(kMinute);
     }
   }
+  ASSERT_OK(drive_->Delete(alice, ids[0]));
+  ASSERT_OK(drive_->Sync(alice));
   clock_->Advance(2 * kHour);
-  ASSERT_OK(drive_->RunCleanerPass(2).status());
-  EXPECT_GT(drive_->metrics().CounterValue("cleaner.objects_skipped_budget"), 0u);
-  EXPECT_GT(drive_->HistoryPoolBytes(), 0u) << "budget should have deferred some chains";
-  for (int pass = 0; pass < 64 && drive_->HistoryPoolBytes() > 0; ++pass) {
-    ASSERT_OK(drive_->RunCleanerPass(2).status());
+  ASSERT_OK(drive_->RunCleanerPass(8).status());
+  for (size_t i = 1; i < ids.size(); ++i) {
+    EXPECT_OK(drive_->GetAttr(alice, ids[i]).status());
   }
+  EXPECT_EQ(drive_->GetAttr(alice, ids[0]).status().code(), ErrorCode::kNotFound);
   EXPECT_EQ(drive_->HistoryPoolBytes(), 0u);
 }
 
-TEST_F(DriveTest, IncrementalAndFullScanCleanersAgree) {
-  // The expiry-index path and the full-scan path must reach the same end
-  // state on the same workload: same reclaimed pool, same surviving data.
-  auto run = [&](bool incremental) -> uint64_t {
-    SetUpDrive([&] {
-      S4DriveOptions o = SmallOptions();
-      o.cleaner_incremental = incremental;
-      return o;
-    }(), 64ull << 20);
-    Credentials alice = User(100);
-    Rng rng(24);  // same seed: identical workload
-    std::vector<ObjectId> ids;
-    for (int obj = 0; obj < 6; ++obj) {
-      auto created = drive_->Create(alice, {});
-      EXPECT_TRUE(created.ok());
-      ids.push_back(*created);
-      for (int v = 0; v < 5; ++v) {
-        EXPECT_OK(drive_->Write(alice, ids.back(), 0, rng.RandomBytes(6 * 1024)));
-        EXPECT_OK(drive_->Sync(alice));
-        clock_->Advance(kMinute);
-      }
-    }
-    EXPECT_OK(drive_->Delete(alice, ids[0]));
-    EXPECT_OK(drive_->Sync(alice));
-    clock_->Advance(2 * kHour);
-    EXPECT_OK(drive_->RunCleanerPass(8).status());
-    // Survivors readable, deleted object fully gone.
-    for (size_t i = 1; i < ids.size(); ++i) {
-      EXPECT_OK(drive_->GetAttr(alice, ids[i]).status());
-    }
-    EXPECT_EQ(drive_->GetAttr(alice, ids[0]).status().code(), ErrorCode::kNotFound);
-    return drive_->HistoryPoolBytes();
-  };
-  uint64_t incremental_pool = run(true);
-  uint64_t full_scan_pool = run(false);
-  EXPECT_EQ(incremental_pool, full_scan_pool);
-  EXPECT_EQ(incremental_pool, 0u);
-}
-
-TEST_F(DriveTest, ExpiryIndexSurvivesRemount) {
-  // The index is rebuilt from the object map on mount; history that aged out
-  // while the drive was down is still found and reclaimed.
+TEST_F(DriveTest, SweepCursorSurvivesRemount) {
+  // The sweep cursor is loaded from the device checkpoint on mount; history
+  // that aged out while the drive was down is still found and reclaimed.
   Credentials alice = User(100);
   ASSERT_OK_AND_ASSIGN(ObjectId id, drive_->Create(alice, {}));
   Rng rng(25);
@@ -405,6 +373,130 @@ TEST_F(DriveTest, ExpiryIndexSurvivesRemount) {
   EXPECT_EQ(drive_->HistoryPoolBytes(), 0u);
   ASSERT_OK_AND_ASSIGN(ObjectAttrs attrs, drive_->GetAttr(alice, id));
   EXPECT_EQ(attrs.size, 8 * 1024u);
+}
+
+TEST_F(DriveTest, RottenRecordDoesNotStopTheSweep) {
+  // A data block that rots in a sealed segment fails its chunk's payload
+  // CRC. The sweep must count the damage and still free the journal sectors
+  // behind it (and in its own chunk), or their history would pin the disk.
+  Credentials alice = User(100);
+  ASSERT_OK_AND_ASSIGN(ObjectId rotten, drive_->Create(alice, {}));
+  ASSERT_OK_AND_ASSIGN(ObjectId churn, drive_->Create(alice, {}));
+  ASSERT_OK(drive_->Write(alice, rotten, 0, Bytes(kBlockSize, 0x5A)));
+  ASSERT_OK(drive_->Sync(alice));
+  ASSERT_OK_AND_ASSIGN(std::vector<DiskAddr> addrs, drive_->DebugObjectBlockAddrs(rotten));
+  ASSERT_EQ(addrs.size(), 1u);
+  Rng rng(26);
+  for (int v = 0; v < 8; ++v) {
+    clock_->Advance(kSecond);
+    ASSERT_OK(drive_->Write(alice, churn, 0, rng.RandomBytes(kBlockSize)));
+    ASSERT_OK(drive_->Sync(alice));
+  }
+  // Spill the log into a new segment so the rotten one is sealed.
+  ASSERT_OK(drive_->Write(alice, churn, kBlockSize, rng.RandomBytes(opts_.segment_sectors *
+                                                                    kSectorSize)));
+  ASSERT_OK(drive_->Sync(alice));
+  const Superblock& sb = drive_->superblock();
+  ASSERT_EQ(drive_->usage_table().Info(sb.SegmentOf(addrs[0])).state, SegmentState::kFull);
+  ASSERT_GT(drive_->HistoryPoolBytes(), 0u);
+
+  device_->CorruptSectors(addrs[0], 1);
+  clock_->Advance(2 * kHour);
+  ASSERT_OK(drive_->RunCleanerPass(4).status());
+  EXPECT_GE(drive_->metrics().CounterValue("cleaner.sweep_damage"), 1u);
+  EXPECT_EQ(drive_->HistoryPoolBytes(), 0u);
+}
+
+TEST_F(DriveTest, RemountBetweenPassesNeitherReFreesNorLeaks) {
+  // The first pass frees history without a device checkpoint (the log never
+  // leaves its first segment, so no segment becomes reclaimable), then the
+  // drive crashes: the second pass must redo exactly the lost frees. Its
+  // end state must match a twin run that never crashed.
+  struct EndState {
+    uint32_t free_or_reclaimable = 0;
+    uint64_t history_bytes = 0;
+    uint64_t live_bytes = 0;
+  };
+  auto run = [&](bool crash) -> EndState {
+    SetUpDrive(SmallOptions(), 64ull << 20);
+    Credentials alice = User(100);
+    Rng rng(27);
+    std::vector<ObjectId> ids;
+    for (int obj = 0; obj < 4; ++obj) {
+      auto id = drive_->Create(alice, {});
+      EXPECT_TRUE(id.ok());
+      ids.push_back(*id);
+    }
+    for (int v = 0; v < 6; ++v) {
+      for (ObjectId id : ids) {
+        EXPECT_OK(drive_->Write(alice, id, 0, rng.RandomBytes(kBlockSize)));
+      }
+      EXPECT_OK(drive_->Sync(alice));
+      clock_->Advance(20 * kMinute);
+    }
+    EXPECT_OK(drive_->Delete(alice, ids[0]));
+    EXPECT_OK(drive_->Sync(alice));
+    uint64_t checkpoints = drive_->metrics().CounterValue("drive.device_checkpoints");
+    EXPECT_OK(drive_->RunCleanerPass(4).status());  // frees the first hour
+    EXPECT_OK(drive_->Sync(alice));
+    EXPECT_EQ(drive_->metrics().CounterValue("drive.device_checkpoints"), checkpoints)
+        << "the first pass must leave its frees to the crash";
+    if (crash) {
+      CrashAndRemount();
+      if (::testing::Test::HasFatalFailure()) {
+        return {};
+      }
+    }
+    clock_->Advance(30 * kMinute);
+    EXPECT_OK(drive_->RunCleanerPass(4).status());  // frees the next half hour
+    const SegmentUsageTable& sut = drive_->usage_table();
+    EXPECT_EQ(sut.FreeOrReclaimableSegments(), RecountFreeOrReclaimable(sut));
+    return EndState{sut.FreeOrReclaimableSegments(), drive_->HistoryPoolBytes(),
+                    drive_->LiveBytes()};
+  };
+  EndState twin = run(false);
+  EndState crashed = run(true);
+  EXPECT_GT(twin.history_bytes, 0u) << "the second pass should leave in-window history";
+  EXPECT_EQ(crashed.free_or_reclaimable, twin.free_or_reclaimable);
+  EXPECT_EQ(crashed.history_bytes, twin.history_bytes);
+  EXPECT_EQ(crashed.live_bytes, twin.live_bytes);
+}
+
+TEST_F(DriveTest, RestartedChainKeepsItsBarrierAcrossACrash) {
+  // Once a pass frees an object's whole chain, its next journal sector starts
+  // a fresh chain. A crash before the next device checkpoint restores the
+  // checkpoint's barrier and waypoints; roll-forward must restore the barrier
+  // the freed chain had reached, or a read below it walks the truncated chain
+  // and returns a newer version instead of refusing.
+  SetUpDrive([] {
+    S4DriveOptions o = SmallOptions();
+    o.waypoint_interval_sectors = 1;
+    return o;
+  }(), 64ull << 20);
+  Credentials alice = User(100);
+  ASSERT_OK_AND_ASSIGN(ObjectId id, drive_->Create(alice, {}));
+  ASSERT_OK(drive_->Write(alice, id, 0, Bytes(kBlockSize, 'a')));
+  ASSERT_OK(drive_->Sync(alice));
+  SimTime during_a = clock_->Now() + 30 * kSecond;
+  ASSERT_OK(drive_->WriteCheckpoint());
+  clock_->Advance(kMinute);
+  ASSERT_OK(drive_->Write(alice, id, 0, Bytes(kBlockSize, 'b')));
+  ASSERT_OK(drive_->Sync(alice));
+  clock_->Advance(2 * kHour);
+  ASSERT_OK(drive_->RunCleanerPass(4).status());  // frees a and b; checkpoints the object
+  ASSERT_OK(drive_->Sync(alice));
+  clock_->Advance(2 * kHour);
+  ASSERT_OK(drive_->RunCleanerPass(4).status());  // frees that checkpoint's sector too
+  ASSERT_EQ(drive_->DebugObjectEntry(id)->journal_head, kNullAddr);
+  ASSERT_OK(drive_->Write(alice, id, 0, Bytes(kBlockSize, 'c')));
+  ASSERT_OK(drive_->Sync(alice));
+
+  CrashAndRemount();
+  EXPECT_OK(drive_->VerifyAllWaypoints());
+  EXPECT_EQ(drive_->Read(Admin(), id, 0, kBlockSize, during_a).status().code(),
+            ErrorCode::kFailedPrecondition);
+  ASSERT_OK_AND_ASSIGN(Bytes now, drive_->Read(alice, id, 0, kBlockSize));
+  EXPECT_EQ(now, Bytes(kBlockSize, 'c'));
 }
 
 TEST_F(DriveTest, VersioningDisabledFreesImmediately) {

@@ -1,9 +1,11 @@
 // Fault-injection tests: FaultInjector unit behavior, CRC-checked degradation
 // of the drive read path under media faults, and the systematic
 // crash-consistency sweep (power cut at every disk-write boundary of a
-// scripted workload, clean and torn variants).
+// scripted workload, clean and torn variants, one script with a cleaner
+// pass).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <iostream>
 
 #include "src/drive/s4_drive.h"
@@ -382,6 +384,99 @@ TEST(CrashSweepTest, BatchedGroupCommitTornTailAtEveryWriteBoundary) {
     harness.RunCrashPoint(k, /*torn_tail=*/true);
     if (::testing::Test::HasFatalFailure()) {
       return;
+    }
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Cleaner sweep: most of the script ages out of the detection window, then
+// one cleaner pass runs and a last version follows it. The pass sweeps aged
+// chunks (the active segment's too), checkpoints a live object whose
+// entries it frees, fully expires a deleted object, compacts the sealed
+// segment and writes the device checkpoint; power is cut at every write
+// boundary of the script, the pass's included.
+// ---------------------------------------------------------------------------
+
+std::vector<ScriptOp> CleanerScript() {
+  std::vector<ScriptOp> script;
+  script.push_back(Op(ScriptOp::kCreate, 0));
+  script.push_back(Op(ScriptOp::kWrite, 0, 0, 2 * kBlockSize, 0xA1));
+  script.push_back(Op(ScriptOp::kSync, 0));
+  script.push_back(Op(ScriptOp::kCreate, 1));
+  script.push_back(Op(ScriptOp::kAppend, 1, 0, kBlockSize + 100, 0xB2));
+  script.push_back(Op(ScriptOp::kSync, 1));
+  // Slot 2 fills most of the first segment; overwriting it spills the log
+  // into a second one, where the rest of the aged chunks land.
+  script.push_back(Op(ScriptOp::kCreate, 2));
+  script.push_back(Op(ScriptOp::kAppend, 2, 0, 40 * kBlockSize, 0xC3));
+  script.push_back(Op(ScriptOp::kSync, 2));
+  script.push_back(Op(ScriptOp::kWrite, 2, 0, 30 * kBlockSize, 0xD4));
+  script.push_back(Op(ScriptOp::kSync, 2));
+  // Slot 3 is metadata only: nothing but the pass checkpoints it.
+  script.push_back(Op(ScriptOp::kCreate, 3));
+  ScriptOp acl = Op(ScriptOp::kSetAcl, 3);
+  acl.acl = AclEntry{2, kPermRead};
+  script.push_back(acl);
+  script.push_back(Op(ScriptOp::kSync, 3));
+  script.push_back(Op(ScriptOp::kDelete, 1));
+  script.push_back(Op(ScriptOp::kSync, 1));
+  ScriptOp age = Op(ScriptOp::kAdvance, 0);
+  age.advance = SweepOptions().detection_window + kMinute;
+  script.push_back(age);
+  script.push_back(Op(ScriptOp::kCreate, 4));
+  script.push_back(Op(ScriptOp::kWrite, 4, 0, kBlockSize, 0xE5));
+  script.push_back(Op(ScriptOp::kSync, 4));
+  script.push_back(Op(ScriptOp::kClean, 0));
+  script.push_back(Op(ScriptOp::kWrite, 4, 0, kBlockSize, 0xF6));
+  script.push_back(Op(ScriptOp::kSync, 4));
+  return script;
+}
+
+TEST(CrashSweepTest, CleanerScriptPassDoesEveryKindOfCleaning) {
+  // Pins what the cleaner sweep below covers, by running the script up to
+  // the pass and through it.
+  std::vector<ScriptOp> script = CleanerScript();
+  auto clean = std::find_if(script.begin(), script.end(),
+                            [](const ScriptOp& op) { return op.kind == ScriptOp::kClean; });
+  ASSERT_NE(clean, script.end());
+  uint64_t checkpoints_before = 0;
+  CrashHarness(std::vector<ScriptOp>(script.begin(), clean), SweepOptions())
+      .RunFaultFree([&](S4Drive& drive, const std::vector<ObjectId>& ids) {
+        ASSERT_TRUE(drive.DebugObjectEntry(ids[1]).has_value());
+        ASSERT_TRUE(drive.DebugObjectEntry(ids[3]).has_value());
+        EXPECT_EQ(drive.DebugObjectEntry(ids[3])->checkpoint_addr, kNullAddr);
+        // The deleted object's kDelete sector, aged, sits in the active segment.
+        const Superblock& sb = drive.superblock();
+        SegmentId seg = sb.SegmentOf(drive.DebugObjectEntry(ids[1])->journal_head);
+        EXPECT_EQ(drive.usage_table().Info(seg).state, SegmentState::kActive);
+        EXPECT_GT(drive.HistoryPoolBytes(), 0u);
+        checkpoints_before = drive.metrics().CounterValue("drive.device_checkpoints");
+      });
+  CrashHarness(std::vector<ScriptOp>(script.begin(), clean + 1), SweepOptions())
+      .RunFaultFree([&](S4Drive& drive, const std::vector<ObjectId>& ids) {
+        // Every aged chunk swept, the active segment's included.
+        EXPECT_EQ(drive.HistoryPoolBytes(), 0u);
+        // The guarded object was checkpointed before its sectors were freed.
+        ASSERT_TRUE(drive.DebugObjectEntry(ids[3]).has_value());
+        EXPECT_NE(drive.DebugObjectEntry(ids[3])->checkpoint_addr, kNullAddr);
+        // The deleted object fully expired.
+        EXPECT_FALSE(drive.DebugObjectEntry(ids[1]).has_value());
+        EXPECT_GT(drive.metrics().CounterValue("cleaner.segments_compacted"), 0u);
+        EXPECT_GT(drive.metrics().CounterValue("drive.device_checkpoints"), checkpoints_before);
+      });
+}
+
+TEST(CrashSweepTest, CleanerPassPowerCutAtEveryWriteBoundary) {
+  CrashHarness harness(CleanerScript(), SweepOptions());
+  uint64_t n = harness.CountWritePoints();
+  ASSERT_GE(n, 8u) << "cleaner workload too small to exercise multiple boundaries";
+  std::cerr << "[ sweep    ] " << n << " write boundaries (cleaner pass)\n";
+  for (bool torn_tail : {false, true}) {
+    for (uint64_t k = 1; k <= n; ++k) {
+      harness.RunCrashPoint(k, torn_tail);
+      if (::testing::Test::HasFatalFailure()) {
+        return;
+      }
     }
   }
 }

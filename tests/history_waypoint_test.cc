@@ -278,6 +278,27 @@ TEST_F(WaypointTest, JournalSectorCacheServesRepeatWalks) {
   EXPECT_EQ(drive_->metrics().CounterValue("cache.jsector.misses"), misses_before);
 }
 
+TEST_F(WaypointTest, AuditSyncsNeverPushHistorySectorsOutOfTheCache) {
+  // The unversioned audit log appends one journal sector per Sync, and no
+  // history read walks them. More Syncs than the 4,096-sector jsector cache
+  // holds must leave an object's sectors cached for its history reads.
+  Credentials alice = User(100);
+  ASSERT_OK_AND_ASSIGN(ObjectId id, drive_->Create(alice, {}));
+  WriteVersion(id, BytesOf("v1"));
+  SimTime v1 = clock_->Now();
+  WriteVersion(id, BytesOf("v2"));
+  for (int i = 0; i < 4200; ++i) {
+    ASSERT_OK(drive_->Sync(alice));
+  }
+  const MetricRegistry& m = drive_->metrics();
+  uint64_t hits = m.CounterValue("cache.jsector.hits");
+  uint64_t misses = m.CounterValue("cache.jsector.misses");
+  ASSERT_OK_AND_ASSIGN(Bytes then, drive_->Read(Admin(), id, 0, 2, v1));
+  EXPECT_EQ(then, BytesOf("v1"));
+  EXPECT_GT(m.CounterValue("cache.jsector.hits"), hits);
+  EXPECT_EQ(m.CounterValue("cache.jsector.misses"), misses);
+}
+
 TEST_F(WaypointTest, CacheStaysCoherentWhenCleanerFreesSectors) {
   // Warm the jsector cache with a deep walk, expire the history, clean, then
   // churn enough new data through the log that the freed segments are reused.

@@ -172,7 +172,6 @@ TEST(ObjectMapTest, SerializationRoundTrip) {
   e.checkpoint_time = 150;
   e.journal_head = 5555;
   e.history_barrier = 99;
-  e.oldest_time = 123;
   map.Put(id, e);
   Encoder enc;
   map.EncodeTo(&enc);
@@ -184,7 +183,7 @@ TEST(ObjectMapTest, SerializationRoundTrip) {
   EXPECT_EQ(got->delete_time, 222);
   EXPECT_EQ(got->checkpoint_addr, 3333u);
   EXPECT_EQ(got->journal_head, 5555u);
-  EXPECT_EQ(got->oldest_time, 123);
+  EXPECT_EQ(got->history_barrier, 99);
   EXPECT_FALSE(got->live());
   // Fresh ids continue after the restored high-water mark.
   EXPECT_GT(back.AllocateId(), id);

@@ -121,10 +121,9 @@ TEST_F(LfsTest, SegmentRolloverSealsAndAllocates) {
 }
 
 TEST_F(LfsTest, UsageTableLifecycle) {
-  SimTime now = clock_->Now();
-  auto seg = sut_->Allocate(now);
+  auto seg = sut_->Allocate();
   ASSERT_TRUE(seg.has_value());
-  sut_->AddLive(*seg, 16, now);
+  sut_->AddLive(*seg, 16);
   sut_->AddWritten(*seg, 16);
   sut_->Seal(*seg);
   EXPECT_FALSE(sut_->Reclaimable(*seg));
@@ -137,10 +136,11 @@ TEST_F(LfsTest, UsageTableLifecycle) {
 }
 
 TEST_F(LfsTest, UsageTableSerializationRoundTrip) {
-  SimTime now = clock_->Now();
-  auto seg = sut_->Allocate(now);
-  sut_->AddLive(*seg, 100, now);
-  sut_->AddWritten(*seg, 120);
+  auto seg = sut_->Allocate();
+  sut_->AddLive(*seg, 100);
+  sut_->AddChunk(*seg, 7);
+  sut_->AddChunk(*seg, 8);
+  sut_->AddWritten(*seg, 118);
   sut_->LiveToHistory(*seg, 30);
   Encoder enc;
   sut_->EncodeTo(&enc);
@@ -150,6 +150,8 @@ TEST_F(LfsTest, UsageTableSerializationRoundTrip) {
   EXPECT_EQ(restored.Info(*seg).live_sectors, 70u);
   EXPECT_EQ(restored.Info(*seg).history_sectors, 30u);
   EXPECT_EQ(restored.Info(*seg).state, SegmentState::kActive);
+  EXPECT_EQ(restored.Info(*seg).written_sectors, 120u);
+  EXPECT_EQ(restored.Info(*seg).first_seq, 7u);
 }
 
 TEST_F(LfsTest, FreeOrReclaimableTracksEveryTransition) {
@@ -163,10 +165,9 @@ TEST_F(LfsTest, FreeOrReclaimableTracksEveryTransition) {
   for (int step = 0; step < 20000; ++step) {
     auto seg = static_cast<SegmentId>(rng.Below(table.segment_count()));
     const SegmentInfo& info = table.Info(seg);
-    SimTime now = clock_->Now() + step;
     switch (rng.Below(10)) {
       case 0:
-        table.Allocate(now);
+        table.Allocate();
         break;
       case 1:
         if (info.state == SegmentState::kActive) {
@@ -177,7 +178,7 @@ TEST_F(LfsTest, FreeOrReclaimableTracksEveryTransition) {
         table.SetState(seg, static_cast<SegmentState>(rng.Below(3)));
         break;
       case 3:
-        table.AddLive(seg, static_cast<uint32_t>(rng.Below(3)), now);
+        table.AddLive(seg, static_cast<uint32_t>(rng.Below(3)));
         break;
       case 4:
         table.AddWritten(seg, static_cast<uint32_t>(1 + rng.Below(8)));
@@ -214,14 +215,13 @@ TEST_F(LfsTest, FreeOrReclaimableTracksEveryTransition) {
 }
 
 TEST_F(LfsTest, CompactionVictimPrefersEmptiest) {
-  SimTime now = clock_->Now();
-  SegmentId a = *sut_->Allocate(now);
+  SegmentId a = *sut_->Allocate();
   sut_->AddWritten(a, 100);
-  sut_->AddLive(a, 90, now);
+  sut_->AddLive(a, 90);
   sut_->Seal(a);
-  SegmentId b = *sut_->Allocate(now);
+  SegmentId b = *sut_->Allocate();
   sut_->AddWritten(b, 100);
-  sut_->AddLive(b, 10, now);
+  sut_->AddLive(b, 10);
   sut_->Seal(b);
   auto victim = sut_->CompactionVictim();
   ASSERT_TRUE(victim.has_value());

@@ -101,12 +101,15 @@ def compare_one(name, base, cur, threshold):
                 get(cpts.get(depth, {}), "ratio"), invert=True)
 
     if get(base, "cleaner", "steady_state") or get(cur, "cleaner", "steady_state"):
-        row("cleaner.steady.walk_sectors",
-            get(base, "cleaner", "steady_state", "walk_sectors_incremental"),
-            get(cur, "cleaner", "steady_state", "walk_sectors_incremental"))
-        row("cleaner.steady.ratio",
-            get(base, "cleaner", "steady_state", "ratio"),
-            get(cur, "cleaner", "steady_state", "ratio"), invert=True)
+        row("cleaner.steady.sectors_scanned",
+            get(base, "cleaner", "steady_state", "sectors_scanned"),
+            get(cur, "cleaner", "steady_state", "sectors_scanned"))
+        row("cleaner.steady.expiry_sim_ms",
+            get(base, "cleaner", "steady_state", "expiry_sim_ms"),
+            get(cur, "cleaner", "steady_state", "expiry_sim_ms"))
+        row("cleaner.steady.freed_sectors",
+            get(base, "cleaner", "steady_state", "freed_sectors"),
+            get(cur, "cleaner", "steady_state", "freed_sectors"), invert=True)
 
     if get(base, "cleaner", "idle_slice") or get(cur, "cleaner", "idle_slice"):
         row("cleaner.idle.fg_p99_us",
