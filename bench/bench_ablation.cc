@@ -60,7 +60,7 @@ Row RunWith(S4DriveOptions drive_opts, const std::string& label) {
   Row row;
   row.label = label;
   row.tx_per_sec = report->TransactionsPerSecond(config.transactions);
-  row.journal_sectors = (*drive)->stats().journal_sectors_written;
+  row.journal_sectors = (*drive)->metrics().CounterValue("drive.journal_sectors_written");
   return row;
 }
 

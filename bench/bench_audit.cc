@@ -4,6 +4,11 @@
 // auditing costs 2.8% on create, 2.9% on delete, and 7.2% on read (audit
 // blocks interleave with data in the segments, reducing read locality).
 // Macro benchmarks lose only 1-3%.
+//
+// Usage: bench_audit [--check] [google-benchmark flags]
+//   --check  exit non-zero when hash-chained audit framing costs more than
+//            10% on the batched PostMark run
+// Writes BENCH_audit.json.
 #include <benchmark/benchmark.h>
 
 #include <map>
@@ -20,10 +25,9 @@ std::map<bool, MicrobenchReport> g_micro;
 std::map<bool, PostMarkReport> g_macro;
 
 // Chained-vs-unchained audit framing on the batched PostMark path (the
-// group-commit flush amortises the per-record hashing); the chained server is
-// kept alive so its stats land in BENCH_audit.json.
+// group-commit flush amortises the per-record hashing); the chained server's
+// stats land in BENCH_audit.json.
 std::map<bool, SimDuration> g_chain_time;
-std::unique_ptr<Server> g_chain_server;
 
 ServerOptions WithAudit(bool audit) {
   ServerOptions options;
@@ -67,7 +71,7 @@ double Overhead(SimDuration with, SimDuration without) {
   return without == 0 ? 0.0 : 100.0 * (ToSeconds(with) / ToSeconds(without) - 1.0);
 }
 
-void RunChain(::benchmark::State& state, bool chained) {
+void RunChain(::benchmark::State& state, bool chained, BenchReport& report) {
   for (auto _ : state) {
     ServerOptions options;
     options.audit_enabled = true;
@@ -78,14 +82,17 @@ void RunChain(::benchmark::State& state, bool chained) {
     config.transactions = 8000;
     config.cleaner_hook = [s = server.get()] { s->Tick(); };
     PostMark pm(server->fs, server->clock.get(), config);
-    auto report = pm.Run();
-    S4_CHECK(report.ok());
+    auto result = pm.Run();
+    S4_CHECK(result.ok());
     server->Drain();
-    SimDuration total = report->create_phase + report->transaction_phase;
+    SimDuration total = result->create_phase + result->transaction_phase;
     state.SetIterationTime(ToSeconds(total));
     g_chain_time[chained] = total;
     if (chained) {
-      g_chain_server = std::move(server);
+      report.Server("chained", *server);
+      report.Metric("audit_blocks_written",
+                    server->drive->metrics().CounterValue("audit.blocks_written"), "count",
+                    Better::kLower);
     }
   }
 }
@@ -94,37 +101,21 @@ double ChainOverheadPct() {
   return Overhead(g_chain_time[true], g_chain_time[false]);
 }
 
-void WriteChainJson() {
-  if (g_chain_server == nullptr) {
-    return;
-  }
-  const MetricRegistry& reg = g_chain_server->drive->metrics();
-  char extra[512];
-  std::snprintf(extra, sizeof(extra),
-                "\"audit\": {\"postmark_unchained_s\": %.6f, \"postmark_chained_s\": %.6f, "
-                "\"chain_overhead_pct\": %.2f, \"records\": %llu, \"blocks_written\": %llu, "
-                "\"marker_writes\": %llu, \"chain_breaks\": %llu}",
-                ToSeconds(g_chain_time[false]), ToSeconds(g_chain_time[true]),
-                ChainOverheadPct(),
-                static_cast<unsigned long long>(reg.CounterValue("audit.records")),
-                static_cast<unsigned long long>(reg.CounterValue("audit.blocks_written")),
-                static_cast<unsigned long long>(reg.CounterValue("audit.marker_writes")),
-                static_cast<unsigned long long>(reg.CounterValue("audit.chain_breaks")));
-  WriteBenchJson(*g_chain_server, "audit", extra);
-}
-
-void PrintFigure6() {
+void Report(BenchReport& report) {
   std::printf("\n=== Figure 6: auditing overhead (small-file microbenchmark) ===\n");
   std::printf("(10,000 1KB files in 10 directories on the S4-enhanced NFS server)\n\n");
   std::printf("%-10s %14s %14s %12s\n", "phase", "no audit (s)", "audit (s)", "overhead");
-  const MicrobenchReport& off = g_micro[false];
-  const MicrobenchReport& on = g_micro[true];
-  std::printf("%-10s %14s %14s %11.1f%%\n", "create", Secs(off.create).c_str(),
-              Secs(on.create).c_str(), Overhead(on.create, off.create));
-  std::printf("%-10s %14s %14s %11.1f%%\n", "read", Secs(off.read).c_str(),
-              Secs(on.read).c_str(), Overhead(on.read, off.read));
-  std::printf("%-10s %14s %14s %11.1f%%\n", "delete", Secs(off.remove).c_str(),
-              Secs(on.remove).c_str(), Overhead(on.remove, off.remove));
+  auto row = [&report](const char* phase, SimDuration without, SimDuration with) {
+    std::printf("%-10s %14s %14s %11.1f%%\n", phase, Secs(without).c_str(),
+                Secs(with).c_str(), Overhead(with, without));
+    report.Row("figure6", {{"phase", phase},
+                           {"no_audit_s", ToSeconds(without)},
+                           {"audit_s", ToSeconds(with)},
+                           {"overhead_pct", Overhead(with, without)}});
+  };
+  row("create", g_micro[false].create, g_micro[true].create);
+  row("read", g_micro[false].read, g_micro[true].read);
+  row("delete", g_micro[false].remove, g_micro[true].remove);
 
   const PostMarkReport& moff = g_macro[false];
   const PostMarkReport& mon = g_macro[true];
@@ -133,6 +124,10 @@ void PrintFigure6() {
   std::printf("\nMacro check (PostMark total): %s s -> %s s, overhead %.1f%%\n",
               Secs(total_off).c_str(), Secs(total_on).c_str(),
               Overhead(total_on, total_off));
+  report.Row("figure6", {{"phase", "postmark"},
+                         {"no_audit_s", ToSeconds(total_off)},
+                         {"audit_s", ToSeconds(total_on)},
+                         {"overhead_pct", Overhead(total_on, total_off)}});
   std::printf("\nExpected shape (paper): create/delete ~3%%, read ~7%% (audit blocks\n"
               "interleaved with data reduce segment read locality); macro 1-3%%.\n");
 
@@ -141,6 +136,10 @@ void PrintFigure6() {
   std::printf("%-12s %14s\n", "bare", Secs(g_chain_time[false]).c_str());
   std::printf("%-12s %14s\n", "chained", Secs(g_chain_time[true]).c_str());
   std::printf("chained overhead: %.1f%% (gate: 10%%)\n", ChainOverheadPct());
+  report.Metric("postmark_unchained_s", ToSeconds(g_chain_time[false]), "s", Better::kLower);
+  report.Metric("postmark_chained_s", ToSeconds(g_chain_time[true]), "s", Better::kLower);
+  report.Metric("chain_overhead_pct", ChainOverheadPct(), "%", Better::kLower);
+  report.Gate("chain_overhead_pct", "<=", 10.0);
 }
 
 }  // namespace
@@ -148,21 +147,7 @@ void PrintFigure6() {
 }  // namespace s4
 
 int main(int argc, char** argv) {
-  // --check: exit nonzero if the chained framing costs more than 10% on the
-  // batched PostMark run (stripped before benchmark::Initialize, which
-  // rejects unknown flags).
-  bool check = false;
-  {
-    int out = 1;
-    for (int i = 1; i < argc; ++i) {
-      if (std::string(argv[i]) == "--check") {
-        check = true;
-      } else {
-        argv[out++] = argv[i];
-      }
-    }
-    argc = out;
-  }
+  s4::bench::BenchReport report("audit", &argc, argv);
   for (bool audit : {false, true}) {
     std::string micro_name = std::string("Microbench/audit:") + (audit ? "on" : "off");
     ::benchmark::RegisterBenchmark(
@@ -183,22 +168,15 @@ int main(int argc, char** argv) {
     std::string name = std::string("PostMarkBatched/chain:") + (chained ? "on" : "off");
     ::benchmark::RegisterBenchmark(
         name.c_str(),
-        [chained](::benchmark::State& state) { s4::bench::RunChain(state, chained); })
+        [chained, &report](::benchmark::State& state) {
+          s4::bench::RunChain(state, chained, report);
+        })
         ->UseManualTime()
         ->Iterations(1)
         ->Unit(::benchmark::kSecond);
   }
   ::benchmark::Initialize(&argc, argv);
   ::benchmark::RunSpecifiedBenchmarks();
-  s4::bench::PrintFigure6();
-  s4::bench::WriteChainJson();
-  if (check) {
-    double pct = s4::bench::ChainOverheadPct();
-    if (pct > 10.0) {
-      std::fprintf(stderr, "FAIL: chained audit overhead %.1f%% exceeds 10%% gate\n", pct);
-      return 1;
-    }
-    std::printf("PASS: chained audit overhead %.1f%% within 10%% gate\n", pct);
-  }
-  return 0;
+  s4::bench::Report(report);
+  return report.Finish();
 }

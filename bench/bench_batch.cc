@@ -12,9 +12,9 @@
 //      into kBatch envelopes, showing the round-trip savings alone.
 //
 // Usage: bench_batch [--quick] [google-benchmark flags]
+// Writes BENCH_batch.json, one label per file-system configuration.
 #include <benchmark/benchmark.h>
 
-#include <cstring>
 #include <map>
 #include <string>
 #include <vector>
@@ -26,7 +26,7 @@ namespace bench {
 namespace {
 
 struct BatchConfig {
-  const char* name;       // also the BENCH_batch_<name>.json suffix
+  const char* name;       // also its label in BENCH_batch.json
   uint32_t group_commit;  // 1 = per-op sync (unbatched)
   bool batch_rpcs;
 };
@@ -36,8 +36,6 @@ constexpr BatchConfig kConfigs[] = {
     {"group8", 8, true},
     {"group32", 32, true},
 };
-
-bool g_quick = false;
 
 struct Row {
   double sim_seconds = 0;
@@ -52,9 +50,10 @@ std::map<std::string, Row> g_rows;
 // Write-heavy mix: create files, then overwrite them round-robin. Every op
 // is mutating, so the sync discipline dominates — the worst case the paper
 // measures in section 5.2 and the best case for group commit.
-void RunFsWorkload(::benchmark::State& state, const BatchConfig& config) {
-  const uint32_t files = g_quick ? 50 : 200;
-  const uint32_t writes = g_quick ? 500 : 4000;
+void RunFsWorkload(::benchmark::State& state, const BatchConfig& config,
+                   BenchReport& report) {
+  const uint32_t files = report.quick() ? 50 : 200;
+  const uint32_t writes = report.quick() ? 500 : 4000;
   const uint32_t write_bytes = 4096;
 
   for (auto _ : state) {
@@ -87,7 +86,7 @@ void RunFsWorkload(::benchmark::State& state, const BatchConfig& config) {
     row.sim_seconds = server->SimSeconds();
     row.logical_ops = files + writes;
     row.disk_writes = server->device->stats().writes;
-    row.net_messages = server->transport->stats().messages_sent;
+    row.net_messages = server->drive->metrics().CounterValue("net.messages_sent");
     row.rpc_syncs = server->s4_fs->stats().rpc_syncs;
     row.rpc_batches = server->s4_fs->stats().rpc_batches;
     g_rows[config.name] = row;
@@ -96,14 +95,14 @@ void RunFsWorkload(::benchmark::State& state, const BatchConfig& config) {
     state.counters["ops_per_s"] = row.logical_ops / row.sim_seconds;
     state.counters["disk_w_per_op"] =
         static_cast<double>(row.disk_writes) / row.logical_ops;
-    WriteBenchJson(*server, std::string("batch_") + config.name);
+    report.Server(config.name, *server);
   }
 }
 
 // Raw RPC round-trips: the same N Write+Sync pairs, one frame per RPC vs
 // one kBatch frame per `group` sub-ops.
-void RunRawRpc(::benchmark::State& state, uint32_t group) {
-  const uint32_t total_writes = g_quick ? 512 : 2048;
+void RunRawRpc(::benchmark::State& state, uint32_t group, bool quick) {
+  const uint32_t total_writes = quick ? 512 : 2048;
   const uint32_t write_bytes = 4096;
 
   for (auto _ : state) {
@@ -145,13 +144,13 @@ void RunRawRpc(::benchmark::State& state, uint32_t group) {
     state.SetIterationTime(sim_s);
     state.counters["ops_per_s"] = total_writes / sim_s;
     state.counters["net_msgs"] =
-        static_cast<double>(server->transport->stats().messages_sent);
+        static_cast<double>(server->drive->metrics().CounterValue("net.messages_sent"));
     state.counters["disk_w_per_op"] =
         static_cast<double>(server->device->stats().writes) / total_writes;
   }
 }
 
-void PrintSummary() {
+void Report(BenchReport& report) {
   std::printf("\n=== Batched RPC + group commit (write-heavy fs workload) ===\n");
   std::printf("%-12s %10s %12s %14s %10s %10s %10s\n", "config", "sim (s)", "ops/sec",
               "disk w/op", "net msgs", "syncs", "batches");
@@ -167,6 +166,13 @@ void PrintSummary() {
                 static_cast<unsigned long long>(r.net_messages),
                 static_cast<unsigned long long>(r.rpc_syncs),
                 static_cast<unsigned long long>(r.rpc_batches));
+    report.Row("batch", {{"config", config.name},
+                         {"sim_s", r.sim_seconds},
+                         {"ops_per_s", r.logical_ops / r.sim_seconds},
+                         {"disk_writes_per_op", static_cast<double>(r.disk_writes) / r.logical_ops},
+                         {"net_messages", r.net_messages},
+                         {"rpc_syncs", r.rpc_syncs},
+                         {"rpc_batches", r.rpc_batches}});
   }
   std::printf("\nExpected shape: each sync point costs one journal chunk write; grouping\n"
               "N ops per sync divides disk writes per op and removes one round-trip\n"
@@ -178,21 +184,12 @@ void PrintSummary() {
 }  // namespace s4
 
 int main(int argc, char** argv) {
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--quick") == 0) {
-      s4::bench::g_quick = true;
-      for (int j = i; j + 1 < argc; ++j) {
-        argv[j] = argv[j + 1];
-      }
-      --argc;
-      break;
-    }
-  }
+  s4::bench::BenchReport report("batch", &argc, argv);
   for (const auto& config : s4::bench::kConfigs) {
     std::string name = std::string("BatchFs/") + config.name;
     ::benchmark::RegisterBenchmark(name.c_str(),
-                                   [&config](::benchmark::State& state) {
-                                     s4::bench::RunFsWorkload(state, config);
+                                   [&config, &report](::benchmark::State& state) {
+                                     s4::bench::RunFsWorkload(state, config, report);
                                    })
         ->UseManualTime()
         ->Iterations(1)
@@ -201,8 +198,8 @@ int main(int argc, char** argv) {
   for (uint32_t group : {1u, 8u, 32u}) {
     std::string name = "BatchRawRpc/group" + std::to_string(group);
     ::benchmark::RegisterBenchmark(name.c_str(),
-                                   [group](::benchmark::State& state) {
-                                     s4::bench::RunRawRpc(state, group);
+                                   [group, &report](::benchmark::State& state) {
+                                     s4::bench::RunRawRpc(state, group, report.quick());
                                    })
         ->UseManualTime()
         ->Iterations(1)
@@ -210,6 +207,6 @@ int main(int argc, char** argv) {
   }
   ::benchmark::Initialize(&argc, argv);
   ::benchmark::RunSpecifiedBenchmarks();
-  s4::bench::PrintSummary();
-  return 0;
+  s4::bench::Report(report);
+  return report.Finish();
 }

@@ -11,13 +11,16 @@
 // Scaled for the harness: 1GB disk (paper: 2GB), 10,000 transactions
 // (paper: 50,000). Utilisation is the swept variable either way.
 //
-// Usage: bench_cleaner [--quick] [--check]
+// At the top fill (80%) the transaction phase runs the log out of free
+// segments with the cleaner on or off; that point is reported as a full disk.
+//
+// Usage: bench_cleaner [--quick] [--check] [google-benchmark flags]
 //   --check  exit non-zero when a gate fails (steady-state sweep reads a log
 //            sector twice; idle-slice cleaning regresses foreground p99)
+// Writes BENCH_cleaner.json.
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
-#include <cstring>
 #include <map>
 #include <mutex>
 #include <vector>
@@ -37,18 +40,16 @@ constexpr uint32_t kTransactions = 10000;
 // joins the history pool) plus journal sectors: ~15KB of log per create.
 constexpr uint64_t kBytesPerFile = 15 * 1024;
 
-bool g_quick = false;
-bool g_check = false;
-bool g_gate_failed = false;
-
 struct Point {
-  double utilization = 0;
+  uint32_t target_percent = 0;
+  double utilization = 0;  // measured after the create phase
   double tx_per_sec = 0;
+  bool disk_full = false;  // the transaction phase ran out of free segments
 };
 std::map<bool, std::vector<Point>> g_series;  // cleaning? -> points
 
-std::vector<uint32_t> UtilizationTargets() {
-  if (g_quick) {
+std::vector<uint32_t> UtilizationTargets(bool quick) {
+  if (quick) {
     return {2, 30, 65};
   }
   return {2, 10, 30, 50, 65, 80};
@@ -91,12 +92,19 @@ void RunPoint(::benchmark::State& state, uint32_t util_percent, bool cleaning) {
     double utilization = server->drive->SpaceUtilization();
 
     auto report = pm.RunTransactionsOnly();
-    S4_CHECK(report.ok());
+    if (!report.ok()) {
+      // A full disk is a measured result at the top fill; any other error
+      // is a bug.
+      S4_CHECK(report.status().code() == ErrorCode::kOutOfSpace);
+      g_series[cleaning].push_back(Point{util_percent, utilization, 0, /*disk_full=*/true});
+      state.SkipWithError("disk full");
+      continue;
+    }
     double tps = report->TransactionsPerSecond(config.transactions);
     state.SetIterationTime(ToSeconds(report->transaction_phase));
     state.counters["util"] = utilization;
     state.counters["tx_per_s"] = tps;
-    g_series[cleaning].push_back(Point{utilization, tps});
+    g_series[cleaning].push_back(Point{util_percent, utilization, tps});
   }
 }
 
@@ -120,14 +128,14 @@ struct SteadyState {
   double expiry_sim_ms = 0;
   uint64_t freed_sectors = 0;
 };
-std::unique_ptr<Server> g_steady_server;  // for the JSON
 
-SteadyState RunSteadyState() {
-  const uint32_t kObjects = g_quick ? 4 : 6;
-  const SimDuration kWindow = g_quick ? 10 * kMinute : 20 * kMinute;
+SteadyState RunSteadyState(BenchReport& report) {
+  const bool quick = report.quick();
+  const uint32_t kObjects = quick ? 4 : 6;
+  const SimDuration kWindow = quick ? 10 * kMinute : 20 * kMinute;
   const SimDuration kSpacing = 10 * kSecond;
   const SimDuration kBuildSpan = kWindow + kWindow / 2;
-  const int kPasses = g_quick ? 4 : 8;
+  const int kPasses = quick ? 4 : 8;
   const SimDuration kPassEvery = kMinute;
 
   ServerOptions options;
@@ -205,7 +213,7 @@ SteadyState RunSteadyState() {
   result.expiry_sim_ms =
       static_cast<double>(reg.CounterValue("cleaner.sweep_time_us") - sweep_us0) / 1e3;
   result.freed_sectors = reg.CounterValue("cleaner.sectors_expired") - freed0;
-  g_steady_server = std::move(server);
+  report.Server("steady_state", *server);
   return result;
 }
 
@@ -227,11 +235,9 @@ struct IdleSlicePoint {
   double fg_makespan_s = 0;   // burst start -> last foreground completion
   uint64_t cleaner_passes = 0;
 };
-IdleSlicePoint g_idle_slice[2];  // [idle?]
-
-IdleSlicePoint RunIdleSlicePoint(bool idle_slice) {
+IdleSlicePoint RunIdleSlicePoint(bool idle_slice, bool quick) {
   const uint32_t kObjects = 8;
-  const uint32_t kBurst = g_quick ? 256 : 1024;
+  const uint32_t kBurst = quick ? 256 : 1024;
   const uint32_t kMaintEvery = 64;
   const SimDuration kWindow = kMinute;
 
@@ -308,11 +314,9 @@ IdleSlicePoint RunIdleSlicePoint(bool idle_slice) {
   return p;
 }
 
-void RunIdleSliceComparison() {
-  g_idle_slice[1] = RunIdleSlicePoint(/*idle_slice=*/true);
-  g_idle_slice[0] = RunIdleSlicePoint(/*idle_slice=*/false);
-  const IdleSlicePoint& idle = g_idle_slice[1];
-  const IdleSlicePoint& inl = g_idle_slice[0];
+void RunIdleSliceComparison(BenchReport& report) {
+  const IdleSlicePoint idle = RunIdleSlicePoint(/*idle_slice=*/true, report.quick());
+  const IdleSlicePoint inl = RunIdleSlicePoint(/*idle_slice=*/false, report.quick());
   std::printf("\n=== Idle-slice cleaning vs inline: foreground tail ===\n");
   std::printf("%12s %14s %16s %14s\n", "mode", "fg p99 (us)", "fg makespan (s)",
               "cleaner passes");
@@ -320,15 +324,21 @@ void RunIdleSliceComparison() {
               idle.fg_makespan_s, static_cast<unsigned long long>(idle.cleaner_passes));
   std::printf("%12s %14.0f %16.3f %14llu\n", "inline", inl.fg_p99_us,
               inl.fg_makespan_s, static_cast<unsigned long long>(inl.cleaner_passes));
-  if (idle.fg_p99_us > inl.fg_p99_us) {
-    std::printf("\n!! GATE: idle-slice foreground p99 %.0fus regressed past inline "
-                "cleaning %.0fus\n", idle.fg_p99_us, inl.fg_p99_us);
-    g_gate_failed = true;
-  }
+  report.Metric("idle_slice.fg_p99_us", idle.fg_p99_us, "us", Better::kLower);
+  report.Metric("idle_slice.inline_fg_p99_us", inl.fg_p99_us, "us", Better::kLower);
+  report.Metric("idle_slice.fg_makespan_s", idle.fg_makespan_s, "s", Better::kLower);
+  report.Metric("idle_slice.inline_fg_makespan_s", inl.fg_makespan_s, "s", Better::kLower);
+  report.Metric("idle_slice.cleaner_passes", idle.cleaner_passes, "count", Better::kHigher);
+  report.Metric("idle_slice.inline_cleaner_passes", inl.cleaner_passes, "count",
+                Better::kHigher);
+  // Moving cleaning to idle slices must not regress the foreground p99.
+  report.Metric("idle_slice.fg_p99_over_inline_us", idle.fg_p99_us - inl.fg_p99_us, "us",
+                Better::kLower);
+  report.Gate("idle_slice.fg_p99_over_inline_us", "<=", 0);
 }
 
-void RunSteadyStateSweep() {
-  const SteadyState st = RunSteadyState();
+void RunSteadyStateSweep(BenchReport& report) {
+  const SteadyState st = RunSteadyState(report);
   std::printf("\n=== Steady-state cleaning: log-order sweep ===\n");
   std::printf("%8s %16s %16s %17s %16s %15s %14s\n", "passes", "segments swept",
               "sectors scanned", "sectors appended", "jsectors decoded", "expiry sim ms",
@@ -340,63 +350,61 @@ void RunSteadyStateSweep() {
               static_cast<unsigned long long>(st.sectors_appended),
               static_cast<unsigned long long>(st.journal_sectors_decoded), st.expiry_sim_ms,
               static_cast<unsigned long long>(st.freed_sectors));
-  if (st.sectors_scanned > st.sectors_appended + st.segment_sectors) {
-    std::printf("\n!! GATE: steady-state passes scanned %llu log sectors, more than the "
-                "%llu appended since the warm-up pass plus one %llu-sector segment\n",
-                static_cast<unsigned long long>(st.sectors_scanned),
-                static_cast<unsigned long long>(st.sectors_appended),
-                static_cast<unsigned long long>(st.segment_sectors));
-    g_gate_failed = true;
-  }
-  if (g_steady_server != nullptr) {
-    char extra[1024];
-    std::string figure5;
-    for (bool cleaning : {false, true}) {
-      for (const Point& p : g_series[cleaning]) {
-        char buf[160];
-        std::snprintf(buf, sizeof(buf), "%s{\"util\": %.3f, \"tx_per_s\": %.1f, \"cleaning\": %s}",
-                      figure5.empty() ? "" : ", ", p.utilization, p.tx_per_sec,
-                      cleaning ? "true" : "false");
-        figure5 += buf;
-      }
-    }
-    std::snprintf(extra, sizeof(extra),
-                  "\"cleaner\": {\"steady_state\": {\"passes\": %llu, "
-                  "\"segments_swept\": %llu, \"sectors_scanned\": %llu, "
-                  "\"sectors_appended\": %llu, \"journal_sectors_decoded\": %llu, "
-                  "\"expiry_sim_ms\": %.1f, \"freed_sectors\": %llu}, "
-                  "\"idle_slice\": {\"fg_p99_us\": %.0f, \"fg_p99_us_inline\": %.0f, "
-                  "\"fg_makespan_s\": %.3f, \"inline_makespan_s\": %.3f, "
-                  "\"passes\": %llu}, \"figure5\": [%s]}",
-                  static_cast<unsigned long long>(st.passes),
-                  static_cast<unsigned long long>(st.segments_swept),
-                  static_cast<unsigned long long>(st.sectors_scanned),
-                  static_cast<unsigned long long>(st.sectors_appended),
-                  static_cast<unsigned long long>(st.journal_sectors_decoded), st.expiry_sim_ms,
-                  static_cast<unsigned long long>(st.freed_sectors),
-                  g_idle_slice[1].fg_p99_us, g_idle_slice[0].fg_p99_us,
-                  g_idle_slice[1].fg_makespan_s, g_idle_slice[0].fg_makespan_s,
-                  static_cast<unsigned long long>(g_idle_slice[1].cleaner_passes),
-                  figure5.c_str());
-    WriteBenchJson(*g_steady_server, "cleaner", extra);
-    g_steady_server.reset();
-  }
+  report.Metric("steady.passes", st.passes, "count", Better::kHigher);
+  report.Metric("steady.segments_swept", st.segments_swept, "count", Better::kLower);
+  report.Metric("steady.sectors_scanned", st.sectors_scanned, "count", Better::kLower);
+  report.Metric("steady.sectors_appended", st.sectors_appended, "count", Better::kLower);
+  report.Metric("steady.journal_sectors_decoded", st.journal_sectors_decoded, "count",
+                Better::kLower);
+  report.Metric("steady.expiry_sim_ms", st.expiry_sim_ms, "ms", Better::kLower);
+  report.Metric("steady.freed_sectors", st.freed_sectors, "count", Better::kHigher);
+  // No log sector is read twice: the passes scan at most what was appended
+  // since the warm-up pass plus one segment.
+  report.Metric("steady.scan_excess_sectors",
+                static_cast<double>(st.sectors_scanned) -
+                    static_cast<double>(st.sectors_appended + st.segment_sectors),
+                "count", Better::kLower);
+  report.Gate("steady.scan_excess_sectors", "<=", 0);
 }
 
-void PrintFigure5() {
+void PrintFigure5(BenchReport& report) {
   std::printf("\n=== Figure 5: foreground cleaning overhead vs. utilisation ===\n");
   std::printf("(PostMark, %u transactions, %lluMB disk)\n\n", kTransactions,
               static_cast<unsigned long long>(kDiskBytes >> 20));
   std::printf("%12s %18s %18s %12s\n", "utilisation", "no-clean (tx/s)", "cleaning (tx/s)",
               "overhead");
+  auto tps = [](const Point& p) {
+    char buf[32];
+    std::snprintf(buf, sizeof(buf), "%.1f", p.tx_per_sec);
+    return p.disk_full ? std::string("disk full") : std::string(buf);
+  };
   const auto& off = g_series[false];
   const auto& on = g_series[true];
   for (size_t i = 0; i < off.size() && i < on.size(); ++i) {
-    double overhead = off[i].tx_per_sec > 0
-                          ? 100.0 * (1.0 - on[i].tx_per_sec / off[i].tx_per_sec)
-                          : 0.0;
-    std::printf("%11.0f%% %18.1f %18.1f %11.1f%%\n", off[i].utilization * 100,
-                off[i].tx_per_sec, on[i].tx_per_sec, overhead);
+    std::printf("%11.0f%% %18s %18s", off[i].utilization * 100, tps(off[i]).c_str(),
+                tps(on[i]).c_str());
+    if (!off[i].disk_full && !on[i].disk_full) {
+      double overhead = off[i].tx_per_sec > 0
+                            ? 100.0 * (1.0 - on[i].tx_per_sec / off[i].tx_per_sec)
+                            : 0.0;
+      std::printf(" %11.1f%%", overhead);
+    }
+    std::printf("\n");
+  }
+  for (bool cleaning : {false, true}) {
+    for (const Point& p : g_series[cleaning]) {
+      JsonFields row = {{"target_util_pct", p.target_percent},
+                        {"util", p.utilization},
+                        {"cleaning", cleaning},
+                        {"disk_full", p.disk_full}};
+      if (!p.disk_full) {
+        row.emplace_back("tx_per_s", p.tx_per_sec);
+        report.Metric("figure5.util" + std::to_string(p.target_percent) +
+                          (cleaning ? ".clean_on" : ".clean_off") + ".tx_per_s",
+                      p.tx_per_sec, "1/s", Better::kHigher);
+      }
+      report.Row("figure5", row);
+    }
   }
   std::printf("\nExpected shape (paper): throughput falls with utilisation; continuous\n"
               "foreground cleaning costs up to ~50%% at high utilisation, and the extra\n"
@@ -409,20 +417,9 @@ void PrintFigure5() {
 }  // namespace s4
 
 int main(int argc, char** argv) {
-  // Strip our own flags before handing argv to google-benchmark.
-  int out = 1;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--quick") == 0) {
-      s4::bench::g_quick = true;
-    } else if (std::strcmp(argv[i], "--check") == 0) {
-      s4::bench::g_check = true;
-    } else {
-      argv[out++] = argv[i];
-    }
-  }
-  argc = out;
+  s4::bench::BenchReport report("cleaner", &argc, argv);
   for (bool cleaning : {false, true}) {
-    for (uint32_t util : s4::bench::UtilizationTargets()) {
+    for (uint32_t util : s4::bench::UtilizationTargets(report.quick())) {
       std::string name = "Cleaner/util:" + std::to_string(util) + "/clean:" +
                          (cleaning ? "on" : "off");
       ::benchmark::RegisterBenchmark(name.c_str(),
@@ -436,8 +433,8 @@ int main(int argc, char** argv) {
   }
   ::benchmark::Initialize(&argc, argv);
   ::benchmark::RunSpecifiedBenchmarks();
-  s4::bench::PrintFigure5();
-  s4::bench::RunIdleSliceComparison();
-  s4::bench::RunSteadyStateSweep();
-  return s4::bench::g_check && s4::bench::g_gate_failed ? 1 : 0;
+  s4::bench::PrintFigure5(report);
+  s4::bench::RunIdleSliceComparison(report);
+  s4::bench::RunSteadyStateSweep(report);
+  return report.Finish();
 }

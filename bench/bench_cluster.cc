@@ -22,15 +22,17 @@
 //
 // Usage: bench_cluster [--quick] [--check]
 //   --quick  smaller PostMark configuration (CI)
-//   --check  exit non-zero unless N=4 aggregate throughput >= 2.5x N=1 and
-//            the rebuild stayed within its per-tick byte budget
+//   --check  exit non-zero unless N=4 aggregate throughput >= 2.5x N=1, the
+//            rebuild completed within its per-tick byte budget, and degraded
+//            reads cost more than healthy ones
+// Writes BENCH_cluster.json.
 #include <algorithm>
 #include <cstdio>
-#include <cstring>
 #include <memory>
 #include <string>
 #include <vector>
 
+#include "bench/harness.h"
 #include "src/cluster/shard_router.h"
 #include "src/rpc/transport.h"
 #include "src/sim/block_device.h"
@@ -259,7 +261,9 @@ struct RebuildResult {
   int64_t foreground_p99_us = 0;  // foreground op p99 while rebuilding
   double interference_x = 0;
   bool completed = false;
-  bool under_budget = false;
+  // Average tick bytes beyond the budget; a tick may overshoot by the final
+  // entry it starts (one object plus its lane record), never by more.
+  double over_budget_bytes = 0;
 };
 
 // Phases 2+3 share one 4-shard array: measure reads healthy, kill a shard,
@@ -379,10 +383,9 @@ void RunDegradedAndRebuild(bool quick, DegradedResult* degraded, RebuildResult* 
           ? static_cast<double>(rebuild->foreground_p99_us) / rebuild->baseline_p99_us
           : 0;
   rebuild->completed = done;
-  // A tick may overshoot by the final entry it starts (one object plus its
-  // lane record), never by more.
-  rebuild->under_budget =
-      rebuild->avg_tick_bytes <= rebuild->budget_bytes + kObjectBytes + kParityDataOffset;
+  rebuild->over_budget_bytes =
+      rebuild->avg_tick_bytes -
+      static_cast<double>(rebuild->budget_bytes + kObjectBytes + kParityDataOffset);
 
   // The rebuilt shard must serve every lost object's content directly again.
   for (ObjectId id : on_failed) {
@@ -395,49 +398,8 @@ void RunDegradedAndRebuild(bool quick, DegradedResult* degraded, RebuildResult* 
 
 // --- Reporting ---------------------------------------------------------------
 
-void WriteJson(const std::vector<ScalePoint>& scaling, const DegradedResult& degraded,
-               const RebuildResult& rebuild, double speedup, double elapsed_speedup) {
-  std::FILE* f = std::fopen("BENCH_cluster.json", "w");
-  if (f == nullptr) {
-    std::fprintf(stderr, "bench_cluster: cannot open BENCH_cluster.json\n");
-    return;
-  }
-  auto u = [](uint64_t v) { return static_cast<unsigned long long>(v); };
-  std::fprintf(f, "{\n  \"bench\": \"cluster\",\n  \"server\": \"S4-array\",\n");
-  std::fprintf(f, "  \"cluster\": {\n    \"scaling\": [");
-  for (size_t i = 0; i < scaling.size(); ++i) {
-    const ScalePoint& p = scaling[i];
-    std::fprintf(f,
-                 "%s\n      {\"n\": %zu, \"parity\": %s, \"transactions\": %u, "
-                 "\"elapsed_s\": %.6f, \"makespan_s\": %.6f, \"max_busy_s\": %.6f, "
-                 "\"tx_per_s\": %.1f, \"elapsed_tx_per_s\": %.1f, \"parity_deltas\": %llu}",
-                 i == 0 ? "" : ",", p.n, p.parity ? "true" : "false", p.transactions,
-                 p.txn.elapsed_s, p.txn.makespan_s, p.txn.max_busy_s, p.tx_per_s,
-                 p.elapsed_tx_per_s, u(p.parity_deltas));
-  }
-  std::fprintf(f, "\n    ],\n    \"speedup_4x\": %.3f,\n", speedup);
-  std::fprintf(f, "    \"elapsed_speedup_4x\": %.3f,\n", elapsed_speedup);
-  std::fprintf(f,
-               "    \"degraded\": {\"healthy_read_us\": %.1f, \"degraded_read_us\": %.1f, "
-               "\"penalty_x\": %.3f},\n",
-               degraded.healthy_read_us, degraded.degraded_read_us, degraded.penalty_x);
-  std::fprintf(f,
-               "    \"rebuild\": {\"budget_bytes\": %llu, \"ticks\": %llu, "
-               "\"bytes_reconstructed\": %llu, \"entries\": %llu, "
-               "\"avg_tick_bytes\": %.1f, \"baseline_p99_us\": %lld, "
-               "\"foreground_p99_us\": %lld, \"interference_x\": %.3f, "
-               "\"completed\": %s, \"under_budget\": %s}\n",
-               u(rebuild.budget_bytes), u(rebuild.ticks), u(rebuild.bytes_reconstructed),
-               u(rebuild.entries), rebuild.avg_tick_bytes,
-               static_cast<long long>(rebuild.baseline_p99_us),
-               static_cast<long long>(rebuild.foreground_p99_us), rebuild.interference_x,
-               rebuild.completed ? "true" : "false",
-               rebuild.under_budget ? "true" : "false");
-  std::fprintf(f, "  }\n}\n");
-  std::fclose(f);
-}
-
-int Run(bool quick, bool check) {
+void Run(BenchReport& report) {
+  const bool quick = report.quick();
   std::vector<ScalePoint> scaling;
   for (size_t n : {size_t{1}, size_t{2}, size_t{4}}) {
     std::printf("bench_cluster: scaling run N=%zu%s...\n", n,
@@ -469,6 +431,18 @@ int Run(bool quick, bool check) {
                 p.txn.makespan_s, p.tx_per_s,
                 one.tx_per_s > 0 ? p.tx_per_s / one.tx_per_s : 0, p.elapsed_tx_per_s,
                 one.elapsed_tx_per_s > 0 ? p.elapsed_tx_per_s / one.elapsed_tx_per_s : 0);
+    report.Row("scaling", {{"n", p.n},
+                           {"parity", p.parity},
+                           {"transactions", p.transactions},
+                           {"elapsed_s", p.txn.elapsed_s},
+                           {"makespan_s", p.txn.makespan_s},
+                           {"max_busy_s", p.txn.max_busy_s},
+                           {"tx_per_s", p.tx_per_s},
+                           {"elapsed_tx_per_s", p.elapsed_tx_per_s},
+                           {"parity_deltas", p.parity_deltas}});
+    const std::string n = "n" + std::to_string(p.n) + ".";
+    report.Metric(n + "tx_per_s", p.tx_per_s, "1/s", Better::kHigher);
+    report.Metric(n + "elapsed_tx_per_s", p.elapsed_tx_per_s, "1/s", Better::kHigher);
   }
   std::printf("\n=== Degraded reads (one shard lost, XOR reconstruction) ===\n");
   std::printf("healthy %.0fus -> degraded %.0fus  (penalty %.2fx)\n",
@@ -480,55 +454,43 @@ int Run(bool quick, bool check) {
               static_cast<unsigned long long>(rebuild.entries),
               static_cast<unsigned long long>(rebuild.ticks),
               rebuild.avg_tick_bytes / 1024.0,
-              rebuild.under_budget ? "under budget" : "OVER BUDGET",
+              rebuild.over_budget_bytes <= 0 ? "under budget" : "OVER BUDGET",
               static_cast<long long>(rebuild.foreground_p99_us),
               static_cast<long long>(rebuild.baseline_p99_us), rebuild.interference_x);
 
-  WriteJson(scaling, degraded, rebuild, speedup, elapsed_speedup);
-
-  if (check) {
-    bool ok = true;
-    if (speedup < 2.5) {
-      std::fprintf(stderr, "CHECK FAILED: N=4 speedup %.2fx < 2.5x\n", speedup);
-      ok = false;
-    }
-    if (!rebuild.completed || !rebuild.under_budget) {
-      std::fprintf(stderr, "CHECK FAILED: rebuild completed=%d under_budget=%d\n",
-                   rebuild.completed, rebuild.under_budget);
-      ok = false;
-    }
-    if (degraded.penalty_x <= 1.0) {
-      std::fprintf(stderr,
-                   "CHECK FAILED: degraded penalty %.2fx <= 1x (reconstruction is "
-                   "not free; a smaller number means the bench measured nothing)\n",
-                   degraded.penalty_x);
-      ok = false;
-    }
-    if (!ok) {
-      return 1;
-    }
-    std::printf("\nall checks passed: speedup %.2fx >= 2.5x, rebuild paced under "
-                "budget\n", speedup);
-  }
-  return 0;
+  report.Metric("speedup_4x", speedup, "x", Better::kHigher);
+  report.Metric("elapsed_speedup_4x", elapsed_speedup, "x", Better::kHigher);
+  report.Metric("degraded.healthy_read_us", degraded.healthy_read_us, "us", Better::kLower);
+  report.Metric("degraded.degraded_read_us", degraded.degraded_read_us, "us", Better::kLower);
+  report.Metric("degraded.penalty_x", degraded.penalty_x, "x", Better::kLower);
+  report.Metric("rebuild.budget_bytes", rebuild.budget_bytes, "bytes", Better::kLower);
+  report.Metric("rebuild.ticks", rebuild.ticks, "count", Better::kLower);
+  report.Metric("rebuild.bytes_reconstructed", rebuild.bytes_reconstructed, "bytes",
+                Better::kLower);
+  report.Metric("rebuild.entries", rebuild.entries, "count", Better::kLower);
+  report.Metric("rebuild.avg_tick_bytes", rebuild.avg_tick_bytes, "bytes", Better::kLower);
+  report.Metric("rebuild.baseline_p99_us", rebuild.baseline_p99_us, "us", Better::kLower);
+  report.Metric("rebuild.foreground_p99_us", rebuild.foreground_p99_us, "us", Better::kLower);
+  report.Metric("rebuild.interference_x", rebuild.interference_x, "x", Better::kLower);
+  report.Metric("rebuild.completed", rebuild.completed, "bool", Better::kHigher);
+  report.Metric("rebuild.over_budget_bytes", rebuild.over_budget_bytes, "bytes",
+                Better::kLower);
+  report.Gate("speedup_4x", ">=", 2.5);
+  report.Gate("rebuild.completed", ">=", 1);
+  report.Gate("rebuild.over_budget_bytes", "<=", 0);
+  // Reconstruction is not free: a penalty of 1x or less means the bench
+  // measured nothing.
+  report.Gate("degraded.penalty_x", ">", 1.0);
 }
 
 }  // namespace
 }  // namespace bench
 }  // namespace s4
 
+// A deterministic phase sweep, not a google-benchmark registration: other
+// flags (e.g. google-benchmark ones CI passes to sibling benches) are ignored.
 int main(int argc, char** argv) {
-  bool quick = false;
-  bool check = false;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--quick") == 0) {
-      quick = true;
-    } else if (std::strcmp(argv[i], "--check") == 0) {
-      check = true;
-    }
-    // Other flags (e.g. google-benchmark ones CI passes to sibling benches)
-    // are ignored: this bench is a deterministic phase sweep, not a
-    // google-benchmark registration.
-  }
-  return s4::bench::Run(quick, check);
+  s4::bench::BenchReport report("cluster", &argc, argv);
+  s4::bench::Run(report);
+  return report.Finish();
 }

@@ -27,13 +27,14 @@
 //   --quick  smaller transaction counts (CI)
 //   --check  exit non-zero unless W=4 aggregate throughput >= 2x W=1
 //            (phase 1) and W=4 read throughput >= 1.5x W=1 (phase 2)
+// Other flags are ignored. Writes BENCH_concurrency.json.
 #include <algorithm>
 #include <cstdio>
-#include <cstring>
 #include <memory>
 #include <string>
 #include <vector>
 
+#include "bench/harness.h"
 #include "src/drive/s4_drive.h"
 #include "src/exec/drive_executor.h"
 #include "src/rpc/messages.h"
@@ -45,6 +46,8 @@
 namespace s4 {
 namespace bench {
 namespace {
+
+constexpr size_t kDrives = 8;
 
 Credentials UserCreds() {
   Credentials c;
@@ -149,7 +152,6 @@ struct ScalePoint {
 // --- Phase 1: multi-drive transaction scaling --------------------------------
 
 ScalePoint RunScale(int workers, bool quick) {
-  const size_t kDrives = 8;
   const uint32_t kObjects = quick ? 128 : 384;       // per drive
   const uint32_t kObjectBytes = 4096;
   const uint32_t kAppendBytes = 1024;
@@ -235,7 +237,6 @@ ScalePoint RunScale(int workers, bool quick) {
 // over the drives, and at W=4 each worker serves two of them, so the
 // workers carry equal shares.
 ScalePoint RunReadOverlap(int workers, bool quick) {
-  const size_t kDrives = 8;
   const uint32_t kObjects = quick ? 300 : 600;  // x4KB: ~1.2-2.4MB > 1MB cache
   const uint32_t kObjectBytes = 4096;
   const uint32_t kReads = quick ? 1200 : 4800;  // total, spread across drives
@@ -283,34 +284,8 @@ ScalePoint RunReadOverlap(int workers, bool quick) {
 
 // --- Reporting ---------------------------------------------------------------
 
-void WriteJson(const std::vector<ScalePoint>& scaling, const ScalePoint& read1,
-               const ScalePoint& read4, double speedup, double read_speedup) {
-  std::FILE* f = std::fopen("BENCH_concurrency.json", "w");
-  if (f == nullptr) {
-    std::fprintf(stderr, "bench_concurrency: cannot open BENCH_concurrency.json\n");
-    return;
-  }
-  auto u = [](uint64_t v) { return static_cast<unsigned long long>(v); };
-  std::fprintf(f, "{\n  \"bench\": \"concurrency\",\n  \"server\": \"S4-executor\",\n");
-  std::fprintf(f, "  \"concurrency\": {\n    \"drives\": 8,\n    \"scaling\": [");
-  for (size_t i = 0; i < scaling.size(); ++i) {
-    const ScalePoint& p = scaling[i];
-    std::fprintf(f,
-                 "%s\n      {\"workers\": %d, \"ops\": %llu, \"elapsed_s\": %.6f, "
-                 "\"ops_per_s\": %.1f, \"maint_slices\": %llu}",
-                 i == 0 ? "" : ",", p.workers, u(p.ops), p.elapsed_s, p.ops_per_s,
-                 u(p.maint_slices));
-  }
-  std::fprintf(f, "\n    ],\n    \"speedup_4x\": %.3f,\n", speedup);
-  std::fprintf(f,
-               "    \"read_overlap\": {\"drives\": 8, \"reads\": %llu, \"w1_elapsed_s\": %.6f, "
-               "\"w4_elapsed_s\": %.6f, \"speedup\": %.3f}\n",
-               u(read1.ops), read1.elapsed_s, read4.elapsed_s, read_speedup);
-  std::fprintf(f, "  }\n}\n");
-  std::fclose(f);
-}
-
-int Run(bool quick, bool check) {
+void Run(BenchReport& report) {
+  const bool quick = report.quick();
   std::vector<ScalePoint> scaling;
   for (int w : {1, 2, 4}) {
     std::printf("bench_concurrency: scaling run W=%d (8 drives)...\n", w);
@@ -337,38 +312,37 @@ int Run(bool quick, bool check) {
                 p.busy_max_s,
                 scaling.front().ops_per_s > 0 ? p.ops_per_s / scaling.front().ops_per_s
                                               : 0);
+    // maint_slices stays out of the metrics: idle-slice placement depends on
+    // host timing, and the metrics must be identical from run to run.
+    report.Row("scaling", {{"workers", p.workers},
+                           {"drives", kDrives},
+                           {"ops", p.ops},
+                           {"elapsed_s", p.elapsed_s},
+                           {"ops_per_s", p.ops_per_s},
+                           {"maint_slices", p.maint_slices},
+                           {"busy_sum_s", p.busy_sum_s},
+                           {"busy_max_s", p.busy_max_s}});
+    const std::string w = "w" + std::to_string(p.workers) + ".";
+    report.Metric(w + "ops", p.ops, "count", Better::kHigher);
+    report.Metric(w + "elapsed_s", p.elapsed_s, "s", Better::kLower);
+    report.Metric(w + "ops_per_s", p.ops_per_s, "1/s", Better::kHigher);
   }
   std::printf("\n=== Read scaling (8 drives, reads only) ===\n");
   std::printf("W=1 %.3fs vs W=4 %.3fs over %llu reads (%.2fx)\n", read1.elapsed_s,
               read4.elapsed_s, static_cast<unsigned long long>(read1.ops), read_speedup);
 
-  WriteJson(scaling, read1, read4, speedup, read_speedup);
-
-  if (check) {
-    bool ok = true;
-    if (speedup < 2.0) {
-      std::fprintf(stderr, "CHECK FAILED: W=4 speedup %.2fx < 2.0x\n", speedup);
-      ok = false;
-    }
-    // Phase 2's gate is a serialization tripwire, not a throughput target: if
-    // reads on different drives ever took ordering edges against each other
-    // this ratio collapses to ~1.0x. The ratio is deterministic and bounded
-    // by the busiest worker's share of the read time, so it can sit below
-    // 4x without any serialization; 1.5x is far from both.
-    if (read_speedup < 1.5) {
-      std::fprintf(stderr,
-                   "CHECK FAILED: read scaling %.2fx < 1.5x (reads are not "
-                   "overlapping across drives)\n",
-                   read_speedup);
-      ok = false;
-    }
-    if (!ok) {
-      return 1;
-    }
-    std::printf("\nall checks passed: scaling %.2fx >= 2.0x, read scaling %.2fx >= 1.5x\n",
-                speedup, read_speedup);
-  }
-  return 0;
+  report.Metric("speedup_4x", speedup, "x", Better::kHigher);
+  report.Metric("read.reads", read1.ops, "count", Better::kHigher);
+  report.Metric("read.w1_elapsed_s", read1.elapsed_s, "s", Better::kLower);
+  report.Metric("read.w4_elapsed_s", read4.elapsed_s, "s", Better::kLower);
+  report.Metric("read.speedup", read_speedup, "x", Better::kHigher);
+  report.Gate("speedup_4x", ">=", 2.0);
+  // Phase 2's gate is a serialization tripwire, not a throughput target: if
+  // reads on different drives ever took ordering edges against each other
+  // this ratio collapses to ~1.0x. The ratio is deterministic and bounded
+  // by the busiest worker's share of the read time, so it can sit below
+  // 4x without any serialization; 1.5x is far from both.
+  report.Gate("read.speedup", ">=", 1.5);
 }
 
 }  // namespace
@@ -376,14 +350,7 @@ int Run(bool quick, bool check) {
 }  // namespace s4
 
 int main(int argc, char** argv) {
-  bool quick = false;
-  bool check = false;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--quick") == 0) {
-      quick = true;
-    } else if (std::strcmp(argv[i], "--check") == 0) {
-      check = true;
-    }
-  }
-  return s4::bench::Run(quick, check);
+  s4::bench::BenchReport report("concurrency", &argc, argv);
+  s4::bench::Run(report);
+  return report.Finish();
 }

@@ -72,10 +72,10 @@ void RunS4(::benchmark::State& state) {
     S4_CHECK((*drive)->Write(user, *id, 0, base).ok());
     S4_CHECK((*drive)->Sync(user).ok());
 
-    const DriveStats& s0 = (*drive)->stats();
-    uint64_t journal_before = s0.journal_sectors_written;
-    uint64_t checkpoints_before = s0.inode_checkpoints;
-    uint64_t data_before = s0.data_blocks_written;
+    const MetricRegistry& reg = (*drive)->metrics();
+    uint64_t journal_before = reg.CounterValue("drive.journal_sectors_written");
+    uint64_t checkpoints_before = reg.CounterValue("drive.inode_checkpoints");
+    uint64_t data_before = reg.CounterValue("drive.data_blocks_written");
     SimTime t0 = clock.Now();
     for (uint32_t i = 0; i < kUpdates; ++i) {
       uint64_t offset = (rng.Below(kFileBytes / kBlockSize)) * kBlockSize;
@@ -83,16 +83,19 @@ void RunS4(::benchmark::State& state) {
       S4_CHECK((*drive)->Write(user, *id, offset, data).ok());
       S4_CHECK((*drive)->Sync(user).ok());
     }
-    const DriveStats& s1 = (*drive)->stats();
     state.SetIterationTime(ToSeconds(clock.Now() - t0));
 
     double data =
-        static_cast<double>(s1.data_blocks_written - data_before) * kBlockSize / kUpdates;
+        static_cast<double>(reg.CounterValue("drive.data_blocks_written") - data_before) *
+        kBlockSize / kUpdates;
     // Journal sectors are the versioning metadata; amortise any checkpoints
     // the cache wrote during the run.
-    double meta = (static_cast<double>(s1.journal_sectors_written - journal_before) *
-                       kSectorSize +
-                   static_cast<double>(s1.inode_checkpoints - checkpoints_before) * 2048.0) /
+    double meta =
+        (static_cast<double>(reg.CounterValue("drive.journal_sectors_written") -
+                             journal_before) *
+             kSectorSize +
+         static_cast<double>(reg.CounterValue("drive.inode_checkpoints") - checkpoints_before) *
+             2048.0) /
                   kUpdates;
     g_s4 = MetadataRow{data, meta, (data + meta) / kUpdateBytes};
     state.counters["meta_B_per_update"] = meta;

@@ -17,11 +17,12 @@
 //   disk_ms   simulated disk time consumed by mount I/O
 //   reads     disk read commands issued by the mount
 //
-// Usage: bench_recovery [--quick] [--check]
+// Usage: bench_recovery [--quick] [--check] [google-benchmark flags]
 //   --quick  smaller journal series (CI)
 //   --check  exit non-zero unless (a) dirty recovery at the largest point
 //            beats the pre-bounded-scan baseline by >= 3x, and (b) clean
 //            mount disk cost is flat (max/min <= 1.5) across journal sizes.
+// Writes BENCH_recovery.json.
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
@@ -33,6 +34,7 @@
 #include <string>
 #include <vector>
 
+#include "bench/harness.h"
 #include "src/drive/s4_drive.h"
 #include "src/obs/trace.h"
 #include "src/sim/block_device.h"
@@ -45,8 +47,6 @@ namespace {
 
 constexpr uint64_t kDiskBytes = 512ull << 20;
 
-bool g_quick = false;
-
 struct Point {
   uint64_t journal_mb = 0;
   double wall_ms = 0;
@@ -57,8 +57,8 @@ struct Point {
 std::vector<Point> g_dirty;
 std::vector<Point> g_clean;
 
-std::vector<uint64_t> JournalMbTargets() {
-  if (g_quick) {
+std::vector<uint64_t> JournalMbTargets(bool quick) {
+  if (quick) {
     return {1, 8};
   }
   return {1, 4, 16, 64};
@@ -175,38 +175,10 @@ void PrintSummary() {
               "checkpoint_interval_bytes option caps that cost in deployment.\n");
 }
 
-// This bench has no long-lived Server stack (each point formats and crashes
-// its own drive), so the machine-readable dump is a bare point list rather
-// than the harness's per-server schema. Host wall_ms is deliberately left
-// out: it varies with CI hardware, while disk_ms and reads are simulated and
-// comparable across runs.
-void WriteJson() {
-  std::FILE* f = std::fopen("BENCH_recovery.json", "w");
-  if (f == nullptr) {
-    std::fprintf(stderr, "bench_recovery: cannot open BENCH_recovery.json\n");
-    return;
-  }
-  auto dump = [f](const char* section, const std::vector<Point>& points) {
-    std::fprintf(f, "  \"%s\": {\"points\": [", section);
-    for (size_t i = 0; i < points.size(); ++i) {
-      const Point& p = points[i];
-      std::fprintf(f,
-                   "%s{\"journal_mb\": %llu, \"disk_ms\": %.2f, \"audit_ms\": %.2f, "
-                   "\"reads\": %llu}",
-                   i == 0 ? "" : ", ", static_cast<unsigned long long>(p.journal_mb),
-                   p.disk_ms, p.audit_ms, static_cast<unsigned long long>(p.reads));
-    }
-    std::fprintf(f, "]}");
-  };
-  std::fprintf(f, "{\n  \"bench\": \"recovery\",\n");
-  dump("recovery", g_dirty);
-  std::fprintf(f, ",\n");
-  dump("recovery_clean", g_clean);
-  std::fprintf(f, "\n}\n");
-  std::fclose(f);
-}
-
-// Gates, enforced with --check:
+// Host wall_ms is deliberately left out of the report: it varies with the
+// hardware, while disk_ms and reads are simulated and comparable across runs.
+//
+// Gates:
 //
 // (a) Dirty recovery at the largest journal must beat the unbounded-scan
 //     baseline (full-disk segment sweep + per-chunk payload CRC) by >= 3x.
@@ -220,48 +192,44 @@ void WriteJson() {
 //     whole chronicle on every mount by design (audit_chain_test pins that
 //     a byte flipped offline is detected AT MOUNT), so its cost necessarily
 //     grows with operation history. It is reported as its own column.
-int RunChecks() {
-  S4_CHECK(!g_dirty.empty() && !g_clean.empty());
-  int failures = 0;
+void Report(BenchReport& report) {
+  auto series = [&report](const char* name, const std::vector<Point>& points) {
+    for (const Point& p : points) {
+      report.Row(name, {{"journal_mb", p.journal_mb},
+                        {"disk_ms", p.disk_ms},
+                        {"audit_ms", p.audit_ms},
+                        {"reads", p.reads}});
+      const std::string key = std::string(name) + "." + std::to_string(p.journal_mb) + "mb.";
+      report.Metric(key + "disk_ms", p.disk_ms, "ms", Better::kLower);
+      report.Metric(key + "audit_ms", p.audit_ms, "ms", Better::kLower);
+      report.Metric(key + "reads", p.reads, "count", Better::kLower);
+    }
+  };
+  series("dirty", g_dirty);
+  series("clean", g_clean);
 
-  const double baseline_ms = g_quick ? 4842.12 : 15832.0;
-  const Point& worst =
-      *std::max_element(g_dirty.begin(), g_dirty.end(),
-                        [](const Point& a, const Point& b) {
-                          return a.journal_mb < b.journal_mb;
-                        });
-  double speedup = worst.disk_ms > 0 ? baseline_ms / worst.disk_ms : 0;
-  if (speedup < 3.0) {
-    std::fprintf(stderr,
-                 "CHECK FAILED: dirty recovery at %llu MB took %.2f disk_ms; "
-                 "baseline %.2f, speedup %.2fx < 3x\n",
-                 static_cast<unsigned long long>(worst.journal_mb), worst.disk_ms,
-                 baseline_ms, speedup);
-    ++failures;
+  if (!g_dirty.empty()) {
+    const double baseline_ms = report.quick() ? 4842.12 : 15832.0;
+    const Point& worst =
+        *std::max_element(g_dirty.begin(), g_dirty.end(),
+                          [](const Point& a, const Point& b) {
+                            return a.journal_mb < b.journal_mb;
+                          });
+    report.Metric("dirty_speedup", worst.disk_ms > 0 ? baseline_ms / worst.disk_ms : 0, "x",
+                  Better::kHigher);
   }
-
-  auto recovery_ms = [](const Point& p) { return p.disk_ms - p.audit_ms; };
-  auto minmax = std::minmax_element(g_clean.begin(), g_clean.end(),
-                                    [&](const Point& a, const Point& b) {
-                                      return recovery_ms(a) < recovery_ms(b);
-                                    });
-  double lo = recovery_ms(*minmax.first);
-  double hi = recovery_ms(*minmax.second);
-  double flatness = lo > 0 ? hi / lo : 1e9;
-  if (flatness > 1.5) {
-    std::fprintf(stderr,
-                 "CHECK FAILED: clean mount recovery cost (disk_ms - audit_ms) "
-                 "not flat: min %.2f, max %.2f, ratio %.2fx > 1.5x\n",
-                 lo, hi, flatness);
-    ++failures;
+  if (!g_clean.empty()) {
+    auto recovery_ms = [](const Point& p) { return p.disk_ms - p.audit_ms; };
+    auto minmax = std::minmax_element(g_clean.begin(), g_clean.end(),
+                                      [&](const Point& a, const Point& b) {
+                                        return recovery_ms(a) < recovery_ms(b);
+                                      });
+    double lo = recovery_ms(*minmax.first);
+    double hi = recovery_ms(*minmax.second);
+    report.Metric("clean_flatness", lo > 0 ? hi / lo : 1e9, "x", Better::kLower);
   }
-
-  if (failures == 0) {
-    std::printf("\nall checks passed: dirty speedup %.2fx >= 3x, "
-                "clean flatness %.2fx <= 1.5x\n",
-                speedup, flatness);
-  }
-  return failures;
+  report.Gate("dirty_speedup", ">=", 3.0);
+  report.Gate("clean_flatness", "<=", 1.5);
 }
 
 }  // namespace
@@ -269,22 +237,8 @@ int RunChecks() {
 }  // namespace s4
 
 int main(int argc, char** argv) {
-  bool check = false;
-  for (int i = 1; i < argc;) {
-    if (std::strcmp(argv[i], "--quick") == 0) {
-      s4::bench::g_quick = true;
-    } else if (std::strcmp(argv[i], "--check") == 0) {
-      check = true;
-    } else {
-      ++i;
-      continue;
-    }
-    for (int j = i; j + 1 < argc; ++j) {
-      argv[j] = argv[j + 1];
-    }
-    --argc;
-  }
-  for (uint64_t mb : s4::bench::JournalMbTargets()) {
+  s4::bench::BenchReport report("recovery", &argc, argv);
+  for (uint64_t mb : s4::bench::JournalMbTargets(report.quick())) {
     for (bool dirty : {false, true}) {
       std::string name = std::string(dirty ? "Recovery" : "CleanMount") +
                          "/journal_mb:" + std::to_string(mb);
@@ -300,6 +254,6 @@ int main(int argc, char** argv) {
   ::benchmark::Initialize(&argc, argv);
   ::benchmark::RunSpecifiedBenchmarks();
   s4::bench::PrintSummary();
-  s4::bench::WriteJson();
-  return check ? s4::bench::RunChecks() : 0;
+  s4::bench::Report(report);
+  return report.Finish();
 }

@@ -1,6 +1,9 @@
 // Table 1: the S4 RPC interface — every operation exercised end to end over
 // the network transport, with measured per-operation latency and its
 // time-based-access capability.
+//
+// Usage: bench_rpc [google-benchmark flags]
+// Writes BENCH_rpc.json.
 #include <benchmark/benchmark.h>
 
 #include <map>
@@ -44,7 +47,7 @@ std::vector<OpRow> g_rows = {
 
 constexpr int kReps = 64;
 
-void MeasureAll(::benchmark::State& state) {
+void MeasureAll(::benchmark::State& state, BenchReport& report) {
   for (auto _ : state) {
     auto server = MakeServer(ServerKind::kS4Nas);
     S4Client* client = server->client.get();
@@ -110,16 +113,18 @@ void MeasureAll(::benchmark::State& state) {
     timed("SetWindow", [&](int) { S4_CHECK(admin_client.SetWindow(7 * kDay).ok()); });
 
     state.SetIterationTime(ToSeconds(clock->Now()));
-    WriteBenchJson(*server, "rpc_table1");
+    report.Server("s4_nas", *server);
   }
 }
 
-void PrintTable1() {
+void Report(BenchReport& report) {
   std::printf("\n=== Table 1: S4 RPC interface (measured over the network transport) ===\n");
   std::printf("%-15s %6s %12s   %s\n", "RPC", "time?", "mean (us)", "description");
   for (const auto& row : g_rows) {
     std::printf("%-15s %6s %12.0f   %s\n", row.name, row.time_based ? "yes" : "no",
                 row.mean_us, row.description);
+    report.Row("table1",
+               {{"rpc", row.name}, {"time_based", row.time_based}, {"mean_us", row.mean_us}});
   }
   std::printf("\nAll modifications create new versions; time-based reads accept an extra\n"
               "time parameter resolved against the history pool.\n");
@@ -129,11 +134,15 @@ void PrintTable1() {
 }  // namespace bench
 }  // namespace s4
 
-BENCHMARK(s4::bench::MeasureAll)->UseManualTime()->Iterations(1)->Unit(benchmark::kSecond);
-
 int main(int argc, char** argv) {
+  s4::bench::BenchReport report("rpc");
+  ::benchmark::RegisterBenchmark(
+      "MeasureAll", [&report](::benchmark::State& state) { s4::bench::MeasureAll(state, report); })
+      ->UseManualTime()
+      ->Iterations(1)
+      ->Unit(::benchmark::kSecond);
   ::benchmark::Initialize(&argc, argv);
   ::benchmark::RunSpecifiedBenchmarks();
-  s4::bench::PrintTable1();
-  return 0;
+  s4::bench::Report(report);
+  return report.Finish();
 }

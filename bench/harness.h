@@ -13,10 +13,18 @@
 #ifndef S4_BENCH_HARNESS_H_
 #define S4_BENCH_HARNESS_H_
 
+#include <cctype>
+#include <charconv>
+#include <cmath>
 #include <cstdio>
+#include <cstring>
+#include <fstream>
 #include <functional>
+#include <map>
 #include <memory>
 #include <string>
+#include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "src/baseline/ffs_like.h"
@@ -48,6 +56,15 @@ inline const char* ServerName(ServerKind kind) {
       return "Linux-ext2-NFS";
   }
   return "?";
+}
+
+// A server kind's label in a bench report: "S4-NAS" -> "s4_nas".
+inline std::string ServerSlug(ServerKind kind) {
+  std::string s = ServerName(kind);
+  for (char& c : s) {
+    c = c == '-' ? '_' : static_cast<char>(std::tolower(static_cast<unsigned char>(c)));
+  }
+  return s;
 }
 
 struct ServerOptions {
@@ -199,87 +216,242 @@ inline std::string Secs(SimDuration d) {
   return buf;
 }
 
-// Machine-readable results: writes BENCH_<name>.json in the working
-// directory with the op mix and latency percentiles (from the drive's per-op
-// histograms), bytes moved on disk and network, and the full metric dump.
-// Baseline servers without an S4 drive get the disk section only. CI uploads
-// these files as artifacts so runs can be compared across commits.
-//
-// `extra_sections`, when non-empty, is raw JSON spliced in as additional
-// top-level members (e.g. "\"history\": {...}") — benches use it for sweep
-// tables that do not fit the per-server schema.
-inline bool WriteBenchJson(const Server& server, const std::string& name,
-                           const std::string& extra_sections = "") {
-  std::string path = "BENCH_" + name + ".json";
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) {
-    std::fprintf(stderr, "WriteBenchJson: cannot open %s\n", path.c_str());
-    return false;
+// A JSON scalar or object, serialised when it is built, so a report holds
+// only text and every file is written by BenchReport::Finish.
+class JsonValue {
+ public:
+  JsonValue(double v);
+  JsonValue(bool v) : json_(v ? "true" : "false") {}
+  JsonValue(const char* s) : JsonValue(std::string(s)) {}
+  JsonValue(const std::string& s);
+  template <typename T, typename = std::enable_if_t<std::is_integral_v<T>>>
+  JsonValue(T v) : json_(std::to_string(v)) {}
+
+  static JsonValue Object(const std::vector<std::pair<std::string, JsonValue>>& fields);
+  // Already-serialised JSON (the drive's registry dump).
+  static JsonValue Raw(std::string json) { return JsonValue(Tag{}, std::move(json)); }
+
+  const std::string& json() const { return json_; }
+
+ private:
+  struct Tag {};
+  JsonValue(Tag, std::string json) : json_(std::move(json)) {}
+  std::string json_;
+};
+using JsonFields = std::vector<std::pair<std::string, JsonValue>>;
+
+// JSON has no NaN or infinity: a non-finite number is written as null.
+inline JsonValue::JsonValue(double v) {
+  if (!std::isfinite(v)) {
+    json_ = "null";
+    return;
   }
-  auto u = [](uint64_t v) { return static_cast<unsigned long long>(v); };
-  std::fprintf(f, "{\n  \"bench\": \"%s\",\n  \"server\": \"%s\",\n  \"sim_seconds\": %.6f,\n",
-               name.c_str(), ServerName(server.kind), server.SimSeconds());
-  const DiskStats& disk = server.device->stats();
-  std::fprintf(f,
-               "  \"disk\": {\"reads\": %llu, \"writes\": %llu, \"bytes_read\": %llu, "
-               "\"bytes_written\": %llu, \"seeks\": %llu, \"busy_seconds\": %.6f}",
-               u(disk.reads), u(disk.writes), u(disk.sectors_read * kSectorSize),
-               u(disk.sectors_written * kSectorSize), u(disk.seeks),
-               ToSeconds(disk.busy_time));
-  if (server.transport != nullptr) {
-    const NetStats& net = server.transport->stats();
-    std::fprintf(f,
-                 ",\n  \"net\": {\"messages_sent\": %llu, \"bytes_sent\": %llu, "
-                 "\"messages_received\": %llu, \"bytes_received\": %llu}",
-                 u(net.messages_sent), u(net.bytes_sent), u(net.messages_received),
-                 u(net.bytes_received));
-  }
-  if (server.s4_fs != nullptr) {
-    const S4FileSystemStats& fss = server.s4_fs->stats();
-    std::fprintf(f,
-                 ",\n  \"fs\": {\"rpc_syncs\": %llu, \"deferred_syncs\": %llu, "
-                 "\"rpc_batches\": %llu}",
-                 u(fss.rpc_syncs), u(fss.deferred_syncs), u(fss.rpc_batches));
-  }
-  if (server.drive != nullptr) {
-    const SegmentWriterStats& sw = server.drive->writer_stats();
-    std::fprintf(f,
-                 ",\n  \"lfs\": {\"records_appended\": %llu, \"chunks_flushed\": %llu, "
-                 "\"sectors_flushed\": %llu, \"bytes_coalesced\": %llu, "
-                 "\"bytes_flushed\": %llu}",
-                 u(sw.records_appended), u(sw.chunks_flushed), u(sw.sectors_flushed),
-                 u(sw.bytes_coalesced), u(sw.bytes_flushed));
-    const MetricRegistry& reg = server.drive->metrics();
-    std::fprintf(f, ",\n  \"ops\": {");
-    bool first = true;
-    for (int op = 1; op <= kMaxRpcOp; ++op) {
-      const char* op_name = RpcOpName(static_cast<RpcOp>(op));
-      const Histogram* h =
-          reg.FindHistogram(std::string("drive.op.") + op_name + ".latency");
-      if (h == nullptr || h->count() == 0) {
-        continue;
-      }
-      std::fprintf(f,
-                   "%s\n    \"%s\": {\"count\": %llu, \"mean_us\": %.1f, \"p50_us\": %lld, "
-                   "\"p90_us\": %lld, \"p99_us\": %lld, \"max_us\": %lld}",
-                   first ? "" : ",", op_name, u(h->count()), h->Mean(),
-                   static_cast<long long>(h->Percentile(0.50)),
-                   static_cast<long long>(h->Percentile(0.90)),
-                   static_cast<long long>(h->Percentile(0.99)),
-                   static_cast<long long>(h->max()));
-      first = false;
-    }
-    std::fprintf(f, "%s},\n  \"metrics\": %s", first ? "" : "\n  ", reg.ToJson().c_str());
-  } else {
-    std::fprintf(f, "\n");
-  }
-  if (!extra_sections.empty()) {
-    std::fprintf(f, ",\n  %s\n", extra_sections.c_str());
-  }
-  std::fprintf(f, "}\n");
-  std::fclose(f);
-  return true;
+  char buf[32];
+  json_.assign(buf, std::to_chars(buf, buf + sizeof(buf), v).ptr);
 }
+
+inline JsonValue::JsonValue(const std::string& s) : json_("\"") {
+  for (char c : s) {
+    if (c == '"' || c == '\\') {
+      json_ += '\\';
+    }
+    json_ += c;
+  }
+  json_ += '"';
+}
+
+inline JsonValue JsonValue::Object(const JsonFields& fields) {
+  std::string out = "{";
+  for (const auto& [key, value] : fields) {
+    out += (out.size() > 1 ? ", " : "") + JsonValue(key).json() + ": " + value.json();
+  }
+  return Raw(out + "}");
+}
+
+// Which way a metric should move; BENCHMARK.json spells it the same way.
+enum class Better { kHigher, kLower };
+
+// One bench run's machine-readable results: BENCH_<bench>.json in the
+// working directory, with exactly these top-level keys:
+//   bench    the bench's name
+//   config   the --quick and --check flags this run was given
+//   metrics  name -> {value, unit, better}: what tools/bench_compare.py
+//            compares, run against run
+//   layers   label -> one server's drive registry dump and its disk, lfs
+//            and fs counters
+//   results  table -> rows: the tables the bench prints
+//   gates    [{metric, op, bound, value, pass}], evaluated by Finish()
+// CI uploads these files as artifacts so runs can be compared across commits.
+class BenchReport {
+ public:
+  // Removes --quick and --check from argv, keeping the other flags in order,
+  // and records them under config. Call it before google-benchmark's
+  // Initialize, which rejects flags it does not know.
+  BenchReport(std::string bench, int* argc = nullptr, char** argv = nullptr)
+      : bench_(std::move(bench)) {
+    if (argc == nullptr) {
+      return;
+    }
+    int out = 1;
+    for (int i = 1; i < *argc; ++i) {
+      if (std::strcmp(argv[i], "--quick") == 0) {
+        quick_ = true;
+      } else if (std::strcmp(argv[i], "--check") == 0) {
+        check_ = true;
+      } else {
+        argv[out++] = argv[i];
+      }
+    }
+    *argc = out;
+  }
+
+  bool quick() const { return quick_; }
+
+  void Metric(const std::string& name, double value, const std::string& unit, Better better) {
+    metrics_[name] = {value, unit, better};
+  }
+
+  // Records `server` under `label`: its simulated time, disk reads and
+  // writes, network messages and per-op p50/p99 as metrics, and its drive
+  // registry and disk, lfs and fs counters under layers[label].
+  void Server(const std::string& label, const ::s4::bench::Server& server) {
+    const std::string p = label + ".";
+    const DiskStats& disk = server.device->stats();
+    Metric(p + "sim_seconds", server.SimSeconds(), "s", Better::kLower);
+    Metric(p + "disk.reads", disk.reads, "count", Better::kLower);
+    Metric(p + "disk.writes", disk.writes, "count", Better::kLower);
+    JsonFields layer = {
+        {"disk", JsonValue::Object({{"reads", disk.reads},
+                                    {"writes", disk.writes},
+                                    {"bytes_read", disk.sectors_read * kSectorSize},
+                                    {"bytes_written", disk.sectors_written * kSectorSize},
+                                    {"seeks", disk.seeks},
+                                    {"busy_seconds", ToSeconds(disk.busy_time)}})}};
+    if (server.s4_fs != nullptr) {
+      const S4FileSystemStats& fs = server.s4_fs->stats();
+      layer.emplace_back("fs", JsonValue::Object({{"rpc_syncs", fs.rpc_syncs},
+                                                  {"deferred_syncs", fs.deferred_syncs},
+                                                  {"rpc_batches", fs.rpc_batches}}));
+    }
+    if (server.drive != nullptr) {
+      const MetricRegistry& reg = server.drive->metrics();
+      Metric(p + "net.messages", reg.CounterValue("net.messages_sent"), "count",
+             Better::kLower);
+      for (int op = 1; op <= kMaxRpcOp; ++op) {
+        const char* name = RpcOpName(static_cast<RpcOp>(op));
+        const Histogram* h = reg.FindHistogram(std::string("drive.op.") + name + ".latency");
+        if (h != nullptr && h->count() > 0) {
+          Metric(p + "op." + name + ".p50_us", h->Percentile(0.50), "us", Better::kLower);
+          Metric(p + "op." + name + ".p99_us", h->Percentile(0.99), "us", Better::kLower);
+        }
+      }
+      const SegmentWriterStats& sw = server.drive->writer_stats();
+      layer.emplace_back("lfs", JsonValue::Object({{"records_appended", sw.records_appended},
+                                                   {"chunks_flushed", sw.chunks_flushed},
+                                                   {"sectors_flushed", sw.sectors_flushed},
+                                                   {"bytes_coalesced", sw.bytes_coalesced},
+                                                   {"bytes_flushed", sw.bytes_flushed}}));
+      layer.emplace_back("registry", JsonValue::Raw(reg.ToJson()));
+    }
+    layers_.insert_or_assign(label, JsonValue::Object(layer));
+  }
+
+  void Row(const std::string& table, const JsonFields& row) {
+    results_[table].push_back(JsonValue::Object(row));
+  }
+
+  // Passes when metric `op` bound holds, op being ">=", "<=" or ">". A gate
+  // on a metric that was never reported fails, so renaming a metric cannot
+  // silently switch its gate off.
+  void Gate(const std::string& metric, const std::string& op, double bound) {
+    S4_CHECK(op == ">=" || op == "<=" || op == ">");
+    gates_.push_back({metric, op, bound});
+  }
+
+  // Writes BENCH_<bench>.json and prints one PASS or FAIL line per gate.
+  // Returns the process exit status: 1 when --check was given and a gate
+  // failed, otherwise 0.
+  int Finish() const {
+    bool failed = false;
+    std::vector<std::string> gates;
+    for (const GateSpec& g : gates_) {
+      auto it = metrics_.find(g.metric);
+      // An unreported metric reads as NaN (null in the file), which fails
+      // every op.
+      const double v = it == metrics_.end() ? std::nan("") : it->second.value;
+      const bool pass = g.op == ">=" ? v >= g.bound : g.op == "<=" ? v <= g.bound : v > g.bound;
+      failed = failed || !pass;
+      std::printf("%s: %s = %s %s %g\n", pass ? "PASS" : "FAIL", g.metric.c_str(),
+                  JsonValue(v).json().c_str(), g.op.c_str(), g.bound);
+      gates.push_back(JsonValue::Object({{"metric", g.metric},
+                                         {"op", g.op},
+                                         {"bound", g.bound},
+                                         {"value", v},
+                                         {"pass", pass}})
+                          .json());
+    }
+    std::vector<std::string> metrics;
+    for (const auto& [name, m] : metrics_) {
+      const char* better = m.better == Better::kHigher ? "higher" : "lower";
+      metrics.push_back(
+          JsonValue(name).json() + ": " +
+          JsonValue::Object({{"value", m.value}, {"unit", m.unit}, {"better", better}}).json());
+    }
+    std::vector<std::string> layers;
+    for (const auto& [label, layer] : layers_) {
+      layers.push_back(JsonValue(label).json() + ": " + layer.json());
+    }
+    std::vector<std::string> results;
+    for (const auto& [table, rows] : results_) {
+      std::vector<std::string> lines;
+      for (const JsonValue& row : rows) {
+        lines.push_back(row.json());
+      }
+      results.push_back(JsonValue(table).json() + ": " + Lines('[', lines, ']', "    "));
+    }
+    std::ofstream out("BENCH_" + bench_ + ".json");
+    out << "{\n\"bench\": " << JsonValue(bench_).json()
+        << ",\n\"config\": " << JsonValue::Object({{"quick", quick_}, {"check", check_}}).json()
+        << ",\n\"metrics\": " << Lines('{', metrics, '}', "  ")
+        << ",\n\"layers\": " << Lines('{', layers, '}', "  ")
+        << ",\n\"results\": " << Lines('{', results, '}', "  ")
+        << ",\n\"gates\": " << Lines('[', gates, ']', "  ") << "\n}\n";
+    if (!out) {
+      std::fprintf(stderr, "BenchReport: cannot write BENCH_%s.json\n", bench_.c_str());
+    }
+    return check_ && failed ? 1 : 0;
+  }
+
+ private:
+  struct MetricValue {
+    double value;
+    std::string unit;
+    Better better;
+  };
+  struct GateSpec {
+    std::string metric;
+    std::string op;
+    double bound;
+  };
+  std::string bench_;
+  bool quick_ = false;
+  bool check_ = false;
+  std::map<std::string, MetricValue> metrics_;
+  std::map<std::string, JsonValue> layers_;
+  std::map<std::string, std::vector<JsonValue>> results_;
+  std::vector<GateSpec> gates_;
+
+  // `open`, then one item per line at `indent`, then `close`, indented two
+  // spaces less.
+  static std::string Lines(char open, const std::vector<std::string>& items, char close,
+                           const std::string& indent) {
+    std::string out(1, open);
+    for (size_t i = 0; i < items.size(); ++i) {
+      out += (i == 0 ? "\n" : ",\n") + indent + items[i];
+    }
+    return out + "\n" + indent.substr(2) + close;
+  }
+};
 
 }  // namespace bench
 }  // namespace s4

@@ -140,30 +140,6 @@ void S4Drive::InitMetrics() {
   }
 }
 
-DriveStats S4Drive::stats() const {
-  DriveStats s;
-  s.ops_total = metrics_.CounterValue("drive.ops_total");
-  s.ops_denied = metrics_.CounterValue("drive.ops_denied");
-  s.time_based_reads = metrics_.CounterValue("drive.time_based_reads");
-  s.journal_entries = metrics_.CounterValue("drive.journal_entries");
-  s.journal_sectors_written = metrics_.CounterValue("drive.journal_sectors_written");
-  s.inode_checkpoints = metrics_.CounterValue("drive.inode_checkpoints");
-  s.data_blocks_written = metrics_.CounterValue("drive.data_blocks_written");
-  s.device_checkpoints = metrics_.CounterValue("drive.device_checkpoints");
-  s.audit_records = metrics_.CounterValue("audit.records");
-  s.audit_blocks_written = metrics_.CounterValue("audit.blocks_written");
-  s.cleaner_passes = metrics_.CounterValue("cleaner.passes");
-  s.cleaner_segments_reclaimed = metrics_.CounterValue("cleaner.segments_reclaimed");
-  s.cleaner_segments_compacted = metrics_.CounterValue("cleaner.segments_compacted");
-  s.cleaner_sectors_expired = metrics_.CounterValue("cleaner.sectors_expired");
-  s.cleaner_sectors_copied = metrics_.CounterValue("cleaner.sectors_copied");
-  s.cleaner_time = static_cast<SimDuration>(metrics_.CounterValue("cleaner.time_us"));
-  s.throttle_delays = metrics_.CounterValue("throttle.delays");
-  s.throttle_rejects = metrics_.CounterValue("throttle.rejects");
-  s.versions_purged = metrics_.CounterValue("history.versions_purged");
-  return s;
-}
-
 OpContext S4Drive::MakeContext(const Credentials& creds, RpcOp op) {
   OpContext ctx;
   ctx.request_id = tracer_.NextRequestId();

@@ -34,7 +34,6 @@
 #include "src/cache/block_cache.h"
 #include "src/cache/lru.h"
 #include "src/drive/options.h"
-#include "src/drive/stats.h"
 #include "src/journal/commit_marker.h"
 #include "src/journal/sector.h"
 #include "src/lfs/scan.h"
@@ -200,8 +199,6 @@ class S4Drive {
   Status Unmount();
 
   // ---- Introspection ----
-  // Legacy counter view, built from the metric registry (cheap; by value).
-  DriveStats stats() const;
   MetricRegistry& metrics() { return metrics_; }
   const MetricRegistry& metrics() const { return metrics_; }
   Tracer& tracer() { return tracer_; }

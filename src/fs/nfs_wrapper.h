@@ -82,22 +82,15 @@ class NfsServerWrapper : public FileSystemApi {
     return backend_->ReadLink(link);
   }
 
-  const NetStats& stats() const { return stats_; }
-
  private:
   void Charge(uint64_t request_bytes, uint64_t reply_bytes) {
     clock_->Advance(model_.TransferCost(request_bytes));
     clock_->Advance(model_.TransferCost(reply_bytes));
-    ++stats_.messages_sent;
-    stats_.bytes_sent += request_bytes;
-    ++stats_.messages_received;
-    stats_.bytes_received += reply_bytes;
   }
 
   FileSystemApi* backend_;
   SimClock* clock_;
   NetModel model_;
-  NetStats stats_;
 };
 
 }  // namespace s4

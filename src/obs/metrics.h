@@ -2,9 +2,8 @@
 //
 // Every layer (rpc, drive, lfs, cache, sim) publishes counters, gauges, and
 // sim-time latency histograms into one registry owned by the drive, instead
-// of keeping disconnected ad-hoc stat structs. The legacy accessors
-// (S4Drive::stats(), LoopbackTransport::stats()) remain as thin views built
-// from these instruments, so existing callers keep working.
+// of keeping disconnected ad-hoc stat structs. Drive and network counts are
+// read from here only (CounterValue); no parallel stats view mirrors them.
 //
 // Instruments are created on first use via GetCounter/GetGauge/GetHistogram
 // and live as long as the registry; returned pointers are stable, so hot

@@ -15,8 +15,6 @@ Result<Bytes> LoopbackTransport::Call(ByteSpan request) {
     ScopedSpan span(&net_ctx, "net.request");
     clock_->Advance(model_.TransferCost(request.size()));
   }
-  ++stats_.messages_sent;
-  stats_.bytes_sent += request.size();
   messages_sent_->Inc();
   bytes_sent_->Add(request.size());
   if (ep_messages_sent_ != nullptr) {
@@ -30,8 +28,6 @@ Result<Bytes> LoopbackTransport::Call(ByteSpan request) {
     ScopedSpan span(&net_ctx, "net.response");
     clock_->Advance(model_.TransferCost(response.size()));
   }
-  ++stats_.messages_received;
-  stats_.bytes_received += response.size();
   messages_received_->Inc();
   bytes_received_->Add(response.size());
   if (ep_messages_received_ != nullptr) {

@@ -83,17 +83,10 @@ class LoopbackTransport : public RpcTransport {
 
   Result<Bytes> Call(ByteSpan request) override;
 
-  // Per-transport counts (source of truth for this link); the drive's metric
-  // registry aggregates the same quantities across all transports. A value
-  // snapshot: the live accumulator is atomic so concurrent executor workers
-  // pushing frames through one endpoint never race on the counts.
-  NetStats stats() const { return stats_.Snapshot(); }
-
  private:
   S4RpcServer* server_;
   SimClock* clock_;
   NetModel model_;
-  AtomicNetStats stats_;
   Counter* messages_sent_;
   Counter* bytes_sent_;
   Counter* messages_received_;

@@ -5,7 +5,6 @@
 #ifndef S4_SRC_SIM_NET_MODEL_H_
 #define S4_SRC_SIM_NET_MODEL_H_
 
-#include <atomic>
 #include <cstdint>
 
 #include "src/util/time.h"
@@ -23,39 +22,6 @@ struct NetModel {
     double seconds = static_cast<double>(bytes) / (bandwidth_mb_s * 1e6);
     return per_message_latency + per_message_cpu +
            static_cast<SimDuration>(seconds * kSecond);
-  }
-};
-
-// Traffic counters from the client's point of view: requests are sent,
-// responses are received. A plain value type so callers can snapshot and
-// diff it.
-struct NetStats {
-  uint64_t messages_sent = 0;
-  uint64_t bytes_sent = 0;
-  uint64_t messages_received = 0;
-  uint64_t bytes_received = 0;
-};
-
-// The live accumulator an endpoint updates: relaxed atomics so concurrent
-// executor workers pushing frames through one endpoint never race. Readers
-// take a plain NetStats snapshot (exact once the executor has drained).
-// Deliberately lock-free (audited for the lock-discipline pass): each field
-// is an independent monotone counter with no cross-field invariant, so
-// per-field atomicity is already the full consistency contract and a mutex
-// would only add a hot-path serialisation point.
-struct AtomicNetStats {
-  std::atomic<uint64_t> messages_sent{0};
-  std::atomic<uint64_t> bytes_sent{0};
-  std::atomic<uint64_t> messages_received{0};
-  std::atomic<uint64_t> bytes_received{0};
-
-  NetStats Snapshot() const {
-    NetStats s;
-    s.messages_sent = messages_sent.load(std::memory_order_relaxed);
-    s.bytes_sent = bytes_sent.load(std::memory_order_relaxed);
-    s.messages_received = messages_received.load(std::memory_order_relaxed);
-    s.bytes_received = bytes_received.load(std::memory_order_relaxed);
-    return s;
   }
 };
 

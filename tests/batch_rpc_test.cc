@@ -54,7 +54,7 @@ class BatchRpcTest : public DriveTest {
 
 TEST_F(BatchRpcTest, BatchAppliesSubOpsInOrderWithOneRoundTrip) {
   ASSERT_OK_AND_ASSIGN(ObjectId id, client_->Create({}));
-  uint64_t msgs_before = transport_->stats().messages_sent;
+  uint64_t msgs_before = drive_->metrics().CounterValue("net.messages_sent");
 
   // Overlapping writes: final contents prove in-order application.
   std::vector<RpcRequest> subs;
@@ -70,7 +70,7 @@ TEST_F(BatchRpcTest, BatchAppliesSubOpsInOrderWithOneRoundTrip) {
   for (const RpcResponse& r : resps) {
     EXPECT_TRUE(r.ok()) << static_cast<int>(r.code);
   }
-  EXPECT_EQ(transport_->stats().messages_sent, msgs_before + 1)
+  EXPECT_EQ(drive_->metrics().CounterValue("net.messages_sent"), msgs_before + 1)
       << "a batch must be one transport round-trip";
 
   ASSERT_OK_AND_ASSIGN(Bytes got, client_->Read(id, 0, 8));
@@ -139,10 +139,11 @@ TEST_F(BatchRpcTest, EveryAppliedSubOpIsAuditedPlusOneEnvelope) {
 TEST_F(BatchRpcTest, ClientRejectsOversizedAndPassesEmptyBatches) {
   ASSERT_OK_AND_ASSIGN(ObjectId id, client_->Create({}));
 
-  uint64_t msgs_before = transport_->stats().messages_sent;
+  uint64_t msgs_before = drive_->metrics().CounterValue("net.messages_sent");
   ASSERT_OK_AND_ASSIGN(std::vector<RpcResponse> none, client_->CallBatch({}));
   EXPECT_TRUE(none.empty());
-  EXPECT_EQ(transport_->stats().messages_sent, msgs_before) << "empty batch sent a frame";
+  EXPECT_EQ(drive_->metrics().CounterValue("net.messages_sent"), msgs_before)
+      << "empty batch sent a frame";
 
   std::vector<RpcRequest> subs(RpcBatchRequest::kMaxSubRequests + 1,
                                WriteReq(id, 0, BytesOf("x")));

@@ -222,7 +222,7 @@ TEST_F(DriveTest, ReadPathCountersTrackCacheAndHistory) {
   ASSERT_OK_AND_ASSIGN(Bytes old, drive_->Read(alice, id, 0, data.size(), t1));
   EXPECT_EQ(old, data);
   EXPECT_GT(reg.CounterValue("history.reconstruction_walks"), walks_before);
-  EXPECT_GT(drive_->stats().time_based_reads, 0u);
+  EXPECT_GT(drive_->metrics().CounterValue("drive.time_based_reads"), 0u);
 
   // A cold remount empties the cache: the next read misses and pulls sectors
   // off the platters. (The remounted drive has a fresh registry.)

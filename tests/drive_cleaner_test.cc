@@ -100,7 +100,7 @@ TEST_F(DriveTest, SegmentsBecomeFreeAgain) {
   ASSERT_OK(drive_->RunCleanerPass(16).status());
   double util_after = drive_->SpaceUtilization();
   EXPECT_LT(util_after, util_before);
-  EXPECT_GT(drive_->stats().cleaner_segments_reclaimed, 0u);
+  EXPECT_GT(drive_->metrics().CounterValue("cleaner.segments_reclaimed"), 0u);
 
   // Current data still correct after reclamation.
   ASSERT_OK_AND_ASSIGN(ObjectAttrs attrs, drive_->GetAttr(alice, id));
@@ -221,7 +221,7 @@ TEST_F(DriveTest, CompactionRelocatesLiveData) {
   for (int i = 0; i < 8; ++i) {
     ASSERT_OK(drive_->RunCleanerPass(8, /*force_compaction=*/true).status());
   }
-  EXPECT_GT(drive_->stats().cleaner_sectors_copied, 0u);
+  EXPECT_GT(drive_->metrics().CounterValue("cleaner.sectors_copied"), 0u);
   // All keepers still intact after relocation.
   for (const auto& [id, data] : keepers) {
     ASSERT_OK_AND_ASSIGN(Bytes got, drive_->Read(alice, id, 0, data.size()));
@@ -547,14 +547,14 @@ TEST_F(ThrottleTest, OverShareClientIsDelayedAndDecayRestoresService) {
 
   // First write: no load history yet, full service.
   ASSERT_OK(drive_->Write(alice, id, 0, Bytes(1 << 20, 0xAA)));
-  EXPECT_EQ(drive_->stats().throttle_delays, 0u);
+  EXPECT_EQ(drive_->metrics().CounterValue("throttle.delays"), 0u);
 
   // The burst pushed the client's decayed rate (~1MB/5s) far over the 1KB/s
   // fair share: the next write is progressively delayed, not refused.
   SimTime before = clock_->Now();
   ASSERT_OK(drive_->Write(alice, id, 0, Bytes(kBlockSize, 0xBB)));
-  EXPECT_EQ(drive_->stats().throttle_delays, 1u);
-  EXPECT_EQ(drive_->stats().throttle_rejects, 0u);
+  EXPECT_EQ(drive_->metrics().CounterValue("throttle.delays"), 1u);
+  EXPECT_EQ(drive_->metrics().CounterValue("throttle.rejects"), 0u);
   EXPECT_GT(clock_->Now() - before, 0);
 
   // Idle far longer than the 5s decay constant. The stale rate is only
@@ -562,9 +562,9 @@ TEST_F(ThrottleTest, OverShareClientIsDelayedAndDecayRestoresService) {
   // has pulled the client back under fair share and service is full again.
   clock_->Advance(kMinute);
   ASSERT_OK(drive_->Write(alice, id, 0, Bytes(kBlockSize, 0xCC)));
-  uint64_t delays_after_decay_write = drive_->stats().throttle_delays;
+  uint64_t delays_after_decay_write = drive_->metrics().CounterValue("throttle.delays");
   ASSERT_OK(drive_->Write(alice, id, 0, Bytes(kBlockSize, 0xDD)));
-  EXPECT_EQ(drive_->stats().throttle_delays, delays_after_decay_write)
+  EXPECT_EQ(drive_->metrics().CounterValue("throttle.delays"), delays_after_decay_write)
       << "decayed client should not be delayed";
 }
 
@@ -579,8 +579,8 @@ TEST_F(ThrottleTest, FairShareClientKeepsFullService) {
     ASSERT_OK(drive_->Write(alice, id, 0, Bytes(kBlockSize, 0xEE)));
     clock_->Advance(kSecond);
   }
-  EXPECT_EQ(drive_->stats().throttle_delays, 0u);
-  EXPECT_EQ(drive_->stats().throttle_rejects, 0u);
+  EXPECT_EQ(drive_->metrics().CounterValue("throttle.delays"), 0u);
+  EXPECT_EQ(drive_->metrics().CounterValue("throttle.rejects"), 0u);
 }
 
 TEST_F(ThrottleTest, NearExhaustionOverShareWritesAreRefused) {
@@ -592,7 +592,7 @@ TEST_F(ThrottleTest, NearExhaustionOverShareWritesAreRefused) {
   ASSERT_OK(drive_->Write(alice, id, 0, Bytes(1 << 20, 0xAA)));
   Status s = drive_->Write(alice, id, 0, Bytes(kBlockSize, 0xBB));
   EXPECT_EQ(s.code(), ErrorCode::kThrottled);
-  EXPECT_GE(drive_->stats().throttle_rejects, 1u);
+  EXPECT_GE(drive_->metrics().CounterValue("throttle.rejects"), 1u);
 
   // A different, well-behaved client still gets service.
   Credentials bob = User(101, /*client=*/8);
@@ -639,8 +639,8 @@ TEST_F(ThrottleTest, AdminIsExemptFromThrottle) {
   for (int i = 0; i < 4; ++i) {
     ASSERT_OK(drive_->Write(admin, id, 0, Bytes(1 << 20, 0xAD)));
   }
-  EXPECT_EQ(drive_->stats().throttle_delays, 0u);
-  EXPECT_EQ(drive_->stats().throttle_rejects, 0u);
+  EXPECT_EQ(drive_->metrics().CounterValue("throttle.delays"), 0u);
+  EXPECT_EQ(drive_->metrics().CounterValue("throttle.rejects"), 0u);
 }
 
 }  // namespace

@@ -211,7 +211,9 @@ TEST_F(DriveTest, ThrottleEngagesWhenSpaceLow) {
     }
   }
   EXPECT_TRUE(throttled);
-  EXPECT_GT(drive_->stats().throttle_delays + drive_->stats().throttle_rejects, 0u);
+  EXPECT_GT(drive_->metrics().CounterValue("throttle.delays") +
+                drive_->metrics().CounterValue("throttle.rejects"),
+            0u);
   // The light client still gets service.
   EXPECT_OK(drive_->Write(light, lobj, 0, BytesOf("still fine")));
 }

@@ -1,8 +1,8 @@
 // DriveExecutor tests: frame classification, same-object ordering under a
 // multi-worker pool, the one-task-per-drive contract, a schedule that host
 // timing cannot move, parallel speedup across drives, audit completeness,
-// the idle-slice maintenance hook, and thread-safety of the per-endpoint
-// NetStats accumulator. Run these under -DS4_SANITIZE=thread in CI: they are
+// the idle-slice maintenance hook, and exact network counters under
+// concurrent frames. Run these under -DS4_SANITIZE=thread in CI: they are
 // the data-race regression net for the whole concurrency substrate.
 #include <gtest/gtest.h>
 
@@ -419,9 +419,10 @@ TEST(DriveExecutorTest, MaintenanceRunsInIdleGaps) {
   EXPECT_EQ(slices.load(), 3);
 }
 
-// Per-endpoint NetStats: many workers pushing frames through ONE transport
-// must produce exact totals — the accumulator is atomic, the snapshot is
-// taken after Drain. Run under TSan this is the transport-stats race
+// Network counters: many workers pushing frames through ONE transport must
+// produce exact totals in the registry, both the drive-wide net.* set and the
+// link's labelled net.<endpoint>.* set — the counters are atomic, and they are
+// read after Drain. Run under TSan this is the transport-counter race
 // regression test.
 TEST(DriveExecutorTest, NetStatsExactUnderConcurrency) {
   Rig rig = MakeRig(1);
@@ -457,11 +458,15 @@ TEST(DriveExecutorTest, NetStatsExactUnderConcurrency) {
     exec.Drain();
   }
 
-  NetStats stats = transport.stats();
-  EXPECT_EQ(stats.messages_sent, static_cast<uint64_t>(kRounds) * ids.size());
-  EXPECT_EQ(stats.bytes_sent, expected_bytes_sent);
-  EXPECT_EQ(stats.messages_received, static_cast<uint64_t>(kRounds) * ids.size());
-  EXPECT_GT(stats.bytes_received, 0u);
+  const MetricRegistry& reg = rig.drives[0]->metrics();
+  for (const std::string& prefix : {std::string("net."), std::string("net.ep0.")}) {
+    EXPECT_EQ(reg.CounterValue(prefix + "messages_sent"),
+              static_cast<uint64_t>(kRounds) * ids.size());
+    EXPECT_EQ(reg.CounterValue(prefix + "bytes_sent"), expected_bytes_sent);
+    EXPECT_EQ(reg.CounterValue(prefix + "messages_received"),
+              static_cast<uint64_t>(kRounds) * ids.size());
+    EXPECT_GT(reg.CounterValue(prefix + "bytes_received"), 0u);
+  }
 }
 
 // Concurrent submitters: Submit/SubmitFrame must be callable from many

@@ -185,7 +185,7 @@ TEST_F(FsTest, RpcLayerChargesNetworkTime) {
   SimTime elapsed = clock_->Now() - before;
   // 1MB at 12.5MB/s is at least 80ms of wire time.
   EXPECT_GT(elapsed, 80 * kMillisecond);
-  EXPECT_GT(transport_->stats().bytes_sent, 1u << 20);
+  EXPECT_GT(drive_->metrics().CounterValue("net.bytes_sent"), 1u << 20);
 }
 
 }  // namespace

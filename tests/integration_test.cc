@@ -37,9 +37,10 @@ TEST_F(DriveTest, AuthenticatedNfsStackEndToEnd) {
   // An unauthenticated client bounces off the gateway before the drive.
   S4Client anonymous(&transport, User(100, 1));
   EXPECT_EQ(anonymous.Read(f, 0, 64).status().code(), ErrorCode::kPermissionDenied);
-  uint64_t ops_before = drive_->stats().ops_total;
+  uint64_t ops_before = drive_->metrics().CounterValue("drive.ops_total");
   (void)anonymous.Read(f, 0, 64);  // denial checked above; only counting ops
-  EXPECT_EQ(drive_->stats().ops_total, ops_before);  // never reached the drive
+  // Never reached the drive.
+  EXPECT_EQ(drive_->metrics().CounterValue("drive.ops_total"), ops_before);
 }
 
 TEST_F(DriveTest, ThrottledClientRecoversAfterCleaning) {

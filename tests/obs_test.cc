@@ -191,20 +191,6 @@ TEST_F(ObsDriveTest, DeniedOpsAreCountedAndStillTimed) {
   EXPECT_GE(reg.FindHistogram("drive.op.SetWindow.latency")->count(), 1u);
 }
 
-TEST_F(ObsDriveTest, StatsAccessorIsAViewOverTheRegistry) {
-  Credentials alice = User(100);
-  ASSERT_OK_AND_ASSIGN(ObjectId id, drive_->Create(alice, {}));
-  ASSERT_OK(drive_->Write(alice, id, 0, BytesOf("x")));
-  ASSERT_OK(drive_->Sync(alice));
-
-  DriveStats stats = drive_->stats();
-  const MetricRegistry& reg = drive_->metrics();
-  EXPECT_EQ(stats.ops_total, reg.CounterValue("drive.ops_total"));
-  EXPECT_EQ(stats.journal_entries, reg.CounterValue("drive.journal_entries"));
-  EXPECT_EQ(stats.audit_records, reg.CounterValue("audit.records"));
-  EXPECT_GT(stats.ops_total, 0u);
-}
-
 // ---------------------------------------------------------------------------
 // Multi-layer trace through the full RPC stack
 // ---------------------------------------------------------------------------
@@ -300,19 +286,6 @@ TEST_F(ObsRpcTest, OneRequestIdSpansRpcDriveLfsAndDisk) {
   std::string json = drive_->tracer().ToChromeJson();
   EXPECT_NE(json.find("\"drive.Sync\""), std::string::npos);
   EXPECT_NE(json.find("\"disk.write\""), std::string::npos);
-}
-
-TEST_F(ObsRpcTest, NetworkCountersMirrorTransportStats) {
-  ASSERT_OK_AND_ASSIGN(ObjectId id, client_->Create({}));
-  ASSERT_OK(client_->Write(id, 0, BytesOf("bytes")));
-
-  const NetStats& net = transport_->stats();
-  const MetricRegistry& reg = drive_->metrics();
-  EXPECT_EQ(net.messages_sent, reg.CounterValue("net.messages_sent"));
-  EXPECT_EQ(net.bytes_sent, reg.CounterValue("net.bytes_sent"));
-  EXPECT_EQ(net.messages_received, reg.CounterValue("net.messages_received"));
-  EXPECT_EQ(net.bytes_received, reg.CounterValue("net.bytes_received"));
-  EXPECT_GT(net.messages_sent, 0u);
 }
 
 }  // namespace

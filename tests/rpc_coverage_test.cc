@@ -136,33 +136,32 @@ TEST_F(RpcCoverageTest, ErrorsSurviveTheWire) {
 TEST_F(RpcCoverageTest, TransportCountsRequestsSentAndResponsesReceived) {
   // Each Call is exactly one request out and one response back; responses
   // must not be double-counted as sent traffic.
+  auto net = [this](const char* name) {
+    return drive_->metrics().CounterValue(std::string("net.") + name);
+  };
   ASSERT_OK_AND_ASSIGN(ObjectId id, alice_->Create({}));
-  const NetStats after_create = transport_->stats();
-  EXPECT_EQ(after_create.messages_sent, 1u);
-  EXPECT_EQ(after_create.messages_received, 1u);
+  EXPECT_EQ(net("messages_sent"), 1u);
+  EXPECT_EQ(net("messages_received"), 1u);
 
   // A large write is request-heavy: payload travels in the request.
+  uint64_t sent_before = net("bytes_sent");
+  uint64_t received_before = net("bytes_received");
   Bytes big(1 << 20, 0x33);
   ASSERT_OK(alice_->Write(id, 0, big));
-  NetStats s = transport_->stats();
-  EXPECT_EQ(s.messages_sent, 2u);
-  EXPECT_EQ(s.messages_received, 2u);
-  uint64_t write_sent = s.bytes_sent - after_create.bytes_sent;
-  uint64_t write_received = s.bytes_received - after_create.bytes_received;
-  EXPECT_GT(write_sent, big.size());
-  EXPECT_LT(write_received, 1024u);
+  EXPECT_EQ(net("messages_sent"), 2u);
+  EXPECT_EQ(net("messages_received"), 2u);
+  EXPECT_GT(net("bytes_sent") - sent_before, big.size());
+  EXPECT_LT(net("bytes_received") - received_before, 1024u);
 
   // A large read is response-heavy: payload travels in the response.
+  sent_before = net("bytes_sent");
+  received_before = net("bytes_received");
   ASSERT_OK_AND_ASSIGN(Bytes got, alice_->Read(id, 0, big.size()));
   EXPECT_EQ(got.size(), big.size());
-  const NetStats before_read = s;
-  s = transport_->stats();
-  EXPECT_EQ(s.messages_sent, 3u);
-  EXPECT_EQ(s.messages_received, 3u);
-  uint64_t read_sent = s.bytes_sent - before_read.bytes_sent;
-  uint64_t read_received = s.bytes_received - before_read.bytes_received;
-  EXPECT_LT(read_sent, 1024u);
-  EXPECT_GT(read_received, big.size());
+  EXPECT_EQ(net("messages_sent"), 3u);
+  EXPECT_EQ(net("messages_received"), 3u);
+  EXPECT_LT(net("bytes_sent") - sent_before, 1024u);
+  EXPECT_GT(net("bytes_received") - received_before, big.size());
 }
 
 TEST_F(RpcCoverageTest, ResponseRoundTripsEveryErrorCode) {

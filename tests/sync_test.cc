@@ -1,7 +1,7 @@
 // Tests for the annotated sync layer (src/util/sync.h): the runtime
 // lock-rank checker (death tests), CondVar's release/reacquire bookkeeping
 // across Wait, and a TSan-visible stress pass over the sanctioned lock-free
-// fast paths (SimClock lanes, AtomicNetStats, metric instruments) and the
+// fast paths (SimClock lanes, metric instruments) and the
 // device lock under concurrent writers — the regression net for the
 // lock-discipline audit of the concurrency substrate.
 #include "src/util/sync.h"
@@ -159,29 +159,6 @@ TEST(SyncTest, CondVarWaitReturnsHoldingTheLock) {
 // from several threads at once. Run under TSan (the `tsan` CI job builds
 // this test with -fsanitize=thread) any unsynchronised access here is a
 // hard failure; on plain builds the final counts still verify atomicity.
-
-TEST(LockFreeAuditTest, NetStatsConcurrentAccumulate) {
-  AtomicNetStats stats;
-  constexpr int kThreads = 4;
-  constexpr int kIters = 10000;
-  std::vector<std::thread> threads;
-  for (int t = 0; t < kThreads; ++t) {
-    threads.emplace_back([&stats] {
-      for (int i = 0; i < kIters; ++i) {
-        stats.messages_sent.fetch_add(1, std::memory_order_relaxed);
-        stats.bytes_sent.fetch_add(64, std::memory_order_relaxed);
-        // Concurrent snapshots must be tear-free per field.
-        NetStats snap = stats.Snapshot();
-        ASSERT_LE(snap.messages_sent,
-                  static_cast<uint64_t>(kThreads) * kIters);
-      }
-    });
-  }
-  for (auto& th : threads) th.join();
-  NetStats snap = stats.Snapshot();
-  EXPECT_EQ(snap.messages_sent, static_cast<uint64_t>(kThreads) * kIters);
-  EXPECT_EQ(snap.bytes_sent, static_cast<uint64_t>(kThreads) * kIters * 64);
-}
 
 TEST(LockFreeAuditTest, MetricInstrumentsConcurrentPublish) {
   MetricRegistry registry;
