@@ -28,7 +28,6 @@ RebuildScheduler::RebuildScheduler(ShardRouter* router, uint32_t shard)
 }
 
 Result<RpcResponse> RebuildScheduler::Spare(RpcRequest req) {
-  req.creds = r_->admin_;
   S4_ASSIGN_OR_RETURN(RpcResponse resp, r_->SendShard(shard_, std::move(req)));
   S4_RETURN_IF_ERROR(resp.ToStatus());
   return resp;
@@ -39,12 +38,7 @@ Status RebuildScheduler::EnsureStarted() {
   ObjectId peek = r_->eps_[shard_].drive->PeekNextObjectId();
   if (peek == kFirstUserObjectId) {
     // Fresh spare: its first create is the shard's map object, like Format.
-    RpcRequest create;
-    create.op = RpcOp::kCreate;
-    S4_ASSIGN_OR_RETURN(RpcResponse resp, Spare(std::move(create)));
-    if (resp.value != kFirstUserObjectId) {
-      return Status::Internal("spare map object landed at an unexpected id");
-    }
+    S4_RETURN_IF_ERROR(r_->CreateMapObject(shard_));
     cursor_ = 0;
   } else {
     // Resume: the allocation cursor counts how many creates reached the
@@ -59,12 +53,7 @@ Status RebuildScheduler::EnsureStarted() {
       redo_first_ = true;
     }
   }
-  RpcRequest mw;
-  mw.op = RpcOp::kWrite;
-  mw.object = kFirstUserObjectId;
-  mw.offset = 0;
-  mw.data = r_->map_.Encode();
-  S4_RETURN_IF_ERROR(Spare(std::move(mw)).status());
+  S4_RETURN_IF_ERROR(Spare(r_->MapWrite()).status());
   prog_.entries_done = cursor_;
   started_ = true;
   return Status::Ok();
@@ -105,10 +94,7 @@ Status RebuildScheduler::RebuildDataObject(ObjectId gid, bool overwrite, uint64_
     // Tombstone: the object existed but is unrecoverable (no parity group)
     // or legitimately deleted. Either way the spare records a dead object.
     if (lost) ++r_->stats_.lost_objects;
-    RpcRequest del;
-    del.op = RpcOp::kDelete;
-    del.object = info->backend;
-    auto dresp = Spare(std::move(del));
+    auto dresp = Spare(r_->AdminRequest(RpcOp::kDelete, info->backend));
     if (!dresp.ok() && dresp.status().code() != ErrorCode::kFailedPrecondition) {
       return dresp.status();  // FailedPrecondition = already deleted (resume)
     }
@@ -117,11 +103,7 @@ Status RebuildScheduler::RebuildDataObject(ObjectId gid, bool overwrite, uint64_
   }
 
   if (overwrite) {
-    RpcRequest tr;
-    tr.op = RpcOp::kTruncate;
-    tr.object = info->backend;
-    tr.length = 0;
-    auto tresp = Spare(std::move(tr));
+    auto tresp = Spare(r_->AdminRequest(RpcOp::kTruncate, info->backend));
     if (!tresp.ok()) {
       if (tresp.status().code() != ErrorCode::kFailedPrecondition) {
         return tresp.status();
@@ -130,9 +112,7 @@ Status RebuildScheduler::RebuildDataObject(ObjectId gid, bool overwrite, uint64_
       // delete was undone? That cannot happen — deletes only move live→dead.
       return Status::DataCorruption("spare object dead but lane record is live");
     }
-    RpcRequest sa;
-    sa.op = RpcOp::kSetAttr;
-    sa.object = info->backend;
+    RpcRequest sa = r_->AdminRequest(RpcOp::kSetAttr, info->backend);
     sa.data = lane.attrs;
     S4_RETURN_IF_ERROR(Spare(std::move(sa)).status());
   }
@@ -140,10 +120,7 @@ Status RebuildScheduler::RebuildDataObject(ObjectId gid, bool overwrite, uint64_
   if (lane.size > 0) {
     S4_ASSIGN_OR_RETURN(Bytes content,
                         r_->ReconstructRange(*info, 0, lane.size, std::nullopt));
-    RpcRequest w;
-    w.op = RpcOp::kWrite;
-    w.object = info->backend;
-    w.offset = 0;
+    RpcRequest w = r_->AdminRequest(RpcOp::kWrite, info->backend);
     w.data = std::move(content);
     S4_RETURN_IF_ERROR(Spare(std::move(w)).status());
   }
@@ -159,90 +136,18 @@ Status RebuildScheduler::RebuildParityObject(int32_t group, bool overwrite,
 
   // Recompute from the members' actual current contents (never from stale
   // parity): every member lives on a distinct, surviving shard.
-  Bytes parity;
-  std::vector<Bytes> lane_slots;
-  for (ObjectId mgid : g.members) {
-    const ShardMap::GidInfo* mi = r_->map_.Find(mgid);
-    S4_CHECK(mi != nullptr);
-    if (!r_->Readable(mi->shard)) {
-      return Status::Unavailable("parity rebuild needs every member shard");
-    }
-    LaneImage img;
-    img.gid = mgid;
-    RpcRequest attr;
-    attr.op = RpcOp::kGetAttr;
-    attr.creds = r_->admin_;
-    attr.object = mi->backend;
-    RpcResponse aresp = r_->SendShardOrError(mi->shard, std::move(attr));
-    if (aresp.ok()) {
-      img.live = true;
-      img.size = aresp.attrs.size;
-      img.create_time = aresp.attrs.create_time;
-      img.modify_time = aresp.attrs.modify_time;
-      img.attrs = aresp.attrs.opaque;
-      RpcRequest acl;
-      acl.op = RpcOp::kGetAclByIndex;
-      acl.creds = r_->admin_;
-      acl.object = mi->backend;
-      acl.index = 0;
-      RpcResponse aclr = r_->SendShardOrError(mi->shard, std::move(acl));
-      if (aclr.ok()) img.owner = aclr.acl_entry.user;
-      if (img.size > 0) {
-        RpcRequest read;
-        read.op = RpcOp::kRead;
-        read.creds = r_->admin_;
-        read.object = mi->backend;
-        read.offset = 0;
-        read.length = img.size;
-        RpcResponse rr = r_->SendShardOrError(mi->shard, std::move(read));
-        S4_RETURN_IF_ERROR(rr.ToStatus());
-        for (size_t i = 0; i < rr.data.size(); ++i) {
-          if (parity.size() <= i) parity.resize(rr.data.size(), 0);
-          parity[i] = static_cast<uint8_t>(parity[i] ^ rr.data[i]);
-        }
-      }
-    } else if (aresp.code == ErrorCode::kFailedPrecondition) {
-      // Deleted member: contributes nothing to parity, dead lane record.
-      auto it = r_->lane_cache_.find(mgid);
-      if (it != r_->lane_cache_.end()) img.owner = it->second.owner;
-    } else {
-      return aresp.ToStatus();
-    }
-    r_->lane_cache_[mgid] = img;
-    lane_slots.push_back(img.Encode());
-  }
-
+  S4_ASSIGN_OR_RETURN(ShardRouter::GroupImage image, r_->ReadGroup(group));
   if (!overwrite) {
-    RpcRequest create;
-    create.op = RpcOp::kCreate;
-    S4_ASSIGN_OR_RETURN(RpcResponse resp, Spare(std::move(create)));
+    S4_ASSIGN_OR_RETURN(RpcResponse resp, Spare(r_->AdminRequest(RpcOp::kCreate)));
     if (resp.value != g.parity_backend) {
       return Status::Internal("rebuild broke allocation lockstep");
     }
   } else {
-    RpcRequest tr;
-    tr.op = RpcOp::kTruncate;
-    tr.object = g.parity_backend;
-    tr.length = 0;
-    S4_RETURN_IF_ERROR(Spare(std::move(tr)).status());
+    S4_RETURN_IF_ERROR(Spare(r_->AdminRequest(RpcOp::kTruncate, g.parity_backend)).status());
   }
-
-  for (size_t lane = 0; lane < lane_slots.size(); ++lane) {
-    RpcRequest w;
-    w.op = RpcOp::kWrite;
-    w.object = g.parity_backend;
-    w.offset = lane * kLaneSlotBytes;
-    w.data = std::move(lane_slots[lane]);
-    S4_RETURN_IF_ERROR(Spare(std::move(w)).status());
-  }
-  if (!parity.empty()) {
-    RpcRequest w;
-    w.op = RpcOp::kWrite;
-    w.object = g.parity_backend;
-    w.offset = kParityDataOffset;
-    w.data = std::move(parity);
-    S4_RETURN_IF_ERROR(Spare(std::move(w)).status());
-  }
+  S4_RETURN_IF_ERROR(r_->WriteGroup(group, std::move(image), [&](RpcRequest req) {
+    return Spare(std::move(req)).status();
+  }));
   *bytes += kParityDataOffset;
   return Status::Ok();
 }
@@ -259,9 +164,7 @@ Result<bool> RebuildScheduler::Tick(uint64_t budget_bytes) {
     if (bytes >= budget_bytes) {
       // Budget spent: sync so everything reconstructed this tick is durable,
       // then yield to foreground traffic.
-      RpcRequest sync;
-      sync.op = RpcOp::kSync;
-      S4_RETURN_IF_ERROR(Spare(std::move(sync)).status());
+      S4_RETURN_IF_ERROR(Spare(r_->AdminRequest(RpcOp::kSync)).status());
       prog_.bytes_reconstructed += bytes;
       return false;
     }
@@ -291,15 +194,8 @@ Result<bool> RebuildScheduler::Tick(uint64_t budget_bytes) {
   }
 
   // Final map refresh + sync, then the router flips the shard healthy.
-  RpcRequest mw;
-  mw.op = RpcOp::kWrite;
-  mw.object = kFirstUserObjectId;
-  mw.offset = 0;
-  mw.data = r_->map_.Encode();
-  S4_RETURN_IF_ERROR(Spare(std::move(mw)).status());
-  RpcRequest sync;
-  sync.op = RpcOp::kSync;
-  S4_RETURN_IF_ERROR(Spare(std::move(sync)).status());
+  S4_RETURN_IF_ERROR(Spare(r_->MapWrite()).status());
+  S4_RETURN_IF_ERROR(Spare(r_->AdminRequest(RpcOp::kSync)).status());
   prog_.bytes_reconstructed += bytes;
   prog_.active = false;
   return true;

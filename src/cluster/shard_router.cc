@@ -132,14 +132,7 @@ Result<std::unique_ptr<ShardRouter>> ShardRouter::Format(std::vector<ShardEndpoi
   std::unique_ptr<ShardRouter> r(new ShardRouter(std::move(shards), clock, creds, opts));
   // Every shard's first create is its copy of the shard map.
   for (uint32_t s = 0; s < r->shard_count(); ++s) {
-    RpcRequest create;
-    create.op = RpcOp::kCreate;
-    create.creds = r->admin_;
-    S4_ASSIGN_OR_RETURN(RpcResponse resp, r->SendShard(s, std::move(create)));
-    S4_RETURN_IF_ERROR(resp.ToStatus());
-    if (resp.value != kFirstUserObjectId) {
-      return Status::Internal("shard map object landed at an unexpected id");
-    }
+    S4_RETURN_IF_ERROR(r->CreateMapObject(s));
   }
   // The array's partition table is the very first gid, parity-protected like
   // any other object.
@@ -165,17 +158,10 @@ Result<std::unique_ptr<ShardRouter>> ShardRouter::Mount(std::vector<ShardEndpoin
   ShardMap best =
       ShardMap::Fresh(static_cast<uint32_t>(r->shard_count()), opts.parity_enabled);
   for (uint32_t s = 0; s < r->shard_count(); ++s) {
-    RpcRequest attr;
-    attr.op = RpcOp::kGetAttr;
-    attr.creds = r->admin_;
-    attr.object = kFirstUserObjectId;
-    S4_ASSIGN_OR_RETURN(RpcResponse aresp, r->SendShard(s, std::move(attr)));
+    S4_ASSIGN_OR_RETURN(RpcResponse aresp,
+                        r->SendShard(s, r->AdminRequest(RpcOp::kGetAttr, kFirstUserObjectId)));
     S4_RETURN_IF_ERROR(aresp.ToStatus());
-    RpcRequest read;
-    read.op = RpcOp::kRead;
-    read.creds = r->admin_;
-    read.object = kFirstUserObjectId;
-    read.offset = 0;
+    RpcRequest read = r->AdminRequest(RpcOp::kRead, kFirstUserObjectId);
     read.length = aresp.attrs.size;
     S4_ASSIGN_OR_RETURN(RpcResponse rresp, r->SendShard(s, std::move(read)));
     S4_RETURN_IF_ERROR(rresp.ToStatus());
@@ -300,30 +286,53 @@ void ShardRouter::FlushAll(BatchCtx& ctx) {
   }
 }
 
-void ShardRouter::PersistMapTo(BatchCtx& ctx, uint32_t shard) {
-  RpcRequest w;
-  w.op = RpcOp::kWrite;
-  w.creds = admin_;
-  w.object = kFirstUserObjectId;
-  w.offset = 0;
+// ---------------------------------------------------------------------------
+// Admin requests and the shard-map object
+// ---------------------------------------------------------------------------
+
+RpcRequest ShardRouter::AdminRequest(RpcOp op, ObjectId object) const {
+  RpcRequest r;
+  r.op = op;
+  r.creds = admin_;
+  r.object = object;
+  return r;
+}
+
+RpcRequest ShardRouter::XorDeltaWrite(const ShardMap::Group& g, ParityDelta delta) const {
+  RpcRequest x = AdminRequest(RpcOp::kXorWrite, g.parity_backend);
+  x.offset = kParityDataOffset + delta.offset;
+  x.data = std::move(delta.bytes);
+  return x;
+}
+
+RpcRequest ShardRouter::LaneRecordWrite(const ShardMap::Group& g, int32_t lane,
+                                        const LaneImage& img) const {
+  RpcRequest w = AdminRequest(RpcOp::kWrite, g.parity_backend);
+  w.offset = static_cast<uint64_t>(lane) * kLaneSlotBytes;
+  w.data = img.Encode();
+  return w;
+}
+
+RpcRequest ShardRouter::MapWrite() const {
+  RpcRequest w = AdminRequest(RpcOp::kWrite, kFirstUserObjectId);
   w.data = map_.Encode();
-  Enqueue(ctx, shard, std::move(w), /*maint=*/true, -1);
+  return w;
+}
+
+Status ShardRouter::CreateMapObject(uint32_t shard) {
+  RpcResponse resp = SendShardOrError(shard, AdminRequest(RpcOp::kCreate));
+  S4_RETURN_IF_ERROR(resp.ToStatus());
+  if (resp.value != kFirstUserObjectId) {
+    return Status::Internal("shard map object landed at an unexpected id");
+  }
+  return Status::Ok();
 }
 
 Status ShardRouter::PersistMapEverywhere() {
   for (uint32_t s = 0; s < eps_.size(); ++s) {
     if (!Healthy(s)) continue;
-    RpcRequest w;
-    w.op = RpcOp::kWrite;
-    w.creds = admin_;
-    w.object = kFirstUserObjectId;
-    w.offset = 0;
-    w.data = map_.Encode();
-    S4_RETURN_IF_ERROR(SendShardOrError(s, std::move(w)).ToStatus());
-    RpcRequest sync;
-    sync.op = RpcOp::kSync;
-    sync.creds = admin_;
-    S4_RETURN_IF_ERROR(SendShardOrError(s, std::move(sync)).ToStatus());
+    S4_RETURN_IF_ERROR(SendShardOrError(s, MapWrite()).ToStatus());
+    S4_RETURN_IF_ERROR(SendShardOrError(s, AdminRequest(RpcOp::kSync)).ToStatus());
   }
   map_dirty_ = false;
   return Status::Ok();
@@ -333,71 +342,139 @@ Status ShardRouter::PersistMapEverywhere() {
 // Parity plane
 // ---------------------------------------------------------------------------
 
-Result<LaneImage*> ShardRouter::EnsureLane(ObjectId gid) {
+Result<LaneImage> ShardRouter::MemberImage(const ShardMap::GidInfo& info) {
+  LaneImage img;
+  img.gid = info.gid;
+  RpcResponse attr = SendShardOrError(info.shard, AdminRequest(RpcOp::kGetAttr, info.backend));
+  if (IsMissing(attr.code)) {
+    // Dead. Its owner stays whoever the last lane record named, so the
+    // degraded array still authenticates the owner for its history.
+    auto it = lane_cache_.find(info.gid);
+    if (it != lane_cache_.end()) {
+      img.owner = it->second.owner;
+    } else if (auto last = ReadLaneAt(info, std::nullopt); last.ok()) {
+      img.owner = last->owner;
+    }
+    return img;
+  }
+  S4_RETURN_IF_ERROR(attr.ToStatus());
+  img.live = true;
+  img.size = attr.attrs.size;
+  img.create_time = attr.attrs.create_time;
+  img.modify_time = attr.attrs.modify_time;
+  img.attrs = std::move(attr.attrs.opaque);
+  // ACL entry 0 (the request's default index) names the owner.
+  RpcResponse aclr =
+      SendShardOrError(info.shard, AdminRequest(RpcOp::kGetAclByIndex, info.backend));
+  if (aclr.ok()) img.owner = aclr.acl_entry.user;
+  return img;
+}
+
+Result<LaneImage> ShardRouter::EnsureLane(ObjectId gid) {
   auto it = lane_cache_.find(gid);
   if (it != lane_cache_.end()) {
-    return &it->second;
+    return it->second;
   }
   const ShardMap::GidInfo* info = map_.Find(gid);
   S4_CHECK(info != nullptr);
-  LaneImage img;
-  if (Readable(info->shard)) {
-    // Data shard is authoritative for size/attrs; the owner approximation is
-    // ACL entry 0 (the creator, unless SetAcl rewrote the whole list).
-    RpcRequest attr;
-    attr.op = RpcOp::kGetAttr;
-    attr.creds = admin_;
-    attr.object = info->backend;
-    RpcResponse aresp = SendShardOrError(info->shard, std::move(attr));
-    if (aresp.code == ErrorCode::kFailedPrecondition) {
-      img.gid = gid;
-      img.live = false;
-    } else if (!aresp.ok()) {
-      return aresp.ToStatus();
-    } else {
-      img.gid = gid;
-      img.live = true;
-      img.size = aresp.attrs.size;
-      img.create_time = aresp.attrs.create_time;
-      img.modify_time = aresp.attrs.modify_time;
-      img.attrs = aresp.attrs.opaque;
-      RpcRequest acl;
-      acl.op = RpcOp::kGetAclByIndex;
-      acl.creds = admin_;
-      acl.object = info->backend;
-      acl.index = 0;
-      RpcResponse aclr = SendShardOrError(info->shard, std::move(acl));
-      if (aclr.ok()) img.owner = aclr.acl_entry.user;
-    }
-  } else {
-    S4_ASSIGN_OR_RETURN(img, ReadLaneAt(*info, std::nullopt));
-  }
-  auto ins = lane_cache_.emplace(gid, std::move(img));
-  return &ins.first->second;
+  S4_ASSIGN_OR_RETURN(LaneImage img, Readable(info->shard) ? MemberImage(*info)
+                                                           : ReadLaneAt(*info, std::nullopt));
+  lane_cache_.emplace(gid, img);
+  return img;
 }
 
-void ShardRouter::QueueLaneWrite(BatchCtx& ctx, const ShardMap::GidInfo& info,
-                                 const LaneImage& lane) {
-  if (info.group < 0) return;
-  const ShardMap::Group& g = map_.group(info.group);
-  if (state_[g.parity_shard] == ShardState::kRebuilding && rebuild_ != nullptr) {
-    rebuild_->NoteDirtyParity(info.group);
+Result<ShardRouter::GroupImage> ShardRouter::ReadGroup(int32_t group) {
+  GroupImage image;
+  for (ObjectId mgid : map_.group(group).members) {
+    const ShardMap::GidInfo* mi = map_.Find(mgid);
+    S4_CHECK(mi != nullptr);
+    if (!Readable(mi->shard)) {
+      return Status::Unavailable("group recompute needs every member shard");
+    }
+    S4_ASSIGN_OR_RETURN(LaneImage img, MemberImage(*mi));
+    if (img.size > 0) {
+      RpcRequest read = AdminRequest(RpcOp::kRead, mi->backend);
+      read.length = img.size;
+      RpcResponse rr = SendShardOrError(mi->shard, std::move(read));
+      S4_RETURN_IF_ERROR(rr.ToStatus());
+      XorInto(&image.parity, rr.data);
+    }
+    lane_cache_[mgid] = img;
+    image.lanes.push_back(std::move(img));
   }
-  if (!Healthy(g.parity_shard)) {
-    ++stats_.parity_skips;
-    return;
+  return image;
+}
+
+Status ShardRouter::WriteGroup(int32_t group, GroupImage image,
+                               const std::function<Status(RpcRequest)>& send) {
+  const ShardMap::Group& g = map_.group(group);
+  for (size_t i = 0; i < image.lanes.size(); ++i) {
+    S4_RETURN_IF_ERROR(send(LaneRecordWrite(g, static_cast<int32_t>(i), image.lanes[i])));
   }
-  RpcRequest w;
-  w.op = RpcOp::kWrite;
-  w.creds = admin_;
-  w.object = g.parity_backend;
-  w.offset = static_cast<uint64_t>(info.lane) * kLaneSlotBytes;
-  w.data = lane.Encode();
-  Enqueue(ctx, g.parity_shard, std::move(w), /*maint=*/true, info.group);
+  if (!image.parity.empty()) {
+    RpcRequest w = AdminRequest(RpcOp::kWrite, g.parity_backend);
+    w.offset = kParityDataOffset;
+    w.data = std::move(image.parity);
+    S4_RETURN_IF_ERROR(send(std::move(w)));
+  }
+  return Status::Ok();
+}
+
+Result<ShardRouter::ParityDelta> ShardRouter::MutationDelta(const RpcRequest& req,
+                                                            LaneImage* lane,
+                                                            const OldBytesFn& old_bytes) {
+  const SimTime now = clock_->Now();
+  ParityDelta d;
+  switch (req.op) {
+    case RpcOp::kWrite: {
+      // Overwrite: the delta is new^old over the range that held bytes.
+      d.offset = req.offset;
+      d.bytes = req.data;
+      uint64_t end = req.offset + req.data.size();
+      uint64_t overlap_end = std::min(end, lane->size);
+      if (old_bytes && req.offset < overlap_end) {
+        S4_ASSIGN_OR_RETURN(Bytes old, old_bytes(req.offset, overlap_end - req.offset));
+        XorInto(&d.bytes, old);
+      }
+      lane->size = std::max(lane->size, end);
+      break;
+    }
+    case RpcOp::kXorWrite:
+      d.offset = req.offset;
+      d.bytes = req.data;  // XOR deltas compose without reading old bytes
+      lane->size = std::max(lane->size, req.offset + req.data.size());
+      break;
+    case RpcOp::kAppend:
+      d.offset = lane->size;
+      d.bytes = req.data;  // appends land past EOF: old bytes are zeros
+      lane->size += req.data.size();
+      break;
+    case RpcOp::kTruncate:
+      if (old_bytes && req.length < lane->size) {
+        d.offset = req.length;  // XOR the cut tail back out of parity
+        S4_ASSIGN_OR_RETURN(d.bytes, old_bytes(req.length, lane->size - req.length));
+      }
+      lane->size = req.length;  // a grown tail reads as zeros
+      break;
+    case RpcOp::kDelete:
+      if (old_bytes && lane->live && lane->size > 0) {
+        S4_ASSIGN_OR_RETURN(d.bytes, old_bytes(0, lane->size));  // remove the content
+      }
+      lane->live = false;
+      lane->size = 0;
+      break;
+    case RpcOp::kSetAttr:
+      lane->attrs = req.data;
+      break;
+    default:
+      return Status::Unavailable("operation needs the object's shard");
+  }
+  lane->modify_time = now;
+  return d;
 }
 
 void ShardRouter::QueueParityDelta(BatchCtx& ctx, const ShardMap::GidInfo& info,
-                                   uint64_t offset, Bytes delta, const LaneImage& lane) {
+                                   ParityDelta delta, const LaneImage& lane) {
   if (info.group < 0) return;
   const ShardMap::Group& g = map_.group(info.group);
   if (state_[g.parity_shard] == ShardState::kRebuilding && rebuild_ != nullptr) {
@@ -407,17 +484,12 @@ void ShardRouter::QueueParityDelta(BatchCtx& ctx, const ShardMap::GidInfo& info,
     ++stats_.parity_skips;
     return;
   }
-  if (!delta.empty()) {
-    RpcRequest x;
-    x.op = RpcOp::kXorWrite;
-    x.creds = admin_;
-    x.object = g.parity_backend;
-    x.offset = kParityDataOffset + offset;
-    x.data = std::move(delta);
-    Enqueue(ctx, g.parity_shard, std::move(x), /*maint=*/true, info.group);
+  if (!delta.bytes.empty()) {
+    Enqueue(ctx, g.parity_shard, XorDeltaWrite(g, std::move(delta)), /*maint=*/true,
+            info.group);
     ++stats_.parity_deltas;
   }
-  QueueLaneWrite(ctx, info, lane);
+  Enqueue(ctx, g.parity_shard, LaneRecordWrite(g, info.lane, lane), /*maint=*/true, info.group);
 }
 
 Status ShardRouter::RepairParityGroup(int32_t group) {
@@ -425,85 +497,23 @@ Status ShardRouter::RepairParityGroup(int32_t group) {
   if (!Healthy(g.parity_shard)) {
     return Status::Ok();  // stale until rebuild recomputes it
   }
-  Bytes parity;
-  std::vector<std::pair<uint64_t, Bytes>> lane_writes;
-  for (size_t lane = 0; lane < g.members.size(); ++lane) {
-    ObjectId mgid = g.members[lane];
-    const ShardMap::GidInfo* mi = map_.Find(mgid);
-    S4_CHECK(mi != nullptr);
-    if (!Readable(mi->shard)) {
-      return Status::Ok();  // member shard down: rebuild will recompute
-    }
-    LaneImage img;
-    img.gid = mgid;
-    RpcRequest attr;
-    attr.op = RpcOp::kGetAttr;
-    attr.creds = admin_;
-    attr.object = mi->backend;
-    RpcResponse aresp = SendShardOrError(mi->shard, std::move(attr));
-    if (aresp.ok()) {
-      img.live = true;
-      img.size = aresp.attrs.size;
-      img.create_time = aresp.attrs.create_time;
-      img.modify_time = aresp.attrs.modify_time;
-      img.attrs = aresp.attrs.opaque;
-      RpcRequest acl;
-      acl.op = RpcOp::kGetAclByIndex;
-      acl.creds = admin_;
-      acl.object = mi->backend;
-      acl.index = 0;
-      RpcResponse aclr = SendShardOrError(mi->shard, std::move(acl));
-      if (aclr.ok()) img.owner = aclr.acl_entry.user;
-      if (img.size > 0) {
-        RpcRequest read;
-        read.op = RpcOp::kRead;
-        read.creds = admin_;
-        read.object = mi->backend;
-        read.offset = 0;
-        read.length = img.size;
-        RpcResponse rr = SendShardOrError(mi->shard, std::move(read));
-        S4_RETURN_IF_ERROR(rr.ToStatus());
-        XorInto(&parity, rr.data);
-      }
-    } else if (!IsMissing(aresp.code)) {
-      return aresp.ToStatus();
-    }
-    lane_writes.emplace_back(lane * kLaneSlotBytes, img.Encode());
-    lane_cache_[mgid] = img;
+  Result<GroupImage> image = ReadGroup(group);
+  if (image.status().code() == ErrorCode::kUnavailable) {
+    return Status::Ok();  // member shard down: rebuild will recompute
   }
+  S4_RETURN_IF_ERROR(image.status());
   // Clear any stale tail beyond the recomputed parity range, then rewrite.
-  RpcRequest attr;
-  attr.op = RpcOp::kGetAttr;
-  attr.creds = admin_;
-  attr.object = g.parity_backend;
-  RpcResponse aresp = SendShardOrError(g.parity_shard, std::move(attr));
-  uint64_t new_end = kParityDataOffset + parity.size();
-  if (aresp.ok() && aresp.attrs.size > new_end) {
-    RpcRequest tr;
-    tr.op = RpcOp::kTruncate;
-    tr.creds = admin_;
-    tr.object = g.parity_backend;
+  RpcResponse attr = SendShardOrError(g.parity_shard,
+                                      AdminRequest(RpcOp::kGetAttr, g.parity_backend));
+  uint64_t new_end = kParityDataOffset + image->parity.size();
+  if (attr.ok() && attr.attrs.size > new_end) {
+    RpcRequest tr = AdminRequest(RpcOp::kTruncate, g.parity_backend);
     tr.length = new_end;
     S4_RETURN_IF_ERROR(SendShardOrError(g.parity_shard, std::move(tr)).ToStatus());
   }
-  for (auto& lw : lane_writes) {
-    RpcRequest w;
-    w.op = RpcOp::kWrite;
-    w.creds = admin_;
-    w.object = g.parity_backend;
-    w.offset = lw.first;
-    w.data = std::move(lw.second);
-    S4_RETURN_IF_ERROR(SendShardOrError(g.parity_shard, std::move(w)).ToStatus());
-  }
-  if (!parity.empty()) {
-    RpcRequest w;
-    w.op = RpcOp::kWrite;
-    w.creds = admin_;
-    w.object = g.parity_backend;
-    w.offset = kParityDataOffset;
-    w.data = std::move(parity);
-    S4_RETURN_IF_ERROR(SendShardOrError(g.parity_shard, std::move(w)).ToStatus());
-  }
+  S4_RETURN_IF_ERROR(WriteGroup(group, std::move(*image), [&](RpcRequest req) {
+    return SendShardOrError(g.parity_shard, std::move(req)).ToStatus();
+  }));
   ++stats_.parity_repairs;
   return Status::Ok();
 }
@@ -521,10 +531,7 @@ Result<LaneImage> ShardRouter::ReadLaneAt(const ShardMap::GidInfo& info,
   if (!Readable(g.parity_shard)) {
     return Status::Unavailable("parity shard is down too");
   }
-  RpcRequest read;
-  read.op = RpcOp::kRead;
-  read.creds = admin_;
-  read.object = g.parity_backend;
+  RpcRequest read = AdminRequest(RpcOp::kRead, g.parity_backend);
   read.offset = static_cast<uint64_t>(info.lane) * kLaneSlotBytes;
   read.length = kLaneSlotBytes;
   read.at = at;
@@ -549,10 +556,7 @@ Result<Bytes> ShardRouter::ReconstructRange(const ShardMap::GidInfo& info, uint6
   // The parity and member fetches are independent: the range costs the
   // slowest of them, not their sum.
   SimClock::FanOut fan(clock_, eps_.size());
-  RpcRequest pread;
-  pread.op = RpcOp::kRead;
-  pread.creds = admin_;
-  pread.object = g.parity_backend;
+  RpcRequest pread = AdminRequest(RpcOp::kRead, g.parity_backend);
   pread.offset = kParityDataOffset + offset;
   pread.length = length;
   pread.at = at;
@@ -573,10 +577,7 @@ Result<Bytes> ShardRouter::ReconstructRange(const ShardMap::GidInfo& info, uint6
     if (!Readable(mi->shard)) {
       return Status::Unavailable("two shards of one parity group are down");
     }
-    RpcRequest mread;
-    mread.op = RpcOp::kRead;
-    mread.creds = admin_;
-    mread.object = mi->backend;
+    RpcRequest mread = AdminRequest(RpcOp::kRead, mi->backend);
     mread.offset = offset;
     mread.length = length;
     mread.at = at;
@@ -647,11 +648,8 @@ RpcResponse ShardRouter::DegradedOp(const RpcRequest& req, const ShardMap::GidIn
       // is a superset of the lost member's own (documented degraded-mode
       // semantics; the detection window is preserved).
       const ShardMap::Group& g = map_.group(info.group);
-      RpcRequest vr;
-      vr.op = RpcOp::kGetVersionList;
-      vr.creds = admin_;
-      vr.object = g.parity_backend;
-      return SendShardOrError(g.parity_shard, std::move(vr));
+      return SendShardOrError(g.parity_shard,
+                              AdminRequest(RpcOp::kGetVersionList, g.parity_backend));
     }
     case RpcOp::kGetAclByUser: {
       if (req.user == lane.owner) {
@@ -677,70 +675,12 @@ RpcResponse ShardRouter::DegradedOp(const RpcRequest& req, const ShardMap::GidIn
 
   // Mutations: applied to the parity object only; the data shard's copy is
   // reconstructed from parity at rebuild time.
-  SimTime now = clock_->Now();
-  RpcResponse ok_resp;
-  uint64_t xor_offset = 0;
-  Bytes delta;
   switch (req.op) {
-    case RpcOp::kWrite: {
-      delta = req.data;
-      xor_offset = req.offset;
-      uint64_t end = req.offset + req.data.size();
-      uint64_t overlap_end = std::min(end, lane.size);
-      if (req.offset < overlap_end) {
-        auto old = ReconstructRange(info, req.offset, overlap_end - req.offset,
-                                    std::nullopt);
-        if (!old.ok()) return StatusResp(old.status());
-        for (size_t i = 0; i < old->size(); ++i) {
-          delta[i] = static_cast<uint8_t>(delta[i] ^ (*old)[i]);
-        }
-      }
-      lane.size = std::max(lane.size, end);
-      break;
-    }
-    case RpcOp::kXorWrite: {
-      // XOR is associative: the parity delta IS the payload.
-      delta = req.data;
-      xor_offset = req.offset;
-      lane.size = std::max(lane.size, req.offset + req.data.size());
-      break;
-    }
-    case RpcOp::kAppend: {
-      delta = req.data;
-      xor_offset = lane.size;
-      lane.size += req.data.size();
-      ok_resp.value = lane.size;
-      break;
-    }
-    case RpcOp::kTruncate: {
-      if (req.length < lane.size) {
-        auto tail = ReconstructRange(info, req.length, lane.size - req.length,
-                                     std::nullopt);
-        if (!tail.ok()) return StatusResp(tail.status());
-        delta = std::move(*tail);
-        xor_offset = req.length;
-      }
-      lane.size = req.length;
-      break;
-    }
-    case RpcOp::kDelete: {
-      if (lane.size > 0) {
-        auto content = ReconstructRange(info, 0, lane.size, std::nullopt);
-        if (!content.ok()) return StatusResp(content.status());
-        delta = std::move(*content);
-        xor_offset = 0;
-      }
-      lane.live = false;
-      lane.size = 0;
-      break;
-    }
-    case RpcOp::kSetAttr: {
+    case RpcOp::kSetAttr:
       if (req.data.size() > kMaxOpaqueAttrBytes) {
         return ErrorResp(ErrorCode::kInvalidArgument, "opaque attrs too large");
       }
-      lane.attrs = req.data;
       break;
-    }
     case RpcOp::kSetAcl:
       return ErrorResp(ErrorCode::kUnavailable,
                        "cannot update ACLs while the object's shard is down");
@@ -748,33 +688,26 @@ RpcResponse ShardRouter::DegradedOp(const RpcRequest& req, const ShardMap::GidIn
       return ErrorResp(ErrorCode::kUnavailable,
                        "cannot flush history while the object's shard is down");
     default:
-      return ErrorResp(ErrorCode::kUnavailable, "operation needs the object's shard");
+      break;
   }
-
+  auto delta = MutationDelta(req, &lane, [&](uint64_t offset, uint64_t length) {
+    return ReconstructRange(info, offset, length, std::nullopt);
+  });
+  if (!delta.ok()) return StatusResp(delta.status());
+  // The delta and the lane record go straight to the parity shard.
   const ShardMap::Group& g = map_.group(info.group);
-  if (!delta.empty()) {
-    RpcRequest x;
-    x.op = RpcOp::kXorWrite;
-    x.creds = admin_;
-    x.object = g.parity_backend;
-    x.offset = kParityDataOffset + xor_offset;
-    x.data = std::move(delta);
-    Status st = SendShardOrError(g.parity_shard, std::move(x)).ToStatus();
+  if (!delta->bytes.empty()) {
+    Status st = SendShardOrError(g.parity_shard, XorDeltaWrite(g, std::move(*delta))).ToStatus();
     if (!st.ok()) return StatusResp(st);
     ++stats_.parity_deltas;
   }
-  lane.modify_time = now;
-  RpcRequest lw;
-  lw.op = RpcOp::kWrite;
-  lw.creds = admin_;
-  lw.object = g.parity_backend;
-  lw.offset = static_cast<uint64_t>(info.lane) * kLaneSlotBytes;
-  lw.data = lane.Encode();
-  Status st = SendShardOrError(g.parity_shard, std::move(lw)).ToStatus();
+  Status st = SendShardOrError(g.parity_shard, LaneRecordWrite(g, info.lane, lane)).ToStatus();
   if (!st.ok()) return StatusResp(st);
   lane_cache_[info.gid] = lane;
   ++stats_.degraded_writes;
   NoteDegradedMutation(info);
+  RpcResponse ok_resp;
+  if (req.op == RpcOp::kAppend) ok_resp.value = lane.size;
   return ok_resp;
 }
 
@@ -794,19 +727,13 @@ Result<Bytes> ShardRouter::ReadGid(BatchCtx& ctx, ObjectId gid, uint64_t offset,
     direct = false;  // the spare holds no pre-rebuild history
   }
   if (direct) {
-    RpcRequest attr;
-    attr.op = RpcOp::kGetAttr;
-    attr.creds = admin_;
-    attr.object = info->backend;
+    RpcRequest attr = AdminRequest(RpcOp::kGetAttr, info->backend);
     attr.at = at;
     RpcResponse aresp = SendShardOrError(info->shard, std::move(attr));
     S4_RETURN_IF_ERROR(aresp.ToStatus());
     uint64_t size = aresp.attrs.size;
     if (offset >= size) return Bytes{};
-    RpcRequest read;
-    read.op = RpcOp::kRead;
-    read.creds = admin_;
-    read.object = info->backend;
+    RpcRequest read = AdminRequest(RpcOp::kRead, info->backend);
     read.offset = offset;
     read.length = std::min(length, size - offset);
     read.at = at;
@@ -851,11 +778,7 @@ Status ShardRouter::PTabStore(BatchCtx& ctx,
     enc.PutString(e.first);
     enc.PutVarint(e.second);
   }
-  RpcRequest w;
-  w.op = RpcOp::kWrite;
-  w.creds = admin_;
-  w.object = kFirstUserObjectId;
-  w.offset = 0;
+  RpcRequest w = AdminRequest(RpcOp::kWrite, kFirstUserObjectId);
   w.data = enc.Take();
   SubPlan plan = PlanSub(std::move(w), ctx);
   FlushAll(ctx);
@@ -961,10 +884,7 @@ ShardRouter::SubPlan ShardRouter::PlanSub(RpcRequest req, BatchCtx& ctx) {
       if (a.group >= 0) {
         if (a.opens_group) {
           if (Healthy(a.parity_shard)) {
-            RpcRequest pc;
-            pc.op = RpcOp::kCreate;
-            pc.creds = admin_;
-            RpcResponse presp = SendShardOrError(a.parity_shard, std::move(pc));
+            RpcResponse presp = SendShardOrError(a.parity_shard, AdminRequest(RpcOp::kCreate));
             if (!presp.ok() || presp.value != a.parity_backend) {
               ++stats_.parity_skips;  // group unprotected until repair/rebuild
             }
@@ -975,8 +895,7 @@ ShardRouter::SubPlan ShardRouter::PlanSub(RpcRequest req, BatchCtx& ctx) {
             }
           }
         }
-        const ShardMap::GidInfo* info = map_.Find(a.gid);
-        QueueLaneWrite(ctx, *info, lane);
+        QueueParityDelta(ctx, *map_.Find(a.gid), ParityDelta{}, lane);
       }
       plan.resp.value = a.gid;
       return plan;
@@ -987,7 +906,7 @@ ShardRouter::SubPlan ShardRouter::PlanSub(RpcRequest req, BatchCtx& ctx) {
       for (uint32_t s = 0; s < eps_.size(); ++s) {
         if (!Healthy(s)) continue;  // a rebuilding spare is synced per tick
         if (map_dirty_) {
-          PersistMapTo(ctx, s);
+          Enqueue(ctx, s, MapWrite(), /*maint=*/true, -1);
         }
         RpcRequest sync;
         sync.op = RpcOp::kSync;
@@ -1088,106 +1007,30 @@ ShardRouter::SubPlan ShardRouter::PlanSub(RpcRequest req, BatchCtx& ctx) {
   if (lane_cache_.find(req.object) == lane_cache_.end()) {
     FlushShard(ctx, s);  // cold lane load reads the data shard
   }
-  auto lane_r = EnsureLane(req.object);
-  if (!lane_r.ok()) {
-    plan.resp = StatusResp(lane_r.status());
+  Result<LaneImage> lane = EnsureLane(req.object);
+  if (!lane.ok()) {
+    plan.resp = StatusResp(lane.status());
     return plan;
   }
-  LaneImage lane = **lane_r;
   const bool parity_live = info->group >= 0 && Healthy(map_.group(info->group).parity_shard);
-  SimTime now = clock_->Now();
-  uint64_t xor_offset = 0;
-  Bytes delta;
-
-  switch (req.op) {
-    case RpcOp::kWrite: {
-      xor_offset = req.offset;
-      delta = req.data;
-      uint64_t end = req.offset + req.data.size();
-      uint64_t overlap_end = std::min(end, lane.size);
-      if (parity_live && req.offset < overlap_end) {
-        // Overwrite: the parity delta is new^old, which needs the current
-        // bytes. Drain this shard's queue so the read sees them applied.
-        FlushShard(ctx, s);
-        RpcRequest old_read;
-        old_read.op = RpcOp::kRead;
-        old_read.creds = admin_;
-        old_read.object = info->backend;
-        old_read.offset = req.offset;
-        old_read.length = overlap_end - req.offset;
-        RpcResponse oresp = SendShardOrError(s, std::move(old_read));
-        if (!oresp.ok()) {
-          plan.resp = std::move(oresp);
-          return plan;
-        }
-        for (size_t i = 0; i < oresp.data.size(); ++i) {
-          delta[i] = static_cast<uint8_t>(delta[i] ^ oresp.data[i]);
-        }
-      }
-      lane.size = std::max(lane.size, end);
-      break;
-    }
-    case RpcOp::kXorWrite: {
-      xor_offset = req.offset;
-      delta = req.data;  // XOR deltas compose without reading old bytes
-      lane.size = std::max(lane.size, req.offset + req.data.size());
-      break;
-    }
-    case RpcOp::kAppend: {
-      xor_offset = lane.size;
-      delta = req.data;  // appends land past EOF: old bytes are zeros
-      lane.size += req.data.size();
-      break;
-    }
-    case RpcOp::kTruncate: {
-      if (parity_live && req.length < lane.size) {
-        FlushShard(ctx, s);
-        RpcRequest tail_read;
-        tail_read.op = RpcOp::kRead;
-        tail_read.creds = admin_;
-        tail_read.object = info->backend;
-        tail_read.offset = req.length;
-        tail_read.length = lane.size - req.length;
-        RpcResponse tresp = SendShardOrError(s, std::move(tail_read));
-        if (!tresp.ok()) {
-          plan.resp = std::move(tresp);
-          return plan;
-        }
-        xor_offset = req.length;
-        delta = std::move(tresp.data);  // XOR the cut tail back out of parity
-      }
-      lane.size = req.length;
-      break;
-    }
-    case RpcOp::kDelete: {
-      if (parity_live && lane.live && lane.size > 0) {
-        FlushShard(ctx, s);
-        RpcRequest full_read;
-        full_read.op = RpcOp::kRead;
-        full_read.creds = admin_;
-        full_read.object = info->backend;
-        full_read.offset = 0;
-        full_read.length = lane.size;
-        RpcResponse fresp = SendShardOrError(s, std::move(full_read));
-        if (!fresp.ok()) {
-          plan.resp = std::move(fresp);
-          return plan;
-        }
-        xor_offset = 0;
-        delta = std::move(fresp.data);  // remove the content from parity
-      }
-      lane.live = false;
-      lane.size = 0;
-      break;
-    }
-    case RpcOp::kSetAttr: {
-      lane.attrs = req.data;
-      break;
-    }
-    default:
-      break;
+  OldBytesFn read_old;  // with parity down no delta is sent, so read nothing
+  if (parity_live) {
+    read_old = [&](uint64_t offset, uint64_t length) -> Result<Bytes> {
+      // Drain this shard's queue so the read sees its earlier subs applied.
+      FlushShard(ctx, s);
+      RpcRequest read = AdminRequest(RpcOp::kRead, info->backend);
+      read.offset = offset;
+      read.length = length;
+      RpcResponse resp = SendShardOrError(s, std::move(read));
+      S4_RETURN_IF_ERROR(resp.ToStatus());
+      return std::move(resp.data);
+    };
   }
-  lane.modify_time = now;
+  Result<ParityDelta> delta = MutationDelta(req, &*lane, read_old);
+  if (!delta.ok()) {
+    plan.resp = StatusResp(delta.status());
+    return plan;
+  }
 
   RpcRequest sub = std::move(req);
   ObjectId gid = sub.object;
@@ -1197,8 +1040,8 @@ ShardRouter::SubPlan ShardRouter::PlanSub(RpcRequest req, BatchCtx& ctx) {
   plan.gid = gid;
   plan.repair_group = parity_live ? info->group : -1;
   plan.idx = Enqueue(ctx, s, std::move(sub), /*maint=*/false, -1);
-  QueueParityDelta(ctx, *info, xor_offset, std::move(delta), lane);
-  lane_cache_[gid] = std::move(lane);
+  QueueParityDelta(ctx, *info, std::move(*delta), *lane);
+  lane_cache_[gid] = std::move(*lane);
   return plan;
 }
 
@@ -1282,14 +1125,7 @@ Status ShardRouter::AddShard(ShardEndpoint ep) {
   state_.push_back(ShardState::kHealthy);
   rebuilt_since_.push_back(0);
   busy_.push_back(0);
-  RpcRequest create;
-  create.op = RpcOp::kCreate;
-  create.creds = admin_;
-  RpcResponse resp = SendShardOrError(n, std::move(create));
-  S4_RETURN_IF_ERROR(resp.ToStatus());
-  if (resp.value != kFirstUserObjectId) {
-    return Status::Internal("shard map object landed at an unexpected id");
-  }
+  S4_RETURN_IF_ERROR(CreateMapObject(n));
   S4_RETURN_IF_ERROR(map_.AddEpoch(n + 1));
   map_dirty_ = true;
   // The growth epoch must be durable everywhere before any gid routes to the

@@ -18,6 +18,21 @@
 // a device loss, which is the property the paper's threat model needs: an
 // intruder (or failure) taking out one drive does not erase the evidence.
 //
+// Each parity rule has one implementation, called by every path that needs
+// it: the healthy mutation path (PlanSub), the degraded path (DegradedOp),
+// repair after a failed data sub-op (RepairParityGroup) and rebuild
+// (RebuildScheduler).
+//   - MemberImage: a member's lane image from its data shard (EnsureLane,
+//     ReadGroup). A deleted member keeps the owner its last lane record
+//     named, so the degraded array still admits that owner to its history.
+//   - ReadGroup / WriteGroup: a group recomputed from its members' current
+//     bytes, then written as lane records followed by parity (repair,
+//     rebuild).
+//   - MutationDelta: a mutation's parity delta and lane update (healthy and
+//     degraded paths; only where the old bytes come from differs).
+//   - XorDeltaWrite, LaneRecordWrite, MapWrite, CreateMapObject: the
+//     requests that carry them.
+//
 // A replacement drive is rebuilt online by RebuildScheduler: replaying the
 // lost shard's deterministic create sequence under a per-tick byte budget so
 // foreground traffic keeps flowing, and resuming idempotently after a crash
@@ -34,6 +49,7 @@
 #ifndef S4_SRC_CLUSTER_SHARD_ROUTER_H_
 #define S4_SRC_CLUSTER_SHARD_ROUTER_H_
 
+#include <functional>
 #include <memory>
 #include <set>
 #include <string>
@@ -226,19 +242,65 @@ class ShardRouter : public S4ClientApi {
   RpcResponse ResolvePlan(SubPlan& plan, BatchCtx& ctx);
 
   // --- Parity plane ---------------------------------------------------------
+  //
+  // Each parity rule has one implementation. The healthy path (PlanSub), the
+  // degraded path (DegradedOp), repair (RepairParityGroup) and rebuild
+  // (RebuildScheduler) all call it; see the file comment.
 
-  // In-RAM lane image for `gid`, loading it from the parity lane directory or
-  // the data shard if cold. Never returns nullptr on Ok.
-  Result<LaneImage*> EnsureLane(ObjectId gid);
-  // Queues the parity delta (kXorWrite) + lane record update for a mutation
-  // of `gid` covering [offset, offset+delta.size()). No-op (counted) when the
-  // parity shard is down.
-  void QueueParityDelta(BatchCtx& ctx, const ShardMap::GidInfo& info, uint64_t offset,
-                        Bytes delta, const LaneImage& lane);
-  void QueueLaneWrite(BatchCtx& ctx, const ShardMap::GidInfo& info, const LaneImage& lane);
+  // A member's lane image from its data shard: GetAttr, then ACL entry 0 as
+  // the owner (the creator, unless SetAcl rewrote the whole list). A missing
+  // member is dead and keeps the owner its last lane record named: from the
+  // lane cache, else from the group's current lane record.
+  Result<LaneImage> MemberImage(const ShardMap::GidInfo& info);
+  // `gid`'s lane image from the cache, else loaded (MemberImage, or the lane
+  // record when the data shard is unreadable) and cached.
+  Result<LaneImage> EnsureLane(ObjectId gid);
+
+  // One parity group recomputed from its members' current contents.
+  struct GroupImage {
+    Bytes parity;                  // XOR of the members' current bytes
+    std::vector<LaneImage> lanes;  // lane order
+  };
+  // Reads every member (refreshing the lane cache). kUnavailable when a
+  // member's shard is down.
+  Result<GroupImage> ReadGroup(int32_t group);
+  // Writes `image` through `send`: the lane records, then the parity bytes.
+  // The caller first makes the parity object fit: repair truncates a stale
+  // tail, rebuild creates the object or empties it.
+  Status WriteGroup(int32_t group, GroupImage image,
+                    const std::function<Status(RpcRequest)>& send);
+
+  // The bytes a mutation XORs into its group's parity at `offset` of the
+  // member's content; empty when parity does not change.
+  struct ParityDelta {
+    uint64_t offset = 0;
+    Bytes bytes;
+  };
+  // A member's current bytes over [offset, offset+length).
+  using OldBytesFn = std::function<Result<Bytes>(uint64_t offset, uint64_t length)>;
+  // Applies a Write, XorWrite, Append, Truncate, Delete or SetAttr to `lane`
+  // and returns its parity delta. Overwrites, cuts and deletes need the old
+  // bytes: the healthy path reads them from the data shard, the degraded
+  // path reconstructs them. A null `old_bytes` reads nothing (no delta will
+  // be sent).
+  Result<ParityDelta> MutationDelta(const RpcRequest& req, LaneImage* lane,
+                                    const OldBytesFn& old_bytes);
+  // Queues the delta (if any) and the lane record for a healthy-path
+  // mutation of `info`. No-op (counted) when the parity shard is down.
+  void QueueParityDelta(BatchCtx& ctx, const ShardMap::GidInfo& info, ParityDelta delta,
+                        const LaneImage& lane);
   // Recomputes one group's parity object from its members' current contents
   // (used after a partially-applied batch left parity stale).
   Status RepairParityGroup(int32_t group);
+
+  // The requests of the parity plane and the shard map. Every request the
+  // router sends is admin-credentialed unless it carries a caller's op.
+  RpcRequest AdminRequest(RpcOp op, ObjectId object = kInvalidObjectId) const;
+  RpcRequest XorDeltaWrite(const ShardMap::Group& g, ParityDelta delta) const;
+  RpcRequest LaneRecordWrite(const ShardMap::Group& g, int32_t lane, const LaneImage& img) const;
+  RpcRequest MapWrite() const;
+  // Creates a fresh shard's map object (always its first create).
+  Status CreateMapObject(uint32_t shard);
 
   // --- Degraded plane -------------------------------------------------------
 
@@ -265,8 +327,7 @@ class ShardRouter : public S4ClientApi {
   Result<Bytes> ReadGid(BatchCtx& ctx, ObjectId gid, uint64_t offset, uint64_t length,
                         std::optional<SimTime> at);
 
-  // Queues (never sends) the map write; outcome surfaces at flush time.
-  void PersistMapTo(BatchCtx& ctx, uint32_t shard);
+  // Writes and syncs the map on every healthy shard.
   Status PersistMapEverywhere();
 
   SimClock* clock_;
@@ -314,7 +375,7 @@ class RebuildScheduler {
   Status EnsureStarted();
   Status RebuildDataObject(ObjectId gid, bool overwrite, uint64_t* bytes);
   Status RebuildParityObject(int32_t group, bool overwrite, uint64_t* bytes);
-  Result<RpcResponse> Spare(RpcRequest req);  // admin-credentialed op on the spare
+  Result<RpcResponse> Spare(RpcRequest req);  // one op on the spare; error code -> status
 
   ShardRouter* r_;
   uint32_t shard_;

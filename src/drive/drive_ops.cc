@@ -132,13 +132,14 @@ void S4Drive::SupersedeBlock(ObjectId id, DiskAddr old_addr) {
   }
 }
 
-Status S4Drive::ApplyBlockWrite(ObjectId id, CachedObject* obj, SimTime now, uint64_t old_size,
-                                uint64_t new_size, std::vector<BlockDelta> deltas) {
+Status S4Drive::ApplyBlockWrite(JournalEntryType type, ObjectId id, CachedObject* obj,
+                                SimTime now, uint64_t old_size, uint64_t new_size,
+                                std::vector<BlockDelta> deltas) {
   // Split into journal entries that each fit a single journal sector.
   size_t i = 0;
   do {
     JournalEntry e;
-    e.type = JournalEntryType::kWrite;
+    e.type = type;
     e.time = now;
     e.old_size = old_size;
     e.new_size = new_size;
@@ -188,7 +189,8 @@ Status S4Drive::WriteBody(OpContext& ctx, OpArgs& args, ObjectId id, uint64_t of
     SupersedeBlock(id, old_addr);
     m_.data_blocks_written->Inc();
   }
-  S4_RETURN_IF_ERROR(ApplyBlockWrite(id, obj.get(), now, old_size, new_size, std::move(deltas)));
+  S4_RETURN_IF_ERROR(ApplyBlockWrite(JournalEntryType::kWrite, id, obj.get(), now, old_size,
+                                     new_size, std::move(deltas)));
 
   bytes_since_checkpoint_ += data.size();
   NoteClientWrite(ctx.creds.client, data.size());
@@ -354,33 +356,8 @@ Status S4Drive::Truncate(OpContext& ctx, ObjectId id, uint64_t new_size) {
       }
     }
 
-    JournalEntry e;
-    e.type = JournalEntryType::kTruncate;
-    e.time = now;
-    e.old_size = old_size;
-    e.new_size = new_size;
-    // Split oversized delta lists across multiple entries.
-    if (deltas.size() <= kMaxDeltasPerEntry) {
-      e.blocks = std::move(deltas);
-      obj->pending.push_back(std::move(e));
-      m_.journal_entries->Inc();
-    } else {
-      for (size_t i = 0; i < deltas.size(); i += kMaxDeltasPerEntry) {
-        JournalEntry part = e;
-        size_t n = std::min<size_t>(kMaxDeltasPerEntry, deltas.size() - i);
-        part.blocks.assign(deltas.begin() + i, deltas.begin() + i + n);
-        obj->pending.push_back(std::move(part));
-        m_.journal_entries->Inc();
-      }
-    }
-    pending_dirty_.insert(id);
-    obj->inode.attrs.size = new_size;
-    obj->inode.attrs.modify_time = now;
-    obj->dirty = true;
-    if (obj->pending.size() >= options_.journal_flush_entries) {
-      S4_RETURN_IF_ERROR(FlushObjectJournal(id, obj.get()));
-    }
-    return Status::Ok();
+    return ApplyBlockWrite(JournalEntryType::kTruncate, id, obj.get(), now, old_size, new_size,
+                           std::move(deltas));
   });
 }
 
@@ -665,8 +642,8 @@ Status S4Drive::WritePartitionTable(
     SupersedeBlock(kPartitionTableObjectId, it->second);
     it = obj->inode.blocks.erase(it);
   }
-  return ApplyBlockWrite(kPartitionTableObjectId, obj.get(), now, old_size, data.size(),
-                         std::move(deltas));
+  return ApplyBlockWrite(JournalEntryType::kWrite, kPartitionTableObjectId, obj.get(), now,
+                         old_size, data.size(), std::move(deltas));
 }
 
 Status S4Drive::PCreate(OpContext& ctx, const std::string& name, ObjectId id) {
@@ -837,8 +814,8 @@ Status S4Drive::AppendAuditBuffered(bool force) {
       SupersedeBlock(kAuditLogObjectId, old_addr);
       m_.audit_blocks_written->Inc();
     }
-    return ApplyBlockWrite(kAuditLogObjectId, obj.get(), now, old_size, start + data.size(),
-                           std::move(deltas));
+    return ApplyBlockWrite(JournalEntryType::kWrite, kAuditLogObjectId, obj.get(), now, old_size,
+                           start + data.size(), std::move(deltas));
   }();
   if (!appended.ok()) {
     // The taken frames never became part of the object (its size is only

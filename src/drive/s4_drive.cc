@@ -825,19 +825,12 @@ Status S4Drive::RollForward(uint64_t checkpoint_seq, OpContext* ctx) {
         if (obj == nullptr) {
           S4_ASSIGN_OR_RETURN(obj, MaterializeObject(id, *entry));
         }
-        bool versioned = ObjectIsVersioned(id);
         // Accounting for data the entry introduced / superseded.
         for (const auto& d : e.blocks) {
           if (d.new_addr != kNullAddr) {
             sut_->AddLive(sb_.SegmentOf(d.new_addr), kSectorsPerBlock);
           }
-          if (d.old_addr != kNullAddr) {
-            if (versioned) {
-              sut_->LiveToHistory(sb_.SegmentOf(d.old_addr), kSectorsPerBlock);
-            } else {
-              ReleaseSectors(d.old_addr, kSectorsPerBlock, /*history=*/false);
-            }
-          }
+          SupersedeBlock(id, d.old_addr);
         }
         // A kDelete entry names the checkpoint its kCheckpoint entry already
         // installed and accounted: each checkpoint counts live once.
@@ -856,13 +849,7 @@ Status S4Drive::RollForward(uint64_t checkpoint_seq, OpContext* ctx) {
           // The object's current blocks become history (or are freed).
           for (const auto& [index, addr] : obj->inode.blocks) {
             (void)index;
-            if (addr != kNullAddr) {
-              if (versioned) {
-                sut_->LiveToHistory(sb_.SegmentOf(addr), kSectorsPerBlock);
-              } else {
-                ReleaseSectors(addr, kSectorsPerBlock, /*history=*/false);
-              }
-            }
+            SupersedeBlock(id, addr);
           }
         }
         ApplyEntryForward(&obj->inode, &obj->exists, e);

@@ -478,8 +478,10 @@ class S4Drive {
                    bool is_append);
   Result<Bytes> BuildBlockContent(const CachedObject& obj, uint64_t block_index,
                                   uint64_t valid_bytes, uint64_t write_off, ByteSpan data);
-  Status ApplyBlockWrite(ObjectId id, CachedObject* obj, SimTime now, uint64_t old_size,
-                         uint64_t new_size, std::vector<BlockDelta> deltas);
+  // Journals a write or truncate's block deltas as `type` entries, split to
+  // fit a journal sector each, and installs the new size.
+  Status ApplyBlockWrite(JournalEntryType type, ObjectId id, CachedObject* obj, SimTime now,
+                         uint64_t old_size, uint64_t new_size, std::vector<BlockDelta> deltas);
   void SupersedeBlock(ObjectId id, DiskAddr old_addr);
   Status ThrottleCheck(const Credentials& creds, uint64_t bytes);
   Result<ObjectHandle> ResolveForWrite(const Credentials& creds, ObjectId id, uint8_t needed);

@@ -2,11 +2,15 @@
 // online rebuild. Covers deterministic routing/remount, epoch growth,
 // degraded current+historical reads after a device loss, survivor audit
 // verification, budget-paced rebuild under foreground traffic, idempotent
-// rebuild resume after a power cut on the spare, and the fan-out timing
-// contract (per-shard requests overlap; a call waits for its slowest shard).
+// rebuild resume after a power cut on the spare, the parity rules (every
+// mutation healthy and degraded, rebuilt parity, repair after a failed
+// sub-op, a deleted member's owner), and the fan-out timing contract
+// (per-shard requests overlap; a call waits for its slowest shard).
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <map>
+#include <optional>
 #include <set>
 
 #include "src/cluster/shard_router.h"
@@ -186,6 +190,57 @@ class ClusterShardTest : public ::testing::Test {
       if (info->group >= 0) shards.insert(router_->map().group(info->group).parity_shard);
     }
     return shards;
+  }
+
+  // `n` bytes that differ per seed and are never all zero.
+  static Bytes Pattern(int seed, size_t n) {
+    Bytes b(n);
+    for (size_t i = 0; i < n; ++i) b[i] = static_cast<uint8_t>(seed * 37 + i * 11 + 1);
+    return b;
+  }
+
+  // Another member of `id`'s parity group (never the partition table).
+  ObjectId GroupSibling(ObjectId id) const {
+    const ShardMap::GidInfo* info = router_->map().Find(id);
+    S4_CHECK(info != nullptr && info->group >= 0);
+    for (ObjectId m : router_->map().group(info->group).members) {
+      if (m != id && m != kFirstUserObjectId) return m;
+    }
+    S4_CHECK(false);
+    return 0;
+  }
+
+  // A write by user 999, whom no ACL admits: the data sub-op fails after its
+  // parity delta was queued, so the router repairs the group.
+  void DeniedWrite(ObjectId id, uint64_t offset = 0) {
+    router_->set_creds(User(999));
+    RpcRequest w;
+    w.op = RpcOp::kWrite;
+    w.object = id;
+    w.offset = offset;
+    w.data = BytesOf("intruder bytes");
+    ASSERT_OK_AND_ASSIGN(std::vector<RpcResponse> resps, router_->CallBatch({std::move(w)}));
+    EXPECT_EQ(resps[0].code, ErrorCode::kPermissionDenied);
+    router_->set_creds(User(100));
+  }
+
+  // Deletes a member, denies a write to a sibling so the router repairs the
+  // group, then loses the deleted member's shard: its owner must still read
+  // its history through the degraded path.
+  void DeletedMemberOwnerSurvivesRepair(bool remount) {
+    auto objs = Populate(9);
+    const ObjectId deleted = objs[4].first;
+    ASSERT_OK(router_->Delete(deleted));
+    ASSERT_OK(router_->Sync());
+    if (remount) {
+      router_.reset();
+      ASSERT_OK_AND_ASSIGN(
+          router_, ShardRouter::Mount(Endpoints(), clock_.get(), User(100), RouterOpts()));
+    }
+    DeniedWrite(GroupSibling(deleted));
+    EXPECT_EQ(router_->rstats().parity_repairs, 1u);
+    router_->FailShard(router_->map().Find(deleted)->shard);
+    EXPECT_OK(router_->GetVersionList(deleted).status());
   }
 
   // Pumps RebuildTick until completion; returns tick count.
@@ -724,6 +779,183 @@ TEST_F(ClusterShardTest, FanOutOnACallerLaneAdvancesOnlyThatLane) {
   }
   EXPECT_EQ(lane_end - global, slowest);
   EXPECT_EQ(clock_->Now(), global);
+}
+
+// A client mutation applied to a model of the object's content and attrs.
+void ApplyToModel(const RpcRequest& req, std::optional<Bytes>* content, Bytes* attrs) {
+  Bytes& c = **content;
+  switch (req.op) {
+    case RpcOp::kWrite:
+    case RpcOp::kXorWrite: {
+      c.resize(std::max<size_t>(c.size(), req.offset + req.data.size()), 0);
+      for (size_t i = 0; i < req.data.size(); ++i) {
+        uint8_t& b = c[req.offset + i];
+        b = req.op == RpcOp::kWrite ? req.data[i] : static_cast<uint8_t>(b ^ req.data[i]);
+      }
+      break;
+    }
+    case RpcOp::kAppend:
+      c.insert(c.end(), req.data.begin(), req.data.end());
+      break;
+    case RpcOp::kTruncate:
+      c.resize(req.length, 0);
+      break;
+    case RpcOp::kDelete:
+      content->reset();
+      break;
+    case RpcOp::kSetAttr:
+      *attrs = req.data;
+      break;
+    default:
+      S4_CHECK(false);
+  }
+}
+
+// Every mutation leaves parity equal to the XOR of its group's members and
+// the lane record equal to the member's metadata, whether it ran healthy or
+// degraded (then rebuilt): a second device loss is served exactly.
+TEST_F(ClusterShardTest, EveryMutationKeepsParityExact) {
+  auto op = [](RpcOp code, uint64_t offset, uint64_t length, Bytes data) {
+    RpcRequest r;
+    r.op = code;
+    r.offset = offset;
+    r.length = length;
+    r.data = std::move(data);
+    return r;
+  };
+  // The target holds 64 bytes and its siblings 200, so every delta below
+  // lands inside a sibling's range.
+  const std::vector<std::pair<const char*, RpcRequest>> table = {
+      {"overlapping Write", op(RpcOp::kWrite, 32, 0, Pattern(90, 64))},
+      {"XorWrite", op(RpcOp::kXorWrite, 16, 0, Pattern(91, 64))},
+      {"Append", op(RpcOp::kAppend, 0, 0, Pattern(92, 32))},
+      {"shrinking Truncate", op(RpcOp::kTruncate, 0, 10, {})},
+      {"growing Truncate", op(RpcOp::kTruncate, 0, 150, {})},
+      {"Delete", op(RpcOp::kDelete, 0, 0, {})},
+      {"SetAttr", op(RpcOp::kSetAttr, 0, 0, BytesOf("attrs after SetAttr"))},
+  };
+  for (const auto& [name, mutation] : table) {
+    for (bool degraded : {false, true}) {
+      SCOPED_TRACE(std::string(name) + (degraded ? ", degraded then rebuilt" : ", healthy"));
+      RebuildFixture();
+      std::map<ObjectId, Bytes> content;
+      std::vector<ObjectId> ids;
+      for (int i = 0; i < 9; ++i) {
+        ASSERT_OK_AND_ASSIGN(ObjectId id, router_->Create({}));
+        content[id] = Pattern(i, i == 4 ? 64 : 200);
+        ASSERT_OK(router_->Write(id, 0, content[id]));
+        ids.push_back(id);
+      }
+      const ObjectId target = ids[4];
+      const ObjectId sibling = GroupSibling(target);
+      const uint32_t home = router_->map().Find(target)->shard;
+
+      if (degraded) router_->FailShard(home);
+      RpcRequest req = mutation;
+      req.object = target;
+      ASSERT_OK_AND_ASSIGN(RpcResponse resp, router_->Call(req));
+      ASSERT_TRUE(resp.ok()) << resp.message;
+      std::optional<Bytes> want = content[target];
+      Bytes want_attrs;
+      ApplyToModel(mutation, &want, &want_attrs);
+      if (degraded) {
+        ASSERT_OK(router_->AttachSpare(home, Endpoint(AddDrive())));
+        PumpRebuild(1 << 20);
+      }
+
+      // A healthy SetAttr changes only the lane record, which only a loss of
+      // the target's own shard reads.
+      const bool own = !degraded && mutation.op == RpcOp::kSetAttr;
+      router_->FailShard(own ? home : router_->map().Find(sibling)->shard);
+      ASSERT_OK_AND_ASSIGN(Bytes got, router_->Read(sibling, 0, 4096));
+      EXPECT_EQ(got, content[sibling]);
+      auto read = router_->Read(target, 0, 4096);
+      if (!want.has_value()) {
+        EXPECT_EQ(read.status().code(), ErrorCode::kFailedPrecondition);
+        continue;
+      }
+      ASSERT_OK(read.status());
+      EXPECT_EQ(*read, *want);
+      if (mutation.op == RpcOp::kSetAttr) {
+        ASSERT_OK_AND_ASSIGN(ObjectAttrs attrs, router_->GetAttr(target));
+        EXPECT_EQ(attrs.opaque, want_attrs);
+      }
+    }
+  }
+}
+
+// A rebuild recomputes the lost shard's parity objects from their members,
+// after degraded writes and under foreground appends; the rebuilt parity
+// then serves a second loss.
+TEST_F(ClusterShardTest, RebuiltParityServesASecondLoss) {
+  std::map<ObjectId, Bytes> content;
+  std::vector<ObjectId> ids;
+  for (int i = 0; i < 12; ++i) {
+    ASSERT_OK_AND_ASSIGN(ObjectId id, router_->Create({}));
+    content[id] = Pattern(i, 100 + 10 * i);
+    ASSERT_OK(router_->Write(id, 0, content[id]));
+    ids.push_back(id);
+  }
+  ASSERT_OK(router_->Sync());
+  const ShardMap::GidInfo* first = router_->map().Find(ids[0]);
+  const uint32_t lost = router_->map().group(first->group).parity_shard;
+  router_->FailShard(lost);
+  // The lost shard's own members only reach parity; everyone else's deltas
+  // to parity objects on the lost shard are skipped.
+  for (size_t i = 0; i < ids.size(); ++i) {
+    Bytes patch = Pattern(50 + static_cast<int>(i), 24);
+    ASSERT_OK(router_->Write(ids[i], 8, patch));
+    std::copy(patch.begin(), patch.end(), content[ids[i]].begin() + 8);
+  }
+
+  ASSERT_OK(router_->AttachSpare(lost, Endpoint(AddDrive())));
+  for (int ticks = 0;; ++ticks) {
+    ASSERT_LT(ticks, 10000);
+    ASSERT_OK_AND_ASSIGN(bool done, router_->RebuildTick(1));
+    if (done) break;
+    ObjectId id = ids[static_cast<size_t>(ticks) % ids.size()];
+    Bytes tail = Pattern(70 + ticks, 5);
+    ASSERT_OK(router_->Append(id, tail).status());
+    content[id].insert(content[id].end(), tail.begin(), tail.end());
+  }
+
+  // The first object's group has its parity on the rebuilt shard.
+  router_->FailShard(first->shard);
+  for (ObjectId id : ids) {
+    ASSERT_OK_AND_ASSIGN(Bytes got, router_->Read(id, 0, 4096));
+    EXPECT_EQ(got, content[id]) << id;
+  }
+}
+
+// A data sub-op that fails after its parity delta was queued leaves the group
+// recomputed from its members, so a later loss reconstructs every member.
+TEST_F(ClusterShardTest, FailedSubOpRepairRestoresParity) {
+  auto objs = Populate(9);
+  const ObjectId target = objs[4].first;
+  // One denied write overlaps the target's bytes; the other lands past every
+  // member's end, so the repair must also cut parity's stale tail.
+  DeniedWrite(target);
+  DeniedWrite(target, 64);
+  EXPECT_EQ(router_->rstats().parity_repairs, 2u);
+  ASSERT_OK(router_->Write(target, 64, BytesOf("grown later")));
+  objs[4].second.resize(64, '\0');
+  objs[4].second += "grown later";
+  router_->FailShard(router_->map().Find(target)->shard);
+  for (const auto& [id, content] : objs) {
+    ASSERT_OK_AND_ASSIGN(Bytes got, router_->Read(id, 0, 128));
+    EXPECT_EQ(StringOf(got), content) << id;
+  }
+}
+
+// A repair rewrites a deleted member's lane record; the owner it names must
+// survive, or the degraded array refuses the owner its own history.
+TEST_F(ClusterShardTest, ParityRepairKeepsADeletedMembersOwner) {
+  DeletedMemberOwnerSurvivesRepair(/*remount=*/false);
+}
+
+// The same after a remount, when the router's lane cache starts empty.
+TEST_F(ClusterShardTest, ParityRepairAfterMountKeepsADeletedMembersOwner) {
+  DeletedMemberOwnerSurvivesRepair(/*remount=*/true);
 }
 
 }  // namespace
