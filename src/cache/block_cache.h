@@ -6,7 +6,9 @@
 // blocks and inode checkpoints are inserted as they are written, a journal
 // sector is cached only decoded, in the drive's jsector cache (never here),
 // and every record the usage table releases is dropped here at that moment.
-// There is no read-ahead.
+// There is no read-ahead. History never evicts current data: a block that
+// becomes history moves to the eviction end (Demote), where it stays
+// readable until the space is needed.
 #ifndef S4_SRC_CACHE_BLOCK_CACHE_H_
 #define S4_SRC_CACHE_BLOCK_CACHE_H_
 
@@ -59,6 +61,10 @@ class BlockCache {
   void Insert(DiskAddr addr, ByteSpan data) {
     cache_.Put(addr, Bytes(data.begin(), data.end()), data.size());
   }
+
+  // Moves the record to the eviction end: it stays readable while there is
+  // spare room but goes before any other record.
+  void Demote(DiskAddr addr) { cache_.Demote(addr); }
 
   void Invalidate(DiskAddr addr) { cache_.Remove(addr); }
 

@@ -71,6 +71,16 @@ class LruCache {
     EvictToFit();
   }
 
+  // Moves the entry to the eviction end, so it is the next one evicted. The
+  // entry stays readable and keeps its cost; no callback runs. A missing key
+  // is a no-op.
+  void Demote(const Key& key) {
+    auto it = index_.find(key);
+    if (it != index_.end()) {
+      order_.splice(order_.end(), order_, it->second);
+    }
+  }
+
   // Removes without invoking the eviction callback. Returns true if present.
   bool Remove(const Key& key) {
     auto it = index_.find(key);

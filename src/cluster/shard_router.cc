@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "src/drive/s4_drive.h"
 #include "src/util/check.h"
 
 namespace s4 {
@@ -348,12 +349,26 @@ Result<LaneImage> ShardRouter::MemberImage(const ShardMap::GidInfo& info) {
   RpcResponse attr = SendShardOrError(info.shard, AdminRequest(RpcOp::kGetAttr, info.backend));
   if (IsMissing(attr.code)) {
     // Dead. Its owner stays whoever the last lane record named, so the
-    // degraded array still authenticates the owner for its history.
+    // degraded array still authenticates the owner for its history. With no
+    // lane record at hand (a cold lane cache and a parity shard that is down
+    // or being rebuilt), the data shard's history names the owner: ACL entry
+    // 0 at the newest version before the delete.
     auto it = lane_cache_.find(info.gid);
     if (it != lane_cache_.end()) {
       img.owner = it->second.owner;
     } else if (auto last = ReadLaneAt(info, std::nullopt); last.ok()) {
       img.owner = last->owner;
+    } else {
+      RpcResponse vl =
+          SendShardOrError(info.shard, AdminRequest(RpcOp::kGetVersionList, info.backend));
+      for (auto v = vl.versions.rbegin(); v != vl.versions.rend(); ++v) {
+        if (v->second == static_cast<uint8_t>(JournalEntryType::kDelete)) continue;
+        RpcRequest acl = AdminRequest(RpcOp::kGetAclByIndex, info.backend);
+        acl.at = v->first;
+        RpcResponse aclr = SendShardOrError(info.shard, std::move(acl));
+        if (aclr.ok()) img.owner = aclr.acl_entry.user;
+        break;
+      }
     }
     return img;
   }
@@ -972,6 +987,14 @@ ShardRouter::SubPlan ShardRouter::PlanSub(RpcRequest req, BatchCtx& ctx) {
     plan.resp = DegradedOp(req, *info);
     return plan;
   }
+  // Queues `req` on the data shard, translating the object id and keeping
+  // the caller's creds.
+  auto route = [&](RpcRequest sub) {
+    sub.object = info->backend;
+    plan.kind = SubPlan::kDirect;
+    plan.shard = s;
+    plan.idx = Enqueue(ctx, s, std::move(sub), /*maint=*/false, -1);
+  };
 
   switch (req.op) {
     case RpcOp::kRead:
@@ -981,14 +1004,9 @@ ShardRouter::SubPlan ShardRouter::PlanSub(RpcRequest req, BatchCtx& ctx) {
     case RpcOp::kGetVersionList:
     case RpcOp::kFlushObject:
     case RpcOp::kSetAcl: {
-      // Pure routing: translate the object id and preserve caller creds.
-      // (SetAcl has no parity mirror: degraded mode authenticates owners
-      // only, a documented §13 limitation.)
-      RpcRequest sub = std::move(req);
-      sub.object = info->backend;
-      plan.kind = SubPlan::kDirect;
-      plan.shard = s;
-      plan.idx = Enqueue(ctx, s, std::move(sub), /*maint=*/false, -1);
+      // Pure routing. (SetAcl has no parity mirror: degraded mode
+      // authenticates owners only, a documented §13 limitation.)
+      route(std::move(req));
       return plan;
     }
     case RpcOp::kWrite:
@@ -1012,6 +1030,12 @@ ShardRouter::SubPlan ShardRouter::PlanSub(RpcRequest req, BatchCtx& ctx) {
     plan.resp = StatusResp(lane.status());
     return plan;
   }
+  if (!lane->live) {
+    // A deleted object does not change: its data shard audits the attempt
+    // and refuses it, so parity needs no delta, lane record or repair.
+    route(std::move(req));
+    return plan;
+  }
   const bool parity_live = info->group >= 0 && Healthy(map_.group(info->group).parity_shard);
   OldBytesFn read_old;  // with parity down no delta is sent, so read nothing
   if (parity_live) {
@@ -1032,14 +1056,10 @@ ShardRouter::SubPlan ShardRouter::PlanSub(RpcRequest req, BatchCtx& ctx) {
     return plan;
   }
 
-  RpcRequest sub = std::move(req);
-  ObjectId gid = sub.object;
-  sub.object = info->backend;
-  plan.kind = SubPlan::kDirect;
-  plan.shard = s;
+  const ObjectId gid = req.object;
+  route(std::move(req));
   plan.gid = gid;
   plan.repair_group = parity_live ? info->group : -1;
-  plan.idx = Enqueue(ctx, s, std::move(sub), /*maint=*/false, -1);
   QueueParityDelta(ctx, *info, std::move(*delta), *lane);
   lane_cache_[gid] = std::move(*lane);
   return plan;

@@ -250,7 +250,8 @@ class ShardRouter : public S4ClientApi {
   // A member's lane image from its data shard: GetAttr, then ACL entry 0 as
   // the owner (the creator, unless SetAcl rewrote the whole list). A missing
   // member is dead and keeps the owner its last lane record named: from the
-  // lane cache, else from the group's current lane record.
+  // lane cache, else from the group's current lane record, else (no lane
+  // record readable) ACL entry 0 of its newest version before the delete.
   Result<LaneImage> MemberImage(const ShardMap::GidInfo& info);
   // `gid`'s lane image from the cache, else loaded (MemberImage, or the lane
   // record when the data shard is unreadable) and cached.

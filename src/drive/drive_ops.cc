@@ -127,6 +127,9 @@ void S4Drive::SupersedeBlock(ObjectId id, DiskAddr old_addr) {
   }
   if (ObjectIsVersioned(id)) {
     sut_->LiveToHistory(sb_.SegmentOf(old_addr), kSectorsPerBlock);
+    // History is read only by time-based recovery: it must never push
+    // current data out of the cache.
+    block_cache_->Demote(old_addr);
   } else {
     ReleaseSectors(old_addr, kSectorsPerBlock, /*history=*/false);
   }

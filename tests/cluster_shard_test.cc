@@ -958,5 +958,48 @@ TEST_F(ClusterShardTest, ParityRepairAfterMountKeepsADeletedMembersOwner) {
   DeletedMemberOwnerSurvivesRepair(/*remount=*/true);
 }
 
+// A healthy write to a deleted object changes nothing: the data shard audits
+// the attempt and refuses it, and parity gets no delta and no repair.
+TEST_F(ClusterShardTest, WriteToADeletedObjectTouchesNoParity) {
+  auto objs = Populate(9);
+  const ObjectId x = objs[4].first;
+  ASSERT_OK(router_->Delete(x));
+  ASSERT_OK(router_->Sync());
+  const uint64_t deltas = router_->rstats().parity_deltas;
+  EXPECT_EQ(router_->Write(x, 0, BytesOf("after the delete")).code(),
+            ErrorCode::kFailedPrecondition);
+  EXPECT_EQ(router_->rstats().parity_deltas, deltas);
+  EXPECT_EQ(router_->rstats().parity_repairs, 0u);
+
+  const ShardMap::GidInfo* info = router_->map().Find(x);
+  AuditQuery q;
+  q.object = info->backend;
+  q.op = RpcOp::kWrite;
+  ASSERT_OK_AND_ASSIGN(std::vector<AuditRecord> recs, drives_[info->shard]->QueryAudit(Admin(), q));
+  ASSERT_FALSE(recs.empty());
+  EXPECT_EQ(recs.back().user, 100u);
+  EXPECT_EQ(recs.back().result, static_cast<uint8_t>(ErrorCode::kFailedPrecondition));
+}
+
+// Rebuilding a lost parity shard after a remount rewrites a deleted member's
+// lane record while the lane cache is empty and no lane record is readable:
+// the owner comes from the member's history on its data shard.
+TEST_F(ClusterShardTest, ParityRebuildAfterMountKeepsADeletedMembersOwner) {
+  auto objs = Populate(9);
+  const ObjectId x = objs[4].first;
+  ASSERT_OK(router_->Delete(x));
+  ASSERT_OK(router_->Sync());
+  router_.reset();
+  ASSERT_OK_AND_ASSIGN(
+      router_, ShardRouter::Mount(Endpoints(), clock_.get(), User(100), RouterOpts()));
+  const ShardMap::GidInfo* info = router_->map().Find(x);
+  const uint32_t parity = router_->map().group(info->group).parity_shard;
+  router_->FailShard(parity);
+  ASSERT_OK(router_->AttachSpare(parity, Endpoint(AddDrive())));
+  PumpRebuild(1 << 20);
+  router_->FailShard(info->shard);
+  EXPECT_OK(router_->GetVersionList(x).status());
+}
+
 }  // namespace
 }  // namespace s4

@@ -232,6 +232,36 @@ TEST_F(DriveTest, ReadPathCountersTrackCacheAndHistory) {
   EXPECT_GT(drive_->metrics().CounterValue("cache.sectors_read"), 0u);
 }
 
+TEST_F(DriveTest, HistoryNeverEvictsCurrentBlocks) {
+  // The 1 MB block cache holds the current data (64 + 32 blocks) but not the
+  // 2 MB of history that 16 overwrites of the hot object leave behind. A
+  // superseded block goes to the eviction end, so the cold object stays cached.
+  Credentials alice = User(100);
+  ASSERT_OK_AND_ASSIGN(ObjectId cold, drive_->Create(alice, {}));
+  Bytes cold_data(64 * kBlockSize, 0xC0);
+  ASSERT_OK(drive_->Write(alice, cold, 0, cold_data));
+  ASSERT_OK_AND_ASSIGN(ObjectId hot, drive_->Create(alice, {}));
+  Bytes first_gen(32 * kBlockSize, 0x01);
+  ASSERT_OK(drive_->Write(alice, hot, 0, first_gen));
+  ASSERT_OK(drive_->Sync(alice));
+  SimTime t_first = clock_->Now();
+  for (int pass = 0; pass < 16; ++pass) {
+    clock_->Advance(kSecond);
+    ASSERT_OK(drive_->Write(alice, hot, 0, Bytes(32 * kBlockSize, static_cast<uint8_t>(pass + 2))));
+    ASSERT_OK(drive_->Sync(alice));
+  }
+
+  const MetricRegistry& reg = drive_->metrics();
+  uint64_t misses = reg.CounterValue("cache.block.misses");
+  ASSERT_OK_AND_ASSIGN(Bytes got, drive_->Read(alice, cold, 0, cold_data.size()));
+  EXPECT_EQ(got, cold_data);
+  EXPECT_EQ(reg.CounterValue("cache.block.misses"), misses);
+
+  // Demoted history is still history: a time-based read reconstructs it.
+  ASSERT_OK_AND_ASSIGN(Bytes old, drive_->Read(alice, hot, 0, first_gen.size(), t_first));
+  EXPECT_EQ(old, first_gen);
+}
+
 TEST_F(DriveTest, ManyObjectsSurviveCacheEviction) {
   // Object cache is tiny (64KB); creating many objects forces eviction and
   // checkpointing, and everything must still read back.

@@ -349,6 +349,34 @@ TEST(LruCacheTest, RemoveSkipsEvictionCallback) {
   EXPECT_EQ(cache.used(), 0u);
 }
 
+TEST(LruCacheTest, DemoteEvictsFirst) {
+  LruCache<int, std::string> cache(30);
+  std::vector<int> evicted;
+  cache.set_evict_fn([&](const int& k, std::string&&) { evicted.push_back(k); });
+  cache.Put(1, "a", 10);
+  cache.Put(2, "b", 10);
+  cache.Put(3, "c", 10);  // recency: 3, 2, 1
+  cache.Demote(3);        // 3 is now the eviction end, though newest
+  EXPECT_TRUE(evicted.empty());
+  EXPECT_EQ(cache.used(), 30u);
+  EXPECT_EQ(cache.entry_count(), 3u);
+  ASSERT_NE(cache.Peek(3), nullptr);  // still readable
+  cache.Put(4, "d", 10);
+  EXPECT_EQ(evicted, (std::vector<int>{3}));
+
+  // A Get after a demote makes the entry most-recently-used again.
+  cache.Demote(4);
+  ASSERT_NE(cache.Get(4), nullptr);
+  cache.Put(5, "e", 10);  // recency before the put: 4, 2, 1
+  EXPECT_EQ(evicted, (std::vector<int>{3, 1}));
+
+  // A missing key is a no-op.
+  cache.Demote(99);
+  EXPECT_EQ(cache.used(), 30u);
+  EXPECT_EQ(cache.entry_count(), 3u);
+  EXPECT_EQ(evicted.size(), 2u);
+}
+
 TEST(LruCacheTest, ClearEvictsEverythingThroughCallback) {
   LruCache<int, std::string> cache(100);
   int evictions = 0;
