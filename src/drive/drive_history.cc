@@ -8,9 +8,6 @@
 
 namespace s4 {
 
-// Defined in s4_drive.cc; the forward-replay reconstruction path reuses it.
-void ApplyEntryForward(Inode* inode, bool* exists, const JournalEntry& e);
-
 DiskAddr S4Drive::VersionView::BlockAt(uint64_t index) const {
   auto it = overlay.find(index);
   if (it != overlay.end()) {
@@ -98,15 +95,13 @@ bool S4Drive::IsPurged(ObjectId id, SimTime t) const {
 }
 
 // One step of backward reconstruction: undoes `e` (a mutation newer than
-// `at`) on the view, or — once the walk reaches the first entry at or before
-// `at` — stamps the version's modify time and stops. Entries inside an
-// administratively purged range have had their old data destroyed; affected
-// blocks get the sentinel so reads fail loudly instead of returning reused
-// disk contents.
+// `at`) on the view, or stops at the first entry at or before `at`. Entries
+// inside an administratively purged range have had their old data
+// destroyed; affected blocks get the sentinel so reads fail loudly instead
+// of returning reused disk contents.
 Result<bool> S4Drive::ApplyEntryUndo(ObjectId id, const JournalEntry& e, SimTime at,
                                      VersionView* view) {
   if (e.time <= at) {
-    view->modify_time = e.time;
     return false;
   }
   bool purged = IsPurged(id, e.time);
@@ -159,7 +154,6 @@ Result<S4Drive::VersionView> S4Drive::ReconstructVersion(ObjectId id, SimTime at
   view.existed = true;
   view.base = obj;
   view.create_time = entry->create_time;
-  view.modify_time = entry->create_time;
 
   // Two ways to build the version, costed by the waypoint index. Backward
   // undo starts from the current state and must visit every entry *newer*
@@ -189,10 +183,8 @@ Result<S4Drive::VersionView> S4Drive::ReconstructVersion(ObjectId id, SimTime at
     Inode past;
     past.id = id;
     bool existed = false;
-    SimTime modify = entry->create_time;
     for (const JournalEntry& e : replay) {
       ApplyEntryForward(&past, &existed, e);
-      modify = e.time;
     }
     if (!existed) {
       return Status::NotFound("object did not exist at that time");
@@ -200,7 +192,6 @@ Result<S4Drive::VersionView> S4Drive::ReconstructVersion(ObjectId id, SimTime at
     view.size = past.attrs.size;
     view.opaque = past.attrs.opaque;
     view.acl = past.acl;
-    view.modify_time = modify;
     // The overlay must fully shadow the current state: any current block the
     // replayed inode does not have was a hole (or not yet written) at `at`.
     for (const auto& [index, addr] : obj->inode.blocks) {
@@ -234,6 +225,22 @@ Result<S4Drive::VersionView> S4Drive::ReconstructForAccess(OpContext& ctx, Objec
   S4_ASSIGN_OR_RETURN(VersionView view, ReconstructVersion(id, at));
   S4_RETURN_IF_ERROR(CheckHistoryAccess(view.acl, ctx.creds));
   return view;
+}
+
+Result<SimTime> S4Drive::ModifyTimeAt(ObjectId id, const VersionView& view, SimTime at) {
+  // An ACL change or an inode checkpoint leaves the modify time as it was.
+  // With the history below the barrier gone, the creation time stands in.
+  SimTime modify = view.create_time;
+  S4_RETURN_IF_ERROR(
+      WalkJournal(id, view.base.get(), at, [&](const JournalEntry& e) -> Result<bool> {
+        if (e.time > at || e.type == JournalEntryType::kSetAcl ||
+            e.type == JournalEntryType::kCheckpoint) {
+          return true;
+        }
+        modify = e.time;
+        return false;
+      }));
+  return modify;
 }
 
 Result<Bytes> S4Drive::ReadVersionBytes(const VersionView& view, uint64_t offset,

@@ -5,6 +5,12 @@
 // latency histogram) live in BeginOp/EndOp in s4_drive.cc. Bodies mutate the
 // OpArgs audit fields as the op learns them (e.g. the resolved append
 // offset), so the audit record describes what actually happened.
+//
+// Every mutation is a journal entry queued by LogEntry (s4_drive.cc), which
+// applies it with the ApplyEntry that roll-forward uses too. Data blocks are
+// appended only by WriteBlocks, the one block path; with CheckpointObject and
+// compaction it is one of the three places a record is appended and inserted
+// into the block cache.
 #include <algorithm>
 #include <cstring>
 
@@ -45,26 +51,18 @@ Result<ObjectId> S4Drive::Create(OpContext& ctx, Bytes opaque_attrs) {
 
     auto obj = std::make_shared<CachedObject>();
     obj->inode.id = id;
-    obj->inode.attrs.create_time = now;
-    obj->inode.attrs.modify_time = now;
-    obj->inode.attrs.opaque = opaque_attrs;
-    obj->inode.acl.push_back(AclEntry{ctx.creds.user, kPermAll});
-    obj->dirty = true;
+    object_cache_->Put(id, obj, 256);
+    args.object = id;
+    args.length = 0;
 
     JournalEntry e;
     e.type = JournalEntryType::kCreate;
     e.time = now;
     Encoder acl_enc;
-    EncodeAcl(obj->inode.acl, &acl_enc);
+    EncodeAcl(Acl{AclEntry{ctx.creds.user, kPermAll}}, &acl_enc);
     e.old_blob = acl_enc.Take();
     e.new_blob = std::move(opaque_attrs);
-    obj->pending.push_back(std::move(e));
-    m_.journal_entries->Inc();
-    pending_dirty_.insert(id);
-
-    object_cache_->Put(id, obj, 256);
-    args.object = id;
-    args.length = 0;
+    S4_RETURN_IF_ERROR(LogEntry(id, obj.get(), std::move(e)));
     return id;
   });
 }
@@ -121,24 +119,54 @@ Result<Bytes> S4Drive::BuildBlockContent(const CachedObject& obj, uint64_t block
   return content;
 }
 
-void S4Drive::SupersedeBlock(ObjectId id, DiskAddr old_addr) {
-  if (old_addr == kNullAddr) {
-    return;
+Status S4Drive::WriteBlocks(JournalEntryType type, ObjectId id, CachedObject* obj,
+                            uint64_t offset, ByteSpan data, uint64_t new_size) {
+  const SimTime now = clock_->Now();
+  const uint64_t old_size = obj->inode.attrs.size;
+  // Rebuild every block the data touches; a shrink rebuilds its boundary
+  // block instead, so the bytes past the new end read as zeros.
+  uint64_t first = 0;
+  uint64_t end = 0;
+  if (!data.empty()) {
+    first = offset / kBlockSize;
+    end = (offset + data.size() - 1) / kBlockSize + 1;
+  } else if (new_size < old_size && new_size % kBlockSize != 0 &&
+             obj->inode.BlockAddr(new_size / kBlockSize) != kNullAddr) {
+    first = new_size / kBlockSize;
+    end = first + 1;
   }
-  if (ObjectIsVersioned(id)) {
-    sut_->LiveToHistory(sb_.SegmentOf(old_addr), kSectorsPerBlock);
-    // History is read only by time-based recovery: it must never push
-    // current data out of the cache.
-    block_cache_->Demote(old_addr);
-  } else {
-    ReleaseSectors(old_addr, kSectorsPerBlock, /*history=*/false);
+  Counter* written = id == kAuditLogObjectId ? m_.audit_blocks_written : m_.data_blocks_written;
+  std::vector<BlockDelta> deltas;
+  Status built = [&]() -> Status {
+    for (uint64_t b = first; b < end; ++b) {
+      S4_ASSIGN_OR_RETURN(Bytes content, BuildBlockContent(*obj, b, std::min(old_size, new_size),
+                                                           offset, data));
+      S4_ASSIGN_OR_RETURN(DiskAddr addr,
+                          writer_->Append(RecordKind::kData, id, b, content, actx()));
+      block_cache_->Insert(addr, content);
+      // The copy this one replaces must not push current data out of the
+      // cache while the rest of the write comes in.
+      DiskAddr old_addr = obj->inode.BlockAddr(b);
+      block_cache_->Demote(old_addr);
+      deltas.push_back(BlockDelta{b, old_addr, addr});
+      written->Inc();
+    }
+    return Status::Ok();
+  }();
+  if (!built.ok()) {
+    // Nothing is journaled: release what this write appended, so the object
+    // and the usage table are as they were.
+    for (const BlockDelta& d : deltas) {
+      ReleaseSectors(d.new_addr, kSectorsPerBlock, /*history=*/false);
+    }
+    return built;
   }
-}
-
-Status S4Drive::ApplyBlockWrite(JournalEntryType type, ObjectId id, CachedObject* obj,
-                                SimTime now, uint64_t old_size, uint64_t new_size,
-                                std::vector<BlockDelta> deltas) {
-  // Split into journal entries that each fit a single journal sector.
+  const uint64_t keep_blocks = (new_size + kBlockSize - 1) / kBlockSize;
+  for (auto it = obj->inode.blocks.lower_bound(keep_blocks); it != obj->inode.blocks.end();
+       ++it) {
+    deltas.push_back(BlockDelta{it->first, it->second, kNullAddr});
+  }
+  // Split into entries that each fit a single journal sector.
   size_t i = 0;
   do {
     JournalEntry e;
@@ -149,18 +177,8 @@ Status S4Drive::ApplyBlockWrite(JournalEntryType type, ObjectId id, CachedObject
     size_t n = std::min<size_t>(kMaxDeltasPerEntry, deltas.size() - i);
     e.blocks.assign(deltas.begin() + i, deltas.begin() + i + n);
     i += n;
-    obj->pending.push_back(std::move(e));
-    m_.journal_entries->Inc();
+    S4_RETURN_IF_ERROR(LogEntry(id, obj, std::move(e), /*last=*/i == deltas.size()));
   } while (i < deltas.size());
-  pending_dirty_.insert(id);
-
-  obj->inode.attrs.size = new_size;
-  obj->inode.attrs.modify_time = now;
-  obj->dirty = true;
-
-  if (obj->pending.size() >= options_.journal_flush_entries) {
-    S4_RETURN_IF_ERROR(FlushObjectJournal(id, obj));
-  }
   return Status::Ok();
 }
 
@@ -168,7 +186,6 @@ Status S4Drive::WriteBody(OpContext& ctx, OpArgs& args, ObjectId id, uint64_t of
                           ByteSpan data, bool is_append) {
   S4_ASSIGN_OR_RETURN(ObjectHandle obj, ResolveForWrite(ctx.creds, id, kPermWrite));
 
-  SimTime now = clock_->Now();
   uint64_t old_size = obj->inode.attrs.size;
   uint64_t start = is_append ? old_size : offset;
   args.offset = start;
@@ -176,24 +193,8 @@ Status S4Drive::WriteBody(OpContext& ctx, OpArgs& args, ObjectId id, uint64_t of
     args.length = 0;
     return Status::Ok();
   }
-  uint64_t new_size = std::max(old_size, start + data.size());
-
-  uint64_t first = start / kBlockSize;
-  uint64_t last = (start + data.size() - 1) / kBlockSize;
-  std::vector<BlockDelta> deltas;
-  deltas.reserve(last - first + 1);
-  for (uint64_t b = first; b <= last; ++b) {
-    S4_ASSIGN_OR_RETURN(Bytes content, BuildBlockContent(*obj, b, old_size, start, data));
-    S4_ASSIGN_OR_RETURN(DiskAddr addr, writer_->Append(RecordKind::kData, id, b, content, actx()));
-    block_cache_->Insert(addr, content);
-    DiskAddr old_addr = obj->inode.BlockAddr(b);
-    deltas.push_back(BlockDelta{b, old_addr, addr});
-    obj->inode.blocks[b] = addr;
-    SupersedeBlock(id, old_addr);
-    m_.data_blocks_written->Inc();
-  }
-  S4_RETURN_IF_ERROR(ApplyBlockWrite(JournalEntryType::kWrite, id, obj.get(), now, old_size,
-                                     new_size, std::move(deltas)));
+  S4_RETURN_IF_ERROR(WriteBlocks(JournalEntryType::kWrite, id, obj.get(), start, data,
+                                 std::max(old_size, start + data.size())));
 
   bytes_since_checkpoint_ += data.size();
   NoteClientWrite(ctx.creds.client, data.size());
@@ -325,42 +326,11 @@ Status S4Drive::Truncate(OpContext& ctx, ObjectId id, uint64_t new_size) {
   a.offset = new_size;
   return Execute(ctx, a, [&](OpArgs&) -> Status {
     S4_ASSIGN_OR_RETURN(ObjectHandle obj, ResolveForWrite(ctx.creds, id, kPermWrite));
-    SimTime now = clock_->Now();
-    uint64_t old_size = obj->inode.attrs.size;
-    if (new_size == old_size) {
+    if (new_size == obj->inode.attrs.size) {
       return Status::Ok();
     }
-
-    std::vector<BlockDelta> deltas;
-    if (new_size < old_size) {
-      // Drop whole blocks past the new end.
-      uint64_t keep_blocks = (new_size + kBlockSize - 1) / kBlockSize;
-      auto it = obj->inode.blocks.lower_bound(keep_blocks);
-      while (it != obj->inode.blocks.end()) {
-        deltas.push_back(BlockDelta{it->first, it->second, kNullAddr});
-        SupersedeBlock(id, it->second);
-        it = obj->inode.blocks.erase(it);
-      }
-      // Rewrite the boundary block with a zeroed tail to preserve the
-      // "bytes beyond size are zero" invariant.
-      if (new_size % kBlockSize != 0) {
-        uint64_t b = new_size / kBlockSize;
-        DiskAddr old_addr = obj->inode.BlockAddr(b);
-        if (old_addr != kNullAddr) {
-          S4_ASSIGN_OR_RETURN(Bytes content, BuildBlockContent(*obj, b, new_size, 0, ByteSpan{}));
-          S4_ASSIGN_OR_RETURN(DiskAddr addr,
-                              writer_->Append(RecordKind::kData, id, b, content, actx()));
-          block_cache_->Insert(addr, content);
-          deltas.push_back(BlockDelta{b, old_addr, addr});
-          obj->inode.blocks[b] = addr;
-          SupersedeBlock(id, old_addr);
-          m_.data_blocks_written->Inc();
-        }
-      }
-    }
-
-    return ApplyBlockWrite(JournalEntryType::kTruncate, id, obj.get(), now, old_size, new_size,
-                           std::move(deltas));
+    return WriteBlocks(JournalEntryType::kTruncate, id, obj.get(), new_size, ByteSpan{},
+                       new_size);
   });
 }
 
@@ -378,27 +348,17 @@ Status S4Drive::Delete(OpContext& ctx, ObjectId id) {
     S4_CHECK(entry != nullptr);
 
     // Checkpoint the final state: the anchor from which pre-deletion versions
-    // are reconstructed.
+    // are reconstructed. The kDelete entry names it; applying the entry makes
+    // all current data history (or frees it when unversioned).
     S4_RETURN_IF_ERROR(CheckpointObject(id, obj.get()));
-    SimTime now = clock_->Now();
     JournalEntry e;
     e.type = JournalEntryType::kDelete;
-    e.time = now;
+    e.time = clock_->Now();
     e.checkpoint_addr = entry->checkpoint_addr;
     e.checkpoint_sectors = entry->checkpoint_sectors;
-    obj->pending.push_back(std::move(e));
-    m_.journal_entries->Inc();
-    pending_dirty_.insert(id);
+    S4_RETURN_IF_ERROR(LogEntry(id, obj.get(), std::move(e)));
     S4_RETURN_IF_ERROR(FlushObjectJournal(id, obj.get()));
-
-    // All current data becomes history (or is freed when unversioned).
-    for (const auto& [index, addr] : obj->inode.blocks) {
-      (void)index;
-      SupersedeBlock(id, addr);
-    }
-    entry->delete_time = now;
-    obj->exists = false;
-    obj->dirty = false;
+    obj->dirty = false;  // a tombstone is never checkpointed again
     return Status::Ok();
   });
 }
@@ -421,7 +381,7 @@ Result<ObjectAttrs> S4Drive::GetAttr(OpContext& ctx, ObjectId id, std::optional<
       ObjectAttrs attrs;
       attrs.size = view.size;
       attrs.create_time = view.create_time;
-      attrs.modify_time = view.modify_time;
+      S4_ASSIGN_OR_RETURN(attrs.modify_time, ModifyTimeAt(id, view, *at));
       attrs.opaque = view.opaque;
       return attrs;
     }
@@ -449,23 +409,13 @@ Status S4Drive::SetAttr(OpContext& ctx, ObjectId id, Bytes opaque_attrs) {
       return Status::InvalidArgument("opaque attrs too large");
     }
     S4_ASSIGN_OR_RETURN(ObjectHandle obj, ResolveForWrite(ctx.creds, id, kPermSetAttr));
-    SimTime now = clock_->Now();
+    args.length = 0;
     JournalEntry e;
     e.type = JournalEntryType::kSetAttr;
-    e.time = now;
+    e.time = clock_->Now();
     e.old_blob = obj->inode.attrs.opaque;
-    e.new_blob = opaque_attrs;
-    obj->pending.push_back(std::move(e));
-    m_.journal_entries->Inc();
-    pending_dirty_.insert(id);
-    obj->inode.attrs.opaque = std::move(opaque_attrs);
-    obj->inode.attrs.modify_time = now;
-    obj->dirty = true;
-    if (obj->pending.size() >= options_.journal_flush_entries) {
-      S4_RETURN_IF_ERROR(FlushObjectJournal(id, obj.get()));
-    }
-    args.length = 0;
-    return Status::Ok();
+    e.new_blob = std::move(opaque_attrs);
+    return LogEntry(id, obj.get(), std::move(e));
   });
 }
 
@@ -556,25 +506,16 @@ Status S4Drive::SetAcl(OpContext& ctx, ObjectId id, AclEntry new_entry) {
       new_acl.push_back(new_entry);
     }
 
-    SimTime now = clock_->Now();
     JournalEntry e;
     e.type = JournalEntryType::kSetAcl;
-    e.time = now;
+    e.time = clock_->Now();
     Encoder old_enc;
     EncodeAcl(obj->inode.acl, &old_enc);
     e.old_blob = old_enc.Take();
     Encoder new_enc;
     EncodeAcl(new_acl, &new_enc);
     e.new_blob = new_enc.Take();
-    obj->pending.push_back(std::move(e));
-    m_.journal_entries->Inc();
-    pending_dirty_.insert(id);
-    obj->inode.acl = std::move(new_acl);
-    obj->dirty = true;
-    if (obj->pending.size() >= options_.journal_flush_entries) {
-      S4_RETURN_IF_ERROR(FlushObjectJournal(id, obj.get()));
-    }
-    return Status::Ok();
+    return LogEntry(id, obj.get(), std::move(e));
   });
 }
 
@@ -621,32 +562,8 @@ Status S4Drive::WritePartitionTable(
   }
   Bytes data = enc.Take();
   S4_ASSIGN_OR_RETURN(ObjectHandle obj, LoadObject(kPartitionTableObjectId));
-  uint64_t old_size = obj->inode.attrs.size;
-  SimTime now = clock_->Now();
-
-  uint64_t last = data.empty() ? 0 : (data.size() - 1) / kBlockSize;
-  std::vector<BlockDelta> deltas;
-  for (uint64_t b = 0; b <= last && !data.empty(); ++b) {
-    S4_ASSIGN_OR_RETURN(Bytes content, BuildBlockContent(*obj, b, old_size, 0, data));
-    S4_ASSIGN_OR_RETURN(DiskAddr addr, writer_->Append(RecordKind::kData, kPartitionTableObjectId,
-                                                       b, content, actx()));
-    block_cache_->Insert(addr, content);
-    DiskAddr old_addr = obj->inode.BlockAddr(b);
-    deltas.push_back(BlockDelta{b, old_addr, addr});
-    obj->inode.blocks[b] = addr;
-    SupersedeBlock(kPartitionTableObjectId, old_addr);
-    m_.data_blocks_written->Inc();
-  }
-  // Drop blocks past the new end (table shrank).
-  uint64_t keep_blocks = (data.size() + kBlockSize - 1) / kBlockSize;
-  auto it = obj->inode.blocks.lower_bound(keep_blocks);
-  while (it != obj->inode.blocks.end()) {
-    deltas.push_back(BlockDelta{it->first, it->second, kNullAddr});
-    SupersedeBlock(kPartitionTableObjectId, it->second);
-    it = obj->inode.blocks.erase(it);
-  }
-  return ApplyBlockWrite(JournalEntryType::kWrite, kPartitionTableObjectId, obj.get(), now,
-                         old_size, data.size(), std::move(deltas));
+  return WriteBlocks(JournalEntryType::kWrite, kPartitionTableObjectId, obj.get(), 0, data,
+                     data.size());
 }
 
 Status S4Drive::PCreate(OpContext& ctx, const std::string& name, ObjectId id) {
@@ -795,36 +712,23 @@ Status S4Drive::AppendAuditBuffered(bool force) {
   const size_t taken_records = audit_codec_.buffered_records();
   const AuditChainState chained_to = audit_codec_.chain_state();
   Bytes data = audit_codec_.TakeBuffered();
+  bool landed = false;
   Status appended = [&]() -> Status {
     S4_ASSIGN_OR_RETURN(ObjectHandle obj, LoadObject(kAuditLogObjectId));
-    uint64_t old_size = obj->inode.attrs.size;
-    uint64_t start = old_size;
+    uint64_t start = obj->inode.attrs.size;
     // Chained frames self-address their object offset; the append cursor must
     // therefore agree with where the codec framed them.
     S4_CHECK(!audit_codec_.chained() || start == audit_appended_state_.next_offset);
-    SimTime now = clock_->Now();
-    uint64_t first = start / kBlockSize;
-    uint64_t last = (start + data.size() - 1) / kBlockSize;
-    std::vector<BlockDelta> deltas;
-    for (uint64_t b = first; b <= last; ++b) {
-      S4_ASSIGN_OR_RETURN(Bytes content, BuildBlockContent(*obj, b, old_size, start, data));
-      S4_ASSIGN_OR_RETURN(DiskAddr addr, writer_->Append(RecordKind::kData, kAuditLogObjectId,
-                                                         b, content, actx()));
-      block_cache_->Insert(addr, content);
-      DiskAddr old_addr = obj->inode.BlockAddr(b);
-      deltas.push_back(BlockDelta{b, old_addr, addr});
-      obj->inode.blocks[b] = addr;
-      SupersedeBlock(kAuditLogObjectId, old_addr);
-      m_.audit_blocks_written->Inc();
-    }
-    return ApplyBlockWrite(JournalEntryType::kWrite, kAuditLogObjectId, obj.get(), now, old_size,
-                           start + data.size(), std::move(deltas));
+    Status written = WriteBlocks(JournalEntryType::kWrite, kAuditLogObjectId, obj.get(), start,
+                                 data, start + data.size());
+    // A failed journal pack still leaves the write applied and queued.
+    landed = obj->inode.attrs.size == start + data.size();
+    return written;
   }();
-  if (!appended.ok()) {
-    // The taken frames never became part of the object (its size is only
-    // advanced by ApplyBlockWrite, the last step). Account the loss and
-    // rewind the codec chain so the next append re-frames contiguously with
-    // what is actually on disk.
+  if (!landed) {
+    // The taken frames never became part of the object (a failed WriteBlocks
+    // leaves it as it was). Account the loss and rewind the codec chain so
+    // the next append re-frames contiguously with what is actually on disk.
     m_.audit_records_dropped->Add(taken_records);
     audit_codec_.ResetChain(audit_appended_state_);
     return appended;
@@ -832,7 +736,7 @@ Status S4Drive::AppendAuditBuffered(bool force) {
   if (audit_codec_.chained()) {
     audit_appended_state_ = chained_to;
   }
-  return Status::Ok();
+  return appended;
 }
 
 // Truncates the audit object to `new_size` without the Execute/ACL wrapper:
@@ -841,59 +745,11 @@ Status S4Drive::AppendAuditBuffered(bool force) {
 // same verified prefix.
 Status S4Drive::TrimAuditObject(uint64_t new_size) {
   S4_ASSIGN_OR_RETURN(ObjectHandle obj, LoadObject(kAuditLogObjectId));
-  uint64_t old_size = obj->inode.attrs.size;
-  if (new_size >= old_size) {
+  if (new_size >= obj->inode.attrs.size) {
     return Status::Ok();
   }
-  SimTime now = clock_->Now();
-  std::vector<BlockDelta> deltas;
-  uint64_t keep_blocks = (new_size + kBlockSize - 1) / kBlockSize;
-  auto it = obj->inode.blocks.lower_bound(keep_blocks);
-  while (it != obj->inode.blocks.end()) {
-    deltas.push_back(BlockDelta{it->first, it->second, kNullAddr});
-    SupersedeBlock(kAuditLogObjectId, it->second);
-    it = obj->inode.blocks.erase(it);
-  }
-  // Re-zero the boundary block's tail so later appends can rely on the
-  // "bytes beyond size are zero" invariant.
-  if (new_size % kBlockSize != 0) {
-    uint64_t b = new_size / kBlockSize;
-    DiskAddr old_addr = obj->inode.BlockAddr(b);
-    if (old_addr != kNullAddr) {
-      S4_ASSIGN_OR_RETURN(Bytes content, BuildBlockContent(*obj, b, new_size, 0, ByteSpan{}));
-      S4_ASSIGN_OR_RETURN(DiskAddr addr,
-                          writer_->Append(RecordKind::kData, kAuditLogObjectId, b, content,
-                                          actx()));
-      block_cache_->Insert(addr, content);
-      deltas.push_back(BlockDelta{b, old_addr, addr});
-      obj->inode.blocks[b] = addr;
-      SupersedeBlock(kAuditLogObjectId, old_addr);
-      m_.audit_blocks_written->Inc();
-    }
-  }
-  JournalEntry e;
-  e.type = JournalEntryType::kTruncate;
-  e.time = now;
-  e.old_size = old_size;
-  e.new_size = new_size;
-  if (deltas.size() <= kMaxDeltasPerEntry) {
-    e.blocks = std::move(deltas);
-    obj->pending.push_back(std::move(e));
-    m_.journal_entries->Inc();
-  } else {
-    for (size_t i = 0; i < deltas.size(); i += kMaxDeltasPerEntry) {
-      JournalEntry part = e;
-      size_t n = std::min<size_t>(kMaxDeltasPerEntry, deltas.size() - i);
-      part.blocks.assign(deltas.begin() + i, deltas.begin() + i + n);
-      obj->pending.push_back(std::move(part));
-      m_.journal_entries->Inc();
-    }
-  }
-  pending_dirty_.insert(kAuditLogObjectId);
-  obj->inode.attrs.size = new_size;
-  obj->inode.attrs.modify_time = now;
-  obj->dirty = true;
-  return Status::Ok();
+  return WriteBlocks(JournalEntryType::kTruncate, kAuditLogObjectId, obj.get(), new_size,
+                     ByteSpan{}, new_size);
 }
 
 Result<std::vector<AuditRecord>> S4Drive::QueryAudit(const Credentials& creds,

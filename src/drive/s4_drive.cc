@@ -13,10 +13,6 @@
 
 namespace s4 {
 
-// Applies a journal entry in the forward (replay) direction. Defined below;
-// shared by crash recovery and lazy object loading.
-void ApplyEntryForward(Inode* inode, bool* exists, const JournalEntry& e);
-
 namespace {
 
 // Estimated resident cost of a cached object, for the object cache budget.
@@ -825,34 +821,19 @@ Status S4Drive::RollForward(uint64_t checkpoint_seq, OpContext* ctx) {
         if (obj == nullptr) {
           S4_ASSIGN_OR_RETURN(obj, MaterializeObject(id, *entry));
         }
-        // Accounting for data the entry introduced / superseded.
+        // Count live what the writer counted when it appended the records
+        // this entry names: its new blocks, and a checkpoint not yet
+        // installed (a kDelete entry names the one its kCheckpoint entry
+        // already installed). The rest is the entry's own effect.
         for (const auto& d : e.blocks) {
           if (d.new_addr != kNullAddr) {
             sut_->AddLive(sb_.SegmentOf(d.new_addr), kSectorsPerBlock);
           }
-          SupersedeBlock(id, d.old_addr);
         }
-        // A kDelete entry names the checkpoint its kCheckpoint entry already
-        // installed and accounted: each checkpoint counts live once.
-        if ((e.type == JournalEntryType::kCheckpoint || e.type == JournalEntryType::kDelete) &&
-            e.checkpoint_addr != kNullAddr && e.checkpoint_addr != entry->checkpoint_addr) {
+        if (e.checkpoint_addr != kNullAddr && e.checkpoint_addr != entry->checkpoint_addr) {
           sut_->AddLive(sb_.SegmentOf(e.checkpoint_addr), e.checkpoint_sectors);
-          if (entry->checkpoint_addr != kNullAddr) {
-            ReleaseSectors(entry->checkpoint_addr, entry->checkpoint_sectors, /*history=*/false);
-          }
-          entry->checkpoint_addr = e.checkpoint_addr;
-          entry->checkpoint_sectors = e.checkpoint_sectors;
-          entry->checkpoint_time = e.time;
         }
-        if (e.type == JournalEntryType::kDelete) {
-          entry->delete_time = e.time;
-          // The object's current blocks become history (or are freed).
-          for (const auto& [index, addr] : obj->inode.blocks) {
-            (void)index;
-            SupersedeBlock(id, addr);
-          }
-        }
-        ApplyEntryForward(&obj->inode, &obj->exists, e);
+        ApplyEntry(id, obj.get(), e);
       }
       if (sector.prev == kNullAddr && entry->journal_head != kNullAddr) {
         // A fresh chain: after the checkpoint, a sweep freed this object's
@@ -934,8 +915,7 @@ Status S4Drive::RollForward(uint64_t checkpoint_seq, OpContext* ctx) {
   return Status::Ok();
 }
 
-// Applies a journal entry forward (roll-forward / chain replay direction).
-void ApplyEntryForward(Inode* inode, bool* exists, const JournalEntry& e) {
+void S4Drive::ApplyEntryForward(Inode* inode, bool* exists, const JournalEntry& e) {
   switch (e.type) {
     case JournalEntryType::kCreate: {
       Decoder acl_dec(e.old_blob);
@@ -978,6 +958,51 @@ void ApplyEntryForward(Inode* inode, bool* exists, const JournalEntry& e) {
       break;
     case JournalEntryType::kCheckpoint:
       break;
+  }
+}
+
+void S4Drive::ApplyEntry(ObjectId id, CachedObject* obj, const JournalEntry& e) {
+  for (const auto& d : e.blocks) {
+    SupersedeBlock(id, d.old_addr);
+  }
+  // Only these two name a checkpoint or touch the map entry; a write does
+  // not pay for the map lookup.
+  if (e.type == JournalEntryType::kCheckpoint || e.type == JournalEntryType::kDelete) {
+    ObjectMapEntry* entry = object_map_.Find(id);
+    S4_CHECK(entry != nullptr);
+    if (e.checkpoint_addr != kNullAddr && e.checkpoint_addr != entry->checkpoint_addr) {
+      // Versions are rebuilt from the current state plus undo entries, never
+      // from an old checkpoint, so the one this replaces is released. The
+      // delete-time checkpoint is never replaced.
+      if (entry->checkpoint_addr != kNullAddr) {
+        ReleaseSectors(entry->checkpoint_addr, entry->checkpoint_sectors, /*history=*/false);
+      }
+      entry->checkpoint_addr = e.checkpoint_addr;
+      entry->checkpoint_sectors = e.checkpoint_sectors;
+      entry->checkpoint_time = e.time;
+    }
+    if (e.type == JournalEntryType::kDelete) {
+      for (const auto& [index, addr] : obj->inode.blocks) {
+        (void)index;
+        SupersedeBlock(id, addr);
+      }
+      entry->delete_time = e.time;
+    }
+  }
+  ApplyEntryForward(&obj->inode, &obj->exists, e);
+}
+
+void S4Drive::SupersedeBlock(ObjectId id, DiskAddr old_addr) {
+  if (old_addr == kNullAddr) {
+    return;
+  }
+  if (ObjectIsVersioned(id)) {
+    sut_->LiveToHistory(sb_.SegmentOf(old_addr), kSectorsPerBlock);
+    // History is read only by time-based recovery: it must never push
+    // current data out of the cache.
+    block_cache_->Demote(old_addr);
+  } else {
+    ReleaseSectors(old_addr, kSectorsPerBlock, /*history=*/false);
   }
 }
 
@@ -1104,6 +1129,18 @@ Status S4Drive::EvictObject(ObjectId id, ObjectHandle obj) {
   return Status::Ok();
 }
 
+Status S4Drive::LogEntry(ObjectId id, CachedObject* obj, JournalEntry e, bool last) {
+  ApplyEntry(id, obj, e);
+  obj->pending.push_back(std::move(e));
+  m_.journal_entries->Inc();
+  pending_dirty_.insert(id);
+  obj->dirty = true;
+  if (last && obj->pending.size() >= options_.journal_flush_entries) {
+    return FlushObjectJournal(id, obj);
+  }
+  return Status::Ok();
+}
+
 Status S4Drive::FlushObjectJournal(ObjectId id, CachedObject* obj) {
   if (obj->pending.empty()) {
     return Status::Ok();
@@ -1139,36 +1176,21 @@ Status S4Drive::FlushObjectJournal(ObjectId id, CachedObject* obj) {
 
 Status S4Drive::CheckpointObject(ObjectId id, CachedObject* obj) {
   S4_RETURN_IF_ERROR(FlushObjectJournal(id, obj));
-  ObjectMapEntry* entry = object_map_.Find(id);
-  S4_CHECK(entry != nullptr);
-
   Bytes record = obj->inode.EncodeCheckpoint();
   uint32_t sectors = static_cast<uint32_t>(record.size() / kSectorSize);
   S4_ASSIGN_OR_RETURN(DiskAddr addr,
                       writer_->Append(RecordKind::kInodeCheckpoint, id, 0, record, actx()));
   block_cache_->Insert(addr, record);
 
-  // Journal the checkpoint location so chain replay knows where to restart.
+  // Journal the checkpoint location so chain replay knows where to restart;
+  // applying the entry installs it.
   JournalEntry cp;
   cp.type = JournalEntryType::kCheckpoint;
   cp.time = clock_->Now();
   cp.checkpoint_addr = addr;
   cp.checkpoint_sectors = sectors;
-  obj->pending.push_back(cp);
-  m_.journal_entries->Inc();
-  pending_dirty_.insert(id);
+  S4_RETURN_IF_ERROR(LogEntry(id, obj, std::move(cp)));
   S4_RETURN_IF_ERROR(FlushObjectJournal(id, obj));
-
-  // The superseded checkpoint record is no longer needed: with journal-based
-  // metadata, historical versions are reconstructed from the *current* state
-  // plus undo entries, never from old checkpoints (the exception is the final
-  // checkpoint written at delete time, which is never superseded).
-  if (entry->checkpoint_addr != kNullAddr) {
-    ReleaseSectors(entry->checkpoint_addr, entry->checkpoint_sectors, /*history=*/false);
-  }
-  entry->checkpoint_addr = addr;
-  entry->checkpoint_sectors = sectors;
-  entry->checkpoint_time = cp.time;
   obj->dirty = false;
   m_.inode_checkpoints->Inc();
   return Status::Ok();

@@ -257,7 +257,6 @@ class S4Drive {
     Bytes opaque;
     Acl acl;
     SimTime create_time = 0;
-    SimTime modify_time = 0;
     // Undo overlay: block index -> address at the requested time. Entries
     // present here override `base` (kNullAddr = hole at that time;
     // kPurgedAddr = destroyed by an administrative Flush).
@@ -434,6 +433,25 @@ class S4Drive {
   // history barrier. LoadObject's cache-miss body; roll-forward shares it.
   Result<ObjectHandle> MaterializeObject(ObjectId id, const ObjectMapEntry& entry);
   Status EvictObject(ObjectId id, ObjectHandle obj);
+  // The one mutation path. Every change to an object is a journal entry, and
+  // LogEntry is the only code that queues one: it applies the entry
+  // (ApplyEntry), queues and counts it, marks the object dirty, and packs the
+  // object's journal once journal_flush_entries entries wait. A write split
+  // over several entries passes `last` false for all but its last, so it is
+  // applied whole before any packing can fail, and packed once.
+  Status LogEntry(ObjectId id, CachedObject* obj, JournalEntry e, bool last = true);
+  // Applies one entry to the drive's state, live (from LogEntry) and at
+  // roll-forward alike: supersedes each delta's old block, installs a
+  // checkpoint the entry names (releasing the one it replaces), retires a
+  // deleted object's current blocks and sets its delete time, then replays
+  // the entry on the cached inode.
+  void ApplyEntry(ObjectId id, CachedObject* obj, const JournalEntry& e);
+  // A block an entry replaces becomes history, or is freed when the object
+  // is unversioned.
+  void SupersedeBlock(ObjectId id, DiskAddr old_addr);
+  // Replays one entry on an inode, oldest to newest. ApplyEntry, LoadObject
+  // and forward history reconstruction share it.
+  static void ApplyEntryForward(Inode* inode, bool* exists, const JournalEntry& e);
   Status FlushObjectJournal(ObjectId id, CachedObject* obj);
   Status CheckpointObject(ObjectId id, CachedObject* obj);
   Status FlushAllPending(bool force_audit = false);
@@ -478,11 +496,16 @@ class S4Drive {
                    bool is_append);
   Result<Bytes> BuildBlockContent(const CachedObject& obj, uint64_t block_index,
                                   uint64_t valid_bytes, uint64_t write_off, ByteSpan data);
-  // Journals a write or truncate's block deltas as `type` entries, split to
-  // fit a journal sector each, and installs the new size.
-  Status ApplyBlockWrite(JournalEntryType type, ObjectId id, CachedObject* obj, SimTime now,
-                         uint64_t old_size, uint64_t new_size, std::vector<BlockDelta> deltas);
-  void SupersedeBlock(ObjectId id, DiskAddr old_addr);
+  // The one block path (writes, appends, truncates, the audit log and the
+  // partition table): appends a new block for every block `data` (at
+  // `offset`) touches, or for a shrink's boundary block, each built over the
+  // object's first min(old size, new_size) bytes; drops every block past
+  // `new_size`; and journals the deltas as `type` entries through LogEntry,
+  // split so each fits a journal sector. If a read or an append fails,
+  // nothing is journaled and the blocks already appended are released: the
+  // object is left as it was.
+  Status WriteBlocks(JournalEntryType type, ObjectId id, CachedObject* obj, uint64_t offset,
+                     ByteSpan data, uint64_t new_size);
   Status ThrottleCheck(const Credentials& creds, uint64_t bytes);
   Result<ObjectHandle> ResolveForWrite(const Credentials& creds, ObjectId id, uint8_t needed);
   Result<Bytes> ReadCurrent(const CachedObject& obj, uint64_t offset, uint64_t length);
@@ -496,6 +519,9 @@ class S4Drive {
   // ReconstructVersion + per-version ACL check: the shared shape of every
   // time-based accessor (Read/GetAttr/GetAclByUser/GetAclByIndex).
   Result<VersionView> ReconstructForAccess(OpContext& ctx, ObjectId id, SimTime at);
+  // The object's modify time as of `at`: the time of the newest entry at or
+  // before `at` that changed its data or attributes.
+  Result<SimTime> ModifyTimeAt(ObjectId id, const VersionView& view, SimTime at);
   // Walks the journal chain newest-to-oldest invoking fn(entry) until fn
   // returns false or the history barrier is passed. When `start_at` is set
   // the walk may skip (via waypoints) any sector whose entries are all newer

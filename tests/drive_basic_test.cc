@@ -2,6 +2,10 @@
 // versioning with time-based access, delete + resurrection, and sync.
 #include <gtest/gtest.h>
 
+#include <string>
+#include <utility>
+#include <vector>
+
 #include "tests/test_util.h"
 
 namespace s4 {
@@ -125,6 +129,62 @@ TEST_F(DriveTest, TruncateVersioned) {
   for (uint8_t b : reext) {
     ASSERT_EQ(b, 0);
   }
+}
+
+// A partition table that grows past one block and shrinks back under it: the
+// dropped block becomes history, and every instant lists its own table, also
+// after a crash.
+TEST_F(DriveTest, PartitionTableAcrossABlockBoundary) {
+  using Table = std::vector<std::pair<std::string, ObjectId>>;
+  Credentials alice = User(100);
+  Table table;
+  SimTime one_block = 0;
+  for (int i = 0; i < 20; ++i) {
+    ASSERT_OK_AND_ASSIGN(ObjectId id, drive_->Create(alice, {}));
+    clock_->Advance(kSecond);
+    std::string name(255, static_cast<char>('a' + i));
+    ASSERT_OK(drive_->PCreate(alice, name, id));
+    table.emplace_back(name, id);
+    if (i == 14) {
+      one_block = clock_->Now();
+    }
+  }
+  const Table one_block_table(table.begin(), table.begin() + 15);
+  const Table two_block_table = table;
+  const SimTime two_blocks = clock_->Now();
+  ASSERT_OK_AND_ASSIGN(ObjectAttrs attrs, drive_->GetAttr(alice, kPartitionTableObjectId));
+  ASSERT_GT(attrs.size, kBlockSize);
+
+  // Drop the first five names: the table fits one block again.
+  for (int i = 0; i < 5; ++i) {
+    clock_->Advance(kSecond);
+    ASSERT_OK(drive_->PDelete(alice, table.front().first));
+    table.erase(table.begin());
+  }
+  ASSERT_OK_AND_ASSIGN(attrs, drive_->GetAttr(alice, kPartitionTableObjectId));
+  ASSERT_LT(attrs.size, kBlockSize);
+
+  auto check = [&](const std::string& when) {
+    ASSERT_OK_AND_ASSIGN(Table now, drive_->PList(alice));
+    EXPECT_EQ(now, table) << when;
+    ASSERT_OK_AND_ASSIGN(Table early, drive_->PList(alice, one_block));
+    EXPECT_EQ(early, one_block_table) << when;
+    ASSERT_OK_AND_ASSIGN(Table full, drive_->PList(alice, two_blocks));
+    EXPECT_EQ(full, two_block_table) << when;
+    const std::string& first = two_block_table.front().first;
+    const std::string& last = two_block_table.back().first;
+    EXPECT_EQ(drive_->PMount(alice, first).status().code(), ErrorCode::kNotFound) << when;
+    ASSERT_OK_AND_ASSIGN(ObjectId id, drive_->PMount(alice, last));
+    EXPECT_EQ(id, two_block_table.back().second) << when;
+    ASSERT_OK_AND_ASSIGN(id, drive_->PMount(alice, first, two_blocks));
+    EXPECT_EQ(id, two_block_table.front().second) << when;
+    EXPECT_EQ(drive_->PMount(alice, last, one_block).status().code(), ErrorCode::kNotFound)
+        << when;
+  };
+  check("live");
+  ASSERT_OK(drive_->Sync(alice));
+  CrashAndRemount();
+  check("after crash");
 }
 
 TEST_F(DriveTest, AppendGrowsObject) {

@@ -2,13 +2,17 @@
 // cache configurations, operation mixes, and crash points.
 //
 // Invariant 1 (current-state correctness): after any sequence of operations,
-//   reads return exactly what an in-memory oracle holds.
+//   an object's bytes, attributes and ACL are exactly what an in-memory
+//   oracle holds.
 // Invariant 2 (history correctness): any version inside the window matches
-//   the oracle's snapshot at that time.
+//   the oracle's snapshot at that time, bytes, attributes and ACL alike.
 // Invariant 3 (durability): after a crash, everything synced is intact.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
+#include <optional>
+#include <string>
 #include <tuple>
 
 #include "tests/test_util.h"
@@ -44,76 +48,193 @@ class DrivePropertyTest : public ::testing::TestWithParam<DriveConfig> {
   std::unique_ptr<S4Drive> drive_;
 };
 
-TEST_P(DrivePropertyTest, RandomOpsMatchOracle) {
-  Credentials alice;
-  alice.user = 100;
-  alice.client = 1;
-  Rng rng(seed_);
-  std::map<ObjectId, Bytes> oracle;   // live objects' full contents
-  struct Snapshot {
-    ObjectId id;
-    SimTime time;
-    Bytes content;
+// What the oracle knows of one object: its bytes, attributes and ACL.
+struct ObjectState {
+  Bytes content;
+  Bytes opaque;
+  SimTime create_time = 0;
+  SimTime modify_time = 0;
+  std::map<UserId, uint8_t> acl;
+};
+
+// An object's state as of an instant the test recorded.
+struct Snapshot {
+  ObjectId id;
+  SimTime time;
+  ObjectState state;
+};
+
+// The owner runs every op and keeps all its permissions, so it can read every
+// version; SetAcl changes the other users' entries.
+constexpr UserId kOwner = 100;
+constexpr UserId kUsers[] = {kOwner, 101, 102, 103};
+
+Credentials Owner() {
+  Credentials c;
+  c.user = kOwner;
+  c.client = 1;
+  return c;
+}
+
+// Checks the drive's bytes, attributes and ACL entries for `id`, now or at
+// `at`, against the oracle's.
+::testing::AssertionResult MatchesOracle(S4Drive& drive, ObjectId id, const ObjectState& want,
+                                         std::optional<SimTime> at = std::nullopt) {
+  const Credentials owner = Owner();
+  auto bytes = drive.Read(owner, id, 0, want.content.size() + 100, at);
+  if (!bytes.ok()) {
+    return ::testing::AssertionFailure() << "read: " << bytes.status().ToString();
+  }
+  if (*bytes != want.content) {
+    return ::testing::AssertionFailure() << "content differs: " << bytes->size() << " bytes, want "
+                                         << want.content.size();
+  }
+  auto attrs = drive.GetAttr(owner, id, at);
+  if (!attrs.ok()) {
+    return ::testing::AssertionFailure() << "getattr: " << attrs.status().ToString();
+  }
+  if (attrs->size != want.content.size() || attrs->opaque != want.opaque ||
+      attrs->create_time != want.create_time || attrs->modify_time != want.modify_time) {
+    return ::testing::AssertionFailure()
+           << "attrs differ: size " << attrs->size << " create " << attrs->create_time
+           << " modify " << attrs->modify_time << ", want size " << want.content.size()
+           << " create " << want.create_time << " modify " << want.modify_time << " (opaque "
+           << (attrs->opaque == want.opaque ? "same" : "differs") << ")";
+  }
+  for (UserId user : kUsers) {
+    auto entry = drive.GetAclByUser(owner, id, user, at);
+    auto it = want.acl.find(user);
+    bool same = it == want.acl.end()
+                    ? entry.status().code() == ErrorCode::kNotFound
+                    : entry.ok() && entry->perms == it->second;
+    if (!same) {
+      return ::testing::AssertionFailure()
+             << "acl entry of user " << user << ": "
+             << (entry.ok() ? std::to_string(entry->perms) : entry.status().ToString())
+             << ", want " << (it == want.acl.end() ? "none" : std::to_string(it->second));
+    }
+  }
+  return ::testing::AssertionSuccess();
+}
+
+// XORs `data` into `content` at `offset`, growing it with zeros as XorWrite
+// does.
+void XorInto(Bytes* content, uint64_t offset, const Bytes& data) {
+  if (content->size() < offset + data.size()) {
+    content->resize(offset + data.size(), 0);
+  }
+  for (size_t i = 0; i < data.size(); ++i) {
+    (*content)[offset + i] ^= data[i];
+  }
+}
+
+// Writes `data` into `content` at `offset`, growing it with zeros.
+void WriteInto(Bytes* content, uint64_t offset, const Bytes& data) {
+  if (content->size() < offset + data.size()) {
+    content->resize(offset + data.size(), 0);
+  }
+  std::copy(data.begin(), data.end(), content->begin() + offset);
+}
+
+// The drive stamps a mutation with the instant its op body ran, which the
+// caller only knows to lie in (t0, now]. Check that, then take the stamps
+// into the oracle.
+::testing::AssertionResult TakeStamps(S4Drive& drive, SimClock& clock, ObjectId id, SimTime t0,
+                                      bool created, bool modified, ObjectState* state) {
+  const SimTime t1 = clock.Now();
+  auto attrs = drive.GetAttr(Owner(), id);
+  if (!attrs.ok()) {
+    return ::testing::AssertionFailure() << "getattr: " << attrs.status().ToString();
+  }
+  auto stamped = [&](SimTime got, bool moved, SimTime was) {
+    return moved ? got > t0 && got <= t1 : got == was;
   };
+  if (!stamped(attrs->create_time, created, state->create_time) ||
+      !stamped(attrs->modify_time, modified, state->modify_time)) {
+    return ::testing::AssertionFailure()
+           << "stamps create " << attrs->create_time << " modify " << attrs->modify_time
+           << ": each must lie in (" << t0 << ", " << t1 << "] if the op set it, else stay "
+           << state->create_time << " / " << state->modify_time;
+  }
+  state->create_time = attrs->create_time;
+  state->modify_time = attrs->modify_time;
+  return ::testing::AssertionSuccess();
+}
+
+TEST_P(DrivePropertyTest, RandomOpsMatchOracle) {
+  const Credentials alice = Owner();
+  Rng rng(seed_);
+  std::map<ObjectId, ObjectState> oracle;  // live objects
   std::vector<Snapshot> history;
   std::vector<ObjectId> live;
 
   for (int step = 0; step < 400; ++step) {
     clock_->Advance(kSecond);
+    const SimTime t0 = clock_->Now();
     uint64_t action = rng.Below(100);
-    if (action < 20 || live.empty()) {
-      ASSERT_OK_AND_ASSIGN(ObjectId id, drive_->Create(alice, {}));
+    ObjectId id = live.empty() ? kInvalidObjectId : live[rng.Below(live.size())];
+    bool created = false;
+    bool mutated = true;
+    bool modified = true;  // the op moves the modify time
+    if (action < 16 || live.empty()) {
+      Bytes opaque = rng.RandomBytes(rng.Below(40));
+      ASSERT_OK_AND_ASSIGN(id, drive_->Create(alice, opaque));
       live.push_back(id);
-      oracle[id] = {};
-    } else if (action < 60) {
+      oracle[id].opaque = opaque;
+      oracle[id].acl[kOwner] = kPermAll;
+      created = true;
+    } else if (action < 46) {
       // Write at a random offset (possibly creating holes / extending).
-      ObjectId id = live[rng.Below(live.size())];
       uint64_t offset = rng.Below(40000);
       Bytes data = rng.RandomBytes(1 + rng.Below(20000));
       ASSERT_OK(drive_->Write(alice, id, offset, data));
-      Bytes& content = oracle[id];
-      if (content.size() < offset + data.size()) {
-        content.resize(offset + data.size(), 0);
-      }
-      std::copy(data.begin(), data.end(), content.begin() + offset);
-      history.push_back({id, clock_->Now(), content});
-    } else if (action < 70) {
-      ObjectId id = live[rng.Below(live.size())];
+      WriteInto(&oracle[id].content, offset, data);
+    } else if (action < 54) {
       uint64_t new_size = rng.Below(50000);
       ASSERT_OK(drive_->Truncate(alice, id, new_size));
-      Bytes& content = oracle[id];
-      content.resize(new_size, 0);
-      history.push_back({id, clock_->Now(), content});
-    } else if (action < 80) {
-      // Append.
-      ObjectId id = live[rng.Below(live.size())];
+      modified = new_size != oracle[id].content.size();
+      oracle[id].content.resize(new_size, 0);
+    } else if (action < 62) {
       Bytes data = rng.RandomBytes(1 + rng.Below(5000));
       ASSERT_OK(drive_->Append(alice, id, data).status());
-      Bytes& content = oracle[id];
-      content.insert(content.end(), data.begin(), data.end());
-      history.push_back({id, clock_->Now(), content});
-    } else if (action < 88) {
-      // Full read vs oracle.
-      ObjectId id = live[rng.Below(live.size())];
-      const Bytes& expect = oracle[id];
-      ASSERT_OK_AND_ASSIGN(Bytes got, drive_->Read(alice, id, 0, expect.size() + 100));
-      ASSERT_EQ(got, expect) << "object " << id << " step " << step;
-    } else if (action < 93) {
-      // Random historical read vs oracle snapshot.
+      WriteInto(&oracle[id].content, oracle[id].content.size(), data);
+    } else if (action < 68) {
+      uint64_t offset = rng.Below(30000);
+      Bytes data = rng.RandomBytes(1 + rng.Below(12000));
+      ASSERT_OK(drive_->XorWrite(alice, id, offset, data));
+      XorInto(&oracle[id].content, offset, data);
+    } else if (action < 73) {
+      Bytes opaque = rng.RandomBytes(rng.Below(200));
+      ASSERT_OK(drive_->SetAttr(alice, id, opaque));
+      oracle[id].opaque = opaque;
+    } else if (action < 78) {
+      AclEntry entry{kUsers[1 + rng.Below(3)], static_cast<uint8_t>(rng.Below(64))};
+      ASSERT_OK(drive_->SetAcl(alice, id, entry));
+      oracle[id].acl[entry.user] = entry.perms;
+      modified = false;
+    } else if (action < 85) {
+      mutated = false;
+      ASSERT_TRUE(MatchesOracle(*drive_, id, oracle[id])) << "object " << id << " step " << step;
+    } else if (action < 91) {
+      mutated = false;
       if (!history.empty()) {
         const Snapshot& snap = history[rng.Below(history.size())];
-        auto got = drive_->Read(alice, snap.id, 0, snap.content.size() + 100, snap.time);
-        ASSERT_TRUE(got.ok()) << got.status().ToString() << " step " << step;
-        ASSERT_EQ(*got, snap.content) << "object " << snap.id << " @" << snap.time;
+        ASSERT_TRUE(MatchesOracle(*drive_, snap.id, snap.state, snap.time))
+            << "object " << snap.id << " @" << snap.time << " step " << step;
       }
-    } else if (action < 96) {
-      size_t pick = rng.Below(live.size());
-      ObjectId id = live[pick];
+    } else if (action < 95) {
+      mutated = false;
       ASSERT_OK(drive_->Delete(alice, id));
-      live.erase(live.begin() + pick);
+      live.erase(std::find(live.begin(), live.end(), id));
       oracle.erase(id);
     } else {
+      mutated = false;
       ASSERT_OK(drive_->Sync(alice));
+    }
+    if (mutated) {
+      ASSERT_TRUE(TakeStamps(*drive_, *clock_, id, t0, created, modified, &oracle[id]))
+          << "object " << id << " step " << step;
+      history.push_back({id, clock_->Now(), oracle[id]});
     }
     if (sync_every_ > 0 && step % sync_every_ == sync_every_ - 1) {
       ASSERT_OK(drive_->Sync(alice));
@@ -122,48 +243,63 @@ TEST_P(DrivePropertyTest, RandomOpsMatchOracle) {
 
   // Final sweep: every live object matches, every recorded version matches.
   for (const auto& [id, expect] : oracle) {
-    ASSERT_OK_AND_ASSIGN(Bytes got, drive_->Read(alice, id, 0, expect.size() + 100));
-    ASSERT_EQ(got, expect) << "final object " << id;
+    ASSERT_TRUE(MatchesOracle(*drive_, id, expect)) << "final object " << id;
   }
   for (size_t i = 0; i < history.size(); i += 7) {
     const Snapshot& snap = history[i];
-    ASSERT_OK_AND_ASSIGN(Bytes got,
-                         drive_->Read(alice, snap.id, 0, snap.content.size() + 100, snap.time));
-    ASSERT_EQ(got, snap.content) << "final history " << snap.id << " @" << snap.time;
+    ASSERT_TRUE(MatchesOracle(*drive_, snap.id, snap.state, snap.time))
+        << "final history " << snap.id << " @" << snap.time;
   }
 }
 
 TEST_P(DrivePropertyTest, CrashPreservesSyncedState) {
-  Credentials alice;
-  alice.user = 100;
-  alice.client = 1;
+  const Credentials alice = Owner();
   Rng rng(seed_ + 1000);
-  std::map<ObjectId, Bytes> synced_oracle;
+  std::map<ObjectId, ObjectState> synced_oracle;
+  std::vector<Snapshot> history;  // every one synced before the next crash
   std::vector<ObjectId> live;
 
   for (int round = 0; round < 4; ++round) {
     // A burst of operations...
-    std::map<ObjectId, Bytes> oracle = synced_oracle;
+    std::map<ObjectId, ObjectState> oracle = synced_oracle;
     for (int step = 0; step < 60; ++step) {
       clock_->Advance(kSecond);
+      const SimTime t0 = clock_->Now();
       uint64_t action = rng.Below(10);
+      ObjectId id = live.empty() ? kInvalidObjectId : live[rng.Below(live.size())];
+      bool created = false;
+      bool modified = true;
       if (action < 3 || live.empty()) {
-        ASSERT_OK_AND_ASSIGN(ObjectId id, drive_->Create(alice, {}));
+        ASSERT_OK_AND_ASSIGN(id, drive_->Create(alice, {}));
         live.push_back(id);
-        oracle[id] = {};
-      } else {
-        ObjectId id = live[rng.Below(live.size())];
-        if (oracle.count(id) == 0) {
-          continue;  // created pre-crash burst bookkeeping mismatch guard
-        }
+        oracle[id].acl[kOwner] = kPermAll;
+        created = true;
+      } else if (action < 6) {
         Bytes data = rng.RandomBytes(1 + rng.Below(12000));
         ASSERT_OK(drive_->Write(alice, id, 0, data));
-        Bytes& content = oracle[id];
-        if (content.size() < data.size()) {
-          content.resize(data.size(), 0);
-        }
-        std::copy(data.begin(), data.end(), content.begin());
+        WriteInto(&oracle[id].content, 0, data);
+      } else if (action < 7) {
+        uint64_t offset = rng.Below(8000);
+        Bytes data = rng.RandomBytes(1 + rng.Below(8000));
+        ASSERT_OK(drive_->XorWrite(alice, id, offset, data));
+        XorInto(&oracle[id].content, offset, data);
+      } else if (action < 8) {
+        Bytes opaque = rng.RandomBytes(rng.Below(200));
+        ASSERT_OK(drive_->SetAttr(alice, id, opaque));
+        oracle[id].opaque = opaque;
+      } else if (action < 9) {
+        AclEntry entry{kUsers[1 + rng.Below(3)], static_cast<uint8_t>(rng.Below(64))};
+        ASSERT_OK(drive_->SetAcl(alice, id, entry));
+        oracle[id].acl[entry.user] = entry.perms;
+        modified = false;
+      } else {
+        Bytes data = rng.RandomBytes(1 + rng.Below(5000));
+        ASSERT_OK(drive_->Append(alice, id, data).status());
+        WriteInto(&oracle[id].content, oracle[id].content.size(), data);
       }
+      ASSERT_TRUE(TakeStamps(*drive_, *clock_, id, t0, created, modified, &oracle[id]))
+          << "round " << round << " object " << id;
+      history.push_back({id, clock_->Now(), oracle[id]});
     }
     // ...synced...
     ASSERT_OK(drive_->Sync(alice));
@@ -173,10 +309,14 @@ TEST_P(DrivePropertyTest, CrashPreservesSyncedState) {
     auto drive = S4Drive::Mount(device_.get(), clock_.get(), opts_);
     ASSERT_TRUE(drive.ok()) << drive.status().ToString();
     drive_ = std::move(*drive);
-    // Everything synced must read back exactly.
+    // Everything synced must read back exactly, now and at recorded instants.
     for (const auto& [id, expect] : synced_oracle) {
-      ASSERT_OK_AND_ASSIGN(Bytes got, drive_->Read(alice, id, 0, expect.size() + 100));
-      ASSERT_EQ(got, expect) << "round " << round << " object " << id;
+      ASSERT_TRUE(MatchesOracle(*drive_, id, expect)) << "round " << round << " object " << id;
+    }
+    for (size_t i = round; i < history.size(); i += 5) {
+      const Snapshot& snap = history[i];
+      ASSERT_TRUE(MatchesOracle(*drive_, snap.id, snap.state, snap.time))
+          << "round " << round << " object " << snap.id << " @" << snap.time;
     }
   }
 }

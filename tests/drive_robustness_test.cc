@@ -1,6 +1,10 @@
 // Hostile-environment robustness: corrupted checkpoint regions, purge/
-// cleaner interplay, recovery idempotence, and mount failure modes.
+// cleaner interplay, recovery idempotence, mount failure modes, and media
+// errors partway through a mutation.
 #include <gtest/gtest.h>
+
+#include <algorithm>
+#include <vector>
 
 #include "tests/test_util.h"
 
@@ -204,6 +208,91 @@ TEST_F(DriveTest, EvictionWriteBackFailureSurfacesOnNextSync) {
   ASSERT_FALSE(sync.ok()) << "eviction write-back failure was swallowed";
   // Reporting consumes the sticky error; the drive then syncs cleanly.
   EXPECT_OK(drive_->Sync(alice));
+}
+
+// A transient media error partway through a write must fail the write and
+// leave the object as it was: its bytes now, its version list, the usage
+// table, and the history a later checkpoint of the object keeps.
+TEST_F(DriveTest, FailedWriteLeavesObjectUnchanged) {
+  FaultInjector fi;
+  device_->set_fault_injector(&fi);
+  Credentials alice = User(100);
+  ASSERT_OK_AND_ASSIGN(ObjectId id, drive_->Create(alice, {}));
+  const Bytes original(3 * kBlockSize, 0xAA);
+  ASSERT_OK(drive_->Write(alice, id, 0, original));
+  ASSERT_OK(drive_->Sync(alice));
+  CrashAndRemount();  // a cold cache: old blocks come off the platter
+  clock_->Advance(kSecond);
+  const SimTime before = clock_->Now();
+  clock_->Advance(kSecond);
+
+  ASSERT_OK_AND_ASSIGN(std::vector<VersionInfo> versions, drive_->GetVersionList(alice, id));
+  const uint64_t live = drive_->usage_table().LiveSectorsTotal();
+  const uint64_t history = drive_->usage_table().HistorySectorsTotal();
+  ASSERT_OK_AND_ASSIGN(std::vector<DiskAddr> addrs, drive_->DebugObjectBlockAddrs(id));
+  ASSERT_EQ(addrs.size(), 3u);
+  fi.ScheduleReadError(addrs[1]);
+
+  // Block 0 is replaced outright; block 1 keeps bytes past the write, so its
+  // old copy must be read, and that read fails.
+  EXPECT_EQ(drive_->Write(alice, id, 0, Bytes(kBlockSize + 100, 0xBB)).code(),
+            ErrorCode::kUnavailable);
+  ASSERT_OK_AND_ASSIGN(Bytes now, drive_->Read(alice, id, 0, original.size()));
+  EXPECT_EQ(now, original);
+  ASSERT_OK_AND_ASSIGN(std::vector<VersionInfo> after, drive_->GetVersionList(alice, id));
+  ASSERT_EQ(after.size(), versions.size());
+  for (size_t i = 0; i < after.size(); ++i) {
+    EXPECT_EQ(after[i].time, versions[i].time);
+  }
+  EXPECT_EQ(drive_->usage_table().LiveSectorsTotal(), live);
+  EXPECT_EQ(drive_->usage_table().HistorySectorsTotal(), history);
+
+  // A later write and a clean remount checkpoint the object; the instant
+  // before the failed write still reads the original bytes.
+  clock_->Advance(kSecond);
+  ASSERT_OK(drive_->Write(alice, id, 2 * kBlockSize, Bytes(10, 0xCC)));
+  ASSERT_OK(drive_->Unmount());
+  drive_.reset();
+  ASSERT_OK_AND_ASSIGN(drive_, S4Drive::Mount(device_.get(), clock_.get(), opts_));
+  ASSERT_OK_AND_ASSIGN(Bytes past, drive_->Read(alice, id, 0, original.size(), before));
+  EXPECT_EQ(past, original);
+  ASSERT_OK_AND_ASSIGN(Bytes current, drive_->Read(alice, id, 0, original.size()));
+  Bytes expected = original;
+  std::fill(expected.begin() + 2 * kBlockSize, expected.begin() + 2 * kBlockSize + 10, 0xCC);
+  EXPECT_EQ(current, expected);
+}
+
+// The same for a truncate: the boundary block is rewritten with a zeroed
+// tail, and a failed read of it must not drop the blocks past the new end.
+TEST_F(DriveTest, FailedTruncateLeavesObjectUnchanged) {
+  FaultInjector fi;
+  device_->set_fault_injector(&fi);
+  Credentials alice = User(100);
+  ASSERT_OK_AND_ASSIGN(ObjectId id, drive_->Create(alice, {}));
+  const Bytes original(3 * kBlockSize, 0xAA);
+  ASSERT_OK(drive_->Write(alice, id, 0, original));
+  ASSERT_OK(drive_->Sync(alice));
+  CrashAndRemount();
+  clock_->Advance(kSecond);
+
+  const uint64_t live = drive_->usage_table().LiveSectorsTotal();
+  const uint64_t history = drive_->usage_table().HistorySectorsTotal();
+  ASSERT_OK_AND_ASSIGN(std::vector<DiskAddr> addrs, drive_->DebugObjectBlockAddrs(id));
+  ASSERT_EQ(addrs.size(), 3u);
+  fi.ScheduleReadError(addrs[1]);
+
+  EXPECT_EQ(drive_->Truncate(alice, id, kBlockSize + 4).code(), ErrorCode::kUnavailable);
+  ASSERT_OK_AND_ASSIGN(ObjectAttrs attrs, drive_->GetAttr(alice, id));
+  EXPECT_EQ(attrs.size, original.size());
+  ASSERT_OK_AND_ASSIGN(Bytes block2, drive_->Read(alice, id, 2 * kBlockSize, kBlockSize));
+  EXPECT_EQ(block2, Bytes(kBlockSize, 0xAA));
+  EXPECT_EQ(drive_->usage_table().LiveSectorsTotal(), live);
+  EXPECT_EQ(drive_->usage_table().HistorySectorsTotal(), history);
+
+  // The read error was transient: the retry truncates.
+  ASSERT_OK(drive_->Truncate(alice, id, kBlockSize + 4));
+  ASSERT_OK_AND_ASSIGN(Bytes now, drive_->Read(alice, id, 0, original.size()));
+  EXPECT_EQ(now, Bytes(kBlockSize + 4, 0xAA));
 }
 
 TEST_F(DriveTest, TimeBasedReadBeforeCreationFails) {

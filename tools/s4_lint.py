@@ -155,14 +155,16 @@ LAYERING = {
 
 # S4L007: files allowed to pass kAuditLogObjectId into a mutating storage
 # call. AppendAuditBuffered and TrimAuditObject (both in drive_ops.cc) are
-# the only sanctioned writers of the audit object; everything else may only
-# read it (QueryAudit, challenge rounds, mount verification).
+# the only sanctioned writers of the audit object: they change it only
+# through WriteBlocks, which journals through LogEntry and ApplyEntry, the
+# drive's one mutation path. Everything else may only read it (QueryAudit,
+# challenge rounds, mount verification).
 AUDIT_OBJECT_WRITE_ALLOWLIST = (
     "src/drive/drive_ops.cc",
 )
 AUDIT_OBJECT_WRITE_PATTERN = re.compile(
-    r"\b(?:Append|SupersedeBlock|ApplyBlockWrite|BuildBlockContent|Write|"
-    r"Truncate)\s*\([^)]*\bkAuditLogObjectId\b")
+    r"\b(?:Append|SupersedeBlock|WriteBlocks|LogEntry|ApplyEntry|"
+    r"BuildBlockContent|Write|Truncate)\s*\([^)]*\bkAuditLogObjectId\b")
 
 # ---------------------------------------------------------------------------
 # Helpers
@@ -620,6 +622,7 @@ FIXTURE_EXPECTATIONS = {
     "void_discard": {"S4L005"},
     "include_layering": {"S4L006"},
     "audit_object_write": {"S4L007"},
+    "audit_object_write_blocks": {"S4L007"},
     "cluster_drive_api": {"S4L008"},
     "threading_confinement": {"S4L009"},
     "naked_mutex": {"S4L010"},
