@@ -57,9 +57,10 @@ class BlockCache {
     return Status::Ok();
   }
 
-  // Inserts freshly written data (no disk I/O).
-  void Insert(DiskAddr addr, ByteSpan data) {
-    cache_.Put(addr, Bytes(data.begin(), data.end()), data.size());
+  // Inserts freshly written data (no disk I/O), taking ownership of it.
+  void Insert(DiskAddr addr, Bytes data) {
+    const uint64_t cost = data.size();
+    cache_.Put(addr, std::move(data), cost);
   }
 
   // Moves the record to the eviction end: it stays readable while there is

@@ -356,7 +356,7 @@ Result<bool> S4Drive::CompactSegment(SegmentId seg) {
         S4_ASSIGN_OR_RETURN(
             DiskAddr new_addr,
             writer_->Append(RecordKind::kData, rec.object_id, rec.block_index, content, actx()));
-        block_cache_->Insert(new_addr, content);
+        block_cache_->Insert(new_addr, std::move(content));
         obj->inode.blocks[rec.block_index] = new_addr;
         obj->dirty = true;
         // A physical move, not a new version: the old copy's live count moves

@@ -143,7 +143,7 @@ Status S4Drive::WriteBlocks(JournalEntryType type, ObjectId id, CachedObject* ob
                                                            offset, data));
       S4_ASSIGN_OR_RETURN(DiskAddr addr,
                           writer_->Append(RecordKind::kData, id, b, content, actx()));
-      block_cache_->Insert(addr, content);
+      block_cache_->Insert(addr, std::move(content));
       // The copy this one replaces must not push current data out of the
       // cache while the rest of the write comes in.
       DiskAddr old_addr = obj->inode.BlockAddr(b);

@@ -1163,7 +1163,8 @@ Status S4Drive::FlushObjectJournal(ObjectId id, CachedObject* obj) {
     // sectors of versioned objects (the common diagnosis case). The audit
     // log's one sector per Sync would only push those out.
     if (ObjectIsVersioned(id)) {
-      jsector_cache_.Put(addr, std::make_shared<const JournalSector>(sector), kSectorSize);
+      jsector_cache_.Put(addr, std::make_shared<const JournalSector>(std::move(sector)),
+                         kSectorSize);
     }
     head = addr;
     m_.journal_sectors_written->Inc();
@@ -1180,7 +1181,7 @@ Status S4Drive::CheckpointObject(ObjectId id, CachedObject* obj) {
   uint32_t sectors = static_cast<uint32_t>(record.size() / kSectorSize);
   S4_ASSIGN_OR_RETURN(DiskAddr addr,
                       writer_->Append(RecordKind::kInodeCheckpoint, id, 0, record, actx()));
-  block_cache_->Insert(addr, record);
+  block_cache_->Insert(addr, std::move(record));
 
   // Journal the checkpoint location so chain replay knows where to restart;
   // applying the entry installs it.

@@ -93,8 +93,7 @@ uint8_t* BlockDevice::ChunkFor(uint64_t byte_offset, bool allocate) {
     if (!allocate) {
       return nullptr;
     }
-    chunks_[idx] = std::make_unique<uint8_t[]>(kChunkBytes);
-    std::memset(chunks_[idx].get(), 0, kChunkBytes);
+    chunks_[idx] = std::make_unique<uint8_t[]>(kChunkBytes);  // value-initialised: zeros
   }
   return chunks_[idx].get();
 }

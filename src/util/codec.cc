@@ -8,15 +8,19 @@ void Encoder::PutU16(uint16_t v) {
 }
 
 void Encoder::PutU32(uint32_t v) {
+  uint8_t le[4];
   for (int i = 0; i < 4; ++i) {
-    buf_.push_back(static_cast<uint8_t>(v >> (8 * i)));
+    le[i] = static_cast<uint8_t>(v >> (8 * i));
   }
+  buf_.insert(buf_.end(), le, le + 4);
 }
 
 void Encoder::PutU64(uint64_t v) {
+  uint8_t le[8];
   for (int i = 0; i < 8; ++i) {
-    buf_.push_back(static_cast<uint8_t>(v >> (8 * i)));
+    le[i] = static_cast<uint8_t>(v >> (8 * i));
   }
+  buf_.insert(buf_.end(), le, le + 8);
 }
 
 void Encoder::PutVarint(uint64_t v) {

@@ -54,8 +54,8 @@ class Rng {
 
   double NextDouble() { return static_cast<double>(Next() >> 11) * 0x1.0p-53; }
 
-  // Filler payloads. `compressibility` in [0,1]: 0 = random bytes,
-  // 1 = highly repetitive (compressible) text-like bytes.
+  // Filler payloads. `compressibility` in [0,1] (checked): 0 = random
+  // bytes, 1 = highly repetitive (compressible) text-like bytes.
   Bytes RandomBytes(size_t n, double compressibility = 0.0);
 
  private:

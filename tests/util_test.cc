@@ -2,6 +2,13 @@
 // CRC32C vectors, deterministic RNG, and Status/Result plumbing.
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <list>
+#include <string>
+#include <unordered_map>
+#include <utility>
+#include <vector>
+
 #include "src/cache/lru.h"
 #include "src/util/codec.h"
 #include "src/util/crc32.h"
@@ -58,6 +65,13 @@ TEST(CodecTest, FixedWidthRoundTrip) {
   EXPECT_EQ(*dec.U32(), 0xDEADBEEFu);
   EXPECT_EQ(*dec.U64(), 0x0123456789ABCDEFull);
   EXPECT_EQ(*dec.I64(), -42);
+  // The wire format is little-endian whatever the host's byte order.
+  const Bytes expected = {0xAB,                                            // u8
+                          0xEF, 0xBE,                                      // u16
+                          0xEF, 0xBE, 0xAD, 0xDE,                          // u32
+                          0xEF, 0xCD, 0xAB, 0x89, 0x67, 0x45, 0x23, 0x01,  // u64
+                          0xD6, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF}; // i64 -42
+  EXPECT_EQ(enc.bytes(), expected);
   EXPECT_TRUE(dec.done());
 }
 
@@ -281,6 +295,64 @@ TEST(RngTest, CompressibilityShapesEntropy) {
   EXPECT_LT(distinct(texty), 30u);
 }
 
+// RandomBytes as it was written before its word stores: a division by the
+// alphabet size and a double multiply per run, then the run one byte at a
+// time. The generator must give the same bytes and consume the same draws.
+Bytes ReferenceRandomBytes(Rng& rng, size_t n, double compressibility) {
+  Bytes out(n);
+  if (compressibility <= 0.0) {
+    for (size_t i = 0; i < n; ++i) {
+      out[i] = static_cast<uint8_t>(rng.Next());
+    }
+    return out;
+  }
+  const uint64_t alphabet = compressibility >= 0.9 ? 4 : 16;
+  size_t i = 0;
+  while (i < n) {
+    uint8_t b = static_cast<uint8_t>('a' + rng.Below(alphabet));
+    size_t run = 1 + static_cast<size_t>(compressibility * static_cast<double>(rng.Below(24)));
+    for (size_t k = 0; k < run && i < n; ++k) {
+      out[i++] = b;
+    }
+  }
+  return out;
+}
+
+TEST(RngTest, RandomBytesMatchesReference) {
+  // Every compressibility the tree passes, plus the top of the range, where
+  // runs are longest.
+  const double kCompressibility[] = {0.0, 0.3, 0.4, 0.5, 0.7, 0.75, 0.8, 0.9, 0.95, 1.0};
+  const size_t kLengths[] = {0, 1, 7, 8, 23, 24, 25, 4095, 4096, 9216};
+  for (uint64_t seed = 1; seed <= 64; ++seed) {
+    Rng lengths(seed + 1000);
+    for (double c : kCompressibility) {
+      Rng fast(seed);
+      Rng reference(seed);
+      auto check = [&](size_t n) {
+        SCOPED_TRACE(::testing::Message() << "seed " << seed << " compressibility " << c
+                                          << " length " << n);
+        ASSERT_EQ(fast.RandomBytes(n, c), ReferenceRandomBytes(reference, n, c));
+        // Same draws consumed: every later draw of a workload stays in step.
+        ASSERT_EQ(fast.Next(), reference.Next());
+      };
+      for (size_t n : kLengths) {
+        check(n);
+        if (HasFatalFailure()) return;
+      }
+      for (int k = 0; k < 4; ++k) {
+        check(lengths.Below(20001));
+        if (HasFatalFailure()) return;
+      }
+    }
+  }
+}
+
+TEST(RngTest, RandomBytesRejectsCompressibilityOutsideUnitRange) {
+  Rng rng(1);
+  EXPECT_DEATH(rng.RandomBytes(64, 1.05), "compressibility");
+  EXPECT_DEATH(rng.RandomBytes(64, -0.1), "compressibility");
+}
+
 TEST(LruCacheTest, BasicPutGetEvict) {
   LruCache<int, std::string> cache(100);
   cache.Put(1, "a", 40);
@@ -375,6 +447,213 @@ TEST(LruCacheTest, DemoteEvictsFirst) {
   EXPECT_EQ(cache.used(), 30u);
   EXPECT_EQ(cache.entry_count(), 3u);
   EXPECT_EQ(evicted.size(), 2u);
+}
+
+// LruCache as it was written before its slab: a std::list in recency order
+// and an unordered_map from key to list node. The differential test below
+// holds LruCache to its results, recency, eviction order and callbacks.
+template <typename Key, typename Value>
+class ReferenceLru {
+ public:
+  using EvictFn = std::function<void(const Key&, Value&&)>;
+
+  explicit ReferenceLru(uint64_t capacity_bytes) : capacity_(capacity_bytes) {}
+
+  void set_evict_fn(EvictFn fn) { evict_fn_ = std::move(fn); }
+  uint64_t used() const { return used_; }
+  size_t entry_count() const { return index_.size(); }
+
+  Value* Get(const Key& key) {
+    auto it = index_.find(key);
+    if (it == index_.end()) {
+      return nullptr;
+    }
+    order_.splice(order_.begin(), order_, it->second);
+    return &it->second->value;
+  }
+
+  Value* Peek(const Key& key) {
+    auto it = index_.find(key);
+    return it == index_.end() ? nullptr : &it->second->value;
+  }
+
+  void Put(const Key& key, Value value, uint64_t cost) {
+    auto it = index_.find(key);
+    if (it != index_.end()) {
+      Entry& e = *it->second;
+      Value displaced = std::move(e.value);
+      e.value = std::move(value);
+      used_ += cost;
+      used_ -= e.cost;
+      e.cost = cost;
+      order_.splice(order_.begin(), order_, it->second);
+      if (evict_fn_) {
+        evict_fn_(key, std::move(displaced));
+      }
+      EvictToFit();
+      return;
+    }
+    order_.push_front(Entry{key, std::move(value), cost});
+    index_[key] = order_.begin();
+    used_ += cost;
+    EvictToFit();
+  }
+
+  void Demote(const Key& key) {
+    auto it = index_.find(key);
+    if (it != index_.end()) {
+      order_.splice(order_.end(), order_, it->second);
+    }
+  }
+
+  bool Remove(const Key& key) {
+    auto it = index_.find(key);
+    if (it == index_.end()) {
+      return false;
+    }
+    used_ -= it->second->cost;
+    order_.erase(it->second);
+    index_.erase(it);
+    return true;
+  }
+
+  void Clear() {
+    while (!order_.empty()) {
+      EvictOne();
+    }
+  }
+
+  // Keys from most to least recently used (test-only; lets the random ops
+  // aim a Put at a resident key).
+  std::vector<Key> Keys() const {
+    std::vector<Key> keys;
+    for (const Entry& e : order_) {
+      keys.push_back(e.key);
+    }
+    return keys;
+  }
+
+ private:
+  struct Entry {
+    Key key;
+    Value value;
+    uint64_t cost;
+  };
+
+  void EvictOne() {
+    auto& victim = order_.back();
+    Key key = victim.key;
+    Value value = std::move(victim.value);
+    used_ -= victim.cost;
+    index_.erase(victim.key);
+    order_.pop_back();
+    if (evict_fn_) {
+      evict_fn_(key, std::move(value));
+    }
+  }
+
+  void EvictToFit() {
+    while (used_ > capacity_ && order_.size() > 1) {
+      EvictOne();
+    }
+  }
+
+  EvictFn evict_fn_;
+  uint64_t capacity_;
+  uint64_t used_ = 0;
+  std::list<Entry> order_;
+  std::unordered_map<Key, typename std::list<Entry>::iterator> index_;
+};
+
+// 20,000 random Get, Peek, new and replacing Put, Demote, Remove and Clear
+// ops over 64 keys (costs 1-40, 200-byte budget) on LruCache and on
+// ReferenceLru. With `reentrant`, the eviction callback of a key that is a
+// multiple of 5 Puts one of 8 further keys into the same cache, as the
+// drive's object cache may when an eviction checkpoints.
+void RunLruAgainstReference(uint64_t seed, bool reentrant) {
+  constexpr int kKeys = 64;
+  constexpr uint64_t kBudget = 200;
+  using Evictions = std::vector<std::pair<int, std::string>>;
+  LruCache<int, std::string> cache(kBudget);
+  ReferenceLru<int, std::string> reference(kBudget);
+  Evictions got;
+  Evictions want;
+  // Values are longer than the small-string buffer, so they live on the heap
+  // where ASan sees a stale slot.
+  auto value_of = [](int op) { return std::string(24, 'v') + std::to_string(op); };
+  cache.set_evict_fn([&](const int& k, std::string&& v) {
+    got.emplace_back(k, v);
+    if (reentrant && k < kKeys && k % 5 == 0) {
+      cache.Put(kKeys + k % 8, value_of(-k), 1 + static_cast<uint64_t>(k) % 40);
+    }
+  });
+  reference.set_evict_fn([&](const int& k, std::string&& v) {
+    want.emplace_back(k, v);
+    if (reentrant && k < kKeys && k % 5 == 0) {
+      reference.Put(kKeys + k % 8, value_of(-k), 1 + static_cast<uint64_t>(k) % 40);
+    }
+  });
+  Rng rng(seed);
+  for (int op = 0; op < 20000; ++op) {
+    SCOPED_TRACE(::testing::Message() << "seed " << seed << " op " << op);
+    int key = static_cast<int>(rng.Below(kKeys));
+    uint64_t pick = rng.Below(200);
+    if (pick < 40) {
+      const std::string* a = cache.Get(key);
+      const std::string* b = reference.Get(key);
+      ASSERT_EQ(a == nullptr, b == nullptr);
+      if (a != nullptr) {
+        ASSERT_EQ(*a, *b);
+      }
+    } else if (pick < 60) {
+      const std::string* a = cache.Peek(key);
+      const std::string* b = reference.Peek(key);
+      ASSERT_EQ(a == nullptr, b == nullptr);
+      if (a != nullptr) {
+        ASSERT_EQ(*a, *b);
+      }
+    } else if (pick < 130) {
+      if (pick >= 100) {
+        // Replacing Put: aim at a resident key.
+        std::vector<int> resident = reference.Keys();
+        if (!resident.empty()) {
+          key = resident[rng.Below(resident.size())];
+        }
+      }
+      uint64_t cost = rng.Range(1, 40);
+      cache.Put(key, value_of(op), cost);
+      reference.Put(key, value_of(op), cost);
+    } else if (pick < 160) {
+      cache.Demote(key);
+      reference.Demote(key);
+    } else if (pick < 199) {
+      ASSERT_EQ(cache.Remove(key), reference.Remove(key));
+    } else {
+      cache.Clear();
+      reference.Clear();
+    }
+    ASSERT_EQ(got, want);
+    ASSERT_EQ(cache.used(), reference.used());
+    ASSERT_EQ(cache.entry_count(), reference.entry_count());
+    got.clear();
+    want.clear();
+  }
+  // Evicting everything checks the full recency order.
+  cache.Clear();
+  reference.Clear();
+  EXPECT_EQ(got, want);
+  EXPECT_EQ(cache.entry_count(), 0u);
+  EXPECT_EQ(cache.used(), 0u);
+}
+
+TEST(LruCacheTest, MatchesReferenceUnderRandomOps) {
+  for (bool reentrant : {false, true}) {
+    for (uint64_t seed = 1; seed <= 20; ++seed) {
+      SCOPED_TRACE(reentrant ? "re-entrant eviction callback" : "plain eviction callback");
+      RunLruAgainstReference(seed, reentrant);
+      if (HasFatalFailure()) return;
+    }
+  }
 }
 
 TEST(LruCacheTest, ClearEvictsEverythingThroughCallback) {
