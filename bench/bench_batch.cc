@@ -4,12 +4,12 @@
 // path?
 //
 //   1. File-system level: a write-heavy workload (create + overwrite) on
-//      the S4-NAS stack, unbatched (one Sync RPC after every mutating op,
-//      NFSv2 discipline) vs group-commit sizes 8 and 32 with vectored
-//      kBatch frames. Reports ops/sec, disk writes per logical op, and the
-//      sync/batch RPC counts.
-//   2. Raw RPC level: N Write RPCs issued one frame at a time vs packed
-//      into kBatch envelopes, showing the round-trip savings alone.
+//      the S4-NAS stack, unbatched (every mutating op synced, NFSv2
+//      discipline, by the sync bit on its own frame) vs group-commit sizes
+//      8 and 32 (every 8th or 32nd op carries the sync). Reports ops/sec,
+//      disk writes per logical op, and the sync counts.
+//   2. Raw RPC level: N Write RPCs, each followed by its own Sync RPC, vs
+//      packed into kBatch envelopes, showing the round-trip savings alone.
 //
 // Usage: bench_batch [--quick] [google-benchmark flags]
 // Writes BENCH_batch.json, one label per file-system configuration.
@@ -28,13 +28,12 @@ namespace {
 struct BatchConfig {
   const char* name;       // also its label in BENCH_batch.json
   uint32_t group_commit;  // 1 = per-op sync (unbatched)
-  bool batch_rpcs;
 };
 
 constexpr BatchConfig kConfigs[] = {
-    {"unbatched", 1, false},
-    {"group8", 8, true},
-    {"group32", 32, true},
+    {"unbatched", 1},
+    {"group8", 8},
+    {"group32", 32},
 };
 
 struct Row {
@@ -43,7 +42,6 @@ struct Row {
   uint64_t disk_writes = 0;
   uint64_t net_messages = 0;
   uint64_t rpc_syncs = 0;
-  uint64_t rpc_batches = 0;
 };
 std::map<std::string, Row> g_rows;
 
@@ -59,7 +57,6 @@ void RunFsWorkload(::benchmark::State& state, const BatchConfig& config,
   for (auto _ : state) {
     ServerOptions opts;
     opts.fs_group_commit_ops = config.group_commit;
-    opts.fs_batch_rpcs = config.batch_rpcs;
     ServerKind kind =
         config.group_commit > 1 ? ServerKind::kS4NasBatched : ServerKind::kS4Nas;
     auto server = MakeServer(kind, opts);
@@ -88,7 +85,6 @@ void RunFsWorkload(::benchmark::State& state, const BatchConfig& config,
     row.disk_writes = server->device->stats().writes;
     row.net_messages = server->drive->metrics().CounterValue("net.messages_sent");
     row.rpc_syncs = server->s4_fs->stats().rpc_syncs;
-    row.rpc_batches = server->s4_fs->stats().rpc_batches;
     g_rows[config.name] = row;
 
     state.SetIterationTime(row.sim_seconds);
@@ -152,31 +148,29 @@ void RunRawRpc(::benchmark::State& state, uint32_t group, bool quick) {
 
 void Report(BenchReport& report) {
   std::printf("\n=== Batched RPC + group commit (write-heavy fs workload) ===\n");
-  std::printf("%-12s %10s %12s %14s %10s %10s %10s\n", "config", "sim (s)", "ops/sec",
-              "disk w/op", "net msgs", "syncs", "batches");
+  std::printf("%-12s %10s %12s %14s %10s %10s\n", "config", "sim (s)", "ops/sec",
+              "disk w/op", "net msgs", "syncs");
   for (const BatchConfig& config : kConfigs) {
     auto it = g_rows.find(config.name);
     if (it == g_rows.end()) {
       continue;
     }
     const Row& r = it->second;
-    std::printf("%-12s %10.2f %12.1f %14.3f %10llu %10llu %10llu\n", config.name,
+    std::printf("%-12s %10.2f %12.1f %14.3f %10llu %10llu\n", config.name,
                 r.sim_seconds, r.logical_ops / r.sim_seconds,
                 static_cast<double>(r.disk_writes) / r.logical_ops,
                 static_cast<unsigned long long>(r.net_messages),
-                static_cast<unsigned long long>(r.rpc_syncs),
-                static_cast<unsigned long long>(r.rpc_batches));
+                static_cast<unsigned long long>(r.rpc_syncs));
     report.Row("batch", {{"config", config.name},
                          {"sim_s", r.sim_seconds},
                          {"ops_per_s", r.logical_ops / r.sim_seconds},
                          {"disk_writes_per_op", static_cast<double>(r.disk_writes) / r.logical_ops},
                          {"net_messages", r.net_messages},
-                         {"rpc_syncs", r.rpc_syncs},
-                         {"rpc_batches", r.rpc_batches}});
+                         {"rpc_syncs", r.rpc_syncs}});
   }
   std::printf("\nExpected shape: each sync point costs one journal chunk write; grouping\n"
-              "N ops per sync divides disk writes per op and removes one round-trip\n"
-              "per op via the vectored kBatch frame.\n");
+              "N ops per sync divides disk writes per op. Every config sends one frame\n"
+              "per mutating RPC: the sync rides the frame of the op that is due.\n");
 }
 
 }  // namespace

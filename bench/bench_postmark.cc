@@ -112,8 +112,8 @@ void Report(BenchReport& report) {
     if (!report.quick()) report.Gate(metric, ">=", 1.0);
   }
   std::printf("\nExpected shape (paper): S4 comparable to, slightly faster than, the\n"
-              "in-place NFS servers on both phases. The batched S4 mode (group commit\n"
-              "+ vectored RPCs) should cut disk writes per transaction by >=2x.\n");
+              "in-place NFS servers on both phases. The batched S4 mode (group commit:\n"
+              "one sync per 32 ops) should cut disk writes per transaction by >=2x.\n");
 }
 
 }  // namespace

@@ -82,10 +82,8 @@ struct ServerOptions {
   // ext2 personality: background metadata write-back cadence.
   uint32_t ext2_flush_every_ops = 512;
   // Batched S4 mode (kS4NasBatched): how many mutating NFS ops share one
-  // Sync RPC, and whether the final mutating RPC rides the same kBatch frame
-  // as the Sync. Ignored by the other kinds.
+  // sync. Ignored by the other kinds.
   uint32_t fs_group_commit_ops = 32;
-  bool fs_batch_rpcs = true;
   // Last-word hook over the drive options (S4 kinds only): runs after the
   // fields above are applied, so ablation benches can flip knobs the
   // ServerOptions surface does not expose (waypoint cadence, cleaner pacing).
@@ -175,7 +173,6 @@ inline std::unique_ptr<Server> MakeServer(ServerKind kind, ServerOptions options
       S4FileSystemOptions fs_opts;
       if (kind == ServerKind::kS4NasBatched) {
         fs_opts.group_commit_ops = options.fs_group_commit_ops;
-        fs_opts.batch_rpcs = options.fs_batch_rpcs;
       }
       auto fs = S4FileSystem::Format(server->client.get(), "root", fs_opts);
       S4_CHECK(fs.ok());
@@ -330,8 +327,7 @@ class BenchReport {
     if (server.s4_fs != nullptr) {
       const S4FileSystemStats& fs = server.s4_fs->stats();
       layer.emplace_back("fs", JsonValue::Object({{"rpc_syncs", fs.rpc_syncs},
-                                                  {"deferred_syncs", fs.deferred_syncs},
-                                                  {"rpc_batches", fs.rpc_batches}}));
+                                                  {"deferred_syncs", fs.deferred_syncs}}));
     }
     if (server.drive != nullptr) {
       const MetricRegistry& reg = server.drive->metrics();

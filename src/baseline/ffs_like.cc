@@ -555,6 +555,9 @@ Status FfsLikeServer::Rename(FileHandle from_dir, const std::string& from_name,
   S4_ASSIGN_OR_RETURN(ParsedDir * dst, LoadDir(to_dir));
   auto target = dst->entries.find(to_name);
   if (target != dst->entries.end()) {
+    if (target->second.handle == moving.handle) {
+      return Status::Ok();  // renamed onto itself: POSIX makes this a no-op
+    }
     if (target->second.type == FileType::kDirectory) {
       return Status::InvalidArgument("target is a directory");
     }

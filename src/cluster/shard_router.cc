@@ -859,6 +859,17 @@ RpcResponse ShardRouter::PartitionOp(const RpcRequest& req, BatchCtx& ctx) {
 // ---------------------------------------------------------------------------
 
 ShardRouter::SubPlan ShardRouter::PlanSub(RpcRequest req, BatchCtx& ctx) {
+  if (req.sync) {
+    // The op, then the array's Sync fan queued behind it: the same shard
+    // envelopes as a batch of {op, Sync}.
+    req.sync = false;
+    RpcRequest sync;
+    sync.op = RpcOp::kSync;
+    sync.creds = req.creds;
+    SubPlan plan = PlanSub(std::move(req), ctx);
+    plan.fan = PlanSub(std::move(sync), ctx).fan;
+    return plan;
+  }
   SubPlan plan;
   switch (req.op) {
     case RpcOp::kCreate: {
@@ -1066,12 +1077,14 @@ ShardRouter::SubPlan ShardRouter::PlanSub(RpcRequest req, BatchCtx& ctx) {
 }
 
 RpcResponse ShardRouter::ResolvePlan(SubPlan& plan, BatchCtx& ctx) {
+  RpcResponse r;
   switch (plan.kind) {
     case SubPlan::kImmediate:
-      return std::move(plan.resp);
-    case SubPlan::kDirect: {
+      r = std::move(plan.resp);
+      break;
+    case SubPlan::kDirect:
       S4_CHECK(plan.shard < ctx.results.size() && plan.idx < ctx.results[plan.shard].size());
-      RpcResponse r = ctx.results[plan.shard][plan.idx];
+      r = ctx.results[plan.shard][plan.idx];
       if (!r.ok()) {
         // The data sub-op failed after its parity delta was queued (e.g. an
         // ACL denial mid-batch): recompute the group from the members' actual
@@ -1080,19 +1093,19 @@ RpcResponse ShardRouter::ResolvePlan(SubPlan& plan, BatchCtx& ctx) {
         // A repair failure leaves parity stale, which rebuild recovers from.
         if (plan.repair_group >= 0) (void)RepairParityGroup(plan.repair_group);
       }
-      return r;
-    }
-    case SubPlan::kSyncFan: {
-      Status merged = Status::Ok();
-      for (const auto& f : plan.fan) {
-        S4_CHECK(f.first < ctx.results.size() && f.second < ctx.results[f.first].size());
-        Status st = ctx.results[f.first][f.second].ToStatus();
-        if (!st.ok() && merged.ok()) merged = st;
-      }
-      return StatusResp(merged);
-    }
+      break;
+    case SubPlan::kSyncFan:
+      break;
   }
-  return ErrorResp(ErrorCode::kInternal, "unresolvable plan");
+  // The Sync fan, a Sync's own or the one a sync-flagged op queued: its first
+  // failure, unless the op already failed.
+  for (const auto& f : plan.fan) {
+    if (!r.ok()) break;
+    S4_CHECK(f.first < ctx.results.size() && f.second < ctx.results[f.first].size());
+    const RpcResponse& synced = ctx.results[f.first][f.second];
+    if (!synced.ok()) r = StatusResp(synced.ToStatus());
+  }
+  return r;
 }
 
 Result<RpcResponse> ShardRouter::Call(RpcRequest req) {

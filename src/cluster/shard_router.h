@@ -204,7 +204,8 @@ class ShardRouter : public S4ClientApi {
     RpcResponse resp;  // kImmediate
     uint32_t shard = 0;
     size_t idx = 0;  // kDirect: index into results[shard]
-    std::vector<std::pair<uint32_t, size_t>> fan;  // kSyncFan
+    // Each shard's Sync: a kSyncFan's, or the one a sync-flagged op queued.
+    std::vector<std::pair<uint32_t, size_t>> fan;
     int32_t repair_group = -1;  // recompute this group if the data sub failed
     ObjectId gid = 0;
   };
@@ -237,7 +238,8 @@ class ShardRouter : public S4ClientApi {
   size_t Enqueue(BatchCtx& ctx, uint32_t shard, RpcRequest req, bool maint, int32_t group);
 
   // The big per-op switch: translates one client request into immediate
-  // and/or queued shard sub-ops.
+  // and/or queued shard sub-ops. A sync-flagged request is planned as the op
+  // followed by a Sync, so each shard's Sync rides that shard's envelope.
   SubPlan PlanSub(RpcRequest req, BatchCtx& ctx);
   RpcResponse ResolvePlan(SubPlan& plan, BatchCtx& ctx);
 

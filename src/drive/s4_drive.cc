@@ -129,6 +129,9 @@ void S4Drive::InitMetrics() {
   m_.recovery_superblock_votes = metrics_.GetCounter("recovery.superblock_votes");
   m_.recovery_superblocks_healed = metrics_.GetCounter("recovery.stale_superblocks_healed");
   m_.recovery_chunks_replayed = metrics_.GetCounter("recovery.chunks_replayed");
+  m_.rpc_rejected_frames = metrics_.GetCounter("rpc.rejected_frames");
+  m_.rpc_batches = metrics_.GetCounter("rpc.batches");
+  m_.rpc_batched_sub_ops = metrics_.GetCounter("rpc.batched_sub_ops");
   m_.walk_sectors = metrics_.GetHistogram("history.walk_sectors");
   for (int op = 0; op <= kMaxRpcOp; ++op) {
     m_.op_latency[op] = metrics_.GetHistogram(
@@ -174,15 +177,15 @@ void S4Drive::EndOp(OpContext& ctx, const OpArgs& args, const Status& result,
 
 void S4Drive::AuditRejectedFrame(OpContext& ctx, const Status& reason) {
   m_.ops_total->Inc();
-  metrics_.GetCounter("rpc.rejected_frames")->Inc();
+  m_.rpc_rejected_frames->Inc();
   ChargeCpu(&ctx);
   Audit(ctx.creds, RpcOp::kInvalid, kInvalidObjectId, 0, 0, reason, false);
   m_.op_latency[0]->Record(clock_->Now() - ctx.start_time);
 }
 
 void S4Drive::AuditBatchFrame(OpContext& ctx, uint64_t sub_ops, SimTime batch_start) {
-  metrics_.GetCounter("rpc.batches")->Inc();
-  metrics_.GetCounter("rpc.batched_sub_ops")->Add(sub_ops);
+  m_.rpc_batches->Inc();
+  m_.rpc_batched_sub_ops->Add(sub_ops);
   Audit(ctx.creds, RpcOp::kBatch, kInvalidObjectId, 0, sub_ops, Status::Ok(), false);
   m_.op_latency[static_cast<uint8_t>(RpcOp::kBatch)]->Record(clock_->Now() - batch_start);
 }

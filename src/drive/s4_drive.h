@@ -391,6 +391,9 @@ class S4Drive {
     Counter* recovery_superblock_votes = nullptr;   // valid replicas in the vote
     Counter* recovery_superblocks_healed = nullptr; // stale/torn copies rewritten
     Counter* recovery_chunks_replayed = nullptr;
+    Counter* rpc_rejected_frames = nullptr;
+    Counter* rpc_batches = nullptr;
+    Counter* rpc_batched_sub_ops = nullptr;
     Histogram* walk_sectors = nullptr;  // per-walk journal sectors read
     // Per-op sim-time latency, indexed by RpcOp value (0 = kInvalid unused).
     Histogram* op_latency[kMaxRpcOp + 1] = {};

@@ -32,8 +32,11 @@ struct ParsedDir {
   std::map<std::string, DirEntry> entries;
   uint64_t record_count = 0;  // total records in the stream
 
-  bool NeedsCompaction() const {
-    return record_count > 16 && record_count > 2 * entries.size() + 8;
+  bool NeedsCompaction() const { return NeedsCompaction(record_count, entries.size()); }
+  // The rule, for a stream of `records` records holding `live` entries:
+  // rewrite once tombstones dominate.
+  static bool NeedsCompaction(uint64_t records, uint64_t live) {
+    return records > 16 && records > 2 * live + 8;
   }
 };
 

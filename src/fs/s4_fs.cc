@@ -42,8 +42,13 @@ Result<std::unique_ptr<S4FileSystem>> S4FileSystem::Format(S4ClientApi* client,
   root_attr.mode = 0755;
   root_attr.uid = client->creds().user;
   S4_ASSIGN_OR_RETURN(ObjectId root, client->Create(root_attr.Encode()));
-  S4_RETURN_IF_ERROR(client->PCreate(partition, root));
-  S4_RETURN_IF_ERROR(client->Sync());
+  RpcRequest bind;
+  bind.op = RpcOp::kPCreate;
+  bind.name = partition;
+  bind.object = root;
+  bind.sync = true;
+  S4_ASSIGN_OR_RETURN(RpcResponse bound, client->Call(std::move(bind)));
+  S4_RETURN_IF_ERROR(bound.ToStatus());
   auto fs = std::unique_ptr<S4FileSystem>(new S4FileSystem(client, options));
   fs->root_ = root;
   return fs;
@@ -58,15 +63,6 @@ Result<std::unique_ptr<S4FileSystem>> S4FileSystem::Mount(S4ClientApi* client,
   return fs;
 }
 
-Status S4FileSystem::SyncOp() {
-  ++unsynced_ops_;
-  if (unsynced_ops_ < options_.group_commit_ops) {
-    ++stats_.deferred_syncs;
-    return Status::Ok();
-  }
-  return Commit();
-}
-
 Status S4FileSystem::Commit() {
   if (unsynced_ops_ == 0) {
     return Status::Ok();
@@ -77,33 +73,18 @@ Status S4FileSystem::Commit() {
 }
 
 Status S4FileSystem::MutateThenSyncOp(RpcRequest req) {
-  bool sync_due = unsynced_ops_ + 1 >= options_.group_commit_ops;
-  if (options_.batch_rpcs) {
-    std::vector<RpcRequest> subs;
-    subs.reserve(2);
-    subs.push_back(std::move(req));
-    if (sync_due) {
-      RpcRequest sync;
-      sync.op = RpcOp::kSync;
-      subs.push_back(std::move(sync));
-    }
-    S4_ASSIGN_OR_RETURN(std::vector<RpcResponse> resps, client_->CallBatch(std::move(subs)));
-    ++stats_.rpc_batches;
-    if (sync_due) {
-      unsynced_ops_ = 0;
-      ++stats_.rpc_syncs;
-    } else {
-      ++unsynced_ops_;
-      ++stats_.deferred_syncs;
-    }
-    for (const RpcResponse& resp : resps) {
-      S4_RETURN_IF_ERROR(resp.ToStatus());
-    }
-    return Status::Ok();
-  }
+  const bool sync_due = unsynced_ops_ + 1 >= options_.group_commit_ops;
+  req.sync = sync_due;
   S4_ASSIGN_OR_RETURN(RpcResponse resp, client_->Call(std::move(req)));
   S4_RETURN_IF_ERROR(resp.ToStatus());
-  return SyncOp();
+  if (sync_due) {
+    unsynced_ops_ = 0;
+    ++stats_.rpc_syncs;
+  } else {
+    ++unsynced_ops_;
+    ++stats_.deferred_syncs;
+  }
+  return Status::Ok();
 }
 
 Result<ParsedDir*> S4FileSystem::LoadDir(FileHandle dir) {
@@ -127,18 +108,23 @@ Result<ParsedDir*> S4FileSystem::LoadDir(FileHandle dir) {
   return dir_cache_.Peek(dir);
 }
 
-Status S4FileSystem::AppendDirRecord(FileHandle dir, const DirRecord& record, bool then_sync) {
+Status S4FileSystem::AppendDirRecord(FileHandle dir, const DirRecord& record, bool last) {
   Bytes encoded = EncodeDirRecord(record);
-  if (then_sync) {
-    // The op's final mutating RPC: run it through the sync discipline so it
-    // can share a kBatch frame with the due Sync.
+  Status appended;
+  if (last) {
     RpcRequest req;
     req.op = RpcOp::kAppend;
     req.object = dir;
     req.data = std::move(encoded);
-    S4_RETURN_IF_ERROR(MutateThenSyncOp(std::move(req)));
+    appended = MutateThenSyncOp(std::move(req));
   } else {
-    S4_RETURN_IF_ERROR(client_->Append(dir, encoded).status());
+    appended = client_->Append(dir, encoded).status();
+  }
+  attr_cache_.Remove(dir);
+  if (!appended.ok()) {
+    // A failed sync does not undo the append before it: re-read the stream.
+    dir_cache_.Remove(dir);
+    return appended;
   }
   // Keep the cached parse coherent instead of invalidating (single-client
   // loopback mount, as in the prototype).
@@ -154,20 +140,30 @@ Status S4FileSystem::AppendDirRecord(FileHandle dir, const DirRecord& record, bo
       cached->entries.erase(record.name);
     }
   }
-  attr_cache_.Remove(dir);
   return Status::Ok();
 }
 
-Status S4FileSystem::MaybeCompactDir(FileHandle dir) {
+Status S4FileSystem::RemoveDirRecord(FileHandle dir, const std::string& name) {
+  // `name` is a live entry, so its remove record adds a tombstone.
   ParsedDir* cached = dir_cache_.Peek(dir);
-  if (cached == nullptr || !cached->NeedsCompaction()) {
+  const bool compact =
+      cached != nullptr &&
+      ParsedDir::NeedsCompaction(cached->record_count + 1, cached->entries.size() - 1);
+  DirRecord rec;
+  rec.op = DirRecord::Op::kRemove;
+  rec.name = name;
+  S4_RETURN_IF_ERROR(AppendDirRecord(dir, rec, /*last=*/!compact));
+  if (!compact) {
     return Status::Ok();
   }
   Bytes compacted = CompactDirStream(*cached);
   S4_RETURN_IF_ERROR(client_->Write(dir, 0, compacted));
-  S4_RETURN_IF_ERROR(client_->Truncate(dir, compacted.size()));
+  RpcRequest truncate;
+  truncate.op = RpcOp::kTruncate;
+  truncate.object = dir;
+  truncate.length = compacted.size();
+  S4_RETURN_IF_ERROR(MutateThenSyncOp(std::move(truncate)));
   cached->record_count = cached->entries.size();
-  attr_cache_.Remove(dir);
   return Status::Ok();
 }
 
@@ -200,7 +196,7 @@ Result<FileHandle> S4FileSystem::CreateNode(FileHandle dir, const std::string& n
   rec.type = type;
   rec.handle = id;
   rec.name = name;
-  S4_RETURN_IF_ERROR(AppendDirRecord(dir, rec, /*then_sync=*/true));
+  S4_RETURN_IF_ERROR(AppendDirRecord(dir, rec, /*last=*/true));
   return id;
 }
 
@@ -230,12 +226,7 @@ Status S4FileSystem::Remove(FileHandle dir, const std::string& name) {
   FileHandle victim = it->second.handle;
   S4_RETURN_IF_ERROR(client_->Delete(victim));
   attr_cache_.Remove(victim);
-  DirRecord rec;
-  rec.op = DirRecord::Op::kRemove;
-  rec.name = name;
-  S4_RETURN_IF_ERROR(AppendDirRecord(dir, rec));
-  S4_RETURN_IF_ERROR(MaybeCompactDir(dir));
-  return SyncOp();
+  return RemoveDirRecord(dir, name);
 }
 
 Status S4FileSystem::Rmdir(FileHandle dir, const std::string& name) {
@@ -255,12 +246,7 @@ Status S4FileSystem::Rmdir(FileHandle dir, const std::string& name) {
   S4_RETURN_IF_ERROR(client_->Delete(victim));
   dir_cache_.Remove(victim);
   attr_cache_.Remove(victim);
-  DirRecord rec;
-  rec.op = DirRecord::Op::kRemove;
-  rec.name = name;
-  S4_RETURN_IF_ERROR(AppendDirRecord(dir, rec));
-  S4_RETURN_IF_ERROR(MaybeCompactDir(dir));
-  return SyncOp();
+  return RemoveDirRecord(dir, name);
 }
 
 Status S4FileSystem::Rename(FileHandle from_dir, const std::string& from_name,
@@ -276,6 +262,9 @@ Status S4FileSystem::Rename(FileHandle from_dir, const std::string& from_name,
   S4_ASSIGN_OR_RETURN(ParsedDir* dst, LoadDir(to_dir));
   auto target = dst->entries.find(to_name);
   if (target != dst->entries.end()) {
+    if (target->second.handle == moving.handle) {
+      return Status::Ok();  // renamed onto itself: POSIX makes this a no-op
+    }
     if (target->second.type == FileType::kDirectory) {
       return Status::InvalidArgument("target is a directory");
     }
@@ -296,7 +285,7 @@ Status S4FileSystem::Rename(FileHandle from_dir, const std::string& from_name,
   add.type = moving.type;
   add.handle = moving.handle;
   add.name = to_name;
-  return AppendDirRecord(to_dir, add, /*then_sync=*/true);
+  return AppendDirRecord(to_dir, add, /*last=*/true);
 }
 
 Result<Bytes> S4FileSystem::ReadFile(FileHandle file, uint64_t offset, uint64_t length) {

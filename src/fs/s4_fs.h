@@ -6,7 +6,10 @@
 //   - NFS attributes live in each object's opaque attribute space.
 //   - File handles hash directly to ObjectIds.
 //   - To honour NFSv2 stable-storage semantics, every state-modifying NFS
-//     operation is followed by a Sync RPC (the drive normally caches writes).
+//     operation is durable before it returns (the drive normally caches
+//     writes): its last mutating RPC carries the sync bit, so the drive
+//     syncs in that RPC's round trip, as an NFSv3 stable write does. The
+//     paper's client sent a separate Sync RPC instead.
 //   - Aggressive read-only attribute and directory caches cut the RPC count,
 //     as in the paper (section 4.1.2).
 #ifndef S4_SRC_FS_S4_FS_H_
@@ -24,25 +27,26 @@
 namespace s4 {
 
 struct S4FileSystemStats {
-  uint64_t rpc_syncs = 0;
+  uint64_t rpc_syncs = 0;       // ops synced by their sync bit, plus Commit's Syncs
   uint64_t deferred_syncs = 0;  // mutating ops whose sync was coalesced
-  uint64_t rpc_batches = 0;     // kBatch frames sent
   uint64_t attr_cache_hits = 0;
   uint64_t attr_cache_misses = 0;
   uint64_t dir_cache_hits = 0;
   uint64_t dir_cache_misses = 0;
 };
 
-// Tuning of the translator's RPC traffic. Defaults reproduce the paper's
-// prototype exactly: one sync RPC after every mutating NFS op (the NFSv2
-// stable-storage discipline section 5.2 blames for most of S4's latency).
+// Tuning of the translator's RPC traffic. The default is the paper's
+// prototype's discipline: every mutating NFS op is synced before it returns
+// (the NFSv2 stable-storage rule section 5.2 blames for most of S4's
+// latency).
 struct S4FileSystemOptions {
-  // Mutating ops coalesced under one Sync RPC. 1 = sync after every op
-  // (strict NFSv2 stable storage); N defers the sync until N ops ran, which
-  // lets the drive group-commit their journal entries into one chunk write.
+  // Mutating ops coalesced under one sync. 1 = sync every op (strict NFSv2
+  // stable storage); N defers the sync until N ops ran, which lets the drive
+  // group-commit their journal entries into one chunk write.
   uint32_t group_commit_ops = 1;
-  // Fuse each op's final mutating RPC with its due Sync into one kBatch
-  // frame (one network round-trip instead of two).
+  // Unread: a due sync always rides the op's own frame now. Kept only
+  // because the repository benchmark (perfbench/array_postmark.cc) still
+  // sets it; it goes with that benchmark's next change.
   bool batch_rpcs = false;
 };
 
@@ -92,25 +96,28 @@ class S4FileSystem : public FileSystemApi {
   S4FileSystem(S4ClientApi* client, S4FileSystemOptions options);
 
   Result<ParsedDir*> LoadDir(FileHandle dir);
-  Status AppendDirRecord(FileHandle dir, const DirRecord& record, bool then_sync = false);
-  Status MaybeCompactDir(FileHandle dir);
+  // Appends `record` to `dir`'s stream. `last` marks the op's final mutating
+  // RPC, sent through MutateThenSyncOp.
+  Status AppendDirRecord(FileHandle dir, const DirRecord& record, bool last = false);
+  // The end of Remove and Rmdir: appends `name`'s remove record to `dir`,
+  // then rewrites the stream compacted when tombstones dominate it. The op's
+  // sync rides the last of those RPCs: the append, or the rewrite's Truncate.
+  Status RemoveDirRecord(FileHandle dir, const std::string& name);
   Result<FileHandle> CreateNode(FileHandle dir, const std::string& name, FileType type,
                                 uint32_t mode, const std::string& symlink_target);
   Result<NfsAttrBlob> LoadAttrBlob(FileHandle file, uint64_t* size_out, SimTime* mtime_out,
                                    SimTime* ctime_out);
-  // NFSv2 commit discipline after a mutating op. With group_commit_ops == 1
-  // this issues the Sync RPC immediately; otherwise the sync is deferred
-  // until the watermark and the drive group-commits the batch.
-  Status SyncOp();
-  // Runs a status-only mutating RPC followed by the op's sync discipline.
-  // When batch_rpcs is on and the sync is due, both travel in one kBatch
-  // frame (one round-trip).
+  // Sends an op's final mutating RPC (status-only) under the NFSv2 commit
+  // discipline. When the sync is due (every op with group_commit_ops == 1,
+  // else every Nth) the request carries the sync bit, and the drive syncs
+  // before it replies; otherwise the sync is deferred and the drive
+  // group-commits the deferred ops' entries at the next one.
   Status MutateThenSyncOp(RpcRequest req);
 
   S4ClientApi* client_;
   S4FileSystemOptions options_;
   FileHandle root_ = 0;
-  uint32_t unsynced_ops_ = 0;  // mutating ops since the last Sync RPC
+  uint32_t unsynced_ops_ = 0;  // mutating ops since the last sync
   LruCache<FileHandle, ParsedDir> dir_cache_;
   LruCache<FileHandle, FileAttr> attr_cache_;
   S4FileSystemStats stats_;

@@ -21,7 +21,9 @@ class S4ClientApi {
   virtual const Credentials& creds() const = 0;
   virtual void set_creds(Credentials creds) = 0;
 
-  // Sends a raw single-op request (creds stamped by the implementation).
+  // Sends a raw single-op request (creds stamped by the implementation). With
+  // `req.sync` the op is durable when the call returns: the response is the
+  // op's error if it failed, else the Sync's error if that failed.
   virtual Result<RpcResponse> Call(RpcRequest req) = 0;
   // Sends N requests under one kBatch envelope and one network round-trip.
   // Returns one response per sub-request, in order. Sub-op failures are

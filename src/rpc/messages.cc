@@ -10,6 +10,11 @@ constexpr uint32_t kResponseMagic = 0x53345250;       // "S4RP"
 constexpr uint32_t kBatchRequestMagic = 0x53344251;   // "S4BQ"
 constexpr uint32_t kBatchResponseMagic = 0x53344250;  // "S4BP"
 
+// RpcRequest's flags byte. Any other bit is rejected, so a flag can be added
+// later without an old server silently ignoring it.
+constexpr uint8_t kFlagAt = 1;    // `at` follows
+constexpr uint8_t kFlagSync = 2;  // sync after the op
+
 Bytes Frame(uint32_t magic, Encoder body) {
   Encoder out(body.size() + 12);
   out.PutU32(magic);
@@ -50,7 +55,7 @@ Bytes RpcRequest::Encode() const {
   enc.PutVarint(object);
   enc.PutVarint(offset);
   enc.PutVarint(length);
-  enc.PutU8(at.has_value() ? 1 : 0);
+  enc.PutU8((at.has_value() ? kFlagAt : 0) | (sync ? kFlagSync : 0));
   if (at.has_value()) {
     enc.PutI64(*at);
   }
@@ -84,8 +89,12 @@ Result<RpcRequest> RpcRequest::Decode(ByteSpan frame) {
   S4_ASSIGN_OR_RETURN(r.object, dec.Varint());
   S4_ASSIGN_OR_RETURN(r.offset, dec.Varint());
   S4_ASSIGN_OR_RETURN(r.length, dec.Varint());
-  S4_ASSIGN_OR_RETURN(uint8_t has_at, dec.U8());
-  if (has_at != 0) {
+  S4_ASSIGN_OR_RETURN(uint8_t flags, dec.U8());
+  if ((flags & ~(kFlagAt | kFlagSync)) != 0) {
+    return Status::InvalidArgument("unknown rpc request flag");
+  }
+  r.sync = (flags & kFlagSync) != 0;
+  if ((flags & kFlagAt) != 0) {
     S4_ASSIGN_OR_RETURN(SimTime at, dec.I64());
     r.at = at;
   }

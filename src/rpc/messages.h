@@ -24,6 +24,9 @@ struct RpcRequest {
   uint64_t offset = 0;
   uint64_t length = 0;
   std::optional<SimTime> at;  // time-based access (Table 1 "yes" rows)
+  // Make the op durable before replying: the server runs a Sync after the op
+  // succeeds, in the same round trip (an NFSv3-style stable write).
+  bool sync = false;
   Bytes data;                 // write/append payload or attr blob
   std::string name;           // partition name
   AclEntry acl_entry;         // SetACL

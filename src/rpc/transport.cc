@@ -239,6 +239,13 @@ RpcResponse S4RpcServer::Dispatch(OpContext& ctx, const RpcRequest& req) {
       set_status(Status::InvalidArgument("unknown rpc op"));
       break;
   }
+  if (req.sync && resp.ok()) {
+    // The op's own Sync, in its round trip: audited and timed as a Sync of
+    // the same request. A failed op has nothing new to make durable.
+    ctx.op = RpcOp::kSync;
+    set_status(drive_->Sync(ctx));
+    ctx.op = req.op;
+  }
   return resp;
 }
 

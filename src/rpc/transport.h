@@ -28,6 +28,8 @@ class RpcTransport {
 // Server-side dispatcher: decodes a request frame, invokes the drive, and
 // encodes the response. Malformed frames produce error responses and an
 // audit record (op kInvalid) — the drive never crashes on hostile input.
+// A request with the sync bit runs the op and then, if it succeeded, a Sync
+// under the same request id, with the Sync's own audit record and latency.
 class S4RpcServer {
  public:
   // Upper bound on an accepted request frame. Anything larger is rejected

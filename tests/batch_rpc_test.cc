@@ -1,8 +1,9 @@
 // Batched RPC (kBatch) and group-commit write path, exercised end to end:
 // S4Client::CallBatch -> one kBatch frame -> S4RpcServer -> per-sub dispatch,
-// and the S4FileSystem group-commit mode built on top of it. Covers ordering,
-// per-sub error isolation, audit completeness (every sub-op audited plus one
-// envelope record), round-trip counts, and durability at commit boundaries.
+// and S4FileSystem's sync discipline (the sync bit on an op's last frame,
+// per op or every Nth op). Covers ordering, per-sub error isolation, audit
+// completeness (every sub-op audited plus one envelope record), frame and
+// round-trip counts, and durability at commit boundaries.
 #include <gtest/gtest.h>
 
 #include <string>
@@ -16,6 +17,26 @@
 namespace s4 {
 namespace {
 
+using Frames = std::vector<std::pair<RpcOp, bool>>;  // (op, sync bit) per frame
+
+// Logs the op and sync bit of every single-op frame on its way to the drive
+// (a kBatch envelope is logged as kBatch).
+class FrameLog : public RpcTransport {
+ public:
+  explicit FrameLog(RpcTransport* next) : next_(next) {}
+
+  Result<Bytes> Call(ByteSpan request) override {
+    auto req = RpcRequest::Decode(request);
+    frames.emplace_back(req.ok() ? req->op : RpcOp::kBatch, req.ok() && req->sync);
+    return next_->Call(request);
+  }
+
+  Frames frames;
+
+ private:
+  RpcTransport* next_;
+};
+
 class BatchRpcTest : public DriveTest {
  protected:
   void SetUp() override {
@@ -27,7 +48,8 @@ class BatchRpcTest : public DriveTest {
   void WireStack() {
     server_ = std::make_unique<S4RpcServer>(drive_.get());
     transport_ = std::make_unique<LoopbackTransport>(server_.get(), clock_.get());
-    client_ = std::make_unique<S4Client>(transport_.get(), User(100));
+    frame_log_ = std::make_unique<FrameLog>(transport_.get());
+    client_ = std::make_unique<S4Client>(frame_log_.get(), User(100));
   }
 
   uint64_t AuditRecordsFor(RpcOp op) {
@@ -49,6 +71,7 @@ class BatchRpcTest : public DriveTest {
 
   std::unique_ptr<S4RpcServer> server_;
   std::unique_ptr<LoopbackTransport> transport_;
+  std::unique_ptr<FrameLog> frame_log_;
   std::unique_ptr<S4Client> client_;
 };
 
@@ -185,28 +208,44 @@ TEST_F(BatchRpcTest, BatchedWritesAreDurableAfterSyncSubOp) {
 
 class GroupCommitFsTest : public BatchRpcTest {
  protected:
-  void MakeFs(uint32_t group_ops, bool batch_rpcs) {
+  void MakeFs(uint32_t group_ops) {
     S4FileSystemOptions opts;
     opts.group_commit_ops = group_ops;
-    opts.batch_rpcs = batch_rpcs;
     ASSERT_OK_AND_ASSIGN(fs_, S4FileSystem::Format(client_.get(), "root", opts));
+  }
+
+  // The frames `op` sends.
+  template <typename Op>
+  Frames FramesOf(Op op) {
+    frame_log_->frames.clear();
+    op();
+    return frame_log_->frames;
   }
 
   std::unique_ptr<S4FileSystem> fs_;
 };
 
 TEST_F(GroupCommitFsTest, DeferredSyncsCoalesceAndCommitFlushes) {
-  MakeFs(/*group_ops=*/8, /*batch_rpcs=*/true);
+  MakeFs(/*group_ops=*/8);
   ASSERT_OK_AND_ASSIGN(FileHandle root, fs_->Root());
   ASSERT_OK_AND_ASSIGN(FileHandle f, fs_->CreateFile(root, "log", 0644));
 
-  for (int i = 0; i < 20; ++i) {
-    ASSERT_OK(fs_->WriteFile(f, i * 16, BytesOf("chunk-" + std::to_string(i))));
-  }
+  Frames frames = FramesOf([&] {
+    for (int i = 0; i < 20; ++i) {
+      ASSERT_OK(fs_->WriteFile(f, i * 16, BytesOf("chunk-" + std::to_string(i))));
+    }
+  });
   const S4FileSystemStats& stats = fs_->stats();
   EXPECT_GT(stats.deferred_syncs, 0u);
-  EXPECT_GT(stats.rpc_batches, 0u);
   EXPECT_LT(stats.rpc_syncs, 21u) << "group commit should issue far fewer syncs than ops";
+  // One frame per write, due sync or not: a due sync rides the write's frame.
+  ASSERT_EQ(frames.size(), 20u);
+  uint64_t synced = 0;
+  for (const auto& [op, sync] : frames) {
+    EXPECT_EQ(op, RpcOp::kWrite);
+    synced += sync ? 1 : 0;
+  }
+  EXPECT_EQ(synced, 20u / 8);
 
   ASSERT_OK(fs_->Commit());
   uint64_t syncs_after_commit = fs_->stats().rpc_syncs;
@@ -215,7 +254,7 @@ TEST_F(GroupCommitFsTest, DeferredSyncsCoalesceAndCommitFlushes) {
 }
 
 TEST_F(GroupCommitFsTest, CommittedStateSurvivesCrash) {
-  MakeFs(/*group_ops=*/8, /*batch_rpcs=*/true);
+  MakeFs(/*group_ops=*/8);
   ASSERT_OK_AND_ASSIGN(FileHandle root, fs_->Root());
   ASSERT_OK_AND_ASSIGN(FileHandle f, fs_->CreateFile(root, "data", 0644));
   ASSERT_OK(fs_->WriteFile(f, 0, BytesOf("must survive")));
@@ -232,14 +271,102 @@ TEST_F(GroupCommitFsTest, CommittedStateSurvivesCrash) {
 }
 
 TEST_F(GroupCommitFsTest, StrictModeStillSyncsEveryOp) {
-  MakeFs(/*group_ops=*/1, /*batch_rpcs=*/false);
+  MakeFs(/*group_ops=*/1);
   ASSERT_OK_AND_ASSIGN(FileHandle root, fs_->Root());
   uint64_t syncs_before = fs_->stats().rpc_syncs;
   ASSERT_OK_AND_ASSIGN(FileHandle f, fs_->CreateFile(root, "strict", 0644));
   ASSERT_OK(fs_->WriteFile(f, 0, BytesOf("x")));
   EXPECT_EQ(fs_->stats().rpc_syncs, syncs_before + 2);
   EXPECT_EQ(fs_->stats().deferred_syncs, 0u);
-  EXPECT_EQ(fs_->stats().rpc_batches, 0u);
+}
+
+// Strict mode sends one frame per mutating RPC and no standalone Sync: the
+// sync bit rides each op's last frame.
+TEST_F(GroupCommitFsTest, StrictModeSyncRidesEachOpsLastFrame) {
+  MakeFs(/*group_ops=*/1);
+  ASSERT_OK_AND_ASSIGN(FileHandle root, fs_->Root());
+  ASSERT_OK(fs_->ReadDir(root).status());  // cache the root: ops send only mutations
+
+  FileHandle f = 0;
+  EXPECT_EQ(FramesOf([&] {
+              ASSERT_OK_AND_ASSIGN(f, fs_->CreateFile(root, "f", 0644));
+            }),
+            (Frames{{RpcOp::kCreate, false}, {RpcOp::kAppend, true}}));
+  EXPECT_EQ(FramesOf([&] { ASSERT_OK(fs_->WriteFile(f, 0, BytesOf("x"))); }),
+            (Frames{{RpcOp::kWrite, true}}));
+  EXPECT_EQ(FramesOf([&] { ASSERT_OK(fs_->Remove(root, "f")); }),
+            (Frames{{RpcOp::kDelete, false}, {RpcOp::kAppend, true}}));
+
+  // Removes pile up tombstones until the directory is compacted: then the
+  // rewrite's Truncate is the op's last frame.
+  for (int i = 0; i < 12; ++i) {
+    ASSERT_OK(fs_->CreateFile(root, "g" + std::to_string(i), 0644).status());
+  }
+  int compactions = 0;
+  for (int i = 0; i < 12; ++i) {
+    Frames frames = FramesOf([&] { ASSERT_OK(fs_->Remove(root, "g" + std::to_string(i))); });
+    if (frames.size() == 2) {
+      EXPECT_EQ(frames, (Frames{{RpcOp::kDelete, false}, {RpcOp::kAppend, true}}));
+      continue;
+    }
+    ++compactions;
+    EXPECT_EQ(frames, (Frames{{RpcOp::kDelete, false},
+                              {RpcOp::kAppend, false},
+                              {RpcOp::kWrite, false},
+                              {RpcOp::kTruncate, true}}));
+  }
+  EXPECT_GT(compactions, 0);
+  ASSERT_OK_AND_ASSIGN(std::vector<DirEntry> entries, fs_->ReadDir(root));
+  EXPECT_TRUE(entries.empty());
+}
+
+// A due op that fails syncs nothing, so the ops deferred before it stay
+// pending for Commit().
+TEST_F(GroupCommitFsTest, FailedDueOpLeavesItsGroupPendingForCommit) {
+  MakeFs(/*group_ops=*/2);
+  ASSERT_OK_AND_ASSIGN(FileHandle root, fs_->Root());
+  ASSERT_OK(fs_->CreateFile(root, "deferred", 0644).status());
+  EXPECT_EQ(fs_->WriteFile(/*file=*/999999, 0, BytesOf("x")).code(), ErrorCode::kNotFound);
+  EXPECT_EQ(FramesOf([&] { ASSERT_OK(fs_->Commit()); }), (Frames{{RpcOp::kSync, false}}));
+}
+
+// A sync that fails after its op applied fails the fs op, and the fs then
+// re-reads the directory rather than trusting its cached parse.
+TEST_F(GroupCommitFsTest, FailedSyncDropsTheCachedDirectory) {
+  MakeFs(/*group_ops=*/1);
+  ASSERT_OK_AND_ASSIGN(FileHandle root, fs_->Root());
+  ASSERT_OK(fs_->ReadDir(root).status());
+  FaultInjector injector;
+  device_->set_fault_injector(&injector);
+  injector.SchedulePowerCut(1);  // the append's Sync is the first disk write
+  EXPECT_EQ(fs_->CreateFile(root, "f", 0644).status().code(), ErrorCode::kUnavailable);
+  EXPECT_TRUE(injector.power_cut_fired());
+  injector.PowerOn();
+  device_->set_fault_injector(nullptr);
+  EXPECT_OK(fs_->Lookup(root, "f").status()) << "the drive applied the append";
+}
+
+// The fused Sync leaves the audit records the paper's two RPCs left: the op's
+// and the Sync's, and no envelope.
+TEST_F(GroupCommitFsTest, StrictWriteAuditsWriteThenSync) {
+  MakeFs(/*group_ops=*/1);
+  ASSERT_OK_AND_ASSIGN(FileHandle root, fs_->Root());
+  ASSERT_OK_AND_ASSIGN(FileHandle f, fs_->CreateFile(root, "f", 0644));
+  ASSERT_OK_AND_ASSIGN(std::vector<AuditRecord> before,
+                       drive_->QueryAudit(Admin(), AuditQuery{}));
+  ASSERT_OK(fs_->WriteFile(f, 0, BytesOf("audited")));
+  ASSERT_OK_AND_ASSIGN(std::vector<AuditRecord> after,
+                       drive_->QueryAudit(Admin(), AuditQuery{}));
+  ASSERT_GE(after.size(), before.size());
+  std::vector<RpcOp> added;
+  for (size_t i = before.size(); i < after.size(); ++i) {
+    added.push_back(after[i].op);
+    EXPECT_EQ(after[i].user, 100u);
+    EXPECT_EQ(after[i].result, static_cast<uint8_t>(ErrorCode::kOk));
+  }
+  EXPECT_EQ(added, (std::vector<RpcOp>{RpcOp::kWrite, RpcOp::kSync}));
+  EXPECT_EQ(after.back().object, kInvalidObjectId);
+  EXPECT_EQ(after[before.size()].object, f);
 }
 
 }  // namespace

@@ -682,6 +682,86 @@ TEST_F(ClusterShardTest, SyncWaitsForItsSlowestShard) {
   EXPECT_LT(advance, sum);
 }
 
+TEST_F(ClusterShardTest, SyncFlaggedCallSyncsEveryHealthyShard) {
+  auto objs = Populate(8);
+  auto syncs = [&](size_t shard) {
+    AuditQuery query;
+    query.op = RpcOp::kSync;
+    auto records = drives_[shard]->QueryAudit(Admin(), query);
+    S4_CHECK(records.ok());
+    return records->size();
+  };
+  for (bool degraded : {false, true}) {
+    const ObjectId id = objs[degraded ? 1 : 0].first;
+    if (degraded) router_->FailShard((router_->map().Find(id)->shard + 1) % kShards);
+    std::vector<size_t> before(kShards);
+    for (size_t i = 0; i < kShards; ++i) {
+      if (router_->shard_state(i) == ShardState::kHealthy) before[i] = syncs(i);
+    }
+    RpcRequest write;
+    write.op = RpcOp::kWrite;
+    write.object = id;
+    write.data = BytesOf("synced in the write's round trip");
+    write.sync = true;
+    ASSERT_OK_AND_ASSIGN(RpcResponse resp, router_->Call(std::move(write)));
+    EXPECT_TRUE(resp.ok()) << resp.message;
+    for (size_t i = 0; i < kShards; ++i) {
+      if (router_->shard_state(i) != ShardState::kHealthy) continue;
+      EXPECT_EQ(syncs(i), before[i] + 1) << "shard " << i << (degraded ? " (degraded)" : "");
+    }
+  }
+}
+
+TEST_F(ClusterShardTest, SyncFlaggedCallReportsAShardsFailedSync) {
+  auto objs = Populate(8);
+  const ShardMap::GidInfo* info = router_->map().Find(objs[0].first);
+  // A shard the write itself does not touch: its only request is the Sync.
+  uint32_t other = 0;
+  while (other == info->shard || other == router_->map().group(info->group).parity_shard) {
+    ++other;
+  }
+  injectors_[other]->SchedulePowerCut(1);
+  RpcRequest write;
+  write.op = RpcOp::kWrite;
+  write.object = objs[0].first;
+  write.data = BytesOf("not durable everywhere");
+  write.sync = true;
+  ASSERT_OK_AND_ASSIGN(RpcResponse resp, router_->Call(std::move(write)));
+  EXPECT_TRUE(injectors_[other]->power_cut_fired());
+  EXPECT_FALSE(resp.ok()) << "a shard's failed Sync must fail the call";
+}
+
+TEST_F(ClusterShardTest, SyncFlaggedCallSendsWhatABatchOfOpAndSyncSends) {
+  // Per shard: frames and bytes sent, then the clock, after one mutation
+  // carrying its sync either way.
+  auto traffic = [&](bool flagged) {
+    auto objs = Populate(8);
+    RpcRequest write;
+    write.op = RpcOp::kWrite;
+    write.object = objs[3].first;
+    write.data = BytesOf("one mutation, then durable");
+    if (flagged) {
+      write.sync = true;
+      S4_CHECK(router_->Call(std::move(write)).ok());
+    } else {
+      RpcRequest sync;
+      sync.op = RpcOp::kSync;
+      S4_CHECK(router_->CallBatch({std::move(write), std::move(sync)}).ok());
+    }
+    std::vector<uint64_t> out;
+    for (size_t i = 0; i < kShards; ++i) {
+      const std::string prefix = "net.shard" + std::to_string(i) + ".";
+      out.push_back(drives_[i]->metrics().CounterValue(prefix + "messages_sent"));
+      out.push_back(drives_[i]->metrics().CounterValue(prefix + "bytes_sent"));
+    }
+    out.push_back(static_cast<uint64_t>(clock_->Now()));
+    return out;
+  };
+  const std::vector<uint64_t> batched = traffic(false);
+  RebuildFixture();
+  EXPECT_EQ(traffic(true), batched);
+}
+
 TEST_F(ClusterShardTest, DegradedReadWaitsForItsSlowestFetch) {
   ASSERT_OK_AND_ASSIGN(ObjectId id, router_->Create({}));
   ASSERT_OK(router_->Write(id, 0, BytesOf("content of the lost shard")));

@@ -150,6 +150,7 @@ TEST_P(FsConformanceTest, RenameWithinAndAcross) {
   ASSERT_OK(fs_->WriteFile(f, 0, BytesOf("payload")));
   ASSERT_OK(fs_->Rename(a, "one", a, "two"));
   ASSERT_OK(fs_->Rename(a, "two", b, "three"));
+  ASSERT_OK(fs_->Rename(b, "three", b, "three"));  // onto itself: a no-op
   ASSERT_OK_AND_ASSIGN(FileHandle moved, ResolvePath(fs_, "/b/three"));
   ASSERT_OK_AND_ASSIGN(Bytes got, fs_->ReadFile(moved, 0, 64));
   EXPECT_EQ(StringOf(got), "payload");

@@ -76,6 +76,19 @@ TEST_F(FsTest, RenameReplacesTarget) {
   EXPECT_EQ(StringOf(got), "contents of a");
 }
 
+TEST_F(FsTest, RenameOntoItselfIsANoOp) {
+  ASSERT_OK_AND_ASSIGN(FileHandle root, fs_->Root());
+  ASSERT_OK_AND_ASSIGN(FileHandle f, fs_->CreateFile(root, "x", 0644));
+  ASSERT_OK(fs_->WriteFile(f, 0, BytesOf("still here")));
+  ASSERT_OK(fs_->Rename(root, "x", root, "x"));
+  ASSERT_OK_AND_ASSIGN(FileHandle again, fs_->Lookup(root, "x"));
+  EXPECT_EQ(again, f);
+  ASSERT_OK_AND_ASSIGN(Bytes got, fs_->ReadFile(again, 0, 64));
+  EXPECT_EQ(StringOf(got), "still here");
+  ASSERT_OK_AND_ASSIGN(std::vector<DirEntry> entries, fs_->ReadDir(root));
+  EXPECT_EQ(entries.size(), 1u);
+}
+
 TEST_F(FsTest, RenameAcrossDirectories) {
   ASSERT_OK_AND_ASSIGN(FileHandle src, MakeDirs(fs_.get(), "/src"));
   ASSERT_OK_AND_ASSIGN(FileHandle dst, MakeDirs(fs_.get(), "/dst"));
@@ -138,7 +151,16 @@ TEST_F(FsTest, FileSystemSurvivesDriveCrash) {
   ASSERT_OK_AND_ASSIGN(FileHandle dir, MakeDirs(fs_.get(), "/home/user"));
   ASSERT_OK_AND_ASSIGN(FileHandle f, fs_->CreateFile(dir, "doc.txt", 0644));
   ASSERT_OK(fs_->WriteFile(f, 0, BytesOf("important document")));
-  // NFSv2: the write already hit stable storage; no explicit sync needed.
+  ASSERT_OK_AND_ASSIGN(FileHandle draft, fs_->CreateFile(dir, "draft.txt", 0644));
+  ASSERT_OK(fs_->WriteFile(draft, 0, BytesOf("draft to be cut short")));
+  ASSERT_OK(fs_->CreateFile(dir, "scratch", 0644).status());
+  ASSERT_OK(fs_->CreateFile(dir, "old-name", 0644).status());
+  // Each op below is acknowledged and then the drive loses power. NFSv2: an
+  // acknowledged op already hit stable storage; no explicit sync needed.
+  ASSERT_OK(fs_->Remove(dir, "scratch"));
+  ASSERT_OK(fs_->Rename(dir, "old-name", dir, "new-name"));
+  ASSERT_OK(fs_->SetSize(draft, 5));
+  ASSERT_OK(fs_->Mkdir(dir, "made", 0755).status());
 
   CrashAndRemount();
   server_ = std::make_unique<S4RpcServer>(drive_.get());
@@ -149,6 +171,18 @@ TEST_F(FsTest, FileSystemSurvivesDriveCrash) {
   ASSERT_OK_AND_ASSIGN(FileHandle resolved, ResolvePath(fs_.get(), "/home/user/doc.txt"));
   ASSERT_OK_AND_ASSIGN(Bytes got, fs_->ReadFile(resolved, 0, 64));
   EXPECT_EQ(StringOf(got), "important document");
+  ASSERT_OK_AND_ASSIGN(FileHandle user_dir, ResolvePath(fs_.get(), "/home/user"));
+  EXPECT_EQ(fs_->Lookup(user_dir, "scratch").status().code(), ErrorCode::kNotFound);
+  EXPECT_EQ(fs_->Lookup(user_dir, "old-name").status().code(), ErrorCode::kNotFound);
+  EXPECT_OK(fs_->Lookup(user_dir, "new-name").status());
+  ASSERT_OK_AND_ASSIGN(FileHandle cut, fs_->Lookup(user_dir, "draft.txt"));
+  ASSERT_OK_AND_ASSIGN(Bytes draft_got, fs_->ReadFile(cut, 0, 64));
+  EXPECT_EQ(StringOf(draft_got), "draft");
+  ASSERT_OK_AND_ASSIGN(FileHandle made, fs_->Lookup(user_dir, "made"));
+  ASSERT_OK_AND_ASSIGN(FileAttr made_attr, fs_->GetAttr(made));
+  EXPECT_EQ(made_attr.type, FileType::kDirectory);
+  ASSERT_OK_AND_ASSIGN(std::vector<DirEntry> entries, fs_->ReadDir(user_dir));
+  EXPECT_EQ(entries.size(), 4u);  // doc.txt, draft.txt, new-name, made
 }
 
 TEST_F(FsTest, DirCompactionKeepsEntries) {

@@ -21,6 +21,8 @@ extern "C" int LLVMFuzzerTestOneInput(const uint8_t* data, size_t size) {
     S4_CHECK(again.ok());
     S4_CHECK(again->op == req->op);
     S4_CHECK(again->object == req->object);
+    S4_CHECK(again->at == req->at);
+    S4_CHECK(again->sync == req->sync);
     S4_CHECK(again->data == req->data);
   }
 

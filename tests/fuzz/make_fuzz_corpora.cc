@@ -4,12 +4,20 @@
 //
 //   make_fuzz_corpora <repo-root>/tests/corpora
 //
-// whenever a wire format changes. Seeds are valid frames (so the fuzzer
+// whenever a wire format changes, and
+//
+//   make_fuzz_corpora --check <repo-root>/tests/corpora
+//
+// exits 1 when the committed files differ from a fresh run (a wire-format
+// change without regenerated seeds). Seeds are valid frames (so the fuzzer
 // starts deep inside the parsers), plus truncations and bit-flips of them
 // (so the error paths are seeded too).
 #include <cstdio>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
+#include <map>
 #include <string>
 #include <vector>
 
@@ -24,32 +32,29 @@
 namespace s4 {
 namespace {
 
-void WriteCase(const std::filesystem::path& dir, int index, ByteSpan data) {
-  char name[32];
-  std::snprintf(name, sizeof(name), "seed_%03d.bin", index);
-  std::ofstream out(dir / name, std::ios::binary);
-  S4_CHECK(out.good());
-  out.write(reinterpret_cast<const char*>(data.data()),
-            static_cast<std::streamsize>(data.size()));
-  S4_CHECK(out.good());
-}
+// Each base case verbatim, a truncated copy, and a bit-flipped copy, by file
+// name.
+using Corpus = std::map<std::string, Bytes>;
 
-// Emits each base case verbatim, a truncated copy, and a bit-flipped copy.
-void EmitWithMutations(const std::filesystem::path& dir,
-                       const std::vector<Bytes>& bases, uint64_t rng_seed) {
+Corpus WithMutations(const std::vector<Bytes>& bases, uint64_t rng_seed) {
+  Corpus corpus;
+  auto add = [&corpus](Bytes data) {
+    char name[32];
+    std::snprintf(name, sizeof(name), "seed_%03zu.bin", corpus.size());
+    corpus.emplace(name, std::move(data));
+  };
   Rng rng(rng_seed);
-  int index = 0;
   for (const Bytes& base : bases) {
-    WriteCase(dir, index++, base);
+    add(base);
     if (base.size() > 2) {
-      Bytes trunc(base.begin(),
-                  base.begin() + static_cast<long>(1 + rng.Below(base.size() - 1)));
-      WriteCase(dir, index++, trunc);
+      add(Bytes(base.begin(),
+                base.begin() + static_cast<long>(1 + rng.Below(base.size() - 1))));
       Bytes flipped = base;
       flipped[rng.Below(flipped.size())] ^= uint8_t(1u << rng.Below(8));
-      WriteCase(dir, index++, flipped);
+      add(std::move(flipped));
     }
   }
+  return corpus;
 }
 
 std::vector<Bytes> RpcFrameBases() {
@@ -108,6 +113,10 @@ std::vector<Bytes> RpcFrameBases() {
   RpcBatchResponse bresp;
   bresp.subs = {ok, err};
   bases.push_back(bresp.Encode());
+
+  RpcRequest stable = write;  // a write made durable in its own round trip
+  stable.sync = true;
+  bases.push_back(stable.Encode());
 
   return bases;
 }
@@ -254,24 +263,70 @@ std::vector<Bytes> AuditChainBases() {
   return bases;
 }
 
-int Generate(const std::filesystem::path& out_root) {
-  struct Target {
-    const char* name;
-    std::vector<Bytes> bases;
-    uint64_t seed;
-  };
+struct Target {
+  const char* name;
+  std::vector<Bytes> bases;
+  uint64_t seed;
+};
+
+std::vector<Target> Targets() {
   std::vector<Target> targets;
   targets.push_back({"rpc_frame", RpcFrameBases(), 0x5345454431u});
   targets.push_back({"journal_entry", JournalEntryBases(), 0x5345454432u});
   targets.push_back({"dir_format", DirFormatBases(), 0x5345454433u});
   targets.push_back({"audit_chain", AuditChainBases(), 0x5345454434u});
+  return targets;
+}
 
-  for (const auto& t : targets) {
+int Generate(const std::filesystem::path& out_root) {
+  for (const Target& t : Targets()) {
     std::filesystem::path dir = out_root / t.name;
     std::filesystem::create_directories(dir);
-    EmitWithMutations(dir, t.bases, t.seed);
+    for (const auto& [name, data] : WithMutations(t.bases, t.seed)) {
+      std::ofstream out(dir / name, std::ios::binary);
+      out.write(reinterpret_cast<const char*>(data.data()),
+                static_cast<std::streamsize>(data.size()));
+      S4_CHECK(out.good());
+    }
     std::printf("%s: %zu base case(s)\n", t.name, t.bases.size());
   }
+  return 0;
+}
+
+// Compares a fresh run with the files under `root`: every file a fresh run
+// writes must be there with the same bytes, and no other seed_*.bin may be
+// (checked-in crash inputs under other names are left alone).
+int Check(const std::filesystem::path& root) {
+  int stale = 0;
+  for (const Target& t : Targets()) {
+    const std::filesystem::path dir = root / t.name;
+    const Corpus fresh = WithMutations(t.bases, t.seed);
+    for (const auto& [name, data] : fresh) {
+      std::ifstream in(dir / name, std::ios::binary);
+      Bytes committed((std::istreambuf_iterator<char>(in)), std::istreambuf_iterator<char>());
+      if (!in.is_open() || committed != data) {
+        std::fprintf(stderr, "%s/%s: %s\n", t.name, name.c_str(),
+                     in.is_open() ? "differs from a fresh run" : "missing");
+        ++stale;
+      }
+    }
+    std::error_code ec;
+    for (const auto& ent : std::filesystem::directory_iterator(dir, ec)) {
+      const std::string name = ent.path().filename().string();
+      if (name.rfind("seed_", 0) == 0 && fresh.count(name) == 0) {
+        std::fprintf(stderr, "%s/%s: not written by a fresh run\n", t.name, name.c_str());
+        ++stale;
+      }
+    }
+  }
+  if (stale > 0) {
+    std::fprintf(stderr,
+                 "%d stale corpus file(s): delete the unwritten ones, then regenerate with "
+                 "make_fuzz_corpora <root>\n",
+                 stale);
+    return 1;
+  }
+  std::printf("corpora match a fresh run\n");
   return 0;
 }
 
@@ -279,8 +334,11 @@ int Generate(const std::filesystem::path& out_root) {
 }  // namespace s4
 
 int main(int argc, char** argv) {
+  if (argc == 3 && std::strcmp(argv[1], "--check") == 0) {
+    return s4::Check(argv[2]);
+  }
   if (argc != 2) {
-    std::fprintf(stderr, "usage: %s <output-root> (e.g. tests/corpora)\n",
+    std::fprintf(stderr, "usage: %s [--check] <corpus-root> (e.g. tests/corpora)\n",
                  argv[0]);
     return 2;
   }

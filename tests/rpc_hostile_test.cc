@@ -166,6 +166,58 @@ TEST_F(RpcHostileTest, OutOfRangeOpcodesAreRejectedAndAudited) {
   ExpectDriveHealthy();
 }
 
+TEST_F(RpcHostileTest, UnknownRequestFlagIsRejectedAndAudited) {
+  // The flags byte is the one byte the sync bit changes; it keeps the frame's
+  // size.
+  RpcRequest synced;
+  synced.op = RpcOp::kCreate;
+  synced.creds.user = 100;
+  synced.creds.client = 1;
+  synced.sync = true;
+  Bytes plain = ValidFrame();
+  Bytes flagged = synced.Encode();
+  ASSERT_EQ(plain.size(), flagged.size());
+  const size_t flags_at = static_cast<size_t>(
+      std::mismatch(plain.begin(), plain.end(), flagged.begin()).first - plain.begin());
+  ASSERT_EQ(plain[flags_at], 0);
+  ASSERT_EQ(flagged[flags_at], 2);
+
+  uint64_t audited = RejectedAuditRecords();
+  uint64_t creates = AuditRecordsFor(RpcOp::kCreate);
+  uint64_t syncs = AuditRecordsFor(RpcOp::kSync);
+  for (uint8_t flags : {uint8_t{0x04}, uint8_t{0x06}, uint8_t{0x80}}) {
+    Bytes frame = ValidFrame();
+    frame[flags_at] = flags;
+    EXPECT_EQ(ExpectRejected(Reseal(std::move(frame))), ErrorCode::kInvalidArgument)
+        << "flags byte " << static_cast<int>(flags);
+  }
+  EXPECT_EQ(RejectedAuditRecords(), audited + 3) << "one kInvalid record per frame";
+  EXPECT_EQ(AuditRecordsFor(RpcOp::kCreate), creates) << "a rejected frame runs no op";
+  EXPECT_EQ(AuditRecordsFor(RpcOp::kSync), syncs);
+  ExpectDriveHealthy();
+}
+
+TEST_F(RpcHostileTest, DeniedSyncFlaggedOpReturnsItsOwnErrorWithoutSyncing) {
+  ASSERT_OK_AND_ASSIGN(ObjectId id, client_->Create(BytesOf("owned by 100")));
+  uint64_t syncs = AuditRecordsFor(RpcOp::kSync);
+  S4Client intruder(transport_.get(), User(200));
+  RpcRequest req;
+  req.op = RpcOp::kWrite;
+  req.object = id;
+  req.data = BytesOf("defaced");
+  req.sync = true;
+  ASSERT_OK_AND_ASSIGN(RpcResponse resp, intruder.Call(std::move(req)));
+  EXPECT_EQ(resp.code, ErrorCode::kPermissionDenied);
+  EXPECT_EQ(AuditRecordsFor(RpcOp::kSync), syncs) << "a failed op must not sync";
+
+  AuditQuery query;
+  query.op = RpcOp::kWrite;
+  ASSERT_OK_AND_ASSIGN(std::vector<AuditRecord> writes, drive_->QueryAudit(Admin(), query));
+  ASSERT_EQ(writes.size(), 1u);
+  EXPECT_EQ(writes[0].user, 200u);
+  EXPECT_EQ(writes[0].result, static_cast<uint8_t>(ErrorCode::kPermissionDenied));
+}
+
 TEST_F(RpcHostileTest, OversizedFrameIsRejectedBeforeDecode) {
   uint64_t audited = RejectedAuditRecords();
   Bytes huge(S4RpcServer::kMaxFrameBytes + 1, 0xAB);
