@@ -11,8 +11,10 @@
 // Scaled for the harness: 1GB disk (paper: 2GB), 10,000 transactions
 // (paper: 50,000). Utilisation is the swept variable either way.
 //
-// At the top fill (80%) the transaction phase runs the log out of free
-// segments with the cleaner on or off; that point is reported as a full disk.
+// Each point's file count comes from a measured cost per created file, so
+// the create phase lands at its nominal fill. At the top fill (80%) the
+// transaction phase runs the log out of free segments with the cleaner on;
+// such a point is reported as a full disk.
 //
 // Usage: bench_cleaner [--quick] [--check] [google-benchmark flags]
 //   --check  exit non-zero when a gate fails (steady-state sweep reads a log
@@ -35,10 +37,8 @@ namespace {
 
 constexpr uint64_t kDiskBytes = 1ull << 30;
 constexpr uint32_t kTransactions = 10000;
-// Average PostMark file is ~4.9KB of data, but a create also appends a
-// directory record (a fresh 4KB directory-block version whose predecessor
-// joins the history pool) plus journal sectors: ~15KB of log per create.
-constexpr uint64_t kBytesPerFile = 15 * 1024;
+// Files in the create phase that measures what one file costs on disk.
+constexpr uint32_t kCalibrationFiles = 4000;
 
 struct Point {
   uint32_t target_percent = 0;
@@ -55,25 +55,53 @@ std::vector<uint32_t> UtilizationTargets(bool quick) {
   return {2, 10, 30, 50, 65, 80};
 }
 
+std::unique_ptr<Server> MakeFigure5Server() {
+  ServerOptions options;
+  options.disk_bytes = kDiskBytes;
+  // Short enough that versions age out during the run, so the cleaner has
+  // real reclamation work whose per-freed-byte cost grows with utilisation
+  // (the classic LFS cleaning economics the paper measures).
+  options.detection_window = kMinute;
+  return MakeServer(ServerKind::kS4Nfs, options);
+}
+
+// What one created file adds to SpaceUtilization(), and the utilisation of
+// the freshly formatted disk, measured once by a create phase of
+// kCalibrationFiles files. A file costs its data records, a directory-record
+// append (the directory's rebuilt tail block, its predecessor kept as
+// history), journal sectors and audit records; the mix moves whenever the
+// write path does, so it is measured rather than assumed.
+struct FillCost {
+  double base = 0;
+  double per_file = 0;
+};
+
+const FillCost& MeasureFillCost() {
+  static const FillCost cost = [] {
+    auto server = MakeFigure5Server();
+    FillCost c;
+    c.base = server->drive->SpaceUtilization();
+    PostMarkConfig config;
+    config.file_count = kCalibrationFiles;
+    PostMark pm(server->fs, server->clock.get(), config);
+    S4_CHECK(pm.RunCreateOnly().ok());
+    c.per_file = (server->drive->SpaceUtilization() - c.base) / kCalibrationFiles;
+    S4_CHECK(c.per_file > 0);
+    return c;
+  }();
+  return cost;
+}
+
 void RunPoint(::benchmark::State& state, uint32_t util_percent, bool cleaning) {
   for (auto _ : state) {
-    ServerOptions options;
-    options.disk_bytes = kDiskBytes;
-    // Short enough that versions age out during the run, so the cleaner has
-    // real reclamation work whose per-freed-byte cost grows with utilisation
-    // (the classic LFS cleaning economics the paper measures).
-    options.detection_window = kMinute;
-    auto server = MakeServer(ServerKind::kS4Nfs, options);
+    auto server = MakeFigure5Server();
 
-    // Fill the disk to the target utilisation. A 15KB file lands on disk
-    // with journal framing, directory metadata, and per-op audit-chronicle
-    // records — measured at ~1.53x the payload — so derate the fill by that
-    // factor; otherwise the high-utilisation points overshoot into a full
-    // disk before the transaction phase. The figure plots *measured*
-    // utilisation (the `util` counter), not the nominal target.
-    constexpr uint64_t kOnDiskBytesPerFile = kBytesPerFile * 155 / 100;
-    uint32_t files = static_cast<uint32_t>(kDiskBytes * util_percent / 100 /
-                                           kOnDiskBytesPerFile);
+    // Fill the disk to the target utilisation at the measured cost per file.
+    // The figure plots *measured* utilisation (the `util` counter), not the
+    // nominal target.
+    const FillCost& cost = MeasureFillCost();
+    const double fill = util_percent / 100.0 - cost.base;
+    uint32_t files = static_cast<uint32_t>(std::max(fill, 0.0) / cost.per_file);
     PostMarkConfig config;
     config.file_count = std::max<uint32_t>(files, 100);
     config.transactions = kTransactions;

@@ -8,9 +8,13 @@
 // and every record the usage table releases is dropped here at that moment.
 // There is no read-ahead. History never evicts current data: a block that
 // becomes history moves to the eviction end (Demote), where it stays
-// readable until the space is needed.
+// readable until the space is needed. Each record is held and charged at its
+// own length (a data record is only its block's live sectors), and a read
+// names the length it expects.
 #ifndef S4_SRC_CACHE_BLOCK_CACHE_H_
 #define S4_SRC_CACHE_BLOCK_CACHE_H_
+
+#include <string>
 
 #include "src/cache/lru.h"
 #include "src/lfs/format.h"
@@ -34,9 +38,16 @@ class BlockCache {
   }
 
   // Reads `sectors` sectors at `addr`, from cache if possible. Disk time on a
-  // miss is attributed to `ctx` when non-null.
+  // miss is attributed to `ctx` when non-null. A cached record of another
+  // length is an internal error, not a miss: the caller computed the wrong
+  // length, and a device read at it would return wrong bytes.
   Status Read(DiskAddr addr, uint64_t sectors, Bytes* out, OpContext* ctx = nullptr) {
-    if (Bytes* hit = cache_.Get(addr); hit != nullptr && hit->size() == sectors * kSectorSize) {
+    if (Bytes* hit = cache_.Get(addr); hit != nullptr) {
+      if (hit->size() != sectors * kSectorSize) {
+        return Status::Internal("record at sector " + std::to_string(addr) + " is cached at " +
+                                std::to_string(hit->size() / kSectorSize) +
+                                " sectors, read at " + std::to_string(sectors));
+      }
       *out = *hit;
       if (hits_counter_ != nullptr) hits_counter_->Inc();
       return Status::Ok();
@@ -57,7 +68,8 @@ class BlockCache {
     return Status::Ok();
   }
 
-  // Inserts freshly written data (no disk I/O), taking ownership of it.
+  // Inserts freshly written data (no disk I/O), taking ownership of it. The
+  // record is charged at its length, so `data` should hold no spare capacity.
   void Insert(DiskAddr addr, Bytes data) {
     const uint64_t cost = data.size();
     cache_.Put(addr, std::move(data), cost);

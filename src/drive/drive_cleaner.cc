@@ -209,8 +209,9 @@ uint64_t S4Drive::ExpireJournalSector(DiskAddr addr, const JournalSector& sector
         versioned && !IsPurged(id, e.time)) {
       for (const auto& d : e.blocks) {
         if (d.old_addr != kNullAddr) {
-          ReleaseSectors(d.old_addr, kSectorsPerBlock, /*history=*/true);
-          freed += kSectorsPerBlock;
+          const uint32_t sectors = DataRecordSectors(e.old_size, d.block_index);
+          ReleaseSectors(d.old_addr, sectors, /*history=*/true);
+          freed += sectors;
         }
       }
     }
@@ -235,16 +236,16 @@ uint64_t S4Drive::ExpireDeletedObject(ObjectId id, const ObjectMapEntry& entry) 
   uint64_t freed = 0;
   if (entry.checkpoint_addr != kNullAddr) {
     // The delete-time checkpoint holds the final state, whose blocks became
-    // history at the delete.
+    // history at the delete, each at its length for the final size.
     auto raw = ReadRecord(entry.checkpoint_addr, entry.checkpoint_sectors);
     Result<Inode> inode = raw.ok() ? Inode::DecodeCheckpoint(*raw) : Result<Inode>(raw.status());
     if (inode.ok()) {
       if (ObjectIsVersioned(id)) {
         for (const auto& [index, baddr] : inode->blocks) {
-          (void)index;
           if (baddr != kNullAddr) {
-            ReleaseSectors(baddr, kSectorsPerBlock, /*history=*/true);
-            freed += kSectorsPerBlock;
+            const uint32_t sectors = DataRecordSectors(inode->attrs.size, index);
+            ReleaseSectors(baddr, sectors, /*history=*/true);
+            freed += sectors;
           }
         }
       }

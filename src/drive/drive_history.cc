@@ -263,7 +263,7 @@ Result<Bytes> S4Drive::ReadVersionBytes(const VersionView& view, uint64_t offset
     uint64_t block_start = b * kBlockSize;
     uint64_t from = std::max(offset, block_start);
     uint64_t to = std::min(offset + length, block_start + kBlockSize);
-    S4_ASSIGN_OR_RETURN(Bytes content, ReadRecord(addr, kSectorsPerBlock));
+    S4_ASSIGN_OR_RETURN(Bytes content, ReadRecord(addr, DataRecordSectors(view.size, b)));
     std::memcpy(out.data() + (from - offset), content.data() + (from - block_start), to - from);
   }
   return out;
@@ -336,7 +336,8 @@ Status S4Drive::PurgeObjectVersions(ObjectId id, SimTime from, SimTime to) {
     if (e.type == JournalEntryType::kWrite || e.type == JournalEntryType::kTruncate) {
       for (const auto& d : e.blocks) {
         if (d.old_addr != kNullAddr && versioned) {
-          ReleaseSectors(d.old_addr, kSectorsPerBlock, /*history=*/true);
+          ReleaseSectors(d.old_addr, DataRecordSectors(e.old_size, d.block_index),
+                         /*history=*/true);
         }
       }
       ++purged_count;

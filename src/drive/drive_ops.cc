@@ -86,10 +86,12 @@ Result<S4Drive::ObjectHandle> S4Drive::ResolveForWrite(const Credentials& creds,
 }
 
 Result<Bytes> S4Drive::BuildBlockContent(const CachedObject& obj, uint64_t block_index,
-                                         uint64_t valid_bytes, uint64_t write_off,
+                                         uint64_t new_size, uint64_t write_off,
                                          ByteSpan data) {
   // Invariant maintained by all writers: on-disk bytes at offsets >= object
   // size are zero, so reads never leak stale data across truncate/extend.
+  const uint64_t old_size = obj.inode.attrs.size;
+  const uint64_t valid_bytes = std::min(old_size, new_size);
   uint64_t block_start = block_index * kBlockSize;
   uint64_t valid_in_block =
       valid_bytes > block_start ? std::min<uint64_t>(valid_bytes - block_start, kBlockSize) : 0;
@@ -100,16 +102,14 @@ Result<Bytes> S4Drive::BuildBlockContent(const CachedObject& obj, uint64_t block
   // written range: a write that covers them all replaces the block outright.
   bool covered = valid_in_block == 0 ||
                  (copy_from <= block_start && copy_to >= block_start + valid_in_block);
-  Bytes content;
+  // The new record holds the block's live sectors at the new size; the old
+  // one has its length at the old size, and only its valid prefix carries
+  // over. Built at its exact length, so the cache charges what it holds.
+  Bytes content(DataRecordSectors(new_size, block_index) * kSectorSize, 0);
   DiskAddr old_addr = obj.inode.BlockAddr(block_index);
   if (old_addr != kNullAddr && !covered) {
-    S4_ASSIGN_OR_RETURN(content, ReadRecord(old_addr, kSectorsPerBlock));
-    // Zero anything beyond the currently valid prefix of this block.
-    if (valid_in_block < kBlockSize) {
-      std::memset(content.data() + valid_in_block, 0, kBlockSize - valid_in_block);
-    }
-  } else {
-    content.assign(kBlockSize, 0);
+    S4_ASSIGN_OR_RETURN(Bytes old, ReadRecord(old_addr, DataRecordSectors(old_size, block_index)));
+    std::memcpy(content.data(), old.data(), valid_in_block);
   }
   // Lay in the new data overlapping this block.
   if (copy_from < copy_to) {
@@ -135,21 +135,36 @@ Status S4Drive::WriteBlocks(JournalEntryType type, ObjectId id, CachedObject* ob
     first = new_size / kBlockSize;
     end = first + 1;
   }
-  Counter* written = id == kAuditLogObjectId ? m_.audit_blocks_written : m_.data_blocks_written;
+  const bool audit = id == kAuditLogObjectId;
+  Counter* written = audit ? m_.audit_blocks_written : m_.data_blocks_written;
+  Counter* sectors_written = audit ? m_.audit_sectors_written : m_.data_sectors_written;
   std::vector<BlockDelta> deltas;
+  auto rebuild = [&](uint64_t b) -> Status {
+    S4_ASSIGN_OR_RETURN(Bytes content, BuildBlockContent(*obj, b, new_size, offset, data));
+    sectors_written->Add(content.size() / kSectorSize);
+    S4_ASSIGN_OR_RETURN(DiskAddr addr, writer_->Append(RecordKind::kData, id, b, content, actx()));
+    block_cache_->Insert(addr, std::move(content));
+    // The copy this one replaces must not push current data out of the
+    // cache while the rest of the write comes in.
+    DiskAddr old_addr = obj->inode.BlockAddr(b);
+    block_cache_->Demote(old_addr);
+    deltas.push_back(BlockDelta{b, old_addr, addr});
+    written->Inc();
+    return Status::Ok();
+  };
   Status built = [&]() -> Status {
+    // Growth that leaves the old last block untouched (a write starting past
+    // it, a truncate that extends) rebuilds it too when its record length
+    // changes, so every current record's length follows from the size.
+    if (new_size > old_size && old_size > 0) {
+      const uint64_t last = (old_size - 1) / kBlockSize;
+      if ((last < first || last >= end) && obj->inode.BlockAddr(last) != kNullAddr &&
+          DataRecordSectors(old_size, last) != DataRecordSectors(new_size, last)) {
+        S4_RETURN_IF_ERROR(rebuild(last));
+      }
+    }
     for (uint64_t b = first; b < end; ++b) {
-      S4_ASSIGN_OR_RETURN(Bytes content, BuildBlockContent(*obj, b, std::min(old_size, new_size),
-                                                           offset, data));
-      S4_ASSIGN_OR_RETURN(DiskAddr addr,
-                          writer_->Append(RecordKind::kData, id, b, content, actx()));
-      block_cache_->Insert(addr, std::move(content));
-      // The copy this one replaces must not push current data out of the
-      // cache while the rest of the write comes in.
-      DiskAddr old_addr = obj->inode.BlockAddr(b);
-      block_cache_->Demote(old_addr);
-      deltas.push_back(BlockDelta{b, old_addr, addr});
-      written->Inc();
+      S4_RETURN_IF_ERROR(rebuild(b));
     }
     return Status::Ok();
   }();
@@ -157,7 +172,7 @@ Status S4Drive::WriteBlocks(JournalEntryType type, ObjectId id, CachedObject* ob
     // Nothing is journaled: release what this write appended, so the object
     // and the usage table are as they were.
     for (const BlockDelta& d : deltas) {
-      ReleaseSectors(d.new_addr, kSectorsPerBlock, /*history=*/false);
+      ReleaseSectors(d.new_addr, DataRecordSectors(new_size, d.block_index), /*history=*/false);
     }
     return built;
   }
@@ -278,7 +293,7 @@ Result<Bytes> S4Drive::ReadCurrent(const CachedObject& obj, uint64_t offset, uin
     if (addr == kNullAddr) {
       continue;  // hole: already zero
     }
-    S4_ASSIGN_OR_RETURN(Bytes content, ReadRecord(addr, kSectorsPerBlock));
+    S4_ASSIGN_OR_RETURN(Bytes content, ReadRecord(addr, DataRecordSectors(size, b)));
     std::memcpy(out.data() + (from - offset), content.data() + (from - block_start), to - from);
   }
   return out;

@@ -94,9 +94,11 @@ void S4Drive::InitMetrics() {
   m_.journal_sectors_written = metrics_.GetCounter("drive.journal_sectors_written");
   m_.inode_checkpoints = metrics_.GetCounter("drive.inode_checkpoints");
   m_.data_blocks_written = metrics_.GetCounter("drive.data_blocks_written");
+  m_.data_sectors_written = metrics_.GetCounter("drive.data_sectors_written");
   m_.device_checkpoints = metrics_.GetCounter("drive.device_checkpoints");
   m_.audit_records = metrics_.GetCounter("audit.records");
   m_.audit_blocks_written = metrics_.GetCounter("audit.blocks_written");
+  m_.audit_sectors_written = metrics_.GetCounter("audit.sectors_written");
   m_.audit_chain_breaks = metrics_.GetCounter("audit.chain_breaks");
   m_.audit_clean_tail_truncations = metrics_.GetCounter("audit.clean_tail_truncations");
   m_.audit_records_dropped = metrics_.GetCounter("audit.records_dropped");
@@ -830,7 +832,7 @@ Status S4Drive::RollForward(uint64_t checkpoint_seq, OpContext* ctx) {
         // already installed). The rest is the entry's own effect.
         for (const auto& d : e.blocks) {
           if (d.new_addr != kNullAddr) {
-            sut_->AddLive(sb_.SegmentOf(d.new_addr), kSectorsPerBlock);
+            sut_->AddLive(sb_.SegmentOf(d.new_addr), DataRecordSectors(e.new_size, d.block_index));
           }
         }
         if (e.checkpoint_addr != kNullAddr && e.checkpoint_addr != entry->checkpoint_addr) {
@@ -966,7 +968,9 @@ void S4Drive::ApplyEntryForward(Inode* inode, bool* exists, const JournalEntry& 
 
 void S4Drive::ApplyEntry(ObjectId id, CachedObject* obj, const JournalEntry& e) {
   for (const auto& d : e.blocks) {
-    SupersedeBlock(id, d.old_addr);
+    if (d.old_addr != kNullAddr) {
+      SupersedeBlock(id, d.old_addr, DataRecordSectors(e.old_size, d.block_index));
+    }
   }
   // Only these two name a checkpoint or touch the map entry; a write does
   // not pay for the map lookup.
@@ -986,8 +990,7 @@ void S4Drive::ApplyEntry(ObjectId id, CachedObject* obj, const JournalEntry& e) 
     }
     if (e.type == JournalEntryType::kDelete) {
       for (const auto& [index, addr] : obj->inode.blocks) {
-        (void)index;
-        SupersedeBlock(id, addr);
+        SupersedeBlock(id, addr, DataRecordSectors(obj->inode.attrs.size, index));
       }
       entry->delete_time = e.time;
     }
@@ -995,17 +998,14 @@ void S4Drive::ApplyEntry(ObjectId id, CachedObject* obj, const JournalEntry& e) 
   ApplyEntryForward(&obj->inode, &obj->exists, e);
 }
 
-void S4Drive::SupersedeBlock(ObjectId id, DiskAddr old_addr) {
-  if (old_addr == kNullAddr) {
-    return;
-  }
+void S4Drive::SupersedeBlock(ObjectId id, DiskAddr old_addr, uint32_t sectors) {
   if (ObjectIsVersioned(id)) {
-    sut_->LiveToHistory(sb_.SegmentOf(old_addr), kSectorsPerBlock);
+    sut_->LiveToHistory(sb_.SegmentOf(old_addr), sectors);
     // History is read only by time-based recovery: it must never push
     // current data out of the cache.
     block_cache_->Demote(old_addr);
   } else {
-    ReleaseSectors(old_addr, kSectorsPerBlock, /*history=*/false);
+    ReleaseSectors(old_addr, sectors, /*history=*/false);
   }
 }
 
@@ -1029,7 +1029,8 @@ bool S4Drive::ObjectIsVersioned(ObjectId id) const {
 
 Result<Bytes> S4Drive::ReadRecord(DiskAddr addr, uint32_t sectors) {
   Bytes out;
-  if (!writer_->ReadPending(addr, sectors, &out)) {
+  S4_ASSIGN_OR_RETURN(bool pending, writer_->ReadPending(addr, sectors, &out));
+  if (!pending) {
     S4_RETURN_IF_ERROR(block_cache_->Read(addr, sectors, &out, actx()));
   }
   return out;
@@ -1057,7 +1058,8 @@ Result<std::shared_ptr<const JournalSector>> S4Drive::ReadJournalSector(
   }
   m_.jsector_cache_misses->Inc();
   Bytes raw;
-  if (!writer_->ReadPending(addr, 1, &raw)) {
+  S4_ASSIGN_OR_RETURN(bool pending, writer_->ReadPending(addr, 1, &raw));
+  if (!pending) {
     S4_RETURN_IF_ERROR(block_cache_->ReadUncached(addr, 1, &raw, actx()));
   }
   auto decoded = JournalSector::Decode(raw);

@@ -347,9 +347,11 @@ class S4Drive {
     Counter* journal_sectors_written = nullptr;
     Counter* inode_checkpoints = nullptr;
     Counter* data_blocks_written = nullptr;
+    Counter* data_sectors_written = nullptr;
     Counter* device_checkpoints = nullptr;
     Counter* audit_records = nullptr;
     Counter* audit_blocks_written = nullptr;
+    Counter* audit_sectors_written = nullptr;
     // Chronicle integrity accounting (chained audit mode).
     Counter* audit_chain_breaks = nullptr;           // verified-corrupt chain at record N
     Counter* audit_clean_tail_truncations = nullptr; // torn tails trimmed at mount
@@ -449,9 +451,9 @@ class S4Drive {
   // deleted object's current blocks and sets its delete time, then replays
   // the entry on the cached inode.
   void ApplyEntry(ObjectId id, CachedObject* obj, const JournalEntry& e);
-  // A block an entry replaces becomes history, or is freed when the object
-  // is unversioned.
-  void SupersedeBlock(ObjectId id, DiskAddr old_addr);
+  // A block an entry replaces (its record `sectors` long) becomes history,
+  // or is freed when the object is unversioned.
+  void SupersedeBlock(ObjectId id, DiskAddr old_addr, uint32_t sectors);
   // Replays one entry on an inode, oldest to newest. ApplyEntry, LoadObject
   // and forward history reconstruction share it.
   static void ApplyEntryForward(Inode* inode, bool* exists, const JournalEntry& e);
@@ -497,16 +499,22 @@ class S4Drive {
   // --- data path (drive_ops.cc) ---
   Status WriteBody(OpContext& ctx, OpArgs& args, ObjectId id, uint64_t offset, ByteSpan data,
                    bool is_append);
+  // Builds block `block_index` for an object growing or shrinking to
+  // `new_size`: the old record (read at its length for the current size)
+  // up to min(current size, new_size), zeros past it, and `data` (at
+  // `write_off`) laid over it, DataRecordSectors(new_size, block_index) long.
   Result<Bytes> BuildBlockContent(const CachedObject& obj, uint64_t block_index,
-                                  uint64_t valid_bytes, uint64_t write_off, ByteSpan data);
+                                  uint64_t new_size, uint64_t write_off, ByteSpan data);
   // The one block path (writes, appends, truncates, the audit log and the
   // partition table): appends a new block for every block `data` (at
-  // `offset`) touches, or for a shrink's boundary block, each built over the
-  // object's first min(old size, new_size) bytes; drops every block past
+  // `offset`) touches, for a shrink's boundary block, and for the old last
+  // block when growth changes its record length; drops every block past
   // `new_size`; and journals the deltas as `type` entries through LogEntry,
-  // split so each fits a journal sector. If a read or an append fails,
-  // nothing is journaled and the blocks already appended are released: the
-  // object is left as it was.
+  // split so each fits a journal sector. Each record holds its block's live
+  // sectors at `new_size` (DataRecordSectors), so a delta's old record
+  // length follows from the entry's old size and its new one from the new
+  // size. If a read or an append fails, nothing is journaled and the blocks
+  // already appended are released: the object is left as it was.
   Status WriteBlocks(JournalEntryType type, ObjectId id, CachedObject* obj, uint64_t offset,
                      ByteSpan data, uint64_t new_size);
   Status ThrottleCheck(const Credentials& creds, uint64_t bytes);

@@ -14,7 +14,8 @@
 // is what crash recovery rolls forward over.
 //
 // Payload record kinds:
-//   kData            an 8-sector (4KB) object data block
+//   kData            one object data block: its live sectors only, 1..8
+//                    (see DataRecordSectors)
 //   kJournal         a 1-sector journal sector (packed metadata deltas,
 //                    backward-chained per object; see src/journal/)
 //   kInodeCheckpoint a full serialised inode (1..n sectors)
@@ -27,6 +28,7 @@
 
 #include "src/sim/block_device.h"
 #include "src/util/bytes.h"
+#include "src/util/check.h"
 #include "src/util/status.h"
 #include "src/util/time.h"
 
@@ -35,6 +37,21 @@ namespace s4 {
 // Object data blocks are 4KB (8 sectors), like the paper's NFS transfer size.
 constexpr uint32_t kBlockSize = 4096;
 constexpr uint32_t kSectorsPerBlock = kBlockSize / kSectorSize;
+
+// The length of a data record: block `index` of an object of `size` bytes is
+// stored as its live sectors only, a whole block below the object's last
+// block and the sectors up to the object's end in the last one. The drive
+// rebuilds a block whenever a size change would alter its length, so every
+// current block's record length follows from the object's size and is never
+// stored. `index` must lie below the object's end.
+inline uint32_t DataRecordSectors(uint64_t size, uint64_t index) {
+  const uint64_t start = index * kBlockSize;
+  if (size >= start + kBlockSize) {
+    return kSectorsPerBlock;
+  }
+  S4_CHECK(size > start);
+  return static_cast<uint32_t>((size - start + kSectorSize - 1) / kSectorSize);
+}
 
 // A disk address: sector LBA. 0 is the superblock, so 0 doubles as "null".
 using DiskAddr = uint64_t;

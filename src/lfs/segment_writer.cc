@@ -1,6 +1,7 @@
 #include "src/lfs/segment_writer.h"
 
 #include <cstring>
+#include <string>
 
 #include "src/util/check.h"
 #include "src/util/crc32.h"
@@ -159,14 +160,16 @@ Status SegmentWriter::Flush(OpContext* ctx) {
   return Status::Ok();
 }
 
-bool SegmentWriter::ReadPending(DiskAddr addr, uint64_t sectors, Bytes* out) const {
+Result<bool> SegmentWriter::ReadPending(DiskAddr addr, uint64_t sectors, Bytes* out) const {
   auto it = pending_index_.find(addr);
   if (it == pending_index_.end()) {
     return false;
   }
   auto [off, len] = it->second;
   if (len != sectors * kSectorSize) {
-    return false;
+    return Status::Internal("pending record at sector " + std::to_string(addr) + " holds " +
+                            std::to_string(len / kSectorSize) + " sectors, read at " +
+                            std::to_string(sectors));
   }
   auto payload_begin = chunk_.begin() + kSectorSize;
   out->assign(payload_begin + off, payload_begin + off + len);

@@ -48,8 +48,10 @@ class SegmentWriter {
   Status Flush(OpContext* ctx = nullptr);
 
   // Serves reads of records that are still only in the chunk buffer.
-  // Returns true and fills `out` if `addr` is buffered.
-  bool ReadPending(DiskAddr addr, uint64_t sectors, Bytes* out) const;
+  // Returns true and fills `out` if `addr` is buffered, false if it is not.
+  // A buffered record of another length is an internal error: the platter
+  // at `addr` is not written yet, so no other source holds the right bytes.
+  Result<bool> ReadPending(DiskAddr addr, uint64_t sectors, Bytes* out) const;
 
   // Crash recovery: resume appending into `segment` at `fill_sectors`. If the
   // remaining space is too small to hold a summary plus one sector, the

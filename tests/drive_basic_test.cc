@@ -2,6 +2,8 @@
 // versioning with time-based access, delete + resurrection, and sync.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <functional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -129,6 +131,114 @@ TEST_F(DriveTest, TruncateVersioned) {
   for (uint8_t b : reext) {
     ASSERT_EQ(b, 0);
   }
+}
+
+// A data record holds only its block's live sectors at the object's size.
+// One object walks through each kind of size change. After each, the usage
+// table moved by exactly the records written and superseded, the object
+// reads back now and at every earlier instant, and both hold after a crash.
+// Once the window passes, the sweep releases every superseded record at the
+// length it was written at, so the history pool is back where it started.
+TEST_F(DriveTest, RecordLengthsFollowTheSizeThroughEveryTransition) {
+  const Credentials alice = User(100);
+  auto live = [&] { return drive_->usage_table().LiveSectorsTotal(); };
+  auto history = [&] { return drive_->usage_table().HistorySectorsTotal(); };
+  const uint64_t history_at_start = history();
+  ASSERT_OK_AND_ASSIGN(ObjectId id, drive_->Create(alice, {}));
+  Rng rng(7);
+  Bytes content;
+  std::vector<std::pair<SimTime, Bytes>> instants;
+
+  auto check_reads = [&](const std::string& step) {
+    for (const auto& [t, expect] : instants) {
+      ASSERT_OK_AND_ASSIGN(Bytes then, drive_->Read(alice, id, 0, 1 << 16, t));
+      EXPECT_EQ(then, expect) << step << " @" << t;
+    }
+  };
+  // Syncs, checks the bytes, crashes, and checks the usage table and the
+  // bytes again.
+  auto sync_crash_check = [&](const std::string& step) {
+    ASSERT_OK(drive_->Sync(alice));
+    const uint64_t live_synced = live();
+    const uint64_t history_synced = history();
+    check_reads(step);
+    CrashAndRemount();
+    EXPECT_EQ(live(), live_synced) << step << " after the crash";
+    EXPECT_EQ(history(), history_synced) << step << " after the crash";
+    check_reads(step + " after the crash");
+  };
+  auto write = [&](uint64_t offset, uint64_t n) {
+    return [&, offset, n]() -> Status {
+      Bytes data = rng.RandomBytes(n);
+      content.resize(std::max<uint64_t>(content.size(), offset + n), 0);
+      std::copy(data.begin(), data.end(), content.begin() + static_cast<ptrdiff_t>(offset));
+      return drive_->Write(alice, id, offset, data);
+    };
+  };
+  auto truncate = [&](uint64_t size) {
+    return [&, size]() -> Status {
+      content.resize(size, 0);
+      return drive_->Truncate(alice, id, size);
+    };
+  };
+  struct Step {
+    std::string what;
+    std::function<Status()> op;
+    int64_t live;     // sectors written minus sectors superseded
+    int64_t history;  // sectors superseded
+  };
+  const Step steps[] = {
+      {"first write: block 0 is 2 sectors", write(0, 1000), 2, 0},
+      {"write inside the last block: block 0 2 -> 3", write(900, 400), 1, 2},
+      {"append across a block boundary: block 0 3 -> 8, block 1 is 3",
+       [&]() -> Status {
+         Bytes data = rng.RandomBytes(4000);
+         content.insert(content.end(), data.begin(), data.end());
+         return drive_->Append(alice, id, data).status();
+       },
+       8, 3},
+      {"write past the partial last block: block 1 3 -> 8, block 3 is 1", write(12288, 100), 6,
+       3},
+      {"truncate extending within the last block: block 3 1 -> 2", truncate(13000), 1, 1},
+      {"truncate extending within the last sector: nothing rebuilt", truncate(13100), 0, 0},
+      {"truncate extending past the last block: block 3 2 -> 8", truncate(20000), 6, 2},
+      {"shrink into a block: block 1 8 -> 2, block 3 dropped", truncate(5000), -14, 16},
+  };
+  for (const Step& step : steps) {
+    clock_->Advance(kSecond);
+    const uint64_t live0 = live();
+    const uint64_t history0 = history();
+    ASSERT_OK(step.op());
+    EXPECT_EQ(static_cast<int64_t>(live() - live0), step.live) << step.what;
+    EXPECT_EQ(static_cast<int64_t>(history() - history0), step.history) << step.what;
+    ASSERT_OK_AND_ASSIGN(Bytes now, drive_->Read(alice, id, 0, 1 << 16));
+    EXPECT_EQ(now, content) << step.what;
+    instants.emplace_back(clock_->Now(), content);
+    sync_crash_check(step.what);
+  }
+
+  // A delete retires the blocks at the final size (8 + 2 sectors); it also
+  // writes the delete-time checkpoint and journal sectors.
+  clock_->Advance(kSecond);
+  const uint64_t live0 = live();
+  const uint64_t history0 = history();
+  const uint32_t checkpoint0 = drive_->DebugObjectEntry(id)->checkpoint_sectors;
+  const uint64_t journal0 = drive_->metrics().CounterValue("drive.journal_sectors_written");
+  ASSERT_OK(drive_->Delete(alice, id));
+  const int64_t journal = static_cast<int64_t>(
+      drive_->metrics().CounterValue("drive.journal_sectors_written") - journal0);
+  const int64_t checkpoint =
+      static_cast<int64_t>(drive_->DebugObjectEntry(id)->checkpoint_sectors) -
+      static_cast<int64_t>(checkpoint0);
+  EXPECT_EQ(static_cast<int64_t>(live() - live0), -10 + checkpoint + journal);
+  EXPECT_EQ(history() - history0, 10u);
+  sync_crash_check("delete");
+
+  // Past the window, the sweep releases each superseded record, and at last
+  // the deleted object, at the length it was written at.
+  clock_->Advance(2 * kHour);
+  ASSERT_OK(drive_->RunCleanerPass(4).status());
+  EXPECT_EQ(history(), history_at_start);
 }
 
 // A partition table that grows past one block and shrinks back under it: the

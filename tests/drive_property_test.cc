@@ -6,7 +6,8 @@
 //   oracle holds.
 // Invariant 2 (history correctness): any version inside the window matches
 //   the oracle's snapshot at that time, bytes, attributes and ACL alike.
-// Invariant 3 (durability): after a crash, everything synced is intact.
+// Invariant 3 (durability): after a crash, everything synced is intact, and
+//   the usage table counts the same live and history sectors as at the Sync.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -304,11 +305,17 @@ TEST_P(DrivePropertyTest, CrashPreservesSyncedState) {
     // ...synced...
     ASSERT_OK(drive_->Sync(alice));
     synced_oracle = oracle;
+    const uint64_t live_sectors = drive_->usage_table().LiveSectorsTotal();
+    const uint64_t history_sectors = drive_->usage_table().HistorySectorsTotal();
     // ...then a crash and remount.
     drive_.reset();
     auto drive = S4Drive::Mount(device_.get(), clock_.get(), opts_);
     ASSERT_TRUE(drive.ok()) << drive.status().ToString();
     drive_ = std::move(*drive);
+    // Roll-forward counts every record at the length it was written at.
+    EXPECT_EQ(drive_->usage_table().LiveSectorsTotal(), live_sectors) << "round " << round;
+    EXPECT_EQ(drive_->usage_table().HistorySectorsTotal(), history_sectors)
+        << "round " << round;
     // Everything synced must read back exactly, now and at recorded instants.
     for (const auto& [id, expect] : synced_oracle) {
       ASSERT_TRUE(MatchesOracle(*drive_, id, expect)) << "round " << round << " object " << id;

@@ -1,7 +1,9 @@
 // Log-structured layer: on-disk codecs, segment writer behaviour (chunking,
-// rollover, pending reads), usage-table accounting, and log scanning.
+// rollover, pending reads), usage-table accounting, log scanning, and the
+// block cache's record-length check.
 #include <gtest/gtest.h>
 
+#include "src/cache/block_cache.h"
 #include "src/lfs/format.h"
 #include "src/lfs/scan.h"
 #include "src/lfs/segment_writer.h"
@@ -77,14 +79,57 @@ TEST_F(LfsTest, AppendAssignsSequentialAddresses) {
 TEST_F(LfsTest, PendingReadsServeUnflushedData) {
   ASSERT_OK_AND_ASSIGN(DiskAddr a, writer_->Append(RecordKind::kData, 1, 0, Block(0x5A)));
   Bytes out;
-  ASSERT_TRUE(writer_->ReadPending(a, kSectorsPerBlock, &out));
+  ASSERT_OK_AND_ASSIGN(bool pending, writer_->ReadPending(a, kSectorsPerBlock, &out));
+  ASSERT_TRUE(pending);
   EXPECT_EQ(out, Block(0x5A));
   ASSERT_OK(writer_->Flush());
-  EXPECT_FALSE(writer_->ReadPending(a, kSectorsPerBlock, &out));
+  ASSERT_OK_AND_ASSIGN(pending, writer_->ReadPending(a, kSectorsPerBlock, &out));
+  EXPECT_FALSE(pending);
   // After flush the data is on the device.
   Bytes from_disk;
   ASSERT_OK(device_->Read(a, kSectorsPerBlock, &from_disk));
   EXPECT_EQ(from_disk, Block(0x5A));
+}
+
+// A data record is only its live sectors, so its reader must name the length
+// it was written at. Asked at another length, the open chunk answers with an
+// error: falling through to the platter would read sectors not written yet.
+TEST_F(LfsTest, PendingReadAtAnotherLengthIsAnError) {
+  Bytes tail(2 * kSectorSize, 0x3C);
+  ASSERT_OK_AND_ASSIGN(DiskAddr a, writer_->Append(RecordKind::kData, 1, 0, tail));
+  Bytes out;
+  for (uint64_t wrong : {uint64_t{1}, uint64_t{3}, uint64_t{kSectorsPerBlock}}) {
+    auto read = writer_->ReadPending(a, wrong, &out);
+    ASSERT_FALSE(read.ok()) << wrong;
+    EXPECT_EQ(read.status().code(), ErrorCode::kInternal);
+    EXPECT_TRUE(out.empty());
+  }
+  ASSERT_OK_AND_ASSIGN(bool pending, writer_->ReadPending(a, 2, &out));
+  ASSERT_TRUE(pending);
+  EXPECT_EQ(out, tail);
+}
+
+// The block cache holds each record at its length. A read at another length
+// is an error too, not a miss: it reads nothing from the device and leaves
+// the cached record in place.
+TEST_F(LfsTest, BlockCacheReadAtAnotherLengthIsAnError) {
+  BlockCache cache(device_.get(), 1 << 20);
+  const DiskAddr addr = sb_.SegmentStart(0) + 1;
+  Bytes tail(3 * kSectorSize, 0x6B);
+  cache.Insert(addr, tail);
+  const DiskStats before = device_->stats();
+  Bytes out;
+  Status wrong = cache.Read(addr, kSectorsPerBlock, &out);
+  EXPECT_EQ(wrong.code(), ErrorCode::kInternal);
+  EXPECT_TRUE(out.empty());
+  EXPECT_EQ((device_->stats() - before).reads, 0u);
+  ASSERT_OK(cache.Read(addr, 3, &out));
+  EXPECT_EQ(out, tail);
+  EXPECT_EQ((device_->stats() - before).reads, 0u);
+  // An address the cache does not hold is an ordinary miss.
+  ASSERT_OK(cache.Read(addr + 8, 2, &out));
+  EXPECT_EQ(out.size(), 2 * kSectorSize);
+  EXPECT_EQ((device_->stats() - before).reads, 1u);
 }
 
 TEST_F(LfsTest, FlushWritesScannableChunks) {

@@ -64,6 +64,13 @@ flows through the audited, versioning write path):
                               Every S4_NO_THREAD_SAFETY_ANALYSIS escape hatch
                               needs a rationale comment on the same or the
                               preceding line; the target for src/ is zero.
+  S4L011 record-length        kSectorsPerBlock may not appear in src/drive/.
+                              A data record holds only its block's live
+                              sectors, so its length comes from the one
+                              helper (DataRecordSectors, src/lfs/format.h)
+                              or from a chunk summary's record; a whole-block
+                              count there would read, release or count the
+                              wrong number of sectors.
 
 Usage:
   tools/s4_lint.py [--root DIR]     lint a tree (default: repo root)
@@ -571,6 +578,30 @@ def check_lock_discipline(root):
     return findings
 
 
+# S4L011: the whole-block sector count has no use in the drive. Every data
+# record's length follows from its object's size (DataRecordSectors) or is
+# read from a chunk summary (ScannedRecord::sectors).
+RECORD_LENGTH_DIR = "src/drive/"
+RECORD_LENGTH_PATTERN = re.compile(r"\bkSectorsPerBlock\b")
+
+
+def check_record_length(root):
+    findings = []
+    for full, rel in iter_source_files(root, ["src"]):
+        if not rel.startswith(RECORD_LENGTH_DIR):
+            continue
+        code = strip_comments_and_strings(read(full))
+        for lineno, line in enumerate(code.splitlines(), 1):
+            if RECORD_LENGTH_PATTERN.search(line):
+                findings.append(Finding(
+                    "S4L011", rel, lineno,
+                    "kSectorsPerBlock in the drive: a data record holds only "
+                    "its block's live sectors, so take its length from "
+                    "DataRecordSectors(size, index) or from the chunk "
+                    "summary's record"))
+    return findings
+
+
 def check_audit_object_write(root):
     findings = []
     for full, rel in iter_source_files(root, ["src"]):
@@ -599,6 +630,7 @@ RULES = [
     check_cluster_drive_api,
     check_threading_confinement,
     check_lock_discipline,
+    check_record_length,
 ]
 
 
@@ -628,6 +660,7 @@ FIXTURE_EXPECTATIONS = {
     "naked_mutex": {"S4L010"},
     "unguarded_mutex_member": {"S4L010"},
     "tsa_escape_hatch": {"S4L010"},
+    "record_length": {"S4L011"},
     "clean": set(),
 }
 
