@@ -1109,6 +1109,10 @@ RpcResponse ShardRouter::ResolvePlan(SubPlan& plan, BatchCtx& ctx) {
 }
 
 Result<RpcResponse> ShardRouter::Call(RpcRequest req) {
+  if (req.link) {
+    // As a drive rejects a single frame with the flag.
+    return ErrorResp(ErrorCode::kInvalidArgument, "rpc link flag outside a batch");
+  }
   req.creds = creds_;
   BatchCtx ctx;
   SubPlan plan = PlanSub(std::move(req), ctx);
@@ -1120,11 +1124,30 @@ Result<std::vector<RpcResponse>> ShardRouter::CallBatch(std::vector<RpcRequest> 
   if (reqs.empty()) {
     return Status::InvalidArgument("empty batch");
   }
+  S4_RETURN_IF_ERROR(CheckBatchLinks(reqs));
   BatchCtx ctx;
   std::vector<SubPlan> plans;
   plans.reserve(reqs.size());
   for (RpcRequest& req : reqs) {
     req.creds = creds_;
+    if (req.link) {
+      // A Create's response is known once planned, so its id is forwarded
+      // with no flush, and the append shares the batch's one fan. Anything
+      // else is flushed and resolved first. A skipped append is never sent.
+      SubPlan& prev = plans.back();
+      if (prev.kind != SubPlan::kImmediate || !prev.fan.empty()) {
+        FlushAll(ctx);
+        SubPlan resolved;
+        resolved.resp = ResolvePlan(prev, ctx);
+        prev = std::move(resolved);
+      }
+      if (Status skipped = ResolveLink(prev.resp, &req); !skipped.ok()) {
+        SubPlan plan;
+        plan.resp = StatusResp(skipped);
+        plans.push_back(std::move(plan));
+        continue;
+      }
+    }
     plans.push_back(PlanSub(std::move(req), ctx));
   }
   FlushAll(ctx);

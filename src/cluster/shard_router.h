@@ -6,7 +6,10 @@
 // kBatch envelopes that preserve per-sub order, and each data sub-op keeps
 // the caller's credentials while the router's parity-maintenance sub-ops
 // carry admin credentials — so every shard's audit chronicle attributes each
-// record to the principal that actually issued it.
+// record to the principal that actually issued it. A linked append
+// (RpcRequest::link) is resolved here, by the drive's rule: the router
+// completes it with its predecessor's value (a Create's id is known when
+// planned; anything else is flushed first) and never sends a skipped one.
 //
 // Redundancy is rotating XOR parity: creates join fixed-width groups whose
 // members and parity object all live on distinct shards. Data mutations ship

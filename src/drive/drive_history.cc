@@ -245,8 +245,8 @@ Result<SimTime> S4Drive::ModifyTimeAt(ObjectId id, const VersionView& view, SimT
 
 Result<Bytes> S4Drive::ReadVersionBytes(const VersionView& view, uint64_t offset,
                                         uint64_t length) {
-  if (offset >= view.size) {
-    return Bytes{};
+  if (offset >= view.size || length == 0) {
+    return Bytes{};  // and `last` below cannot wrap
   }
   length = std::min(length, view.size - offset);
   Bytes out(length, 0);

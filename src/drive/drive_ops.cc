@@ -278,8 +278,8 @@ Status S4Drive::XorWrite(const Credentials& creds, ObjectId id, uint64_t offset,
 
 Result<Bytes> S4Drive::ReadCurrent(const CachedObject& obj, uint64_t offset, uint64_t length) {
   uint64_t size = obj.inode.attrs.size;
-  if (offset >= size) {
-    return Bytes{};
+  if (offset >= size || length == 0) {
+    return Bytes{};  // and `last` below cannot wrap
   }
   length = std::min(length, size - offset);
   Bytes out(length, 0);

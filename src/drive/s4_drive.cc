@@ -185,6 +185,13 @@ void S4Drive::AuditRejectedFrame(OpContext& ctx, const Status& reason) {
   m_.op_latency[0]->Record(clock_->Now() - ctx.start_time);
 }
 
+void S4Drive::AuditSkippedOp(OpContext& ctx, RpcOp op, ObjectId id, const Status& reason) {
+  m_.ops_total->Inc();
+  m_.ops_denied->Inc();
+  ChargeCpu(&ctx);
+  Audit(ctx.creds, op, id, 0, 0, reason, false);
+}
+
 void S4Drive::AuditBatchFrame(OpContext& ctx, uint64_t sub_ops, SimTime batch_start) {
   m_.rpc_batches->Inc();
   m_.rpc_batched_sub_ops->Add(sub_ops);

@@ -174,6 +174,11 @@ class S4Drive {
   // (bad frame / CRC / op code / size). Recorded with op kInvalid.
   void AuditRejectedFrame(OpContext& ctx, const Status& reason);
 
+  // Audits a batch sub-request the RPC layer did not run because the
+  // sub-request it is linked to failed: one record naming `op` and `id` with
+  // `reason`, counted in drive.ops_total and drive.ops_denied.
+  void AuditSkippedOp(OpContext& ctx, RpcOp op, ObjectId id, const Status& reason);
+
   // Audits a batch envelope after its sub-ops ran (each sub-op already has
   // its own audit record from the Execute pipeline). `length` in the record
   // carries the sub-op count; latency is recorded for the whole envelope.

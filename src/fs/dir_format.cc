@@ -2,13 +2,18 @@
 
 namespace s4 {
 
-Bytes EncodeDirRecord(const DirRecord& record) {
+Bytes EncodeDirRecordWithoutHandle(const DirRecord& record) {
   Encoder enc(16 + record.name.size());
   enc.PutU8(static_cast<uint8_t>(record.op));
   enc.PutU8(static_cast<uint8_t>(record.type));
-  enc.PutVarint(record.handle);
   enc.PutString(record.name);
   return enc.Take();
+}
+
+Bytes EncodeDirRecord(const DirRecord& record) {
+  Bytes out = EncodeDirRecordWithoutHandle(record);
+  AppendVarint(record.handle, &out);
+  return out;
 }
 
 Result<ParsedDir> ParseDirStream(ByteSpan stream) {
@@ -23,9 +28,9 @@ Result<ParsedDir> ParseDirStream(ByteSpan stream) {
       return Status::DataCorruption("bad directory record op");
     }
     auto type_raw = dec.U8();
-    auto handle = type_raw.ok() ? dec.Varint() : Result<uint64_t>(type_raw.status());
-    auto name = handle.ok() ? dec.String() : Result<std::string>(handle.status());
-    if (!name.ok()) {
+    auto name = type_raw.ok() ? dec.String() : Result<std::string>(type_raw.status());
+    auto handle = name.ok() ? dec.Varint() : Result<uint64_t>(name.status());
+    if (!handle.ok()) {
       break;  // truncated tail record
     }
     ++dir.record_count;

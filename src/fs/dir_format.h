@@ -5,6 +5,12 @@
 // small record (a single block read-modify-write on the backing store) —
 // matching the cost profile of a real block-based directory update — and a
 // compaction rewrite happens only when tombstones dominate.
+//
+// A record is `op | type | name | varint handle`. The handle comes last so
+// a drive can complete a record without knowing this format: S4FileSystem
+// sends the record without its handle as an append linked to the Create or
+// Delete before it, and the drive appends that op's value (the new object
+// id, or 0 after a Delete) as the varint.
 #ifndef S4_SRC_FS_DIR_FORMAT_H_
 #define S4_SRC_FS_DIR_FORMAT_H_
 
@@ -26,6 +32,8 @@ struct DirRecord {
 
 // Encodes a single record (appended to the directory stream).
 Bytes EncodeDirRecord(const DirRecord& record);
+// The record without its trailing handle, for a linked append to complete.
+Bytes EncodeDirRecordWithoutHandle(const DirRecord& record);
 
 // Parsed directory state plus bookkeeping for compaction decisions.
 struct ParsedDir {

@@ -72,18 +72,22 @@ Status S4FileSystem::Commit() {
   return client_->Sync();
 }
 
-Status S4FileSystem::MutateThenSyncOp(RpcRequest req) {
-  const bool sync_due = unsynced_ops_ + 1 >= options_.group_commit_ops;
-  req.sync = sync_due;
-  S4_ASSIGN_OR_RETURN(RpcResponse resp, client_->Call(std::move(req)));
-  S4_RETURN_IF_ERROR(resp.ToStatus());
-  if (sync_due) {
+void S4FileSystem::NoteLastFrameDone(bool synced) {
+  if (synced) {
     unsynced_ops_ = 0;
     ++stats_.rpc_syncs;
   } else {
     ++unsynced_ops_;
     ++stats_.deferred_syncs;
   }
+}
+
+Status S4FileSystem::MutateThenSyncOp(RpcRequest req) {
+  req.sync = SyncDue();
+  const bool synced = req.sync;
+  S4_ASSIGN_OR_RETURN(RpcResponse resp, client_->Call(std::move(req)));
+  S4_RETURN_IF_ERROR(resp.ToStatus());
+  NoteLastFrameDone(synced);
   return Status::Ok();
 }
 
@@ -120,6 +124,11 @@ Status S4FileSystem::AppendDirRecord(FileHandle dir, const DirRecord& record, bo
   } else {
     appended = client_->Append(dir, encoded).status();
   }
+  return NoteDirAppend(dir, record, appended);
+}
+
+Status S4FileSystem::NoteDirAppend(FileHandle dir, const DirRecord& record,
+                                   const Status& appended) {
   attr_cache_.Remove(dir);
   if (!appended.ok()) {
     // A failed sync does not undo the append before it: re-read the stream.
@@ -143,7 +152,35 @@ Status S4FileSystem::AppendDirRecord(FileHandle dir, const DirRecord& record, bo
   return Status::Ok();
 }
 
-Status S4FileSystem::RemoveDirRecord(FileHandle dir, const std::string& name) {
+Result<uint64_t> S4FileSystem::LeadWithDirRecord(RpcRequest lead, FileHandle dir,
+                                                 DirRecord record, bool last) {
+  RpcRequest append;
+  append.op = RpcOp::kAppend;
+  append.object = dir;
+  append.data = EncodeDirRecordWithoutHandle(record);
+  append.link = true;
+  append.sync = last && SyncDue();
+  const bool synced = append.sync;
+  std::vector<RpcRequest> reqs;
+  reqs.reserve(2);
+  reqs.push_back(std::move(lead));
+  reqs.push_back(std::move(append));
+  Result<std::vector<RpcResponse>> resps = client_->CallBatch(std::move(reqs));
+  if (!resps.ok()) {
+    // Whether anything ran is unknown: re-read the directory.
+    return NoteDirAppend(dir, record, resps.status());
+  }
+  // A failed lead skipped the append: the directory is untouched.
+  S4_RETURN_IF_ERROR((*resps)[0].ToStatus());
+  record.handle = (*resps)[0].value;
+  S4_RETURN_IF_ERROR(NoteDirAppend(dir, record, (*resps)[1].ToStatus()));
+  if (last) {
+    NoteLastFrameDone(synced);
+  }
+  return record.handle;
+}
+
+Status S4FileSystem::RemoveDirRecord(RpcRequest lead, FileHandle dir, const std::string& name) {
   // `name` is a live entry, so its remove record adds a tombstone.
   ParsedDir* cached = dir_cache_.Peek(dir);
   const bool compact =
@@ -152,7 +189,7 @@ Status S4FileSystem::RemoveDirRecord(FileHandle dir, const std::string& name) {
   DirRecord rec;
   rec.op = DirRecord::Op::kRemove;
   rec.name = name;
-  S4_RETURN_IF_ERROR(AppendDirRecord(dir, rec, /*last=*/!compact));
+  S4_RETURN_IF_ERROR(LeadWithDirRecord(std::move(lead), dir, rec, /*last=*/!compact).status());
   if (!compact) {
     return Status::Ok();
   }
@@ -187,15 +224,20 @@ Result<FileHandle> S4FileSystem::CreateNode(FileHandle dir, const std::string& n
   blob.type = type;
   blob.mode = mode;
   blob.uid = client_->creds().user;
-  S4_ASSIGN_OR_RETURN(ObjectId id, client_->Create(blob.Encode()));
-  if (type == FileType::kSymlink) {
-    S4_RETURN_IF_ERROR(client_->Write(id, 0, BytesOf(symlink_target)));
-  }
   DirRecord rec;
   rec.op = DirRecord::Op::kAdd;
   rec.type = type;
-  rec.handle = id;
   rec.name = name;
+  if (type != FileType::kSymlink) {
+    RpcRequest create;
+    create.op = RpcOp::kCreate;
+    create.data = blob.Encode();
+    return LeadWithDirRecord(std::move(create), dir, std::move(rec), /*last=*/true);
+  }
+  // A symlink's target Write names the new object, so its Create goes alone.
+  S4_ASSIGN_OR_RETURN(ObjectId id, client_->Create(blob.Encode()));
+  S4_RETURN_IF_ERROR(client_->Write(id, 0, BytesOf(symlink_target)));
+  rec.handle = id;
   S4_RETURN_IF_ERROR(AppendDirRecord(dir, rec, /*last=*/true));
   return id;
 }
@@ -223,10 +265,11 @@ Status S4FileSystem::Remove(FileHandle dir, const std::string& name) {
   if (it->second.type == FileType::kDirectory) {
     return Status::InvalidArgument("is a directory");
   }
-  FileHandle victim = it->second.handle;
-  S4_RETURN_IF_ERROR(client_->Delete(victim));
-  attr_cache_.Remove(victim);
-  return RemoveDirRecord(dir, name);
+  RpcRequest del;
+  del.op = RpcOp::kDelete;
+  del.object = it->second.handle;
+  attr_cache_.Remove(del.object);
+  return RemoveDirRecord(std::move(del), dir, name);
 }
 
 Status S4FileSystem::Rmdir(FileHandle dir, const std::string& name) {
@@ -243,10 +286,12 @@ Status S4FileSystem::Rmdir(FileHandle dir, const std::string& name) {
   if (!victim_dir->entries.empty()) {
     return Status::FailedPrecondition("directory not empty");
   }
-  S4_RETURN_IF_ERROR(client_->Delete(victim));
   dir_cache_.Remove(victim);
   attr_cache_.Remove(victim);
-  return RemoveDirRecord(dir, name);
+  RpcRequest del;
+  del.op = RpcOp::kDelete;
+  del.object = victim;
+  return RemoveDirRecord(std::move(del), dir, name);
 }
 
 Status S4FileSystem::Rename(FileHandle from_dir, const std::string& from_name,

@@ -10,6 +10,9 @@
 //     writes): its last mutating RPC carries the sync bit, so the drive
 //     syncs in that RPC's round trip, as an NFSv3 stable write does. The
 //     paper's client sent a separate Sync RPC instead.
+//   - Create, Mkdir, Remove and Rmdir send their object op and the directory
+//     record in one batch frame, the append linked to the op (NFSv4
+//     COMPOUND-style); the paper's client sent them as separate RPCs.
 //   - Aggressive read-only attribute and directory caches cut the RPC count,
 //     as in the paper (section 4.1.2).
 #ifndef S4_SRC_FS_S4_FS_H_
@@ -99,10 +102,22 @@ class S4FileSystem : public FileSystemApi {
   // Appends `record` to `dir`'s stream. `last` marks the op's final mutating
   // RPC, sent through MutateThenSyncOp.
   Status AppendDirRecord(FileHandle dir, const DirRecord& record, bool last = false);
-  // The end of Remove and Rmdir: appends `name`'s remove record to `dir`,
-  // then rewrites the stream compacted when tombstones dominate it. The op's
-  // sync rides the last of those RPCs: the append, or the rewrite's Truncate.
-  Status RemoveDirRecord(FileHandle dir, const std::string& name);
+  // Mirrors an append of `record` to `dir` in the caches. A failed append
+  // (or a failed sync after it) drops the cached parse, and is returned.
+  Status NoteDirAppend(FileHandle dir, const DirRecord& record, const Status& appended);
+  // Sends `lead` (a Create or Delete) and the append of `record` to `dir` in
+  // one batch frame. The append is linked to the lead: it runs only if the
+  // lead succeeded, and the drive completes the record with the lead's value
+  // as its handle. A failed lead returns its error with `dir` untouched.
+  // `last` marks the op's final frame, which carries the sync bit when a
+  // sync is due. Returns the lead's value (the new object id after a Create).
+  Result<uint64_t> LeadWithDirRecord(RpcRequest lead, FileHandle dir, DirRecord record,
+                                     bool last);
+  // Remove and Rmdir: sends `lead`, the Delete of `name`'s object, with
+  // `name`'s remove record, then rewrites the stream compacted when
+  // tombstones dominate it. The op's sync rides its last frame: the batch, or
+  // the rewrite's Truncate.
+  Status RemoveDirRecord(RpcRequest lead, FileHandle dir, const std::string& name);
   Result<FileHandle> CreateNode(FileHandle dir, const std::string& name, FileType type,
                                 uint32_t mode, const std::string& symlink_target);
   Result<NfsAttrBlob> LoadAttrBlob(FileHandle file, uint64_t* size_out, SimTime* mtime_out,
@@ -113,6 +128,10 @@ class S4FileSystem : public FileSystemApi {
   // before it replies; otherwise the sync is deferred and the drive
   // group-commits the deferred ops' entries at the next one.
   Status MutateThenSyncOp(RpcRequest req);
+  bool SyncDue() const { return unsynced_ops_ + 1 >= options_.group_commit_ops; }
+  // Counts an op whose final frame succeeded, `synced` or deferred. A due op
+  // that fails syncs nothing, so the ops deferred before it stay pending.
+  void NoteLastFrameDone(bool synced);
 
   S4ClientApi* client_;
   S4FileSystemOptions options_;

@@ -1,6 +1,7 @@
 #include "src/rpc/auth.h"
 
 #include <cstring>
+#include <vector>
 
 #include "src/rpc/messages.h"
 #include "src/util/codec.h"
@@ -129,7 +130,7 @@ Bytes AuthGateway::Handle(ByteSpan envelope_frame) {
   auto client = dec.U32();
   auto user = client.ok() ? dec.U32() : client;
   auto sequence = user.ok() ? dec.U64() : Result<uint64_t>(user.status());
-  auto inner = sequence.ok() ? dec.LengthPrefixed() : Result<Bytes>(sequence.status());
+  auto inner = sequence.ok() ? dec.LengthPrefixedSpan() : Result<ByteSpan>(sequence.status());
   auto mac = inner.ok() ? dec.U64() : Result<uint64_t>(inner.status());
   if (!mac.ok() || !dec.done()) {
     return ErrorResponse(ErrorCode::kPermissionDenied, "malformed auth envelope");
@@ -156,16 +157,30 @@ Bytes AuthGateway::Handle(ByteSpan envelope_frame) {
   }
   principal.last_sequence = *sequence;
 
-  // The credentials inside the request must match the authenticated
-  // identity: a valid user may not speak for another.
-  auto request = RpcRequest::Decode(*inner);
-  if (!request.ok()) {
-    return ErrorResponse(request.status().code(), "bad inner frame");
+  // The credentials inside the request, or inside every sub-request of a
+  // batch, must match the authenticated identity: a valid user may not speak
+  // for another. One mismatch rejects the whole frame before the drive sees
+  // any of it.
+  std::vector<RpcRequest> requests;
+  if (IsBatchRequestFrame(*inner)) {
+    auto batch = RpcBatchRequest::Decode(*inner);
+    if (!batch.ok()) {
+      return ErrorResponse(batch.status().code(), "bad inner frame");
+    }
+    requests = std::move(batch->subs);
+  } else {
+    auto request = RpcRequest::Decode(*inner);
+    if (!request.ok()) {
+      return ErrorResponse(request.status().code(), "bad inner frame");
+    }
+    requests.push_back(std::move(*request));
   }
-  if (request->creds.client != *client || request->creds.user != *user) {
-    ++rejected_identity_mismatch_;
-    return ErrorResponse(ErrorCode::kPermissionDenied,
-                         "request credentials do not match authenticated identity");
+  for (const RpcRequest& request : requests) {
+    if (request.creds.client != *client || request.creds.user != *user) {
+      ++rejected_identity_mismatch_;
+      return ErrorResponse(ErrorCode::kPermissionDenied,
+                           "request credentials do not match authenticated identity");
+    }
   }
   return server_->Handle(*inner);
 }

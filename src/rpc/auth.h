@@ -9,8 +9,9 @@
 // claimed (client, user), a strictly increasing sequence number, and a
 // SipHash-2-4 MAC over all of it under a key registered with the drive. The
 // gateway in front of the drive verifies the MAC, checks the envelope
-// identity against the credentials inside the request, and rejects replays —
-// so audit records can be trusted to name the real principal.
+// identity against the credentials inside the request (every sub-request of
+// a batch), and rejects replays — so audit records can be trusted to name the
+// real principal.
 #ifndef S4_SRC_RPC_AUTH_H_
 #define S4_SRC_RPC_AUTH_H_
 

@@ -14,14 +14,73 @@ constexpr uint32_t kBatchResponseMagic = 0x53344250;  // "S4BP"
 // later without an old server silently ignoring it.
 constexpr uint8_t kFlagAt = 1;    // `at` follows
 constexpr uint8_t kFlagSync = 2;  // sync after the op
+constexpr uint8_t kFlagLink = 4;  // linked to the previous sub-request
 
-Bytes Frame(uint32_t magic, Encoder body) {
-  Encoder out(body.size() + 12);
-  out.PutU32(magic);
-  out.PutBytes(body.bytes());
-  uint32_t crc = Crc32c(out.bytes());
-  out.PutU32(crc);
-  return out.Take();
+// A frame is `magic | body | CRC32C of magic and body`, encoded in place:
+// its magic and body are appended to an encoder, a batch's sub-frames
+// inside the envelope's own, and SealFrame then appends the CRC of the
+// frame's bytes from `start`.
+void SealFrame(Encoder* enc, size_t start) {
+  enc->PutU32(Crc32c(ByteSpan(enc->bytes()).subspan(start)));
+}
+
+void PutRequestFrame(const RpcRequest& r, Encoder* enc) {
+  const size_t start = enc->size();
+  enc->PutU32(kRequestMagic);
+  enc->PutU8(static_cast<uint8_t>(r.op));
+  enc->PutU32(r.creds.client);
+  enc->PutU32(r.creds.user);
+  enc->PutU64(r.creds.admin_key);
+  enc->PutVarint(r.object);
+  enc->PutVarint(r.offset);
+  enc->PutVarint(r.length);
+  enc->PutU8((r.at.has_value() ? kFlagAt : 0) | (r.sync ? kFlagSync : 0) |
+             (r.link ? kFlagLink : 0));
+  if (r.at.has_value()) {
+    enc->PutI64(*r.at);
+  }
+  enc->PutLengthPrefixed(r.data);
+  enc->PutString(r.name);
+  enc->PutU32(r.acl_entry.user);
+  enc->PutU8(r.acl_entry.perms);
+  enc->PutU32(r.user);
+  enc->PutU32(r.index);
+  enc->PutI64(r.from);
+  enc->PutI64(r.to);
+  enc->PutI64(r.window);
+  SealFrame(enc, start);
+}
+
+void PutResponseFrame(const RpcResponse& r, Encoder* enc) {
+  const size_t start = enc->size();
+  enc->PutU32(kResponseMagic);
+  enc->PutU8(static_cast<uint8_t>(r.code));
+  enc->PutString(r.message);
+  enc->PutLengthPrefixed(r.data);
+  enc->PutVarint(r.value);
+  enc->PutVarint(r.attrs.size);
+  enc->PutI64(r.attrs.create_time);
+  enc->PutI64(r.attrs.modify_time);
+  enc->PutLengthPrefixed(r.attrs.opaque);
+  enc->PutU32(r.acl_entry.user);
+  enc->PutU8(r.acl_entry.perms);
+  enc->PutVarint(r.partitions.size());
+  for (const auto& [name, id] : r.partitions) {
+    enc->PutString(name);
+    enc->PutVarint(id);
+  }
+  enc->PutVarint(r.versions.size());
+  for (const auto& [time, cause] : r.versions) {
+    enc->PutI64(time);
+    enc->PutU8(cause);
+  }
+  SealFrame(enc, start);
+}
+
+// Room for a frame's fixed fields and its byte strings (a reserve hint).
+size_t FrameBytes(const RpcRequest& r) { return 96 + r.data.size() + r.name.size(); }
+size_t FrameBytes(const RpcResponse& r) {
+  return 96 + r.message.size() + r.data.size() + r.attrs.opaque.size();
 }
 
 Result<Decoder> Unframe(uint32_t magic, ByteSpan frame) {
@@ -44,34 +103,9 @@ Result<Decoder> Unframe(uint32_t magic, ByteSpan frame) {
   return dec;
 }
 
-}  // namespace
-
-Bytes RpcRequest::Encode() const {
-  Encoder enc(64 + data.size());
-  enc.PutU8(static_cast<uint8_t>(op));
-  enc.PutU32(creds.client);
-  enc.PutU32(creds.user);
-  enc.PutU64(creds.admin_key);
-  enc.PutVarint(object);
-  enc.PutVarint(offset);
-  enc.PutVarint(length);
-  enc.PutU8((at.has_value() ? kFlagAt : 0) | (sync ? kFlagSync : 0));
-  if (at.has_value()) {
-    enc.PutI64(*at);
-  }
-  enc.PutLengthPrefixed(data);
-  enc.PutString(name);
-  enc.PutU32(acl_entry.user);
-  enc.PutU8(acl_entry.perms);
-  enc.PutU32(user);
-  enc.PutU32(index);
-  enc.PutI64(from);
-  enc.PutI64(to);
-  enc.PutI64(window);
-  return Frame(kRequestMagic, std::move(enc));
-}
-
-Result<RpcRequest> RpcRequest::Decode(ByteSpan frame) {
+// Decodes one request frame. Only a batch's sub-request may carry `link`;
+// where it may is CheckBatchLinks's rule.
+Result<RpcRequest> DecodeRequest(ByteSpan frame, bool in_batch) {
   S4_ASSIGN_OR_RETURN(Decoder dec, Unframe(kRequestMagic, frame));
   RpcRequest r;
   S4_ASSIGN_OR_RETURN(uint8_t op_raw, dec.U8());
@@ -90,10 +124,14 @@ Result<RpcRequest> RpcRequest::Decode(ByteSpan frame) {
   S4_ASSIGN_OR_RETURN(r.offset, dec.Varint());
   S4_ASSIGN_OR_RETURN(r.length, dec.Varint());
   S4_ASSIGN_OR_RETURN(uint8_t flags, dec.U8());
-  if ((flags & ~(kFlagAt | kFlagSync)) != 0) {
+  if ((flags & ~(kFlagAt | kFlagSync | kFlagLink)) != 0) {
     return Status::InvalidArgument("unknown rpc request flag");
   }
   r.sync = (flags & kFlagSync) != 0;
+  r.link = (flags & kFlagLink) != 0;
+  if (r.link && !in_batch) {
+    return Status::InvalidArgument("rpc link flag outside a batch");
+  }
   if ((flags & kFlagAt) != 0) {
     S4_ASSIGN_OR_RETURN(SimTime at, dec.I64());
     r.at = at;
@@ -110,29 +148,22 @@ Result<RpcRequest> RpcRequest::Decode(ByteSpan frame) {
   return r;
 }
 
+}  // namespace
+
+Bytes RpcRequest::Encode() const {
+  Encoder enc(FrameBytes(*this));
+  PutRequestFrame(*this, &enc);
+  return enc.Take();
+}
+
+Result<RpcRequest> RpcRequest::Decode(ByteSpan frame) {
+  return DecodeRequest(frame, /*in_batch=*/false);
+}
+
 Bytes RpcResponse::Encode() const {
-  Encoder enc(64 + data.size());
-  enc.PutU8(static_cast<uint8_t>(code));
-  enc.PutString(message);
-  enc.PutLengthPrefixed(data);
-  enc.PutVarint(value);
-  enc.PutVarint(attrs.size);
-  enc.PutI64(attrs.create_time);
-  enc.PutI64(attrs.modify_time);
-  enc.PutLengthPrefixed(attrs.opaque);
-  enc.PutU32(acl_entry.user);
-  enc.PutU8(acl_entry.perms);
-  enc.PutVarint(partitions.size());
-  for (const auto& [name, id] : partitions) {
-    enc.PutString(name);
-    enc.PutVarint(id);
-  }
-  enc.PutVarint(versions.size());
-  for (const auto& [time, cause] : versions) {
-    enc.PutI64(time);
-    enc.PutU8(cause);
-  }
-  return Frame(kResponseMagic, std::move(enc));
+  Encoder enc(FrameBytes(*this));
+  PutResponseFrame(*this, &enc);
+  return enc.Take();
 }
 
 Result<RpcResponse> RpcResponse::Decode(ByteSpan frame) {
@@ -168,12 +199,18 @@ Result<RpcResponse> RpcResponse::Decode(ByteSpan frame) {
 }
 
 Bytes RpcBatchRequest::Encode() const {
-  Encoder enc(64);
+  size_t bytes = 16;
+  for (const RpcRequest& sub : subs) {
+    bytes += 2 + FrameBytes(sub);
+  }
+  Encoder enc(bytes);
+  enc.PutU32(kBatchRequestMagic);
   enc.PutVarint(subs.size());
   for (const RpcRequest& sub : subs) {
-    enc.PutLengthPrefixed(sub.Encode());
+    enc.PutLengthPrefixedWith([&sub](Encoder* e) { PutRequestFrame(sub, e); });
   }
-  return Frame(kBatchRequestMagic, std::move(enc));
+  SealFrame(&enc, 0);
+  return enc.Take();
 }
 
 Result<RpcBatchRequest> RpcBatchRequest::Decode(ByteSpan frame) {
@@ -188,23 +225,30 @@ Result<RpcBatchRequest> RpcBatchRequest::Decode(ByteSpan frame) {
   RpcBatchRequest r;
   r.subs.reserve(count);
   for (uint64_t i = 0; i < count; ++i) {
-    S4_ASSIGN_OR_RETURN(Bytes sub_frame, dec.LengthPrefixed());
-    S4_ASSIGN_OR_RETURN(RpcRequest sub, RpcRequest::Decode(sub_frame));
+    S4_ASSIGN_OR_RETURN(ByteSpan sub_frame, dec.LengthPrefixedSpan());
+    S4_ASSIGN_OR_RETURN(RpcRequest sub, DecodeRequest(sub_frame, /*in_batch=*/true));
     r.subs.push_back(std::move(sub));
   }
   if (!dec.done()) {
     return Status::DataCorruption("trailing bytes after rpc batch");
   }
+  S4_RETURN_IF_ERROR(CheckBatchLinks(r.subs));
   return r;
 }
 
 Bytes RpcBatchResponse::Encode() const {
-  Encoder enc(64);
+  size_t bytes = 16;
+  for (const RpcResponse& sub : subs) {
+    bytes += 2 + FrameBytes(sub);
+  }
+  Encoder enc(bytes);
+  enc.PutU32(kBatchResponseMagic);
   enc.PutVarint(subs.size());
   for (const RpcResponse& sub : subs) {
-    enc.PutLengthPrefixed(sub.Encode());
+    enc.PutLengthPrefixedWith([&sub](Encoder* e) { PutResponseFrame(sub, e); });
   }
-  return Frame(kBatchResponseMagic, std::move(enc));
+  SealFrame(&enc, 0);
+  return enc.Take();
 }
 
 Result<RpcBatchResponse> RpcBatchResponse::Decode(ByteSpan frame) {
@@ -216,11 +260,35 @@ Result<RpcBatchResponse> RpcBatchResponse::Decode(ByteSpan frame) {
   RpcBatchResponse r;
   r.subs.reserve(count);
   for (uint64_t i = 0; i < count; ++i) {
-    S4_ASSIGN_OR_RETURN(Bytes sub_frame, dec.LengthPrefixed());
+    S4_ASSIGN_OR_RETURN(ByteSpan sub_frame, dec.LengthPrefixedSpan());
     S4_ASSIGN_OR_RETURN(RpcResponse sub, RpcResponse::Decode(sub_frame));
     r.subs.push_back(std::move(sub));
   }
   return r;
+}
+
+Status CheckBatchLinks(const std::vector<RpcRequest>& subs) {
+  for (size_t i = 0; i < subs.size(); ++i) {
+    if (!subs[i].link) {
+      continue;
+    }
+    if (i == 0) {
+      return Status::InvalidArgument("rpc link flag on a batch's first sub-request");
+    }
+    if (subs[i].op != RpcOp::kAppend) {
+      return Status::InvalidArgument("rpc link flag on a sub-request that is not an append");
+    }
+  }
+  return Status::Ok();
+}
+
+Status ResolveLink(const RpcResponse& prev, RpcRequest* linked) {
+  if (!prev.ok()) {
+    return Status::FailedPrecondition("linked sub-request skipped: its predecessor failed");
+  }
+  AppendVarint(prev.value, &linked->data);
+  linked->link = false;
+  return Status::Ok();
 }
 
 bool IsBatchRequestFrame(ByteSpan frame) {

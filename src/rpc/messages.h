@@ -27,6 +27,12 @@ struct RpcRequest {
   // Make the op durable before replying: the server runs a Sync after the op
   // succeeds, in the same round trip (an NFSv3-style stable write).
   bool sync = false;
+  // Link this sub-request to the one before it in its batch (NFSv4
+  // COMPOUND's rule): it runs only if that one succeeded, and that
+  // response's `value` is first appended to `data` as a varint (the new
+  // object id after a Create, 0 after a Delete). Legal only on a kAppend
+  // that is not its batch's first sub-request; see CheckBatchLinks.
+  bool link = false;
   Bytes data;                 // write/append payload or attr blob
   std::string name;           // partition name
   AclEntry acl_entry;         // SetACL
@@ -62,9 +68,10 @@ struct RpcResponse {
 // Vectored batch frame: N complete RpcRequest frames under one envelope and
 // one transport round-trip (RpcOp::kBatch). Sub-requests reuse the single-op
 // codec verbatim, so every hardening rule of RpcRequest::Decode (CRC, op
-// range, field bounds) applies to each sub-request too. The whole batch is
-// validated before any sub-op is dispatched: a hostile batch is rejected as
-// a unit, never partially applied.
+// range, field bounds) applies to each sub-request too; only a sub-request
+// may carry `link`. The whole batch is validated before any sub-op is
+// dispatched: a hostile batch is rejected as a unit, never partially
+// applied.
 struct RpcBatchRequest {
   // Caps a batch at a size a drive can buffer without letting one client
   // monopolise the front end.
@@ -82,6 +89,18 @@ struct RpcBatchResponse {
   Bytes Encode() const;
   static Result<RpcBatchResponse> Decode(ByteSpan frame);
 };
+
+// The rule for `link`: only a kAppend that is not the first sub-request may
+// carry it. A batch that breaks the rule is rejected as a unit
+// (kInvalidArgument), like any malformed frame; a single frame with the flag
+// never decodes.
+Status CheckBatchLinks(const std::vector<RpcRequest>& subs);
+
+// Applies a linked sub-request's rule once its predecessor's response `prev`
+// is known. If `prev` failed, returns the kFailedPrecondition the skipped
+// sub-request reports: it does not run and runs no Sync. Otherwise appends
+// prev.value to `linked`'s data as a varint, clears its link and returns Ok.
+Status ResolveLink(const RpcResponse& prev, RpcRequest* linked);
 
 // Cheap peek at the frame magic: true if this looks like a batch envelope
 // (full validation still happens in RpcBatchRequest::Decode).

@@ -1,6 +1,16 @@
 #include "src/rpc/transport.h"
 
 namespace s4 {
+namespace {
+
+RpcResponse StatusResponse(const Status& s) {
+  RpcResponse resp;
+  resp.code = s.code();
+  resp.message = s.message();
+  return resp;
+}
+
+}  // namespace
 
 Result<Bytes> LoopbackTransport::Call(ByteSpan request) {
   S4Drive* drive = server_->drive();
@@ -46,10 +56,7 @@ Bytes S4RpcServer::Handle(ByteSpan request_frame, uint64_t request_id) {
     }
     ScopedSpan span(&ctx, "rpc.reject");
     drive_->AuditRejectedFrame(ctx, s);
-    RpcResponse resp;
-    resp.code = s.code();
-    resp.message = s.message();
-    return resp.Encode();
+    return StatusResponse(s).Encode();
   };
 
   if (request_frame.size() > kMaxFrameBytes) {
@@ -75,9 +82,17 @@ Bytes S4RpcServer::Handle(ByteSpan request_frame, uint64_t request_id) {
     resp.subs.reserve(batch->subs.size());
     {
       ScopedSpan span(&ctx, "rpc.batch");
-      for (const RpcRequest& sub : batch->subs) {
+      for (RpcRequest& sub : batch->subs) {
         ctx.creds = sub.creds;
         ctx.op = sub.op;
+        if (sub.link) {
+          // Decode admitted the link only after a first sub-request.
+          if (Status skipped = ResolveLink(resp.subs.back(), &sub); !skipped.ok()) {
+            drive_->AuditSkippedOp(ctx, sub.op, sub.object, skipped);
+            resp.subs.push_back(StatusResponse(skipped));
+            continue;
+          }
+        }
         resp.subs.push_back(Dispatch(ctx, sub));
       }
     }

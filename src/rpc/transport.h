@@ -30,6 +30,9 @@ class RpcTransport {
 // audit record (op kInvalid) — the drive never crashes on hostile input.
 // A request with the sync bit runs the op and then, if it succeeded, a Sync
 // under the same request id, with the Sync's own audit record and latency.
+// A linked batch sub-request runs only if the one before it succeeded; a
+// skipped one runs no Sync and leaves one audit record (S4Drive::
+// AuditSkippedOp).
 class S4RpcServer {
  public:
   // Upper bound on an accepted request frame. Anything larger is rejected

@@ -23,19 +23,34 @@ void Encoder::PutU64(uint64_t v) {
   buf_.insert(buf_.end(), le, le + 8);
 }
 
-void Encoder::PutVarint(uint64_t v) {
+void AppendVarint(uint64_t v, Bytes* out) {
   while (v >= 0x80) {
-    buf_.push_back(static_cast<uint8_t>(v) | 0x80);
+    out->push_back(static_cast<uint8_t>(v) | 0x80);
     v >>= 7;
   }
-  buf_.push_back(static_cast<uint8_t>(v));
+  out->push_back(static_cast<uint8_t>(v));
 }
+
+void Encoder::PutVarint(uint64_t v) { AppendVarint(v, &buf_); }
 
 void Encoder::PutBytes(ByteSpan b) { buf_.insert(buf_.end(), b.begin(), b.end()); }
 
 void Encoder::PutLengthPrefixed(ByteSpan b) {
   PutVarint(b.size());
   PutBytes(b);
+}
+
+void Encoder::SetLengthPrefix(size_t at) {
+  const uint64_t n = buf_.size() - at - 1;
+  if (n < 0x80) {
+    buf_[at] = static_cast<uint8_t>(n);
+    return;
+  }
+  Bytes prefix;
+  AppendVarint(n, &prefix);
+  buf_[at] = prefix[0];
+  buf_.insert(buf_.begin() + static_cast<std::ptrdiff_t>(at) + 1, prefix.begin() + 1,
+              prefix.end());
 }
 
 void Encoder::PutString(const std::string& s) {
@@ -118,15 +133,22 @@ Result<Bytes> Decoder::RawBytes(size_t n) {
 }
 
 Result<Bytes> Decoder::LengthPrefixed() {
+  S4_ASSIGN_OR_RETURN(ByteSpan b, LengthPrefixedSpan());
+  return Bytes(b.begin(), b.end());
+}
+
+Result<ByteSpan> Decoder::LengthPrefixedSpan() {
   S4_ASSIGN_OR_RETURN(uint64_t n, Varint());
   if (n > remaining()) {
     return Status::DataCorruption("length prefix exceeds buffer");
   }
-  return RawBytes(n);
+  ByteSpan out = data_.subspan(pos_, n);
+  pos_ += n;
+  return out;
 }
 
 Result<std::string> Decoder::String() {
-  S4_ASSIGN_OR_RETURN(Bytes b, LengthPrefixed());
+  S4_ASSIGN_OR_RETURN(ByteSpan b, LengthPrefixedSpan());
   return std::string(b.begin(), b.end());
 }
 

@@ -16,6 +16,10 @@
 
 namespace s4 {
 
+// Appends `v` to `out` as an unsigned LEB128 varint (Encoder::PutVarint's
+// encoding).
+void AppendVarint(uint64_t v, Bytes* out);
+
 class Encoder {
  public:
   Encoder() = default;
@@ -31,6 +35,16 @@ class Encoder {
   void PutBytes(ByteSpan b);
   // Length-prefixed (varint) byte string.
   void PutLengthPrefixed(ByteSpan b);
+  // The same for a string that `fill(this)` appends in place, with no copy:
+  // one prefix byte is reserved first and widened afterwards if the string
+  // turns out to need a longer varint.
+  template <typename Fill>
+  void PutLengthPrefixedWith(Fill&& fill) {
+    const size_t at = buf_.size();
+    buf_.push_back(0);
+    fill(this);
+    SetLengthPrefix(at);
+  }
   void PutString(const std::string& s);
 
   const Bytes& bytes() const { return buf_; }
@@ -38,6 +52,10 @@ class Encoder {
   size_t size() const { return buf_.size(); }
 
  private:
+  // Rewrites the byte reserved at `at` as the varint length of everything
+  // after it.
+  void SetLengthPrefix(size_t at);
+
   Bytes buf_;
 };
 
@@ -55,6 +73,9 @@ class Decoder {
   Result<Bytes> RawBytes(size_t n);
   // Varint-length-prefixed byte string.
   Result<Bytes> LengthPrefixed();
+  // The same, as a view into the decoder's buffer (no copy): valid while
+  // that buffer is.
+  Result<ByteSpan> LengthPrefixedSpan();
   Result<std::string> String();
 
   size_t remaining() const { return data_.size() - pos_; }

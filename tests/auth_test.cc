@@ -99,6 +99,46 @@ TEST_F(AuthTest, CannotSpeakForAnotherUser) {
   EXPECT_EQ(gateway_->rejected_identity_mismatch(), 1u);
 }
 
+TEST_F(AuthTest, SignedBatchesGoThrough) {
+  ASSERT_OK_AND_ASSIGN(ObjectId id, client_->Create({}));
+  std::vector<RpcRequest> subs(2);
+  for (RpcRequest& sub : subs) {
+    sub.op = RpcOp::kAppend;
+    sub.object = id;
+  }
+  subs[0].data = BytesOf("signed ");
+  subs[1].data = BytesOf("batch");
+  ASSERT_OK_AND_ASSIGN(std::vector<RpcResponse> resps, client_->CallBatch(std::move(subs)));
+  ASSERT_EQ(resps.size(), 2u);
+  EXPECT_TRUE(resps[0].ok()) << resps[0].message;
+  EXPECT_TRUE(resps[1].ok()) << resps[1].message;
+  ASSERT_OK_AND_ASSIGN(Bytes got, client_->Read(id, 0, 64));
+  EXPECT_EQ(StringOf(got), "signed batch");
+}
+
+TEST_F(AuthTest, BatchCannotSpeakForAnotherUserInAnySubRequest) {
+  ASSERT_OK_AND_ASSIGN(ObjectId id, client_->Create({}));
+  AuditQuery appends;
+  appends.op = RpcOp::kAppend;
+  ASSERT_OK_AND_ASSIGN(std::vector<AuditRecord> before, drive_->QueryAudit(Admin(), appends));
+  // Alice's key signs a batch whose second sub-request claims to be user 200.
+  std::vector<RpcRequest> subs(2);
+  for (RpcRequest& sub : subs) {
+    sub.op = RpcOp::kAppend;
+    sub.object = id;
+    sub.data = BytesOf("x");
+    sub.creds = User(100, 1);
+  }
+  subs[1].creds.user = 200;
+  EXPECT_EQ(client_->CallBatchPrestamped(std::move(subs)).status().code(),
+            ErrorCode::kPermissionDenied);
+  EXPECT_EQ(gateway_->rejected_identity_mismatch(), 1u);
+  ASSERT_OK_AND_ASSIGN(std::vector<AuditRecord> after, drive_->QueryAudit(Admin(), appends));
+  EXPECT_EQ(after.size(), before.size()) << "no sub-op reached the drive";
+  ASSERT_OK_AND_ASSIGN(ObjectAttrs attrs, drive_->GetAttr(Admin(), id));
+  EXPECT_EQ(attrs.size, 0u);
+}
+
 TEST_F(AuthTest, UnknownPrincipalRejected) {
   MacKey mallory_key{};
   SigningTransport mallory(transport_.get(), 9, 666, mallory_key);

@@ -1,11 +1,14 @@
 // Batched RPC (kBatch) and group-commit write path, exercised end to end:
 // S4Client::CallBatch -> one kBatch frame -> S4RpcServer -> per-sub dispatch,
 // and S4FileSystem's sync discipline (the sync bit on an op's last frame,
-// per op or every Nth op). Covers ordering, per-sub error isolation, audit
-// completeness (every sub-op audited plus one envelope record), frame and
-// round-trip counts, and durability at commit boundaries.
+// per op or every Nth op). Covers ordering, per-sub error isolation, linked
+// sub-requests (an append that runs only after its predecessor succeeded and
+// carries that op's value), audit completeness (every sub-op audited plus
+// one envelope record), frame and round-trip counts, and durability at
+// commit boundaries.
 #include <gtest/gtest.h>
 
+#include <ostream>
 #include <string>
 #include <vector>
 
@@ -17,17 +20,42 @@
 namespace s4 {
 namespace {
 
-using Frames = std::vector<std::pair<RpcOp, bool>>;  // (op, sync bit) per frame
+constexpr bool kLink = true;
+constexpr bool kSync = true;
 
-// Logs the op and sync bit of every single-op frame on its way to the drive
-// (a kBatch envelope is logged as kBatch).
+// One request as it went to the drive: its op and its link and sync bits.
+struct Sub {
+  RpcOp op = RpcOp::kInvalid;
+  bool link = false;
+  bool sync = false;
+  bool operator==(const Sub&) const = default;
+};
+
+void PrintTo(const Sub& sub, std::ostream* os) {
+  *os << RpcOpName(sub.op) << (sub.link ? "+link" : "") << (sub.sync ? "+sync" : "");
+}
+
+using Frame = std::vector<Sub>;  // a single-op frame holds one Sub
+using Frames = std::vector<Frame>;
+
+// Logs every frame on its way to the drive: a batch's sub-requests in order,
+// or a single frame's one request.
 class FrameLog : public RpcTransport {
  public:
   explicit FrameLog(RpcTransport* next) : next_(next) {}
 
   Result<Bytes> Call(ByteSpan request) override {
-    auto req = RpcRequest::Decode(request);
-    frames.emplace_back(req.ok() ? req->op : RpcOp::kBatch, req.ok() && req->sync);
+    Frame frame;
+    if (IsBatchRequestFrame(request)) {
+      if (auto batch = RpcBatchRequest::Decode(request); batch.ok()) {
+        for (const RpcRequest& sub : batch->subs) {
+          frame.push_back(Sub{sub.op, sub.link, sub.sync});
+        }
+      }
+    } else if (auto req = RpcRequest::Decode(request); req.ok()) {
+      frame.push_back(Sub{req->op, req->link, req->sync});
+    }
+    frames.push_back(std::move(frame));
     return next_->Call(request);
   }
 
@@ -68,6 +96,19 @@ class BatchRpcTest : public DriveTest {
     req.data = std::move(data);
     return req;
   }
+
+  // An append to `id`, linked to the sub-request before it.
+  static RpcRequest LinkedAppend(ObjectId id, Bytes data, bool sync = false) {
+    RpcRequest req;
+    req.op = RpcOp::kAppend;
+    req.object = id;
+    req.data = std::move(data);
+    req.link = true;
+    req.sync = sync;
+    return req;
+  }
+
+  uint64_t Counter(const std::string& name) { return drive_->metrics().CounterValue(name); }
 
   std::unique_ptr<S4RpcServer> server_;
   std::unique_ptr<LoopbackTransport> transport_;
@@ -206,6 +247,100 @@ TEST_F(BatchRpcTest, BatchedWritesAreDurableAfterSyncSubOp) {
       << "batched sub-ops should share chunk writes";
 }
 
+// A linked append runs after its predecessor and carries that op's value:
+// the new object's id after a Create, 0 after a Delete.
+TEST_F(BatchRpcTest, LinkedAppendCarriesItsPredecessorsValue) {
+  ASSERT_OK_AND_ASSIGN(ObjectId dir, client_->Create({}));
+  RpcRequest create;
+  create.op = RpcOp::kCreate;
+  ASSERT_OK_AND_ASSIGN(std::vector<RpcResponse> resps,
+                       client_->CallBatch({create, LinkedAppend(dir, BytesOf("add:"))}));
+  ASSERT_EQ(resps.size(), 2u);
+  ASSERT_TRUE(resps[0].ok()) << resps[0].message;
+  ASSERT_TRUE(resps[1].ok()) << resps[1].message;
+  const ObjectId made = resps[0].value;
+  ASSERT_OK(drive_->GetAttr(Admin(), made).status()) << "the Create ran";
+  Bytes want = BytesOf("add:");
+  AppendVarint(made, &want);
+
+  RpcRequest del;
+  del.op = RpcOp::kDelete;
+  del.object = made;
+  ASSERT_OK_AND_ASSIGN(resps, client_->CallBatch({del, LinkedAppend(dir, BytesOf("rm:"))}));
+  ASSERT_TRUE(resps[0].ok()) << resps[0].message;
+  ASSERT_TRUE(resps[1].ok()) << resps[1].message;
+  const Bytes rm = BytesOf("rm:");
+  want.insert(want.end(), rm.begin(), rm.end());
+  want.push_back(0);
+  EXPECT_EQ(resps[1].value, want.size()) << "the append's own value is the new size";
+
+  ASSERT_OK_AND_ASSIGN(Bytes got, client_->Read(dir, 0, 64));
+  EXPECT_EQ(got, want);
+}
+
+// A failed Create or Delete skips the append linked to it: the append reports
+// kFailedPrecondition, changes nothing, runs no Sync despite its sync bit, and
+// still leaves one audit record, counted as an op and a denial.
+TEST_F(BatchRpcTest, FailedLeadSkipsItsLinkedAppend) {
+  ASSERT_OK_AND_ASSIGN(ObjectId target, client_->Create({}));
+  ASSERT_OK(client_->Append(target, BytesOf("before")).status());
+  ASSERT_OK(client_->Sync());
+  RpcRequest oversized_create;  // the drive caps an attribute blob
+  oversized_create.op = RpcOp::kCreate;
+  oversized_create.data = Bytes(4096, 0xAB);
+  RpcRequest missing_delete;
+  missing_delete.op = RpcOp::kDelete;
+  missing_delete.object = target + 1000;
+  for (const RpcRequest& lead : {oversized_create, missing_delete}) {
+    SCOPED_TRACE(RpcOpName(lead.op));
+    ASSERT_OK_AND_ASSIGN(ObjectAttrs attrs_before, drive_->GetAttr(Admin(), target));
+    const uint64_t appends = AuditRecordsFor(RpcOp::kAppend);
+    const uint64_t syncs = AuditRecordsFor(RpcOp::kSync);
+    const uint64_t writes = device_->stats().writes;
+    const uint64_t ops = Counter("drive.ops_total");
+    const uint64_t denied = Counter("drive.ops_denied");
+    clock_->Advance(kSecond);
+
+    ASSERT_OK_AND_ASSIGN(std::vector<RpcResponse> resps,
+                         client_->CallBatch({lead, LinkedAppend(target, BytesOf("x"), kSync)}));
+    ASSERT_EQ(resps.size(), 2u);
+    EXPECT_FALSE(resps[0].ok());
+    EXPECT_EQ(resps[1].code, ErrorCode::kFailedPrecondition);
+    EXPECT_EQ(Counter("drive.ops_total"), ops + 2);
+    EXPECT_EQ(Counter("drive.ops_denied"), denied + 1);
+    EXPECT_EQ(device_->stats().writes, writes) << "a skipped append runs no Sync";
+
+    EXPECT_EQ(AuditRecordsFor(RpcOp::kSync), syncs);
+    AuditQuery query;
+    query.op = RpcOp::kAppend;
+    ASSERT_OK_AND_ASSIGN(std::vector<AuditRecord> records, drive_->QueryAudit(Admin(), query));
+    ASSERT_EQ(records.size(), appends + 1);
+    EXPECT_EQ(records.back().object, target);
+    EXPECT_EQ(records.back().user, 100u);
+    EXPECT_EQ(records.back().result, static_cast<uint8_t>(ErrorCode::kFailedPrecondition));
+
+    ASSERT_OK_AND_ASSIGN(Bytes got, client_->Read(target, 0, 64));
+    EXPECT_EQ(StringOf(got), "before");
+    ASSERT_OK_AND_ASSIGN(ObjectAttrs attrs_after, drive_->GetAttr(Admin(), target));
+    EXPECT_EQ(attrs_after.size, attrs_before.size);
+    EXPECT_EQ(attrs_after.modify_time, attrs_before.modify_time);
+  }
+}
+
+TEST_F(BatchRpcTest, FrameLogRecordsEachSubRequestsBits) {
+  ASSERT_OK_AND_ASSIGN(ObjectId id, client_->Create({}));
+  frame_log_->frames.clear();
+  RpcRequest create;
+  create.op = RpcOp::kCreate;
+  ASSERT_OK(client_->CallBatch({create, LinkedAppend(id, BytesOf("r"), kSync)}).status());
+  RpcRequest stable = WriteReq(id, 0, BytesOf("w"));
+  stable.sync = true;
+  ASSERT_OK(client_->Call(stable).status());
+  EXPECT_EQ(frame_log_->frames,
+            (Frames{{{RpcOp::kCreate}, {RpcOp::kAppend, kLink, kSync}},
+                    {{RpcOp::kWrite, false, kSync}}}));
+}
+
 class GroupCommitFsTest : public BatchRpcTest {
  protected:
   void MakeFs(uint32_t group_ops) {
@@ -241,9 +376,10 @@ TEST_F(GroupCommitFsTest, DeferredSyncsCoalesceAndCommitFlushes) {
   // One frame per write, due sync or not: a due sync rides the write's frame.
   ASSERT_EQ(frames.size(), 20u);
   uint64_t synced = 0;
-  for (const auto& [op, sync] : frames) {
-    EXPECT_EQ(op, RpcOp::kWrite);
-    synced += sync ? 1 : 0;
+  for (const Frame& frame : frames) {
+    ASSERT_EQ(frame.size(), 1u);
+    EXPECT_EQ(frame[0].op, RpcOp::kWrite);
+    synced += frame[0].sync ? 1 : 0;
   }
   EXPECT_EQ(synced, 20u / 8);
 
@@ -280,40 +416,45 @@ TEST_F(GroupCommitFsTest, StrictModeStillSyncsEveryOp) {
   EXPECT_EQ(fs_->stats().deferred_syncs, 0u);
 }
 
-// Strict mode sends one frame per mutating RPC and no standalone Sync: the
-// sync bit rides each op's last frame.
+// Strict mode sends no standalone Sync: the sync bit rides each op's last
+// frame. A create or a remove is one batch frame, the directory append linked
+// to the object op.
 TEST_F(GroupCommitFsTest, StrictModeSyncRidesEachOpsLastFrame) {
   MakeFs(/*group_ops=*/1);
   ASSERT_OK_AND_ASSIGN(FileHandle root, fs_->Root());
   ASSERT_OK(fs_->ReadDir(root).status());  // cache the root: ops send only mutations
 
+  const Frames create_frames = {{{RpcOp::kCreate}, {RpcOp::kAppend, kLink, kSync}}};
+  const Frames remove_frames = {{{RpcOp::kDelete}, {RpcOp::kAppend, kLink, kSync}}};
   FileHandle f = 0;
   EXPECT_EQ(FramesOf([&] {
               ASSERT_OK_AND_ASSIGN(f, fs_->CreateFile(root, "f", 0644));
             }),
-            (Frames{{RpcOp::kCreate, false}, {RpcOp::kAppend, true}}));
+            create_frames);
   EXPECT_EQ(FramesOf([&] { ASSERT_OK(fs_->WriteFile(f, 0, BytesOf("x"))); }),
-            (Frames{{RpcOp::kWrite, true}}));
-  EXPECT_EQ(FramesOf([&] { ASSERT_OK(fs_->Remove(root, "f")); }),
-            (Frames{{RpcOp::kDelete, false}, {RpcOp::kAppend, true}}));
+            (Frames{{{RpcOp::kWrite, false, kSync}}}));
+  EXPECT_EQ(FramesOf([&] { ASSERT_OK(fs_->Remove(root, "f")); }), remove_frames);
 
   // Removes pile up tombstones until the directory is compacted: then the
-  // rewrite's Truncate is the op's last frame.
+  // batch goes without the sync bit, and the rewrite's Truncate is the op's
+  // last frame.
   for (int i = 0; i < 12; ++i) {
-    ASSERT_OK(fs_->CreateFile(root, "g" + std::to_string(i), 0644).status());
+    EXPECT_EQ(FramesOf([&] {
+                ASSERT_OK(fs_->CreateFile(root, "g" + std::to_string(i), 0644).status());
+              }),
+              create_frames);
   }
   int compactions = 0;
   for (int i = 0; i < 12; ++i) {
     Frames frames = FramesOf([&] { ASSERT_OK(fs_->Remove(root, "g" + std::to_string(i))); });
-    if (frames.size() == 2) {
-      EXPECT_EQ(frames, (Frames{{RpcOp::kDelete, false}, {RpcOp::kAppend, true}}));
+    if (frames.size() == 1) {
+      EXPECT_EQ(frames, remove_frames);
       continue;
     }
     ++compactions;
-    EXPECT_EQ(frames, (Frames{{RpcOp::kDelete, false},
-                              {RpcOp::kAppend, false},
-                              {RpcOp::kWrite, false},
-                              {RpcOp::kTruncate, true}}));
+    EXPECT_EQ(frames, (Frames{{{RpcOp::kDelete}, {RpcOp::kAppend, kLink}},
+                              {{RpcOp::kWrite}},
+                              {{RpcOp::kTruncate, false, kSync}}}));
   }
   EXPECT_GT(compactions, 0);
   ASSERT_OK_AND_ASSIGN(std::vector<DirEntry> entries, fs_->ReadDir(root));
@@ -327,7 +468,7 @@ TEST_F(GroupCommitFsTest, FailedDueOpLeavesItsGroupPendingForCommit) {
   ASSERT_OK_AND_ASSIGN(FileHandle root, fs_->Root());
   ASSERT_OK(fs_->CreateFile(root, "deferred", 0644).status());
   EXPECT_EQ(fs_->WriteFile(/*file=*/999999, 0, BytesOf("x")).code(), ErrorCode::kNotFound);
-  EXPECT_EQ(FramesOf([&] { ASSERT_OK(fs_->Commit()); }), (Frames{{RpcOp::kSync, false}}));
+  EXPECT_EQ(FramesOf([&] { ASSERT_OK(fs_->Commit()); }), (Frames{{{RpcOp::kSync}}}));
 }
 
 // A sync that fails after its op applied fails the fs op, and the fs then

@@ -255,6 +255,75 @@ class ClusterShardTest : public ::testing::Test {
     }
   }
 
+  // Remounts the (sync-clean) array over transports that log every shard
+  // call's span into span_log_.
+  void MountLogged() {
+    router_.reset();
+    logged_.clear();
+    std::vector<ShardEndpoint> eps = Endpoints();
+    for (size_t i = 0; i < kShards; ++i) {
+      logged_.push_back(std::make_unique<SpanLoggingTransport>(eps[i].transport, clock_.get(),
+                                                               i, &span_log_));
+      eps[i].transport = logged_.back().get();
+    }
+    auto router = ShardRouter::Mount(eps, clock_.get(), User(100), RouterOpts());
+    ASSERT_TRUE(router.ok()) << router.status().ToString();
+    router_ = std::move(*router);
+  }
+
+  // Round trips the caller waited through in span_log_: every serial call
+  // starts at its own instant, and every request of one fan-out starts at
+  // the fan's start.
+  size_t Rounds() const {
+    std::set<SimTime> starts;
+    for (const CallSpan& call : span_log_) starts.insert(call.start);
+    return starts.size();
+  }
+
+  // A parity group as its parity shard stores it.
+  struct StoredGroup {
+    std::vector<LaneImage> lanes;
+    Bytes parity;  // past the lane directory, trailing zeros dropped
+  };
+  // Every group's stored lane records and parity, each checked against its
+  // members' current bytes: the parity must be their XOR.
+  std::vector<StoredGroup> StoredGroups() {
+    auto trim = [](Bytes b) {
+      while (!b.empty() && b.back() == 0) b.pop_back();
+      return b;
+    };
+    std::vector<StoredGroup> out;
+    for (size_t g = 0; g < router_->map().group_count(); ++g) {
+      const ShardMap::Group& group = router_->map().group(static_cast<int32_t>(g));
+      S4Drive* drive = drives_[group.parity_shard].get();
+      auto attrs = drive->GetAttr(Admin(), group.parity_backend);
+      S4_CHECK(attrs.ok());
+      auto stored = drive->Read(Admin(), group.parity_backend, 0, attrs->size);
+      S4_CHECK(stored.ok());
+      StoredGroup sg;
+      Bytes xor_of_members;
+      for (size_t lane = 0; lane < group.members.size(); ++lane) {
+        auto img = LaneImage::Decode(
+            ByteSpan(*stored).subspan(lane * kLaneSlotBytes, kLaneSlotBytes));
+        S4_CHECK(img.ok());
+        sg.lanes.push_back(*img);
+        auto member = router_->Read(group.members[lane], 0, 1 << 20);
+        if (member.status().code() == ErrorCode::kFailedPrecondition) continue;  // deleted
+        S4_CHECK(member.ok());
+        if (xor_of_members.size() < member->size()) xor_of_members.resize(member->size(), 0);
+        for (size_t i = 0; i < member->size(); ++i) xor_of_members[i] ^= (*member)[i];
+      }
+      if (stored->size() > kParityDataOffset) {
+        sg.parity = trim(Bytes(stored->begin() + kParityDataOffset, stored->end()));
+      }
+      EXPECT_EQ(sg.parity, trim(xor_of_members)) << "group " << g;
+      out.push_back(std::move(sg));
+    }
+    return out;
+  }
+
+  std::vector<CallSpan> span_log_;
+  std::vector<std::unique_ptr<SpanLoggingTransport>> logged_;
   std::unique_ptr<SimClock> clock_;
   S4DriveOptions opts_;
   std::vector<std::unique_ptr<BlockDevice>> devices_;
@@ -767,24 +836,14 @@ TEST_F(ClusterShardTest, DegradedReadWaitsForItsSlowestFetch) {
   ASSERT_OK(router_->Write(id, 0, BytesOf("content of the lost shard")));
   Populate(8);  // fills id's parity group with siblings on other shards
   ASSERT_OK(router_->Sync());
-  // Remount the array over transports that log every shard call's span.
-  std::vector<CallSpan> log;
-  std::vector<std::unique_ptr<SpanLoggingTransport>> logged;
-  std::vector<ShardEndpoint> eps = Endpoints();
-  for (size_t i = 0; i < kShards; ++i) {
-    logged.push_back(
-        std::make_unique<SpanLoggingTransport>(eps[i].transport, clock_.get(), i, &log));
-    eps[i].transport = logged.back().get();
-  }
-  router_.reset();
-  ASSERT_OK_AND_ASSIGN(router_,
-                       ShardRouter::Mount(eps, clock_.get(), User(100), RouterOpts()));
+  MountLogged();
+  const std::vector<CallSpan>& log = span_log_;
   const ShardMap::GidInfo* info = router_->map().Find(id);
   ASSERT_GE(info->group, 0);
   const ShardMap::Group& group = router_->map().group(info->group);
   router_->FailShard(info->shard);
 
-  log.clear();
+  span_log_.clear();
   const SimTime t0 = clock_->Now();
   ASSERT_OK_AND_ASSIGN(Bytes got, router_->Read(id, 0, 64));
   const SimTime t1 = clock_->Now();
@@ -1079,6 +1138,161 @@ TEST_F(ClusterShardTest, ParityRebuildAfterMountKeepsADeletedMembersOwner) {
   PumpRebuild(1 << 20);
   router_->FailShard(info->shard);
   EXPECT_OK(router_->GetVersionList(x).status());
+}
+
+// A Create with the append linked to it, as S4FileSystem sends a create: the
+// router forwards the new id without a flush, so the new member's lane record,
+// the append and the append's parity delta share one fan. Two separate calls
+// leave the same array with one more round trip.
+TEST_F(ClusterShardTest, LinkedCreateSavesAFanAndLeavesTheSameArray) {
+  struct Outcome {
+    size_t rounds = 0;
+    ObjectId made = 0;
+    Bytes dir;
+    Bytes dir_want;  // its Populate content, the appends, the new id
+    std::vector<StoredGroup> groups;
+  };
+  auto run = [&](bool linked) {
+    Outcome out;
+    auto objs = Populate(6);
+    const ObjectId dir = objs[2].first;
+    S4_CHECK(router_->Sync().ok());
+    MountLogged();
+    S4_CHECK(router_->Append(dir, BytesOf("entries:")).ok());  // loads dir's lane
+    span_log_.clear();
+    RpcRequest create;
+    create.op = RpcOp::kCreate;
+    create.data = BytesOf("attrs");
+    RpcRequest append;
+    append.op = RpcOp::kAppend;
+    append.object = dir;
+    append.data = BytesOf("add:");
+    if (linked) {
+      append.link = true;
+      auto resps = router_->CallBatch({std::move(create), std::move(append)});
+      S4_CHECK(resps.ok() && (*resps)[0].ok() && (*resps)[1].ok());
+      out.made = (*resps)[0].value;
+    } else {
+      auto made = router_->Create(create.data);
+      S4_CHECK(made.ok());
+      out.made = *made;
+      AppendVarint(out.made, &append.data);
+      S4_CHECK(router_->Append(dir, append.data).ok());
+    }
+    out.rounds = Rounds();
+    out.dir_want = BytesOf(objs[2].second + "entries:add:");
+    AppendVarint(out.made, &out.dir_want);
+    auto content = router_->Read(dir, 0, 4096);
+    S4_CHECK(content.ok());
+    out.dir = std::move(*content);
+    out.groups = StoredGroups();
+    return out;
+  };
+  const Outcome separate = run(/*linked=*/false);
+  RebuildFixture();
+  const Outcome linked = run(/*linked=*/true);
+
+  EXPECT_EQ(linked.rounds + 1, separate.rounds);
+  EXPECT_EQ(linked.made, separate.made);
+  EXPECT_EQ(linked.dir, linked.dir_want);
+  EXPECT_EQ(separate.dir, separate.dir_want);
+  ASSERT_EQ(linked.groups.size(), separate.groups.size());
+  for (size_t g = 0; g < linked.groups.size(); ++g) {
+    SCOPED_TRACE("group " + std::to_string(g));
+    EXPECT_EQ(linked.groups[g].parity, separate.groups[g].parity);
+    ASSERT_EQ(linked.groups[g].lanes.size(), separate.groups[g].lanes.size());
+    for (size_t lane = 0; lane < linked.groups[g].lanes.size(); ++lane) {
+      // The times differ: the separate append ran a round trip later.
+      const LaneImage& a = linked.groups[g].lanes[lane];
+      const LaneImage& b = separate.groups[g].lanes[lane];
+      EXPECT_EQ(a.gid, b.gid);
+      EXPECT_EQ(a.size, b.size);
+      EXPECT_EQ(a.live, b.live);
+      EXPECT_EQ(a.owner, b.owner);
+      EXPECT_EQ(a.attrs, b.attrs);
+    }
+  }
+}
+
+// A Delete the data shard refuses skips the append linked to it: the router
+// never sends the append (nor its Sync), repairs the group the Delete's delta
+// touched, and parity stays the XOR of the members. A Delete that succeeds
+// hands the append 0.
+TEST_F(ClusterShardTest, LinkedAppendAfterARefusedDeleteIsSkipped) {
+  auto objs = Populate(9);
+  const ObjectId dir = objs[1].first;
+  const ObjectId victim = objs[4].first;
+  const ShardMap::GidInfo* dir_info = router_->map().Find(dir);
+  auto audited = [&](uint32_t shard, RpcOp op) {
+    AuditQuery q;
+    q.op = op;
+    auto recs = drives_[shard]->QueryAudit(Admin(), q);
+    S4_CHECK(recs.ok());
+    return recs->size();
+  };
+  const size_t dir_appends = audited(dir_info->shard, RpcOp::kAppend);
+  std::vector<size_t> syncs(kShards);
+  for (uint32_t i = 0; i < kShards; ++i) syncs[i] = audited(i, RpcOp::kSync);
+  auto batch = [&](const Credentials& creds) {
+    RpcRequest del;
+    del.op = RpcOp::kDelete;
+    del.object = victim;
+    RpcRequest append;
+    append.op = RpcOp::kAppend;
+    append.object = dir;
+    append.data = BytesOf("rm:");
+    append.link = true;
+    append.sync = true;
+    router_->set_creds(creds);
+    auto resps = router_->CallBatch({std::move(del), std::move(append)});
+    router_->set_creds(User(100));
+    S4_CHECK(resps.ok());
+    return std::move(*resps);
+  };
+
+  std::vector<RpcResponse> refused = batch(User(999));  // no ACL admits user 999
+  EXPECT_EQ(refused[0].code, ErrorCode::kPermissionDenied);
+  EXPECT_EQ(refused[1].code, ErrorCode::kFailedPrecondition);
+  EXPECT_EQ(router_->rstats().parity_repairs, 1u);
+  EXPECT_EQ(audited(dir_info->shard, RpcOp::kAppend), dir_appends) << "a skipped append is never sent";
+  for (uint32_t i = 0; i < kShards; ++i) {
+    EXPECT_EQ(audited(i, RpcOp::kSync), syncs[i]) << "shard " << i;
+  }
+  ASSERT_OK_AND_ASSIGN(Bytes dir_bytes, router_->Read(dir, 0, 4096));
+  EXPECT_EQ(StringOf(dir_bytes), objs[1].second);
+  ASSERT_OK_AND_ASSIGN(Bytes victim_bytes, router_->Read(victim, 0, 4096));
+  EXPECT_EQ(StringOf(victim_bytes), objs[4].second);
+  StoredGroups();
+
+  std::vector<RpcResponse> done = batch(User(100));
+  ASSERT_TRUE(done[0].ok()) << done[0].message;
+  ASSERT_TRUE(done[1].ok()) << done[1].message;
+  ASSERT_OK_AND_ASSIGN(dir_bytes, router_->Read(dir, 0, 4096));
+  Bytes want = BytesOf(objs[1].second + "rm:");
+  want.push_back(0);
+  EXPECT_EQ(dir_bytes, want);
+  StoredGroups();
+}
+
+// The router applies the drive's rule for where a link may stand.
+TEST_F(ClusterShardTest, MisplacedLinkFlagIsRejected) {
+  auto objs = Populate(2);
+  RpcRequest append;
+  append.op = RpcOp::kAppend;
+  append.object = objs[0].first;
+  append.data = BytesOf("+");
+  append.link = true;
+  ASSERT_OK_AND_ASSIGN(RpcResponse single, router_->Call(append));
+  EXPECT_EQ(single.code, ErrorCode::kInvalidArgument);
+  EXPECT_EQ(router_->CallBatch({append, append}).status().code(), ErrorCode::kInvalidArgument);
+  RpcRequest write = append;
+  write.op = RpcOp::kWrite;
+  RpcRequest read;
+  read.op = RpcOp::kRead;
+  read.object = objs[1].first;
+  EXPECT_EQ(router_->CallBatch({read, write}).status().code(), ErrorCode::kInvalidArgument);
+  ASSERT_OK_AND_ASSIGN(Bytes got, router_->Read(objs[0].first, 0, 64));
+  EXPECT_EQ(StringOf(got), objs[0].second);
 }
 
 }  // namespace

@@ -11,14 +11,61 @@
 namespace s4 {
 namespace {
 
+// Passes every frame on with each Create's attribute blob padded past the
+// drive's cap, so the drive refuses every Create it is sent.
+class RefuseCreates : public RpcTransport {
+ public:
+  explicit RefuseCreates(RpcTransport* next) : next_(next) {}
+
+  Result<Bytes> Call(ByteSpan request) override {
+    if (IsBatchRequestFrame(request)) {
+      S4_ASSIGN_OR_RETURN(RpcBatchRequest batch, RpcBatchRequest::Decode(request));
+      for (RpcRequest& sub : batch.subs) {
+        Refuse(&sub);
+      }
+      return next_->Call(batch.Encode());
+    }
+    S4_ASSIGN_OR_RETURN(RpcRequest req, RpcRequest::Decode(request));
+    Refuse(&req);
+    return next_->Call(req.Encode());
+  }
+
+ private:
+  static void Refuse(RpcRequest* req) {
+    if (req->op == RpcOp::kCreate) {
+      req->data.resize(4096, 0);
+    }
+  }
+
+  RpcTransport* next_;
+};
+
 class FsTest : public DriveTest {
  protected:
   void SetUp() override {
     DriveTest::SetUp();
+    WireStack();
+    ASSERT_OK_AND_ASSIGN(fs_, S4FileSystem::Format(client_.get(), "root"));
+  }
+
+  void WireStack() {
     server_ = std::make_unique<S4RpcServer>(drive_.get());
     transport_ = std::make_unique<LoopbackTransport>(server_.get(), clock_.get());
     client_ = std::make_unique<S4Client>(transport_.get(), User(100));
-    ASSERT_OK_AND_ASSIGN(fs_, S4FileSystem::Format(client_.get(), "root"));
+  }
+
+  // Power loss under the running file system: the Commit its teardown would
+  // send reaches no platter, the drive remounts from what was written, and
+  // the file system mounts again over a fresh stack.
+  void CrashAndRemountFs() {
+    FaultInjector power_fails;
+    power_fails.SchedulePowerCut(1);
+    device_->set_fault_injector(&power_fails);
+    fs_.reset();
+    device_->set_fault_injector(nullptr);
+    CrashAndRemount();
+    WireStack();
+    ASSERT_OK_AND_ASSIGN(fs_, S4FileSystem::Mount(client_.get(), "root"));
   }
 
   std::unique_ptr<S4RpcServer> server_;
@@ -162,11 +209,7 @@ TEST_F(FsTest, FileSystemSurvivesDriveCrash) {
   ASSERT_OK(fs_->SetSize(draft, 5));
   ASSERT_OK(fs_->Mkdir(dir, "made", 0755).status());
 
-  CrashAndRemount();
-  server_ = std::make_unique<S4RpcServer>(drive_.get());
-  transport_ = std::make_unique<LoopbackTransport>(server_.get(), clock_.get());
-  client_ = std::make_unique<S4Client>(transport_.get(), User(100));
-  ASSERT_OK_AND_ASSIGN(fs_, S4FileSystem::Mount(client_.get(), "root"));
+  CrashAndRemountFs();
 
   ASSERT_OK_AND_ASSIGN(FileHandle resolved, ResolvePath(fs_.get(), "/home/user/doc.txt"));
   ASSERT_OK_AND_ASSIGN(Bytes got, fs_->ReadFile(resolved, 0, 64));
@@ -183,6 +226,55 @@ TEST_F(FsTest, FileSystemSurvivesDriveCrash) {
   EXPECT_EQ(made_attr.type, FileType::kDirectory);
   ASSERT_OK_AND_ASSIGN(std::vector<DirEntry> entries, fs_->ReadDir(user_dir));
   EXPECT_EQ(entries.size(), 4u);  // doc.txt, draft.txt, new-name, made
+
+  // The power fails right after an acknowledged create: the new object and
+  // its directory record both survive.
+  ASSERT_OK_AND_ASSIGN(FileHandle last, fs_->CreateFile(user_dir, "last.txt", 0644));
+  CrashAndRemountFs();
+  ASSERT_OK_AND_ASSIGN(FileHandle found, ResolvePath(fs_.get(), "/home/user/last.txt"));
+  EXPECT_EQ(found, last);
+  ASSERT_OK_AND_ASSIGN(FileAttr last_attr, fs_->GetAttr(found));
+  EXPECT_EQ(last_attr.type, FileType::kFile);
+  EXPECT_EQ(last_attr.mode, 0644u);
+}
+
+// A Remove whose Delete the drive refuses keeps the name, in the cached
+// directory and in the stream on the drive.
+TEST_F(FsTest, RemoveWhoseDeleteIsRefusedKeepsTheName) {
+  ASSERT_OK_AND_ASSIGN(FileHandle root, fs_->Root());
+  ASSERT_OK_AND_ASSIGN(FileHandle f, fs_->CreateFile(root, "kept", 0644));
+  ASSERT_OK_AND_ASSIGN(FileAttr dir_before, fs_->GetAttr(root));
+  // The owner gives up the right to delete it.
+  ASSERT_OK(client_->SetAcl(f, AclEntry{100, kPermAll & ~kPermDelete}));
+  EXPECT_EQ(fs_->Remove(root, "kept").code(), ErrorCode::kPermissionDenied);
+  ASSERT_OK_AND_ASSIGN(FileHandle cached, fs_->Lookup(root, "kept"));
+  EXPECT_EQ(cached, f);
+
+  ASSERT_OK_AND_ASSIGN(auto fresh, S4FileSystem::Mount(client_.get(), "root"));
+  ASSERT_OK_AND_ASSIGN(FileHandle reread, fresh->Lookup(root, "kept"));
+  EXPECT_EQ(reread, f);
+  ASSERT_OK_AND_ASSIGN(FileAttr dir_after, fresh->GetAttr(root));
+  EXPECT_EQ(dir_after.size, dir_before.size);
+}
+
+// A CreateFile whose Create the drive refuses leaves no directory record.
+TEST_F(FsTest, CreateWhoseCreateIsRefusedLeavesNoRecord) {
+  ASSERT_OK_AND_ASSIGN(FileHandle root, fs_->Root());
+  ASSERT_OK(fs_->CreateFile(root, "before", 0644).status());
+  ASSERT_OK_AND_ASSIGN(FileAttr dir_before, fs_->GetAttr(root));
+  RefuseCreates refusing(transport_.get());
+  S4Client refused_client(&refusing, User(100));
+  ASSERT_OK_AND_ASSIGN(auto refused_fs, S4FileSystem::Mount(&refused_client, "root"));
+  EXPECT_EQ(refused_fs->CreateFile(root, "never", 0644).status().code(),
+            ErrorCode::kInvalidArgument);
+  EXPECT_EQ(refused_fs->Lookup(root, "never").status().code(), ErrorCode::kNotFound);
+
+  ASSERT_OK_AND_ASSIGN(auto fresh, S4FileSystem::Mount(client_.get(), "root"));
+  EXPECT_EQ(fresh->Lookup(root, "never").status().code(), ErrorCode::kNotFound);
+  ASSERT_OK_AND_ASSIGN(std::vector<DirEntry> entries, fresh->ReadDir(root));
+  EXPECT_EQ(entries.size(), 1u);
+  ASSERT_OK_AND_ASSIGN(FileAttr dir_after, fresh->GetAttr(root));
+  EXPECT_EQ(dir_after.size, dir_before.size);
 }
 
 TEST_F(FsTest, DirCompactionKeepsEntries) {

@@ -23,6 +23,7 @@ extern "C" int LLVMFuzzerTestOneInput(const uint8_t* data, size_t size) {
     S4_CHECK(again->object == req->object);
     S4_CHECK(again->at == req->at);
     S4_CHECK(again->sync == req->sync);
+    S4_CHECK(again->link == req->link);
     S4_CHECK(again->data == req->data);
   }
 
@@ -37,16 +38,23 @@ extern "C" int LLVMFuzzerTestOneInput(const uint8_t* data, size_t size) {
 
   // Batch envelopes: the same bytes, interpreted as a vectored frame. The
   // magic peek must agree with the full decode's framing acceptance, and an
-  // accepted batch obeys the sub-request cap.
+  // accepted batch obeys the sub-request cap and the link rule.
   (void)s4::IsBatchRequestFrame(frame);  // must not crash; cheap peek only
   auto batch = s4::RpcBatchRequest::Decode(frame);
   if (batch.ok()) {
     S4_CHECK(batch->subs.size() <= s4::RpcBatchRequest::kMaxSubRequests);
+    S4_CHECK(s4::CheckBatchLinks(batch->subs).ok());
     Bytes re = batch->Encode();
     S4_CHECK(s4::IsBatchRequestFrame(re));
     auto again = s4::RpcBatchRequest::Decode(re);
     S4_CHECK(again.ok());
     S4_CHECK(again->subs.size() == batch->subs.size());
+    for (size_t i = 0; i < batch->subs.size(); ++i) {
+      S4_CHECK(again->subs[i].op == batch->subs[i].op);
+      S4_CHECK(again->subs[i].sync == batch->subs[i].sync);
+      S4_CHECK(again->subs[i].link == batch->subs[i].link);
+      S4_CHECK(again->subs[i].data == batch->subs[i].data);
+    }
   }
   auto bresp = s4::RpcBatchResponse::Decode(frame);
   if (bresp.ok()) {

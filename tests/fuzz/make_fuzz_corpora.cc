@@ -118,6 +118,28 @@ std::vector<Bytes> RpcFrameBases() {
   stable.sync = true;
   bases.push_back(stable.Encode());
 
+  // A file create as S4FileSystem sends it: the directory append linked to
+  // the Create, which completes the record with the new id.
+  RpcRequest create;
+  create.op = RpcOp::kCreate;
+  create.creds = Credentials{100, 7};
+  create.data = BytesOf("nfs attrs");
+  RpcRequest linked;
+  linked.op = RpcOp::kAppend;
+  linked.creds = Credentials{100, 7};
+  linked.object = 42;
+  linked.data = EncodeDirRecordWithoutHandle({DirRecord::Op::kAdd, FileType::kFile, 0, "new"});
+  linked.link = true;
+  linked.sync = true;
+  RpcBatchRequest fused;
+  fused.subs = {create, linked};
+  bases.push_back(fused.Encode());
+
+  // Must be rejected: the link flag on a batch's first sub-request.
+  RpcBatchRequest misplaced;
+  misplaced.subs = {linked, create};
+  bases.push_back(misplaced.Encode());
+
   return bases;
 }
 

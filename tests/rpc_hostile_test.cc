@@ -331,6 +331,66 @@ TEST_F(RpcHostileTest, NestedBatchFramesAreRejected) {
   ExpectDriveHealthy();
 }
 
+// The link flag is legal only on an append that follows another sub-request
+// of its batch. Anywhere else the whole frame is rejected, as malformed: one
+// kInvalid record, and no sub-op applied.
+TEST_F(RpcHostileTest, MisplacedLinkFlagRejectsTheWholeFrame) {
+  ASSERT_OK_AND_ASSIGN(ObjectId id, client_->Create(BytesOf("target")));
+  ASSERT_OK(client_->Append(id, BytesOf("kept")).status());
+  RpcRequest create;
+  create.op = RpcOp::kCreate;
+  create.creds = User(100);
+  RpcRequest append;
+  append.op = RpcOp::kAppend;
+  append.creds = User(100);
+  append.object = id;
+  append.data = BytesOf("+linked");
+  append.link = true;
+  RpcRequest write = append;
+  write.op = RpcOp::kWrite;
+
+  const uint64_t audited = RejectedAuditRecords();
+  const uint64_t creates = AuditRecordsFor(RpcOp::kCreate);
+  const uint64_t appends = AuditRecordsFor(RpcOp::kAppend);
+  const uint64_t writes = AuditRecordsFor(RpcOp::kWrite);
+  // A single frame has nothing to link to.
+  EXPECT_EQ(ExpectRejected(append.Encode()), ErrorCode::kInvalidArgument);
+  // A batch's first sub-request has no predecessor.
+  RpcBatchRequest first;
+  first.subs = {append, create};
+  EXPECT_EQ(ExpectRejected(first.Encode()), ErrorCode::kInvalidArgument);
+  // Only an append may be linked.
+  RpcBatchRequest not_append;
+  not_append.subs = {create, write};
+  EXPECT_EQ(ExpectRejected(not_append.Encode()), ErrorCode::kInvalidArgument);
+
+  EXPECT_EQ(RejectedAuditRecords(), audited + 3) << "one kInvalid record per frame";
+  EXPECT_EQ(AuditRecordsFor(RpcOp::kCreate), creates) << "a rejected frame runs no sub-op";
+  EXPECT_EQ(AuditRecordsFor(RpcOp::kAppend), appends);
+  EXPECT_EQ(AuditRecordsFor(RpcOp::kWrite), writes);
+  EXPECT_EQ(AuditRecordsFor(RpcOp::kBatch), 0u);
+  ASSERT_OK_AND_ASSIGN(Bytes got, client_->Read(id, 0, 64));
+  EXPECT_EQ(StringOf(got), "kept");
+  ExpectDriveHealthy();
+}
+
+// A zero-length read of a non-empty object returns no bytes, current or
+// historical. Its last-block index once wrapped below zero, and the drive
+// looped over 2^52 blocks.
+TEST_F(RpcHostileTest, ZeroLengthReadReturnsNothing) {
+  ASSERT_OK_AND_ASSIGN(ObjectId id, client_->Create({}));
+  ASSERT_OK(client_->Write(id, 0, BytesOf("not empty")));
+  const SimTime written = clock_->Now();
+  clock_->Advance(kSecond);
+  ASSERT_OK(client_->Write(id, 0, BytesOf("rewritten")));
+  ASSERT_OK_AND_ASSIGN(Bytes current, client_->Read(id, 0, 0));
+  EXPECT_TRUE(current.empty());
+  S4Client recovery(transport_.get(), Admin());
+  ASSERT_OK_AND_ASSIGN(Bytes past, recovery.Read(id, 0, 0, written));
+  EXPECT_TRUE(past.empty());
+  ExpectDriveHealthy();
+}
+
 TEST_F(RpcHostileTest, ValidFrameWithHostileFieldValuesFailsInTheDrive) {
   // Well-formed frames carrying absurd arguments exercise the drive's own
   // validation, not the frame codec: these are NOT audit-kInvalid rejects.

@@ -98,6 +98,34 @@ TEST(CodecTest, StringsAndBytes) {
   EXPECT_EQ(StringOf(*dec.LengthPrefixed()), "raw");
 }
 
+// A string filled in place gets the same bytes as one copied in, whether
+// its length prefix fits the reserved byte or has to widen, and reads back
+// as a view without a copy.
+TEST(CodecTest, InPlaceLengthPrefixMatchesCopiedOne) {
+  for (size_t n : {size_t{0}, size_t{1}, size_t{127}, size_t{128}, size_t{300},
+                   size_t{16383}, size_t{16384}, size_t{70000}}) {
+    Bytes payload(n);
+    for (size_t i = 0; i < n; ++i) payload[i] = static_cast<uint8_t>(i * 7 + 1);
+    Encoder copied;
+    copied.PutU8(0xAA);
+    copied.PutLengthPrefixed(payload);
+    copied.PutU8(0xBB);
+    Encoder in_place;
+    in_place.PutU8(0xAA);
+    in_place.PutLengthPrefixedWith([&](Encoder* e) { e->PutBytes(payload); });
+    in_place.PutU8(0xBB);
+    EXPECT_EQ(in_place.bytes(), copied.bytes()) << n << " bytes";
+    Decoder dec(in_place.bytes());
+    ASSERT_OK(dec.U8().status());
+    ASSERT_OK_AND_ASSIGN(ByteSpan view, dec.LengthPrefixedSpan());
+    EXPECT_EQ(Bytes(view.begin(), view.end()), payload);
+    EXPECT_EQ(view.data(), in_place.bytes().data() + (in_place.size() - 1 - n));
+    ASSERT_OK_AND_ASSIGN(uint8_t tail, dec.U8());
+    EXPECT_EQ(tail, 0xBB);
+    EXPECT_TRUE(dec.done());
+  }
+}
+
 TEST(CodecTest, UnderrunReportsCorruption) {
   Bytes short_buf = {0x01, 0x02};
   Decoder dec(short_buf);
