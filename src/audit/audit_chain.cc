@@ -44,28 +44,17 @@ const char* AuditVerdictName(AuditVerdict v) {
 }
 
 void AppendChainFrame(const AuditRecord& record, AuditChainState* state, Encoder* out) {
-  // Body = varint seq | varint self_offset | payload. The u16 prefix counts
-  // body + 4 link bytes.
-  Encoder body;
-  body.PutVarint(state->next_seq);
-  body.PutVarint(state->next_offset);
-  record.EncodeTo(&body);
-  const size_t frame_len = body.size() + 4;
+  // Body = varint seq | varint self_offset | payload, encoded in place behind
+  // a reserved u16 prefix that then gets body + 4 link bytes.
+  const size_t start = out->size();
+  out->PutU16(0);
+  out->PutVarint(state->next_seq);
+  out->PutVarint(state->next_offset);
+  record.EncodeTo(out);
+  const size_t frame_len = out->size() - start - 2 + 4;
   S4_CHECK(frame_len <= 0xffff);
-
-  Encoder head;
-  head.PutU16(static_cast<uint16_t>(frame_len));
-
-  uint8_t prev[4];
-  PutLinkLE(state->link, prev);
-  uint32_t link_state = Crc32cInit();
-  link_state = Crc32cExtend(link_state, ByteSpan(prev, sizeof(prev)));
-  link_state = Crc32cExtend(link_state, head.bytes());
-  link_state = Crc32cExtend(link_state, body.bytes());
-  const uint32_t link = Crc32cFinish(link_state);
-
-  out->PutBytes(head.bytes());
-  out->PutBytes(body.bytes());
+  out->PatchU16(start, static_cast<uint16_t>(frame_len));
+  const uint32_t link = ComputeLink(state->link, ByteSpan(out->bytes()).subspan(start));
   out->PutU32(link);
 
   state->link = link;

@@ -125,7 +125,6 @@ Status FfsLikeServer::WriteInodeMeta(uint32_t ino) {
   // The in-memory table is authoritative; the device write models the I/O
   // cost and persistence of the containing inode sector.
   Bytes raw(kSectorSize, 0);
-  ++stats_.metadata_writes;
   return device_->Write(sector, raw);
 }
 
@@ -178,7 +177,6 @@ Result<Bytes> FfsLikeServer::ReadBlock(uint64_t blk) {
 
 Status FfsLikeServer::WriteBlock(uint64_t blk, ByteSpan content) {
   S4_CHECK(content.size() == kBlockSize);
-  ++stats_.data_writes;
   S4_RETURN_IF_ERROR(device_->Write(BlockSector(blk), content));
   buffer_cache_->Put(blk, Bytes(content.begin(), content.end()), content.size());
   return Status::Ok();
@@ -193,7 +191,6 @@ Status FfsLikeServer::WriteIndirect(uint64_t blk, const Bytes& content) {
     return Status::Ok();
   }
   buffer_cache_->Put(blk, content, content.size());
-  ++stats_.metadata_writes;
   return device_->Write(BlockSector(blk), content);
 }
 
@@ -639,13 +636,11 @@ Status FfsLikeServer::FlushMetadata() {
   for (uint64_t sector : dirty_meta_sectors_) {
     Bytes raw(kSectorSize, 0);
     S4_RETURN_IF_ERROR(device_->Write(sector, raw));
-    ++stats_.lazy_flushes;
   }
   dirty_meta_sectors_.clear();
   for (auto& [blk, content] : pinned_meta_) {
     S4_RETURN_IF_ERROR(device_->Write(BlockSector(blk), content));
     buffer_cache_->Put(blk, content, content.size());
-    ++stats_.lazy_flushes;
   }
   pinned_meta_.clear();
   return Status::Ok();

@@ -45,12 +45,6 @@ struct FfsOptions {
   uint64_t buffer_cache_bytes = 8ull << 20;
 };
 
-struct FfsStats {
-  uint64_t metadata_writes = 0;  // synchronous metadata I/Os issued
-  uint64_t data_writes = 0;
-  uint64_t lazy_flushes = 0;     // metadata writes deferred to FlushMetadata
-};
-
 class FfsLikeServer : public FileSystemApi {
  public:
   static Result<std::unique_ptr<FfsLikeServer>> Format(BlockDevice* device, SimClock* clock,
@@ -77,8 +71,6 @@ class FfsLikeServer : public FileSystemApi {
   // Writes back all deferred metadata (bitmaps; plus everything else in the
   // async personality — its bdflush equivalent).
   Status FlushMetadata();
-
-  const FfsStats& stats() const { return stats_; }
 
  private:
   static constexpr uint32_t kRootInode = 1;
@@ -166,8 +158,6 @@ class FfsLikeServer : public FileSystemApi {
   // Async-dirty blocks whose authoritative content is pinned in memory
   // until FlushMetadata (indirect + directory blocks).
   std::unordered_map<uint64_t, Bytes> pinned_meta_;
-
-  FfsStats stats_;
 };
 
 }  // namespace s4

@@ -38,6 +38,11 @@
 // and history counts both reach zero become reclaimable; they are reused only
 // after the next device checkpoint so crash recovery can never replay stale
 // chunks.
+//
+// Compaction copies a segment's current blocks to the log head, each as a
+// kMove journal entry through WriteBlocks: ApplyEntry, live and at
+// roll-forward, points the block at the copy and frees the old one (a move
+// is not a version), so nothing is re-checkpointed to make up for it.
 #include <algorithm>
 #include <cmath>
 
@@ -174,10 +179,13 @@ Status S4Drive::ExpireChunk(const ScannedChunk& chunk) {
     if (entry == nullptr || !entry->live()) {
       continue;
     }
+    // A move at the checkpoint's own instant may have been logged after it.
     bool replays = std::any_of(sector.entries.begin(), sector.entries.end(),
                                [entry](const JournalEntry& e) {
-                                 return e.time > entry->checkpoint_time &&
-                                        e.type != JournalEntryType::kCheckpoint;
+                                 return e.type != JournalEntryType::kCheckpoint &&
+                                        (e.time > entry->checkpoint_time ||
+                                         (e.type == JournalEntryType::kMove &&
+                                          e.time == entry->checkpoint_time));
                                });
     if (replays) {
       S4_ASSIGN_OR_RETURN(ObjectHandle obj, LoadObject(sector.object_id));
@@ -334,7 +342,6 @@ Result<uint32_t> S4Drive::RunCleanerPass(uint32_t max_compactions, bool force_co
 Result<bool> S4Drive::CompactSegment(SegmentId seg) {
   S4_ASSIGN_OR_RETURN(std::vector<ScannedChunk> chunks, ScanSegment(device_, sb_, seg));
   bool moved_any = false;
-  std::vector<ObjectId> touched;
   for (const auto& chunk : chunks) {
     for (const auto& rec : chunk.records) {
       if (rec.kind == RecordKind::kData) {
@@ -353,21 +360,13 @@ Result<bool> S4Drive::CompactSegment(SegmentId seg) {
         if (obj->inode.BlockAddr(rec.block_index) != rec.addr) {
           continue;  // superseded: history or dead
         }
+        // A kMove entry on the one block path: applying it frees the old copy.
         S4_ASSIGN_OR_RETURN(Bytes content, ReadRecord(rec.addr, rec.sectors));
-        S4_ASSIGN_OR_RETURN(
-            DiskAddr new_addr,
-            writer_->Append(RecordKind::kData, rec.object_id, rec.block_index, content, actx()));
-        block_cache_->Insert(new_addr, std::move(content));
-        obj->inode.blocks[rec.block_index] = new_addr;
-        obj->dirty = true;
-        // A physical move, not a new version: the old copy's live count moves
-        // with it rather than becoming history.
-        ReleaseSectors(rec.addr, rec.sectors, /*history=*/false);
+        S4_RETURN_IF_ERROR(WriteBlocks(JournalEntryType::kMove, rec.object_id, obj.get(),
+                                       rec.block_index * kBlockSize, content,
+                                       obj->inode.attrs.size));
         m_.cleaner_sectors_copied->Add(rec.sectors);
         moved_any = true;
-        if (std::find(touched.begin(), touched.end(), rec.object_id) == touched.end()) {
-          touched.push_back(rec.object_id);
-        }
       } else if (rec.kind == RecordKind::kInodeCheckpoint) {
         ObjectMapEntry* entry = object_map_.Find(rec.object_id);
         if (entry == nullptr || entry->checkpoint_addr != rec.addr || !entry->live()) {
@@ -383,15 +382,6 @@ Result<bool> S4Drive::CompactSegment(SegmentId seg) {
         m_.cleaner_sectors_copied->Add(rec.sectors);
         moved_any = true;
       }
-    }
-  }
-  // Relocations bypass the journal; affected objects must be re-checkpointed
-  // before the vacated space can ever be reused, so that crash recovery
-  // never resolves a block to its old address.
-  for (ObjectId id : touched) {
-    auto loaded = LoadObject(id);
-    if (loaded.ok()) {
-      S4_RETURN_IF_ERROR(CheckpointObject(id, loaded->get()));
     }
   }
   return moved_any;

@@ -127,6 +127,7 @@ Result<bool> S4Drive::ApplyEntryUndo(ObjectId id, const JournalEntry& e, SimTime
       return false;
     case JournalEntryType::kDelete:
     case JournalEntryType::kCheckpoint:
+    case JournalEntryType::kMove:  // the later entries already name the copy
       break;
   }
   return true;
@@ -160,15 +161,16 @@ Result<S4Drive::VersionView> S4Drive::ReconstructVersion(ObjectId id, SimTime at
   // than `at` — O(distance from the present). Forward replay starts from the
   // create entry and visits every entry *at or below* `at` — O(distance from
   // creation) thanks to the waypoint seek — but is only sound when the whole
-  // chain back to the create entry is intact (nothing expired) and no
+  // chain back to the create entry is intact (nothing expired), no
   // administrative purge has destroyed data the replayed addresses reference
   // (purge knowledge hangs off the *superseding* entries, which forward
-  // replay never visits).
+  // replay never visits), and `at` is at or past the newest move: an entry
+  // older than a move names the address compaction vacated.
   size_t below = entry->WaypointsAtOrBelow(at);
   size_t above = entry->waypoints.size() - below;
   bool forward_ok = options_.waypoint_interval_sectors > 0 && below < above &&
                     entry->history_barrier < entry->create_time &&
-                    purged_.find(id) == purged_.end();
+                    purged_.find(id) == purged_.end() && at >= entry->move_time;
   if (forward_ok) {
     m_.history_forward_walks->Inc();
     std::vector<JournalEntry> replay;
@@ -228,13 +230,14 @@ Result<S4Drive::VersionView> S4Drive::ReconstructForAccess(OpContext& ctx, Objec
 }
 
 Result<SimTime> S4Drive::ModifyTimeAt(ObjectId id, const VersionView& view, SimTime at) {
-  // An ACL change or an inode checkpoint leaves the modify time as it was.
-  // With the history below the barrier gone, the creation time stands in.
+  // An ACL change, an inode checkpoint or a move leaves the modify time as
+  // it was. With the history below the barrier gone, the creation time
+  // stands in.
   SimTime modify = view.create_time;
   S4_RETURN_IF_ERROR(
       WalkJournal(id, view.base.get(), at, [&](const JournalEntry& e) -> Result<bool> {
         if (e.time > at || e.type == JournalEntryType::kSetAcl ||
-            e.type == JournalEntryType::kCheckpoint) {
+            e.type == JournalEntryType::kCheckpoint || e.type == JournalEntryType::kMove) {
           return true;
         }
         modify = e.time;
@@ -296,7 +299,8 @@ Result<std::vector<VersionInfo>> S4Drive::GetVersionList(OpContext& ctx, ObjectI
     // No time bound: the list spans the whole reconstructible history.
     Status walk = WalkJournal(id, obj.get(), std::nullopt,
                               [&](const JournalEntry& e) -> Result<bool> {
-                                if (e.type != JournalEntryType::kCheckpoint) {
+                                if (e.type != JournalEntryType::kCheckpoint &&
+                                    e.type != JournalEntryType::kMove) {
                                   versions.push_back(VersionInfo{e.time, e.type});
                                 }
                                 return true;

@@ -8,9 +8,9 @@
 //
 // Every mutation is a journal entry queued by LogEntry (s4_drive.cc), which
 // applies it with the ApplyEntry that roll-forward uses too. Data blocks are
-// appended only by WriteBlocks, the one block path; with CheckpointObject and
-// compaction it is one of the three places a record is appended and inserted
-// into the block cache.
+// appended only by WriteBlocks, the one block path (compaction's copies are
+// kMove entries through it); with CheckpointObject it is one of the two
+// places a record is appended and inserted into the block cache.
 #include <algorithm>
 #include <cstring>
 

@@ -970,20 +970,34 @@ void S4Drive::ApplyEntryForward(Inode* inode, bool* exists, const JournalEntry& 
       break;
     case JournalEntryType::kCheckpoint:
       break;
+    case JournalEntryType::kMove:  // not a version: size and modify time stay
+      for (const auto& d : e.blocks) {
+        if (auto it = inode->blocks.find(d.block_index);
+            it != inode->blocks.end() && it->second == d.old_addr) {
+          it->second = d.new_addr;
+        }
+      }
+      break;
   }
 }
 
 void S4Drive::ApplyEntry(ObjectId id, CachedObject* obj, const JournalEntry& e) {
+  // A move is not a version: its old copy is freed, never kept as history.
+  const bool move = e.type == JournalEntryType::kMove;
+  const bool history = ObjectIsVersioned(id) && !move;
   for (const auto& d : e.blocks) {
     if (d.old_addr != kNullAddr) {
-      SupersedeBlock(id, d.old_addr, DataRecordSectors(e.old_size, d.block_index));
+      SupersedeBlock(d.old_addr, DataRecordSectors(e.old_size, d.block_index), history);
     }
   }
-  // Only these two name a checkpoint or touch the map entry; a write does
-  // not pay for the map lookup.
-  if (e.type == JournalEntryType::kCheckpoint || e.type == JournalEntryType::kDelete) {
+  // Only these three touch the map entry; a write does not pay for the map
+  // lookup.
+  if (e.type == JournalEntryType::kCheckpoint || e.type == JournalEntryType::kDelete || move) {
     ObjectMapEntry* entry = object_map_.Find(id);
     S4_CHECK(entry != nullptr);
+    if (move) {
+      entry->move_time = e.time;
+    }
     if (e.checkpoint_addr != kNullAddr && e.checkpoint_addr != entry->checkpoint_addr) {
       // Versions are rebuilt from the current state plus undo entries, never
       // from an old checkpoint, so the one this replaces is released. The
@@ -997,7 +1011,7 @@ void S4Drive::ApplyEntry(ObjectId id, CachedObject* obj, const JournalEntry& e) 
     }
     if (e.type == JournalEntryType::kDelete) {
       for (const auto& [index, addr] : obj->inode.blocks) {
-        SupersedeBlock(id, addr, DataRecordSectors(obj->inode.attrs.size, index));
+        SupersedeBlock(addr, DataRecordSectors(obj->inode.attrs.size, index), history);
       }
       entry->delete_time = e.time;
     }
@@ -1005,8 +1019,8 @@ void S4Drive::ApplyEntry(ObjectId id, CachedObject* obj, const JournalEntry& e) 
   ApplyEntryForward(&obj->inode, &obj->exists, e);
 }
 
-void S4Drive::SupersedeBlock(ObjectId id, DiskAddr old_addr, uint32_t sectors) {
-  if (ObjectIsVersioned(id)) {
+void S4Drive::SupersedeBlock(DiskAddr old_addr, uint32_t sectors, bool history) {
+  if (history) {
     sut_->LiveToHistory(sb_.SegmentOf(old_addr), sectors);
     // History is read only by time-based recovery: it must never push
     // current data out of the cache.
@@ -1103,8 +1117,10 @@ Result<S4Drive::ObjectHandle> S4Drive::MaterializeObject(ObjectId id,
                                                  entry.checkpoint_sectors));
     S4_ASSIGN_OR_RETURN(obj->inode, Inode::DecodeCheckpoint(record));
   }
-  // Replay journal entries newer than the inode checkpoint, oldest first.
+  // Replay, oldest first, the entries logged after the kCheckpoint entry
+  // that installed the checkpoint: one at its own instant may follow it.
   std::vector<std::shared_ptr<const JournalSector>> sectors;
+  size_t first = 0;  // the replay's start in the oldest sector collected
   DiskAddr addr = entry.journal_head;
   while (addr != kNullAddr) {
     S4_ASSIGN_OR_RETURN(std::shared_ptr<const JournalSector> sector,
@@ -1113,19 +1129,24 @@ Result<S4Drive::ObjectHandle> S4Drive::MaterializeObject(ObjectId id,
       break;  // chain crossed the history barrier into reclaimed space
     }
     sectors.push_back(sector);
-    if (!sector->entries.empty() &&
-        (sector->entries.back().time <= entry.checkpoint_time ||
-         sector->entries.front().time <= entry.history_barrier)) {
+    const std::vector<JournalEntry>& es = sector->entries;
+    auto installed = std::find_if(es.rbegin(), es.rend(), [&](const JournalEntry& e) {
+      return e.type == JournalEntryType::kCheckpoint && e.checkpoint_addr == entry.checkpoint_addr;
+    });
+    if (installed != es.rend()) {
+      first = static_cast<size_t>(installed.base() - es.begin());
+      break;
+    }
+    if (!es.empty() && es.front().time <= entry.history_barrier) {
       break;
     }
     addr = sector->prev;
   }
   bool exists = true;  // the replay's liveness is unused: the map entry decides
   for (auto it = sectors.rbegin(); it != sectors.rend(); ++it) {
-    for (const auto& e : (*it)->entries) {
-      if (e.time > entry.checkpoint_time) {
-        ApplyEntryForward(&obj->inode, &exists, e);
-      }
+    const std::vector<JournalEntry>& es = (*it)->entries;
+    for (size_t i = it == sectors.rbegin() ? first : 0; i < es.size(); ++i) {
+      ApplyEntryForward(&obj->inode, &exists, es[i]);
     }
   }
   obj->inode.id = id;

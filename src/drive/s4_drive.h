@@ -187,10 +187,10 @@ class S4Drive {
   // ---- Cleaner (section 4.2.1) ----
   // One cleaning pass: sweeps the log in write order, expiring versions older
   // than the detection window, reclaims empty segments, and compacts up to
-  // `max_compactions` fragmented segments. Compaction normally runs only
-  // when space is low; `force_compaction` makes it unconditional (continuous
-  // foreground cleaning, as measured in Figure 5). Returns number of
-  // segments made free.
+  // `max_compactions` fragmented segments, each block move a journal entry.
+  // Compaction normally runs only when space is low; `force_compaction`
+  // makes it unconditional (continuous foreground cleaning, as measured in
+  // Figure 5). Returns number of segments made free.
   Result<uint32_t> RunCleanerPass(uint32_t max_compactions, bool force_compaction = false);
   // True when free space is low enough that cleaning should run.
   bool CleanerNeeded() const;
@@ -439,8 +439,10 @@ class S4Drive {
   void ReleaseSectors(DiskAddr addr, uint32_t sectors, bool history);
   Result<ObjectHandle> LoadObject(ObjectId id);
   // Rebuilds an object from its inode checkpoint plus the journal entries
-  // newer than it, walking the chain through ReadJournalSector down to the
-  // history barrier. LoadObject's cache-miss body; roll-forward shares it.
+  // logged after the kCheckpoint entry that installed it (found by its place
+  // in the chain, not by time), walking the chain through ReadJournalSector
+  // no further than the history barrier. LoadObject's cache-miss body;
+  // roll-forward shares it.
   Result<ObjectHandle> MaterializeObject(ObjectId id, const ObjectMapEntry& entry);
   Status EvictObject(ObjectId id, ObjectHandle obj);
   // The one mutation path. Every change to an object is a journal entry, and
@@ -451,14 +453,15 @@ class S4Drive {
   // applied whole before any packing can fail, and packed once.
   Status LogEntry(ObjectId id, CachedObject* obj, JournalEntry e, bool last = true);
   // Applies one entry to the drive's state, live (from LogEntry) and at
-  // roll-forward alike: supersedes each delta's old block, installs a
-  // checkpoint the entry names (releasing the one it replaces), retires a
-  // deleted object's current blocks and sets its delete time, then replays
-  // the entry on the cached inode.
+  // roll-forward alike: supersedes each delta's old block (a kMove frees it
+  // instead and records the object's move time), installs a checkpoint the
+  // entry names (releasing the one it replaces), retires a deleted object's
+  // current blocks and sets its delete time, then replays the entry on the
+  // cached inode.
   void ApplyEntry(ObjectId id, CachedObject* obj, const JournalEntry& e);
-  // A block an entry replaces (its record `sectors` long) becomes history,
-  // or is freed when the object is unversioned.
-  void SupersedeBlock(ObjectId id, DiskAddr old_addr, uint32_t sectors);
+  // A block an entry replaces (its record `sectors` long) becomes history
+  // when `history`, else it is freed (an unversioned object's, a move's).
+  void SupersedeBlock(DiskAddr old_addr, uint32_t sectors, bool history);
   // Replays one entry on an inode, oldest to newest. ApplyEntry, LoadObject
   // and forward history reconstruction share it.
   static void ApplyEntryForward(Inode* inode, bool* exists, const JournalEntry& e);
@@ -510,12 +513,12 @@ class S4Drive {
   // `write_off`) laid over it, DataRecordSectors(new_size, block_index) long.
   Result<Bytes> BuildBlockContent(const CachedObject& obj, uint64_t block_index,
                                   uint64_t new_size, uint64_t write_off, ByteSpan data);
-  // The one block path (writes, appends, truncates, the audit log and the
-  // partition table): appends a new block for every block `data` (at
-  // `offset`) touches, for a shrink's boundary block, and for the old last
-  // block when growth changes its record length; drops every block past
-  // `new_size`; and journals the deltas as `type` entries through LogEntry,
-  // split so each fits a journal sector. Each record holds its block's live
+  // The one block path (writes, appends, truncates, the audit log, the
+  // partition table and compaction's kMove copies): appends a new block for
+  // every block `data` (at `offset`) touches, for a shrink's boundary block,
+  // and for the old last block when growth changes its record length; drops
+  // every block past `new_size`; and journals the deltas as `type` entries
+  // through LogEntry, split so each fits a journal sector. Each record holds its block's live
   // sectors at `new_size` (DataRecordSectors), so a delta's old record
   // length follows from the entry's old size and its new one from the new
   // size. If a read or an append fails, nothing is journaled and the blocks
@@ -584,6 +587,8 @@ class S4Drive {
   // Full expiry of a deleted object at its kDelete sector: the delete-time
   // checkpoint, the blocks it references, and the map entry.
   uint64_t ExpireDeletedObject(ObjectId id, const ObjectMapEntry& entry);
+  // Copies a segment's current blocks out as kMove entries (WriteBlocks) and
+  // its current inode checkpoints by re-checkpointing. True if any moved.
   Result<bool> CompactSegment(SegmentId seg);
   void NoteClientWrite(ClientId client, uint64_t bytes);
 

@@ -28,13 +28,19 @@ void JournalEntry::EncodeTo(Encoder* enc) const {
       enc->PutVarint(checkpoint_addr);
       enc->PutVarint(checkpoint_sectors);
       break;
+    case JournalEntryType::kMove:
+      enc->PutVarint(new_size);
+      enc->PutVarint(blocks.front().block_index);
+      enc->PutVarint(blocks.front().old_addr);
+      enc->PutVarint(blocks.front().new_addr);
+      break;
   }
 }
 
 Result<JournalEntry> JournalEntry::DecodeFrom(Decoder* dec) {
   JournalEntry e;
   S4_ASSIGN_OR_RETURN(uint8_t type, dec->U8());
-  if (type < 1 || type > 7) {
+  if (type < 1 || type > 8) {
     return Status::DataCorruption("bad journal entry type");
   }
   e.type = static_cast<JournalEntryType>(type);
@@ -67,6 +73,15 @@ Result<JournalEntry> JournalEntry::DecodeFrom(Decoder* dec) {
       S4_ASSIGN_OR_RETURN(e.checkpoint_addr, dec->Varint());
       S4_ASSIGN_OR_RETURN(uint64_t n, dec->Varint());
       e.checkpoint_sectors = static_cast<uint32_t>(n);
+      break;
+    }
+    case JournalEntryType::kMove: {
+      S4_ASSIGN_OR_RETURN(e.new_size, dec->Varint());
+      e.old_size = e.new_size;
+      BlockDelta& b = e.blocks.emplace_back();
+      S4_ASSIGN_OR_RETURN(b.block_index, dec->Varint());
+      S4_ASSIGN_OR_RETURN(b.old_addr, dec->Varint());
+      S4_ASSIGN_OR_RETURN(b.new_addr, dec->Varint());
       break;
     }
   }

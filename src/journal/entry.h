@@ -32,6 +32,9 @@ enum class JournalEntryType : uint8_t {
   kSetAttr = 5,
   kSetAcl = 6,
   kCheckpoint = 7,
+  // Compaction copied a current block: not a version (size and modify time
+  // stay), and the old copy is freed rather than kept as history.
+  kMove = 8,
 };
 
 // One logical block whose mapping changed: `old_addr` is where the previous
@@ -47,7 +50,8 @@ struct JournalEntry {
   JournalEntryType type = JournalEntryType::kWrite;
   SimTime time = 0;
 
-  // kWrite / kTruncate: size transition and remapped blocks.
+  // kWrite / kTruncate: size transition and remapped blocks. kMove: one
+  // block; the object's size is both sizes.
   uint64_t old_size = 0;
   uint64_t new_size = 0;
   std::vector<BlockDelta> blocks;

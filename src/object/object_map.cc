@@ -43,7 +43,11 @@ void ObjectMap::EncodeTo(Encoder* enc) const {
       enc->PutI64(w.time);
       enc->PutVarint(w.addr);
     }
-    enc->PutVarint(e.sectors_since_waypoint);
+    // The low bit flags a move time: an object that never moved keeps its length.
+    enc->PutVarint(uint64_t{e.sectors_since_waypoint} << 1 | (e.move_time != 0 ? 1 : 0));
+    if (e.move_time != 0) {
+      enc->PutI64(e.move_time);
+    }
   }
 }
 
@@ -71,7 +75,10 @@ Result<ObjectMap> ObjectMap::DecodeFrom(Decoder* dec) {
       e.waypoints.push_back(wp);
     }
     S4_ASSIGN_OR_RETURN(uint64_t ssw, dec->Varint());
-    e.sectors_since_waypoint = static_cast<uint32_t>(ssw);
+    e.sectors_since_waypoint = static_cast<uint32_t>(ssw >> 1);
+    if ((ssw & 1) != 0) {
+      S4_ASSIGN_OR_RETURN(e.move_time, dec->I64());
+    }
     map.entries_[id] = e;
   }
   return map;

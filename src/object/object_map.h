@@ -56,6 +56,11 @@ struct ObjectMapEntry {
   // checkpoints so the cadence survives recovery).
   uint32_t sectors_since_waypoint = 0;
 
+  // Time of the newest kMove entry (0 = none). Entries older than it may
+  // name an address compaction vacated, so forward replay needs `at` at or
+  // past it.
+  SimTime move_time = 0;
+
   bool live() const { return delete_time == 0; }
 
   // Waypoint cadence bookkeeping for one appended journal sector whose newest

@@ -185,13 +185,6 @@ class BlockDevice {
   // tests that corrupt state out-of-band.
   void CorruptSectors(uint64_t lba, uint64_t count = 1) S4_EXCLUDES(mu_);
 
-  // Simulates power loss: in-memory sector contents persist (they model the
-  // platters), but the caller's caches are gone. Provided for crash tests.
-  // Optionally corrupts the `torn_lba` sector to model a torn write.
-  // Thin wrapper kept for older tests; new code should use a FaultInjector
-  // or CorruptSectors directly.
-  void SimulateCrashTornSector(uint64_t torn_lba) { CorruptSectors(torn_lba, 1); }
-
  private:
   // Backing store is allocated lazily in 1MB chunks so multi-GB simulated
   // disks only commit memory for sectors actually written.

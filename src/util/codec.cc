@@ -7,6 +7,11 @@ void Encoder::PutU16(uint16_t v) {
   buf_.push_back(static_cast<uint8_t>(v >> 8));
 }
 
+void Encoder::PatchU16(size_t at, uint16_t v) {
+  buf_[at] = static_cast<uint8_t>(v);
+  buf_[at + 1] = static_cast<uint8_t>(v >> 8);
+}
+
 void Encoder::PutU32(uint32_t v) {
   uint8_t le[4];
   for (int i = 0; i < 4; ++i) {

@@ -46,6 +46,9 @@ class Encoder {
     SetLengthPrefix(at);
   }
   void PutString(const std::string& s);
+  // Overwrites the u16 already written at `at`: a length reserved before the
+  // bytes it counts were encoded.
+  void PatchU16(size_t at, uint16_t v);
 
   const Bytes& bytes() const { return buf_; }
   Bytes Take() { return std::move(buf_); }

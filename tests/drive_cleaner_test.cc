@@ -230,8 +230,9 @@ TEST_F(DriveTest, CompactionRelocatesLiveData) {
 }
 
 TEST_F(DriveTest, CompactionSurvivesCrash) {
-  // Relocations bypass the journal; the re-checkpoint + deferred reuse rules
-  // must make them crash-safe.
+  // Each relocation is a kMove journal entry that roll-forward applies, and
+  // a vacated segment is reused only after a device checkpoint: together
+  // they make compaction crash-safe.
   SetUpDrive([] {
     S4DriveOptions o = SmallOptions();
     o.detection_window = 5 * kMinute;
@@ -260,6 +261,205 @@ TEST_F(DriveTest, CompactionSurvivesCrash) {
     ASSERT_OK_AND_ASSIGN(Bytes got, drive_->Read(alice, id, 0, data.size()));
     EXPECT_EQ(got, data);
   }
+}
+
+// ---------------------------------------------------------------------------
+// Compaction moves: journal entries on the one mutation path
+// ---------------------------------------------------------------------------
+
+// Live and history sectors of every segment.
+std::vector<std::pair<uint32_t, uint32_t>> SegmentCounts(const SegmentUsageTable& table) {
+  std::vector<std::pair<uint32_t, uint32_t>> counts;
+  for (SegmentId seg = 0; seg < table.segment_count(); ++seg) {
+    counts.emplace_back(table.Info(seg).live_sectors, table.Info(seg).history_sectors);
+  }
+  return counts;
+}
+
+// The compaction recipes' setup: two one-block objects and 120 one-block
+// fillers, the fillers deleted, aged out, freed and their segments
+// reclaimed, then the first object overwritten. Leaves the audit log's
+// blocks the only live data in some segments.
+void AgeOutFillersThenOverwrite(S4Drive* drive, SimClock* clock, const Credentials& alice,
+                                std::vector<ObjectId>* objects) {
+  for (int i = 0; i < 2; ++i) {
+    ASSERT_OK_AND_ASSIGN(ObjectId id, drive->Create(alice, {}));
+    ASSERT_OK(drive->Write(alice, id, 0, Bytes(kBlockSize, static_cast<uint8_t>('a' + i))));
+    objects->push_back(id);
+  }
+  std::vector<ObjectId> fillers;
+  for (int i = 0; i < 120; ++i) {
+    ASSERT_OK_AND_ASSIGN(ObjectId id, drive->Create(alice, {}));
+    ASSERT_OK(drive->Write(alice, id, 0, Bytes(kBlockSize, 'f')));
+    fillers.push_back(id);
+  }
+  ASSERT_OK(drive->Sync(alice));
+  for (ObjectId id : fillers) {
+    ASSERT_OK(drive->Delete(alice, id));
+  }
+  ASSERT_OK(drive->Sync(alice));
+  clock->Advance(2 * kHour);
+  ASSERT_OK(drive->RunCleanerPass(0).status());
+  ASSERT_OK(drive->Sync(alice));
+  ASSERT_OK(drive->WriteCheckpoint());
+  ASSERT_OK(drive->Write(alice, objects->front(), 0, Bytes(kBlockSize, 'z')));
+  ASSERT_OK(drive->Sync(alice));
+}
+
+TEST_F(DriveTest, CrashAfterCompactionKeepsEverySegmentsCounts) {
+  // Roll-forward counts a data record live where a journal entry names it,
+  // so every move must be one: otherwise a crash leaves the moved sectors
+  // counted in the old segment and missing from the new one, and the next
+  // overwrite of the block aborts on the usage table's check.
+  Credentials alice = User(100);
+  std::vector<ObjectId> objects;
+  ASSERT_NO_FATAL_FAILURE(AgeOutFillersThenOverwrite(drive_.get(), clock_.get(), alice, &objects));
+  for (int i = 0; i < 2; ++i) {
+    ASSERT_OK(drive_->RunCleanerPass(1, /*force_compaction=*/true).status());
+  }
+  ASSERT_GT(drive_->metrics().CounterValue("cleaner.sectors_copied"), 0u);
+  ASSERT_OK(drive_->Sync(alice));
+  const auto before = SegmentCounts(drive_->usage_table());
+
+  CrashAndRemount();
+  EXPECT_EQ(SegmentCounts(drive_->usage_table()), before);
+  ASSERT_OK_AND_ASSIGN(Bytes first, drive_->Read(alice, objects[0], 0, kBlockSize));
+  EXPECT_EQ(first, Bytes(kBlockSize, 'z'));
+  ASSERT_OK_AND_ASSIGN(Bytes second, drive_->Read(alice, objects[1], 0, kBlockSize));
+  EXPECT_EQ(second, Bytes(kBlockSize, 'b'));
+  ASSERT_OK(drive_->Write(alice, objects[0], 0, Bytes(kBlockSize, 'y')));
+}
+
+TEST_F(DriveTest, CrashAfterCompactionKeepsTheAuditChain) {
+  // The pass moves the audit log's block 0 out of a segment it alone pins;
+  // the device checkpoint that reclaims the segment first commits the audit
+  // tail, rewriting that block at the pass's instant. Replay must keep both
+  // in log order, or mount resolves block 0 to the moved copy and finds the
+  // chain short of its committed size.
+  Credentials alice = User(100);
+  std::vector<ObjectId> objects;
+  ASSERT_NO_FATAL_FAILURE(AgeOutFillersThenOverwrite(drive_.get(), clock_.get(), alice, &objects));
+  ASSERT_OK(drive_->RunCleanerPass(1, /*force_compaction=*/true).status());
+  ASSERT_GT(drive_->metrics().CounterValue("cleaner.sectors_copied"), 0u);
+
+  CrashAndRemount();
+  EXPECT_EQ(drive_->metrics().CounterValue("audit.chain_breaks"), 0u);
+  EXPECT_OK(drive_->QueryAudit(Admin(), AuditQuery{}).status());
+}
+
+TEST_F(DriveTest, MoveLoggedAtItsCheckpointsInstantIsReplayed) {
+  // Compaction meets an object's current inode checkpoint before its current
+  // block in the same segment: it re-checkpoints the object, then moves the
+  // block, both at one instant. The checkpoint covers only what was logged
+  // before its own entry, so the move must be replayed after an eviction
+  // round trip and after a crash, and the sweep of the move's sector must
+  // checkpoint the object before it frees the sector.
+  SetUpDrive([] {
+    S4DriveOptions o = SmallOptions();
+    o.object_cache_bytes = 4 << 10;
+    return o;
+  }(), 64ull << 20);
+  Credentials alice = User(100);
+  ASSERT_OK_AND_ASSIGN(ObjectId id, drive_->Create(alice, {}));
+  ASSERT_OK(drive_->Write(alice, id, 0, Bytes(kBlockSize, 'a')));
+  for (int i = 0; i < 100 && drive_->DebugObjectEntry(id)->checkpoint_addr == kNullAddr; ++i) {
+    ASSERT_OK(drive_->Create(alice, {}).status());  // until the eviction checkpoints it
+  }
+  ASSERT_NE(drive_->DebugObjectEntry(id)->checkpoint_addr, kNullAddr);
+  const Bytes data(kBlockSize, 'b');
+  ASSERT_OK(drive_->Write(alice, id, 0, data));  // after the checkpoint, in its segment
+  ASSERT_OK_AND_ASSIGN(std::vector<DiskAddr> old_addrs, drive_->DebugObjectBlockAddrs(id));
+  const SegmentId seg = drive_->superblock().SegmentOf(old_addrs[0]);
+  // Fill the segment with a filler whose every block an overwrite supersedes
+  // and an admin purge frees, so the segment is the emptiest one sealed.
+  ASSERT_OK_AND_ASSIGN(ObjectId filler, drive_->Create(alice, {}));
+  const SimTime before_overwrite = clock_->Now();
+  for (int round = 0; round < 2; ++round) {
+    ASSERT_OK(drive_->Write(alice, filler, 0, Bytes(256 << 10, static_cast<uint8_t>(round))));
+  }
+  ASSERT_OK(drive_->Flush(Admin(), before_overwrite + 1, clock_->Now()));
+  ASSERT_EQ(drive_->usage_table().Info(seg).state, SegmentState::kFull);
+  ASSERT_OK(drive_->Sync(alice));
+
+  ASSERT_OK(drive_->RunCleanerPass(1, /*force_compaction=*/true).status());
+  ASSERT_OK_AND_ASSIGN(std::vector<DiskAddr> new_addrs, drive_->DebugObjectBlockAddrs(id));
+  ASSERT_NE(new_addrs, old_addrs);
+  ASSERT_EQ(drive_->DebugObjectEntry(id)->move_time, drive_->DebugObjectEntry(id)->checkpoint_time);
+  ASSERT_OK(drive_->Sync(alice));
+  auto expect_moved = [&](const char* when) {
+    ASSERT_OK_AND_ASSIGN(std::vector<DiskAddr> addrs, drive_->DebugObjectBlockAddrs(id));
+    EXPECT_EQ(addrs, new_addrs) << when;
+    ASSERT_OK_AND_ASSIGN(Bytes got, drive_->Read(alice, id, 0, kBlockSize));
+    EXPECT_EQ(got, data) << when;
+  };
+
+  CrashAndRemount();  // replays the checkpoint, then the move
+  expect_moved("after a crash");
+  for (int i = 0; i < 40; ++i) {  // evicts it, clean since the remount: no checkpoint
+    ASSERT_OK(drive_->Create(alice, {}).status());
+  }
+  expect_moved("after an eviction");
+
+  clock_->Advance(2 * kHour);
+  ASSERT_OK(drive_->RunCleanerPass(0).status());  // sweeps the move's sector
+  ASSERT_OK(drive_->WriteCheckpoint());
+  CrashAndRemount();
+  expect_moved("after the sweep and a crash");
+}
+
+TEST_F(DriveTest, ForwardReplayNeverReadsAnAddressCompactionVacated) {
+  // A deep time-based read may replay forward from the create entry. An
+  // entry older than a move names the address the move vacated; once the log
+  // reuses that segment, the replayed address holds other data. Forward
+  // replay must only serve reads at or after the object's newest move.
+  SetUpDrive([] {
+    S4DriveOptions o = SmallOptions();
+    o.waypoint_interval_sectors = 2;
+    o.object_cache_bytes = 8 << 20;  // no eviction flushes a journal
+    return o;
+  }(), 8ull << 20);
+  Credentials alice = User(100);
+  ASSERT_OK_AND_ASSIGN(ObjectId id, drive_->Create(alice, {}));
+  const Bytes data(kBlockSize, 'a');
+  ASSERT_OK(drive_->Write(alice, id, 0, data));
+  const SimTime t1 = clock_->Now();
+  ASSERT_OK_AND_ASSIGN(std::vector<DiskAddr> addrs, drive_->DebugObjectBlockAddrs(id));
+  const SegmentId seg = drive_->superblock().SegmentOf(addrs[0]);
+  // Fillers with no Sync until the block's segment seals, so no journal
+  // sector pins it; their overwrites, purged, leave the block alone in it.
+  std::vector<ObjectId> fillers;
+  while (drive_->usage_table().Info(seg).state != SegmentState::kFull) {
+    ASSERT_OK_AND_ASSIGN(ObjectId filler, drive_->Create(alice, {}));
+    ASSERT_OK(drive_->Write(alice, filler, 0, Bytes(32 << 10, 'f')));
+    fillers.push_back(filler);
+  }
+  ASSERT_OK(drive_->Sync(alice));
+  const SimTime before_overwrite = clock_->Now();
+  for (ObjectId filler : fillers) {
+    ASSERT_OK(drive_->Write(alice, filler, 0, Bytes(32 << 10, 'g')));
+  }
+  ASSERT_OK(drive_->Flush(Admin(), before_overwrite, clock_->Now()));
+  for (int i = 0; i < 8; ++i) {  // journal sectors, and waypoints, above t1
+    ASSERT_OK(drive_->SetAttr(alice, id, BytesOf("attr" + std::to_string(i))));
+    ASSERT_OK(drive_->Sync(alice));
+  }
+  for (int i = 0; i < 4; ++i) {
+    ASSERT_OK(drive_->RunCleanerPass(8, /*force_compaction=*/true).status());
+  }
+  ASSERT_OK(drive_->WriteCheckpoint());
+  ASSERT_OK_AND_ASSIGN(std::vector<DiskAddr> moved, drive_->DebugObjectBlockAddrs(id));
+  ASSERT_NE(drive_->superblock().SegmentOf(moved[0]), seg);
+  ASSERT_EQ(drive_->usage_table().Info(seg).state, SegmentState::kFree);
+  // Admin ballast until the log writes the vacated segment again.
+  ASSERT_OK_AND_ASSIGN(ObjectId ballast, drive_->Create(Admin(), {}));
+  for (int i = 0; i < 1000 && drive_->usage_table().Info(seg).first_seq == 0; ++i) {
+    ASSERT_OK(drive_->Append(Admin(), ballast, Bytes(16 << 10, 'x')).status());
+    ASSERT_OK(drive_->Sync(Admin()));
+  }
+  ASSERT_NE(drive_->usage_table().Info(seg).first_seq, 0u);
+
+  ASSERT_OK_AND_ASSIGN(Bytes got, drive_->Read(Admin(), id, 0, kBlockSize, t1));
+  EXPECT_EQ(got, data);
 }
 
 // ---------------------------------------------------------------------------

@@ -351,5 +351,125 @@ const DriveConfig kConfigs[] = {
 INSTANTIATE_TEST_SUITE_P(ConfigSweep, DrivePropertyTest, ::testing::ValuesIn(kConfigs),
                          ConfigName);
 
+// Crash-and-clean stress: random creates, writes, truncates and deletes on a
+// small disk with a short window, cleaner passes (each forcing compaction in
+// one variant), and history reads at recorded in-window instants, with a
+// Sync and a crash every 30 steps, so compaction moves, the sweep and
+// roll-forward interleave at random. (seed, force_compaction)
+using StressConfig = std::tuple<uint64_t, bool>;
+
+class CrashCleanStressTest : public ::testing::TestWithParam<StressConfig> {};
+
+TEST_P(CrashCleanStressTest, SyncedStateAndHistorySurviveCrashesAndCleaning) {
+  const auto [seed, force_compaction] = GetParam();
+  S4DriveOptions opts;
+  opts.segment_sectors = 256;  // 128 KB
+  opts.block_cache_bytes = 256 << 10;
+  opts.object_cache_bytes = 32 << 10;
+  opts.detection_window = 10 * kMinute;
+  opts.waypoint_interval_sectors = 2;
+  SimClock clock(SimTime{1000000});
+  BlockDevice device((24ull << 20) / kSectorSize, &clock);
+  ASSERT_OK_AND_ASSIGN(std::unique_ptr<S4Drive> drive, S4Drive::Format(&device, &clock, opts));
+  Credentials admin;
+  admin.admin_key = opts.admin_key;
+  const Credentials alice = Owner();
+  Rng rng(seed);
+  std::map<ObjectId, ObjectState> oracle;  // live objects
+  std::vector<Snapshot> history;
+  std::vector<ObjectId> live;
+  uint64_t sectors_copied = 0;  // by compaction, over every mount
+  auto in_window = [&](const Snapshot& snap) {
+    return snap.time > clock.Now() - opts.detection_window;
+  };
+
+  for (int step = 1; step <= 600; ++step) {
+    clock.Advance((1 + static_cast<SimDuration>(rng.Below(8))) * kSecond);
+    const SimTime t0 = clock.Now();
+    const uint64_t action = rng.Below(100);
+    ObjectId id = live.empty() ? kInvalidObjectId : live[rng.Below(live.size())];
+    bool created = false;
+    bool modified = true;
+    if (action < 14 || live.empty()) {
+      ASSERT_OK_AND_ASSIGN(id, drive->Create(alice, {}));
+      live.push_back(id);
+      oracle[id].acl[kOwner] = kPermAll;
+      created = true;
+    } else if (action < 54) {
+      const uint64_t offset = rng.Below(24 << 10);
+      Bytes data = rng.RandomBytes(1 + rng.Below(12 << 10));
+      ASSERT_OK(drive->Write(alice, id, offset, data));
+      WriteInto(&oracle[id].content, offset, data);
+    } else if (action < 62) {
+      const uint64_t new_size = rng.Below(32 << 10);
+      ASSERT_OK(drive->Truncate(alice, id, new_size));
+      modified = new_size != oracle[id].content.size();
+      oracle[id].content.resize(new_size, 0);
+    } else if (action < 70) {
+      ASSERT_OK(drive->Delete(alice, id));
+      live.erase(std::find(live.begin(), live.end(), id));
+      oracle.erase(id);
+      id = kInvalidObjectId;
+    } else if (action < 82) {
+      ASSERT_OK(drive->RunCleanerPass(force_compaction ? 2 : 4, force_compaction).status())
+          << "step " << step;
+      id = kInvalidObjectId;
+    } else {
+      std::vector<const Snapshot*> readable;
+      for (const Snapshot& snap : history) {
+        if (in_window(snap)) {
+          readable.push_back(&snap);
+        }
+      }
+      if (!readable.empty()) {
+        const Snapshot& snap = *readable[rng.Below(readable.size())];
+        ASSERT_TRUE(MatchesOracle(*drive, snap.id, snap.state, snap.time))
+            << "object " << snap.id << " @" << snap.time << " step " << step;
+      }
+      id = kInvalidObjectId;
+    }
+    if (id != kInvalidObjectId) {
+      ASSERT_TRUE(TakeStamps(*drive, clock, id, t0, created, modified, &oracle[id]))
+          << "object " << id << " step " << step;
+      history.push_back({id, clock.Now(), oracle[id]});
+    }
+    if (step % 30 == 0) {
+      ASSERT_OK(drive->Sync(alice));
+      sectors_copied += drive->metrics().CounterValue("cleaner.sectors_copied");
+      drive.reset();
+      ASSERT_OK_AND_ASSIGN(drive, S4Drive::Mount(&device, &clock, opts));
+      EXPECT_EQ(drive->metrics().CounterValue("audit.chain_breaks"), 0u) << "step " << step;
+      ASSERT_OK(drive->QueryAudit(admin, AuditQuery{}).status()) << "step " << step;
+      for (const auto& [oid, want] : oracle) {
+        ASSERT_TRUE(MatchesOracle(*drive, oid, want)) << "object " << oid << " step " << step;
+      }
+    }
+  }
+
+  // Everything deleted and aged out, the history pool drains to nothing.
+  for (ObjectId id : live) {
+    ASSERT_OK(drive->Delete(alice, id));
+  }
+  ASSERT_OK(drive->Sync(alice));
+  clock.Advance(opts.detection_window + kMinute);
+  for (int pass = 0; pass < 8 && drive->usage_table().HistorySectorsTotal() > 0; ++pass) {
+    ASSERT_OK(drive->RunCleanerPass(4, force_compaction).status());
+    clock.Advance(kMinute);
+  }
+  EXPECT_EQ(drive->usage_table().HistorySectorsTotal(), 0u);
+  if (force_compaction) {
+    EXPECT_GT(sectors_copied, 0u);
+  }
+}
+
+std::string StressName(const ::testing::TestParamInfo<StressConfig>& info) {
+  auto [seed, force_compaction] = info.param;
+  return (force_compaction ? "compact_s" : "plain_s") + std::to_string(seed);
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, CrashCleanStressTest,
+                         ::testing::Combine(::testing::Range<uint64_t>(1, 21), ::testing::Bool()),
+                         StressName);
+
 }  // namespace
 }  // namespace s4

@@ -151,7 +151,7 @@ TEST_F(DriveTest, TornChunkIgnoredOnRecovery) {
   uint64_t first_segment = 1 + 2ull * 2048;  // format geometry for a 64MB disk
   for (SegmentId seg = 1; seg < sut.segment_count(); ++seg) {
     if (sut.Info(seg).state == SegmentState::kFree) {
-      device_->SimulateCrashTornSector(first_segment + static_cast<uint64_t>(seg) * 512);
+      device_->CorruptSectors(first_segment + static_cast<uint64_t>(seg) * 512, 1);
       break;
     }
   }

@@ -24,7 +24,7 @@ TEST_F(DriveTest, MountFallsBackToOlderCheckpointRegion) {
   // Corrupt the NEWER checkpoint region (generation alternates A/B; clobber
   // both first sectors' CRC one at a time and ensure mount still works from
   // the survivor plus roll-forward).
-  device_->SimulateCrashTornSector(1);  // region A head
+  device_->CorruptSectors(1, 1);  // region A head
   auto remounted = S4Drive::Mount(device_.get(), clock_.get(), opts_);
   ASSERT_TRUE(remounted.ok()) << remounted.status().ToString();
   drive_ = std::move(*remounted);
@@ -35,8 +35,8 @@ TEST_F(DriveTest, MountFallsBackToOlderCheckpointRegion) {
 TEST_F(DriveTest, MountFailsCleanlyWhenBothCheckpointsCorrupt) {
   ASSERT_OK(drive_->Unmount());
   drive_.reset();
-  device_->SimulateCrashTornSector(1);
-  device_->SimulateCrashTornSector(1 + 2048);  // region B head for 64MB geometry
+  device_->CorruptSectors(1, 1);
+  device_->CorruptSectors(1 + 2048, 1);  // region B head for 64MB geometry
   auto remounted = S4Drive::Mount(device_.get(), clock_.get(), opts_);
   ASSERT_FALSE(remounted.ok());
   EXPECT_EQ(remounted.status().code(), ErrorCode::kDataCorruption);

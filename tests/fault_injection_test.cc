@@ -99,9 +99,9 @@ TEST_F(FaultInjectorTest, TransientReadErrorRecoversOnRetry) {
   EXPECT_EQ(out, Pattern(1, 0x42));
 }
 
-TEST_F(FaultInjectorTest, LegacyTornSectorWrapperStillCorrupts) {
+TEST_F(FaultInjectorTest, CorruptSectorsLeavesTheTornPattern) {
   ASSERT_OK(device_.Write(3, Pattern(1, 0x77)));
-  device_.SimulateCrashTornSector(3);
+  device_.CorruptSectors(3, 1);
   Bytes out;
   ASSERT_OK(device_.Read(3, 1, &out));
   EXPECT_EQ(out, Pattern(1, 0xDE));

@@ -191,6 +191,16 @@ std::vector<Bytes> JournalEntryBases() {
   ckpt.EncodeTo(&seq);
   bases.push_back(seq.Take());
 
+  // A compaction move: one block copied, the size unchanged.
+  JournalEntry move;
+  move.type = JournalEntryType::kMove;
+  move.time = 5000;
+  move.old_size = move.new_size = 4096;
+  move.blocks = {{0, 111, 913}};
+  Encoder e5;
+  move.EncodeTo(&e5);
+  bases.push_back(e5.Take());
+
   return bases;
 }
 
