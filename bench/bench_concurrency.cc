@@ -2,13 +2,12 @@
 // eight-drive array as the worker pool grows (W=1/2/4), and pure read
 // scaling over the same eight drives.
 //
-// Unlike bench_cluster (which reconstructs a parallel makespan from serial,
-// attributed busy time), this bench runs REAL worker threads: drive d is
-// bound to worker d % W, each worker runs its drives' tasks in submission
-// order on its own SimClock lane, and after Drain() the global clock sits at
-// the true overlapped makespan. The scaling numbers therefore measure the
-// concurrency substrate itself — per-worker FIFO, cross-drive overlap,
-// idle-slice maintenance — not a post-hoc model. Only maintenance placement
+// Unlike bench_cluster (whose array clients take turns on one host thread),
+// this bench runs REAL worker threads: drive d is bound to worker d % W,
+// each worker runs its drives' tasks in submission order on its own SimClock
+// lane, and after Drain() the global clock sits at the overlapped makespan.
+// The scaling numbers therefore measure the concurrency substrate itself —
+// per-worker FIFO, cross-drive overlap, idle-slice maintenance. Only maintenance placement
 // depends on host timing; every elapsed time and speedup is identical from
 // run to run.
 //

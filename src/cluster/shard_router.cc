@@ -108,7 +108,7 @@ ShardRouter::ShardRouter(std::vector<ShardEndpoint> shards, SimClock* clock,
   }
   state_.assign(eps_.size(), ShardState::kHealthy);
   rebuilt_since_.assign(eps_.size(), 0);
-  busy_.assign(eps_.size(), 0);
+  busy_until_.assign(eps_.size(), 0);
 }
 
 ShardRouter::~ShardRouter() = default;
@@ -204,10 +204,10 @@ void ShardRouter::MarkShardDead(uint32_t shard) {
 void ShardRouter::FailShard(size_t shard) { MarkShardDead(static_cast<uint32_t>(shard)); }
 
 Result<RpcResponse> ShardRouter::SendShard(uint32_t shard, RpcRequest req) {
-  SimTime t0 = clock_->Now();
-  clients_[shard]->set_creds(req.creds);
-  auto resp = clients_[shard]->Call(std::move(req));
-  busy_[shard] += clock_->Now() - t0;
+  auto resp = clock_->Occupy(&busy_until_[shard], [&] {
+    clients_[shard]->set_creds(req.creds);
+    return clients_[shard]->Call(std::move(req));
+  });
   if (resp.ok() && resp->code == ErrorCode::kUnavailable) {
     MarkShardDead(shard);
   }
@@ -220,7 +220,7 @@ RpcResponse ShardRouter::SendShardOrError(uint32_t shard, RpcRequest req) {
 }
 
 RpcResponse ShardRouter::SendOnLane(SimClock::FanOut& fan, uint32_t shard, RpcRequest req) {
-  return fan.Run(shard, [&] { return SendShardOrError(shard, std::move(req)); });
+  return fan.Run([&] { return SendShardOrError(shard, std::move(req)); });
 }
 
 size_t ShardRouter::Enqueue(BatchCtx& ctx, uint32_t shard, RpcRequest req, bool maint,
@@ -256,9 +256,9 @@ void ShardRouter::FlushShard(BatchCtx& ctx, uint32_t shard) {
     std::vector<RpcRequest> reqs;
     reqs.reserve(subs.size());
     for (PendingSub& s : subs) reqs.push_back(std::move(s.req));
-    SimTime t0 = clock_->Now();
-    auto r = clients_[shard]->CallBatchPrestamped(std::move(reqs));
-    busy_[shard] += clock_->Now() - t0;
+    auto r = clock_->Occupy(&busy_until_[shard], [&] {
+      return clients_[shard]->CallBatchPrestamped(std::move(reqs));
+    });
     if (r.ok()) {
       resps = std::move(*r);
     } else {
@@ -281,9 +281,9 @@ void ShardRouter::FlushShard(BatchCtx& ctx, uint32_t shard) {
 
 void ShardRouter::FlushAll(BatchCtx& ctx) {
   if (ctx.pending.empty()) return;
-  SimClock::FanOut fan(clock_, eps_.size());
+  SimClock::FanOut fan(clock_);
   for (uint32_t s = 0; s < eps_.size(); ++s) {
-    fan.Run(s, [&] { FlushShard(ctx, s); });
+    fan.Run([&] { FlushShard(ctx, s); });
   }
 }
 
@@ -570,7 +570,7 @@ Result<Bytes> ShardRouter::ReconstructRange(const ShardMap::GidInfo& info, uint6
   }
   // The parity and member fetches are independent: the range costs the
   // slowest of them, not their sum.
-  SimClock::FanOut fan(clock_, eps_.size());
+  SimClock::FanOut fan(clock_);
   RpcRequest pread = AdminRequest(RpcOp::kRead, g.parity_backend);
   pread.offset = kParityDataOffset + offset;
   pread.length = length;
@@ -730,9 +730,8 @@ RpcResponse ShardRouter::DegradedOp(const RpcRequest& req, const ShardMap::GidIn
 // Partition table (array-level)
 // ---------------------------------------------------------------------------
 
-Result<Bytes> ShardRouter::ReadGid(BatchCtx& ctx, ObjectId gid, uint64_t offset,
-                                   uint64_t length, std::optional<SimTime> at) {
-  (void)ctx;
+Result<Bytes> ShardRouter::ReadGid(ObjectId gid, uint64_t offset, uint64_t length,
+                                   std::optional<SimTime> at) {
   const ShardMap::GidInfo* info = map_.Find(gid);
   if (info == nullptr) {
     return Status::NotFound("unknown object id");
@@ -765,9 +764,8 @@ Result<Bytes> ShardRouter::ReadGid(BatchCtx& ctx, ObjectId gid, uint64_t offset,
 }
 
 Result<std::vector<std::pair<std::string, ObjectId>>> ShardRouter::PTabLoad(
-    BatchCtx& ctx, std::optional<SimTime> at) {
-  S4_ASSIGN_OR_RETURN(Bytes raw,
-                      ReadGid(ctx, kFirstUserObjectId, 0, ~uint64_t{0}, at));
+    std::optional<SimTime> at) {
+  S4_ASSIGN_OR_RETURN(Bytes raw, ReadGid(kFirstUserObjectId, 0, ~uint64_t{0}, at));
   std::vector<std::pair<std::string, ObjectId>> table;
   if (raw.empty()) return table;
   Decoder dec(raw);
@@ -803,14 +801,14 @@ Status ShardRouter::PTabStore(BatchCtx& ctx,
 RpcResponse ShardRouter::PartitionOp(const RpcRequest& req, BatchCtx& ctx) {
   switch (req.op) {
     case RpcOp::kPList: {
-      auto table = PTabLoad(ctx, req.at);
+      auto table = PTabLoad(req.at);
       if (!table.ok()) return StatusResp(table.status());
       RpcResponse r;
       r.partitions = std::move(*table);
       return r;
     }
     case RpcOp::kPMount: {
-      auto table = PTabLoad(ctx, req.at);
+      auto table = PTabLoad(req.at);
       if (!table.ok()) return StatusResp(table.status());
       for (const auto& e : *table) {
         if (e.first == req.name) {
@@ -828,7 +826,7 @@ RpcResponse ShardRouter::PartitionOp(const RpcRequest& req, BatchCtx& ctx) {
       if (req.object == kFirstUserObjectId || !map_.Contains(req.object)) {
         return ErrorResp(ErrorCode::kNotFound, "partition target does not exist");
       }
-      auto table = PTabLoad(ctx, std::nullopt);
+      auto table = PTabLoad(std::nullopt);
       if (!table.ok()) return StatusResp(table.status());
       for (const auto& e : *table) {
         if (e.first == req.name) {
@@ -839,7 +837,7 @@ RpcResponse ShardRouter::PartitionOp(const RpcRequest& req, BatchCtx& ctx) {
       return StatusResp(PTabStore(ctx, *table));
     }
     case RpcOp::kPDelete: {
-      auto table = PTabLoad(ctx, std::nullopt);
+      auto table = PTabLoad(std::nullopt);
       if (!table.ok()) return StatusResp(table.status());
       auto it = std::find_if(table->begin(), table->end(),
                              [&](const auto& e) { return e.first == req.name; });
@@ -948,7 +946,7 @@ ShardRouter::SubPlan ShardRouter::PlanSub(RpcRequest req, BatchCtx& ctx) {
     case RpcOp::kSetWindow: {
       FlushAll(ctx);
       Status merged = Status::Ok();
-      SimClock::FanOut fan(clock_, eps_.size());
+      SimClock::FanOut fan(clock_);
       for (uint32_t s = 0; s < eps_.size(); ++s) {
         if (state_[s] == ShardState::kDead) continue;
         RpcRequest sub = req;
@@ -1180,7 +1178,7 @@ Status ShardRouter::AddShard(ShardEndpoint ep) {
   clients_.push_back(std::make_unique<S4Client>(ep.transport, admin_));
   state_.push_back(ShardState::kHealthy);
   rebuilt_since_.push_back(0);
-  busy_.push_back(0);
+  busy_until_.push_back(0);
   S4_RETURN_IF_ERROR(CreateMapObject(n));
   S4_RETURN_IF_ERROR(map_.AddEpoch(n + 1));
   map_dirty_ = true;
@@ -1225,16 +1223,13 @@ Result<bool> ShardRouter::RebuildTick(uint64_t budget_bytes) {
 }
 
 Status ShardRouter::MaintainShards() {
-  SimClock::FanOut fan(clock_, eps_.size());
+  SimClock::FanOut fan(clock_);
   for (uint32_t s = 0; s < eps_.size(); ++s) {
     if (state_[s] == ShardState::kDead) continue;
     S4Drive* d = eps_[s].drive;
     if (!d->CleanerNeeded()) continue;
-    Status st = fan.Run(s, [&] {
-      SimTime t0 = clock_->Now();
-      Status pass = d->RunCleanerPass(2).status();
-      busy_[s] += clock_->Now() - t0;
-      return pass;
+    Status st = fan.Run([&] {
+      return clock_->Occupy(&busy_until_[s], [&] { return d->RunCleanerPass(2).status(); });
     });
     S4_RETURN_IF_ERROR(st);
   }

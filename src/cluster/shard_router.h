@@ -42,13 +42,15 @@
 // by reading the spare's own allocation cursor.
 //
 // Timing: member drives are independent devices, each on its own network
-// link, so requests the router sends to several shards and then waits for
-// overlap in simulated time. FlushAll's per-shard envelopes, the fetches of
-// a degraded reconstruction, the kFlush/kSetWindow fan-out and
-// MaintainShards' cleaner passes each run in one SimClock::FanOut scope: a
-// shard's requests run on that shard's lane, in the same host order as
-// ever, and the call then waits for its slowest shard. Format, Mount,
-// AddShard, PersistMapEverywhere and the rebuild's own sends stay serial.
+// link, so the router keeps one busy-until timeline per shard. Every request
+// it sends to shard k — a fan-out's envelope or fetch, a serial SendShard, a
+// MaintainShards cleaner pass, a rebuild send — starts at max(the caller's
+// clock, k's busy-until) and keeps k busy until it ends (SimClock::Occupy).
+// FlushAll's per-shard envelopes, the fetches of a degraded reconstruction,
+// the kFlush/kSetWindow fan-out and MaintainShards' cleaner passes each run
+// in one SimClock::FanOut scope, so they all arrive at the scope's start and
+// the call waits for its slowest shard. Callers on different clock lanes
+// (concurrent clients) queue on the same timelines.
 #ifndef S4_SRC_CLUSTER_SHARD_ROUTER_H_
 #define S4_SRC_CLUSTER_SHARD_ROUTER_H_
 
@@ -176,15 +178,10 @@ class ShardRouter : public S4ClientApi {
 
   // Runs a cleaner pass on each live shard that wants one (the array-level
   // analogue of the bench harness's idle-time maintenance loop); the passes
-  // overlap, one per shard lane.
+  // overlap, one per shard.
   Status MaintainShards();
 
   const RouterStats& rstats() const { return stats_; }
-  // Simulated time each shard spent serving this router's requests: the sum
-  // of its requests' spans, measured on the shard's own lane inside fan-outs.
-  // Fan-outs overlap shards, so elapsed time is below the sum over shards;
-  // bench_cluster bounds a run's parallel makespan by the busiest shard.
-  const std::vector<SimDuration>& attributed_busy() const { return busy_; }
 
  private:
   friend class RebuildScheduler;
@@ -225,17 +222,17 @@ class ShardRouter : public S4ClientApi {
   bool Readable(uint32_t shard) const { return state_[shard] == ShardState::kHealthy; }
   void MarkShardDead(uint32_t shard);
 
-  // Single request to one shard, with busy-time attribution and automatic
+  // Single request to one shard, on its busy-until timeline, with automatic
   // death detection on kUnavailable.
   Result<RpcResponse> SendShard(uint32_t shard, RpcRequest req);
   RpcResponse SendShardOrError(uint32_t shard, RpcRequest req);
-  // SendShardOrError on `shard`'s lane of a fan-out scope.
+  // SendShardOrError as one request of a fan-out scope.
   RpcResponse SendOnLane(SimClock::FanOut& fan, uint32_t shard, RpcRequest req);
 
   // Flushing cannot itself fail: transport errors become per-sub error
   // responses in ctx.results, and device loss is recorded as shard state.
-  // FlushAll sends every shard's envelope on that shard's lane, so it costs
-  // the slowest envelope; FlushShard alone runs on the caller's clock.
+  // FlushAll sends every shard's envelope in one fan-out, so it costs the
+  // slowest envelope; FlushShard alone runs on the caller's clock.
   void FlushShard(BatchCtx& ctx, uint32_t shard);
   void FlushAll(BatchCtx& ctx);
   size_t Enqueue(BatchCtx& ctx, uint32_t shard, RpcRequest req, bool maint, int32_t group);
@@ -323,14 +320,14 @@ class ShardRouter : public S4ClientApi {
   // --- Partition table (array-level, object gid kFirstUserObjectId) --------
 
   Result<std::vector<std::pair<std::string, ObjectId>>> PTabLoad(
-      BatchCtx& ctx, std::optional<SimTime> at);
+      std::optional<SimTime> at);
   Status PTabStore(BatchCtx& ctx,
                    const std::vector<std::pair<std::string, ObjectId>>& table);
   RpcResponse PartitionOp(const RpcRequest& req, BatchCtx& ctx);
 
   // Internal read/GetAttr of a gid (admin), degraded-aware; used by the
   // partition plane and the rebuilder.
-  Result<Bytes> ReadGid(BatchCtx& ctx, ObjectId gid, uint64_t offset, uint64_t length,
+  Result<Bytes> ReadGid(ObjectId gid, uint64_t offset, uint64_t length,
                         std::optional<SimTime> at);
 
   // Writes and syncs the map on every healthy shard.
@@ -349,7 +346,8 @@ class ShardRouter : public S4ClientApi {
   // Completion time of the last rebuild per shard: direct history reads below
   // this must take the parity path (the spare holds no pre-rebuild versions).
   std::vector<SimTime> rebuilt_since_;
-  std::vector<SimDuration> busy_;
+  // Per shard: the instant its last request ends (Timing, above).
+  std::vector<SimTime> busy_until_;
 
   std::unordered_map<ObjectId, LaneImage> lane_cache_;
   RouterStats stats_;

@@ -132,8 +132,9 @@ SimDuration BlockDevice::PositioningCost(uint64_t lba, SimTime start) {
   if (lba == head_lba_) {
     // Sequential: no seek. If the host paused, the platter rotated on and
     // the sector must come around again. `start` is when this command
-    // actually reaches the arm (it may have queued behind other lanes).
-    bool idle = start - last_io_end_ > model_.sequential_idle_gap;
+    // actually reaches the arm (it may have queued behind other lanes), and
+    // free_until_ is still when the previous command completed.
+    bool idle = start - free_until_ > model_.sequential_idle_gap;
     return idle ? model_.average_rotation : 0;
   }
   ++stats_.seeks;
@@ -148,6 +149,26 @@ SimDuration BlockDevice::PositioningCost(uint64_t lba, SimTime start) {
   return static_cast<SimDuration>(seek) + model_.average_rotation;
 }
 
+void BlockDevice::Command(bool write, uint64_t lba, uint64_t sectors, uint64_t counted,
+                          OpContext* ctx) {
+  // SimClock::Occupy's busy-until rule: the command starts when both the
+  // issuing lane is ready and the arm is free. On the serial path
+  // free_until_ never exceeds Now() and start is exactly the current time.
+  SimTime start = std::max(clock_->Now(), free_until_);
+  SimDuration cost =
+      model_.command_overhead + PositioningCost(lba, start) + model_.TransferCost(sectors);
+  free_until_ = start + cost;
+  clock_->AdvanceTo(free_until_);
+  head_lba_ = lba + sectors;
+  stats_.busy_time += cost;
+  ++(write ? stats_.writes : stats_.reads);
+  (write ? stats_.sectors_written : stats_.sectors_read) += counted;
+  if (ctx != nullptr) {
+    ctx->disk_time += cost;
+    (write ? ctx->disk_writes : ctx->disk_reads) += counted;
+  }
+}
+
 Status BlockDevice::Read(uint64_t lba, uint64_t count, Bytes* out, OpContext* ctx) {
   ScopedSpan span(ctx, "disk.read");
   MutexLock lock(&mu_);
@@ -157,24 +178,7 @@ Status BlockDevice::Read(uint64_t lba, uint64_t count, Bytes* out, OpContext* ct
   if (injector_ != nullptr && injector_->powered_off()) {
     return Status::Unavailable("device is powered off");
   }
-  // The command starts when both the issuing lane is ready and the arm is
-  // free; on the serial path free_until_ never exceeds Now() and start is
-  // exactly the current time.
-  SimTime start = std::max(clock_->Now(), free_until_);
-  SimDuration cost =
-      model_.command_overhead + PositioningCost(lba, start) + model_.TransferCost(count);
-  SimTime end = start + cost;
-  clock_->AdvanceTo(end);
-  free_until_ = end;
-  stats_.busy_time += cost;
-  ++stats_.reads;
-  stats_.sectors_read += count;
-  if (ctx != nullptr) {
-    ctx->disk_time += cost;
-    ctx->disk_reads += count;
-  }
-  head_lba_ = lba + count;
-  last_io_end_ = end;
+  Command(/*write=*/false, lba, count, count, ctx);
   if (injector_ != nullptr) {
     if (injector_->OnRead(lba, count)) {
       return Status::Unavailable("transient read error");
@@ -211,21 +215,7 @@ Status BlockDevice::Write(uint64_t lba, ByteSpan data, OpContext* ctx) {
       // never left the buffer. Charge timing for what reached the platter.
       uint64_t persist = std::min<uint64_t>(fault.persist_sectors, count);
       uint64_t corrupt = std::min<uint64_t>(fault.corrupt_sectors, count - persist);
-      SimTime start = std::max(clock_->Now(), free_until_);
-      SimDuration cost = model_.command_overhead + PositioningCost(lba, start) +
-                         model_.TransferCost(persist + corrupt);
-      SimTime end = start + cost;
-      clock_->AdvanceTo(end);
-      free_until_ = end;
-      stats_.busy_time += cost;
-      ++stats_.writes;
-      stats_.sectors_written += persist;
-      if (ctx != nullptr) {
-        ctx->disk_time += cost;
-        ctx->disk_writes += persist;
-      }
-      head_lba_ = lba + persist + corrupt;
-      last_io_end_ = end;
+      Command(/*write=*/true, lba, persist + corrupt, persist, ctx);
       if (persist > 0) {
         CopyIn(lba * kSectorSize, data.first(persist * kSectorSize));
       }
@@ -235,21 +225,7 @@ Status BlockDevice::Write(uint64_t lba, ByteSpan data, OpContext* ctx) {
       return Status::Unavailable("power lost during write");
     }
   }
-  SimTime start = std::max(clock_->Now(), free_until_);
-  SimDuration cost =
-      model_.command_overhead + PositioningCost(lba, start) + model_.TransferCost(count);
-  SimTime end = start + cost;
-  clock_->AdvanceTo(end);
-  free_until_ = end;
-  stats_.busy_time += cost;
-  ++stats_.writes;
-  stats_.sectors_written += count;
-  if (ctx != nullptr) {
-    ctx->disk_time += cost;
-    ctx->disk_writes += count;
-  }
-  head_lba_ = lba + count;
-  last_io_end_ = end;
+  Command(/*write=*/true, lba, count, count, ctx);
   CopyIn(lba * kSectorSize, data);
   return Status::Ok();
 }

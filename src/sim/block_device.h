@@ -191,6 +191,11 @@ class BlockDevice {
   static constexpr uint64_t kChunkBytes = 1 << 20;
 
   SimDuration PositioningCost(uint64_t lba, SimTime start) S4_REQUIRES(mu_);
+  // Charges one command on the arm's timeline: positioning plus the transfer
+  // of `sectors`, of which `counted` are recorded as read or written (a torn
+  // write transfers sectors it does not store). Leaves the head after them.
+  void Command(bool write, uint64_t lba, uint64_t sectors, uint64_t counted, OpContext* ctx)
+      S4_REQUIRES(mu_);
   uint8_t* ChunkFor(uint64_t byte_offset, bool allocate) S4_REQUIRES(mu_);
   void CopyOut(uint64_t byte_offset, uint64_t len, uint8_t* dst) S4_REQUIRES(mu_);
   void CopyIn(uint64_t byte_offset, ByteSpan src) S4_REQUIRES(mu_);
@@ -213,9 +218,7 @@ class BlockDevice {
   std::vector<std::unique_ptr<uint8_t[]>> chunks_ S4_GUARDED_BY(mu_);
   // LBA following the last transfer.
   uint64_t head_lba_ S4_GUARDED_BY(mu_) = 0;
-  // When the previous command completed.
-  SimTime last_io_end_ S4_GUARDED_BY(mu_) = 0;
-  // The arm is busy until this instant.
+  // The arm is busy until this instant: when the previous command completed.
   SimTime free_until_ S4_GUARDED_BY(mu_) = 0;
   DiskStats stats_ S4_GUARDED_BY(mu_);
 };

@@ -19,16 +19,18 @@
 // bound — every pre-existing single-threaded path — the clock behaves exactly
 // as before, reading and advancing the global now_.
 //
-// Fan-out scopes (SimClock::FanOut) use the same lanes on the caller's own
-// thread: independent requests to different devices each run on their
-// device's lane, and the caller's clock then jumps to the latest lane end.
+// Devices: a device that serves one request at a time keeps one busy-until
+// timeline, and every request to it starts at max(its arrival, the
+// device's busy-until) — SimClock::Occupy. Fan-out scopes (SimClock::FanOut)
+// use lanes on the caller's own thread: independent requests to different
+// devices all arrive at the scope's start, and the caller's clock then jumps
+// to the latest end.
 #ifndef S4_SRC_SIM_SIM_CLOCK_H_
 #define S4_SRC_SIM_SIM_CLOCK_H_
 
 #include <algorithm>
 #include <atomic>
 #include <type_traits>
-#include <vector>
 
 #include "src/util/check.h"
 #include "src/util/time.h"
@@ -93,46 +95,53 @@ class SimClock {
     SimTime now_;
   };
 
-  // RAII fan-out of independent requests over `keys` lanes (one per device),
-  // all on the caller's thread. Run(key, fn) runs fn bound to key's lane: a
-  // key's first request starts at the scope's start, and a later one resumes
-  // where that key's lane ended, so requests to one key serialise while
-  // different keys overlap. On exit the caller's clock — global, or the
-  // caller's own lane — advances to the latest lane end: the scope costs its
-  // slowest key, not the sum. Every clock advance inside the scope must go
-  // through Run.
+  // The busy-until rule every simulated device follows: a request arrives
+  // at the caller's Now(), starts at max(arrival, *busy_until) — the caller
+  // waits while the device serves requests booked before it — and keeps
+  // the device busy until `fn`, which issues it on the caller's clock,
+  // returns. The device's owner keeps *busy_until for the device's life, so
+  // callers on different lanes queue on it. BlockDevice's arm applies the
+  // same rule under its command lock.
+  template <typename Fn>
+  auto Occupy(SimTime* busy_until, Fn&& fn) {
+    AdvanceTo(std::max(Now(), *busy_until));
+    auto result = fn();
+    *busy_until = Now();
+    return result;
+  }
+
+  // RAII fan-out of independent requests, all on the caller's thread.
+  // Run(fn) runs fn on a fresh lane that starts at the scope's start, so
+  // every request of the scope arrives together; requests to one device
+  // still serialise on that device's busy-until (Occupy). On exit the
+  // caller's clock — global, or the caller's own lane — advances to the
+  // latest lane end: the scope costs its slowest request chain, not the
+  // sum. Every clock advance inside the scope must go through Run.
   class FanOut {
    public:
-    FanOut(SimClock* clock, size_t keys)
-        : clock_(clock), end_(clock->Now()), lane_ends_(keys, end_) {}
+    explicit FanOut(SimClock* clock) : clock_(clock), start_(clock->Now()), end_(start_) {}
     ~FanOut() { clock_->AdvanceTo(end_); }
 
     FanOut(const FanOut&) = delete;
     FanOut& operator=(const FanOut&) = delete;
 
     template <typename Fn>
-    auto Run(size_t key, Fn&& fn) {
-      S4_CHECK(key < lane_ends_.size());
-      Lane lane(clock_, lane_ends_[key]);
+    auto Run(Fn&& fn) {
+      Lane lane(clock_, start_);
       if constexpr (std::is_void_v<std::invoke_result_t<Fn&>>) {
         fn();
-        Finish(key, lane.now());
+        end_ = std::max(end_, lane.now());
       } else {
         auto result = fn();
-        Finish(key, lane.now());
+        end_ = std::max(end_, lane.now());
         return result;
       }
     }
 
    private:
-    void Finish(size_t key, SimTime end) {
-      lane_ends_[key] = end;
-      end_ = std::max(end_, end);
-    }
-
     SimClock* clock_;
-    SimTime end_;  // latest lane end so far; the scope's start until a Run
-    std::vector<SimTime> lane_ends_;
+    SimTime start_;  // every request's arrival
+    SimTime end_;    // latest lane end so far
   };
 
   // Fold a lane's time into the global clock: simulated time after a

@@ -139,10 +139,12 @@ class S4_CAPABILITY("mutex") Mutex {
   }
 
   void Unlock() S4_RELEASE() {
-    mu_.unlock();
 #if S4_LOCK_RANK_CHECKS
+    // Check before acting, like Lock: releasing an unheld lock aborts with
+    // the checker's report before the raw unlock (undefined behaviour).
     internal::PopLockRank(this);
 #endif
+    mu_.unlock();
   }
 
   bool TryLock() S4_TRY_ACQUIRE(true) {
@@ -184,10 +186,10 @@ class S4_CAPABILITY("shared_mutex") SharedMutex {
   }
 
   void Unlock() S4_RELEASE() {
-    mu_.unlock();
 #if S4_LOCK_RANK_CHECKS
     internal::PopLockRank(this);
 #endif
+    mu_.unlock();
   }
 
   void LockReader() S4_ACQUIRE_SHARED() {
@@ -198,10 +200,10 @@ class S4_CAPABILITY("shared_mutex") SharedMutex {
   }
 
   void UnlockReader() S4_RELEASE_SHARED() {
-    mu_.unlock_shared();
 #if S4_LOCK_RANK_CHECKS
     internal::PopLockRank(this);
 #endif
+    mu_.unlock_shared();
   }
 
   int rank() const { return rank_; }

@@ -4,8 +4,9 @@
 // verification, budget-paced rebuild under foreground traffic, idempotent
 // rebuild resume after a power cut on the spare, the parity rules (every
 // mutation healthy and degraded, rebuilt parity, repair after a failed
-// sub-op, a deleted member's owner), and the fan-out timing contract
-// (per-shard requests overlap; a call waits for its slowest shard).
+// sub-op, a deleted member's owner), and the timing contract (requests to
+// one shard queue on its busy-until timeline, requests to different shards
+// overlap, and a call waits for its slowest shard).
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -29,6 +30,8 @@ struct CallSpan {
   size_t shard = 0;
   SimTime start = 0;
   SimTime end = 0;
+
+  bool operator==(const CallSpan&) const = default;
 };
 
 // Forwards to a shard's transport and logs every call's span, so a test can
@@ -55,27 +58,37 @@ class SpanLoggingTransport : public RpcTransport {
 
 TEST(SimClockFanOutTest, RequestsToOneKeySerialiseOnItsLane) {
   SimClock clock(SimTime{100});
+  // Two devices' busy-until timelines; they outlive every scope.
+  std::vector<SimTime> busy(2, 0);
+  // One request to `key` costing `cost`; returns when it started.
+  auto request = [&](size_t key, SimDuration cost) {
+    return clock.Occupy(&busy[key], [&] {
+      SimTime start = clock.Now();
+      clock.Advance(cost);
+      return start;
+    });
+  };
   {
-    SimClock::FanOut fan(&clock, 2);
-    fan.Run(0, [&] {
-      EXPECT_EQ(clock.Now(), 100);
-      clock.Advance(10);
-    });
-    fan.Run(1, [&] {
-      EXPECT_EQ(clock.Now(), 100);  // other keys start at the scope's start
-      clock.Advance(25);
-    });
-    // A second request to key 0 resumes where key 0's lane ended.
-    SimTime second_start = fan.Run(0, [&] {
-      SimTime t = clock.Now();
-      clock.Advance(30);
-      return t;
-    });
-    EXPECT_EQ(second_start, 110);
+    SimClock::FanOut fan(&clock);
+    EXPECT_EQ(fan.Run([&] { return request(0, 10); }), 100);
+    EXPECT_EQ(fan.Run([&] { return request(1, 25); }), 100);  // other keys start together
+    // A second request to key 0 waits until key 0's first one ends.
+    EXPECT_EQ(fan.Run([&] { return request(0, 30); }), 110);
     EXPECT_EQ(clock.Now(), 100);  // the caller's clock waits for the scope's end
   }
-  // Key 0's lane ends at 140, key 1's at 125: the scope costs its slowest key.
+  // Key 0 is busy until 140, key 1 until 125: the scope costs its slowest key.
   EXPECT_EQ(clock.Now(), 140);
+  EXPECT_EQ(busy, (std::vector<SimTime>{140, 125}));
+  {
+    // A caller whose clock is behind a key's timeline queues on it; a key
+    // already free starts at the caller's own time.
+    SimClock::Lane client(&clock, 130);
+    EXPECT_EQ(request(0, 5), 140);
+    SimClock::Lane another(&clock, 130);
+    EXPECT_EQ(request(1, 5), 130);
+  }
+  EXPECT_EQ(busy, (std::vector<SimTime>{145, 135}));
+  EXPECT_EQ(clock.Now(), 140);  // lanes leave the global clock alone
 }
 
 class ClusterShardTest : public ::testing::Test {
@@ -269,6 +282,13 @@ class ClusterShardTest : public ::testing::Test {
     auto router = ShardRouter::Mount(eps, clock_.get(), User(100), RouterOpts());
     ASSERT_TRUE(router.ok()) << router.status().ToString();
     router_ = std::move(*router);
+  }
+
+  // Each shard's time in span_log_: the sum of its calls' spans.
+  std::vector<SimDuration> ShardTimes() const {
+    std::vector<SimDuration> times(kShards, 0);
+    for (const CallSpan& call : span_log_) times[call.shard] += call.end - call.start;
+    return times;
   }
 
   // Round trips the caller waited through in span_log_: every serial call
@@ -694,18 +714,13 @@ TEST_F(ClusterShardTest, FileSystemMountsTheArray) {
   EXPECT_EQ(StringOf(got), "fs over shards");
 }
 
-TEST_F(ClusterShardTest, PerEndpointNetCountersAndBusyAttribution) {
+TEST_F(ClusterShardTest, PerEndpointNetCounters) {
   Populate(8);
   ASSERT_OK(router_->Sync());
   for (size_t i = 0; i < kShards; ++i) {
     Counter* sent =
         drives_[i]->metrics().GetCounter("net.shard" + std::to_string(i) + ".messages_sent");
     EXPECT_GT(sent->value(), 0u) << "shard " << i;
-  }
-  const auto& busy = router_->attributed_busy();
-  ASSERT_EQ(busy.size(), kShards);
-  for (size_t i = 0; i < kShards; ++i) {
-    EXPECT_GT(busy[i], 0) << "shard " << i;
   }
   ASSERT_OK(router_->MaintainShards());
 }
@@ -732,21 +747,23 @@ TEST_F(ClusterShardTest, CreatesBlockWhileHomeShardIsDownThenResume) {
 }
 
 TEST_F(ClusterShardTest, SyncWaitsForItsSlowestShard) {
+  MountLogged();
   auto objs = Populate(8);
   ASSERT_EQ(ShardsTouched(objs).size(), kShards);
-  const std::vector<SimDuration> busy0 = router_->attributed_busy();
+  span_log_.clear();
   const SimTime t0 = clock_->Now();
   ASSERT_OK(router_->Sync());
   const SimDuration advance = clock_->Now() - t0;
+  const std::vector<SimDuration> times = ShardTimes();
   SimDuration sum = 0;
   SimDuration slowest = 0;
   for (size_t i = 0; i < kShards; ++i) {
-    SimDuration d = router_->attributed_busy()[i] - busy0[i];
+    SimDuration d = times[i];
     EXPECT_GT(d, 0) << "shard " << i;
     sum += d;
     slowest = std::max(slowest, d);
   }
-  // Every shard flushes its envelope on its own lane, all starting together.
+  // Every shard's envelope arrives at the Sync's start; the shards overlap.
   EXPECT_EQ(advance, slowest);
   EXPECT_LT(advance, sum);
 }
@@ -872,6 +889,8 @@ TEST_F(ClusterShardTest, DegradedReadWaitsForItsSlowestFetch) {
 
 TEST_F(ClusterShardTest, FanOutTimingIsDeterministic) {
   auto run = [&] {
+    MountLogged();
+    span_log_.clear();
     auto objs = Populate(12);
     std::vector<RpcRequest> batch;
     for (const auto& [id, content] : objs) {
@@ -891,7 +910,7 @@ TEST_F(ClusterShardTest, FanOutTimingIsDeterministic) {
     for (const auto& [id, content] : objs) {
       S4_CHECK(router_->Read(id, 0, 64).ok());
     }
-    return std::make_pair(clock_->Now(), router_->attributed_busy());
+    return std::make_pair(clock_->Now(), span_log_);
   };
   auto first = run();
   RebuildFixture();
@@ -901,9 +920,10 @@ TEST_F(ClusterShardTest, FanOutTimingIsDeterministic) {
 }
 
 TEST_F(ClusterShardTest, FanOutOnACallerLaneAdvancesOnlyThatLane) {
+  MountLogged();
   auto objs = Populate(8);
   ASSERT_EQ(ShardsTouched(objs).size(), kShards);
-  const std::vector<SimDuration> busy0 = router_->attributed_busy();
+  span_log_.clear();
   const SimTime global = clock_->Now();
   SimTime lane_end = 0;
   {
@@ -912,12 +932,47 @@ TEST_F(ClusterShardTest, FanOutOnACallerLaneAdvancesOnlyThatLane) {
     ASSERT_OK(router_->Sync());
     lane_end = lane.now();
   }
-  SimDuration slowest = 0;
-  for (size_t i = 0; i < kShards; ++i) {
-    slowest = std::max(slowest, router_->attributed_busy()[i] - busy0[i]);
-  }
-  EXPECT_EQ(lane_end - global, slowest);
+  const std::vector<SimDuration> times = ShardTimes();
+  EXPECT_EQ(lane_end - global, *std::max_element(times.begin(), times.end()));
   EXPECT_EQ(clock_->Now(), global);
+}
+
+// Two clients, each on its own lane, read cached objects at the same
+// instant. Reads of one shard queue on its busy-until timeline: the second
+// starts when the first ends. Reads of two shards start together.
+TEST_F(ClusterShardTest, ClientLanesQueueOnTheShardTheyShare) {
+  auto objs = Populate(8);
+  ASSERT_OK(router_->Sync());
+  MountLogged();
+  auto shard_of = [&](ObjectId id) { return router_->map().Find(id)->shard; };
+  const ObjectId first = objs[0].first;
+  ObjectId same = 0;
+  ObjectId other = 0;
+  for (const auto& [id, content] : objs) {
+    if (id == first) continue;
+    (shard_of(id) == shard_of(first) ? same : other) = id;
+  }
+  ASSERT_NE(same, 0u);
+  ASSERT_NE(other, 0u);
+  for (ObjectId id : {first, same, other}) ASSERT_OK(router_->Read(id, 0, 64).status());
+
+  // Both clients' reads as the shards saw them.
+  auto two_clients = [&](ObjectId second) {
+    span_log_.clear();
+    const SimTime t = clock_->Now();
+    for (ObjectId id : {first, second}) {
+      SimClock::Lane client(clock_.get(), t);
+      S4_CHECK(router_->Read(id, 0, 64).ok());
+      clock_->AbsorbLane(client.now());
+    }
+    S4_CHECK(span_log_.size() == 2);
+    EXPECT_EQ(span_log_[0].start, t);
+    return span_log_;
+  };
+  std::vector<CallSpan> one_shard = two_clients(same);
+  EXPECT_EQ(one_shard[1].start, one_shard[0].end);
+  std::vector<CallSpan> two_shards = two_clients(other);
+  EXPECT_EQ(two_shards[1].start, two_shards[0].start);
 }
 
 // A client mutation applied to a model of the object's content and attrs.
