@@ -30,6 +30,10 @@ RpcResponse StatusResp(const Status& s) {
 }
 
 void XorInto(Bytes* acc, ByteSpan b) {
+  if (acc->empty()) {
+    acc->assign(b.begin(), b.end());  // a delete's or a cut's delta, a group's first member
+    return;
+  }
   if (acc->size() < b.size()) acc->resize(b.size(), 0);
   for (size_t i = 0; i < b.size(); ++i) {
     (*acc)[i] = static_cast<uint8_t>((*acc)[i] ^ b[i]);
@@ -223,8 +227,27 @@ RpcResponse ShardRouter::SendOnLane(SimClock::FanOut& fan, uint32_t shard, RpcRe
   return fan.Run([&] { return SendShardOrError(shard, std::move(req)); });
 }
 
+std::vector<RpcResponse> ShardRouter::SendEnvelope(uint32_t shard,
+                                                   std::vector<RpcRequest> reqs) {
+  if (reqs.size() == 1) {
+    std::vector<RpcResponse> one;
+    one.push_back(SendShardOrError(shard, std::move(reqs[0])));
+    return one;
+  }
+  const size_t n = reqs.size();
+  auto r = clock_->Occupy(&busy_until_[shard], [&] {
+    return clients_[shard]->CallBatchPrestamped(std::move(reqs));
+  });
+  std::vector<RpcResponse> resps =
+      r.ok() ? std::move(*r) : std::vector<RpcResponse>(n, StatusResp(r.status()));
+  for (const RpcResponse& resp : resps) {
+    if (resp.code == ErrorCode::kUnavailable) MarkShardDead(shard);  // device loss is sticky
+  }
+  return resps;
+}
+
 size_t ShardRouter::Enqueue(BatchCtx& ctx, uint32_t shard, RpcRequest req, bool maint,
-                            int32_t group) {
+                            ObjectId expect_id) {
   if (ctx.pending.empty()) {
     ctx.pending.resize(eps_.size());
     ctx.results.resize(eps_.size());
@@ -238,7 +261,7 @@ size_t ShardRouter::Enqueue(BatchCtx& ctx, uint32_t shard, RpcRequest req, bool 
   PendingSub sub;
   sub.req = std::move(req);
   sub.parity_maint = maint;
-  sub.group = group;
+  sub.expect_id = expect_id;
   ctx.pending[shard].push_back(std::move(sub));
   return ctx.submitted[shard] + ctx.pending[shard].size() - 1;
 }
@@ -249,29 +272,16 @@ void ShardRouter::FlushShard(BatchCtx& ctx, uint32_t shard) {
   }
   std::vector<PendingSub> subs = std::move(ctx.pending[shard]);
   ctx.pending[shard].clear();
-  std::vector<RpcResponse> resps;
-  if (subs.size() == 1) {
-    resps.push_back(SendShardOrError(shard, std::move(subs[0].req)));
-  } else {
-    std::vector<RpcRequest> reqs;
-    reqs.reserve(subs.size());
-    for (PendingSub& s : subs) reqs.push_back(std::move(s.req));
-    auto r = clock_->Occupy(&busy_until_[shard], [&] {
-      return clients_[shard]->CallBatchPrestamped(std::move(reqs));
-    });
-    if (r.ok()) {
-      resps = std::move(*r);
-    } else {
-      resps.assign(subs.size(), StatusResp(r.status()));
-    }
-  }
+  std::vector<RpcRequest> reqs;
+  reqs.reserve(subs.size());
+  for (PendingSub& s : subs) reqs.push_back(std::move(s.req));
+  std::vector<RpcResponse> resps = SendEnvelope(shard, std::move(reqs));
   // Maintenance failures don't surface to the caller: a parity object left
-  // stale here is recomputed by repair or rebuild. Device loss is sticky.
+  // stale here, or created at another id than the map predicts, is
+  // recomputed by repair or rebuild.
   for (size_t i = 0; i < resps.size(); ++i) {
-    if (resps[i].code == ErrorCode::kUnavailable) {
-      MarkShardDead(shard);
-    }
-    if (i < subs.size() && subs[i].parity_maint && !resps[i].ok()) {
+    if (subs[i].parity_maint &&
+        (!resps[i].ok() || (subs[i].expect_id != 0 && resps[i].value != subs[i].expect_id))) {
       ++stats_.parity_skips;
     }
   }
@@ -280,11 +290,58 @@ void ShardRouter::FlushShard(BatchCtx& ctx, uint32_t shard) {
 }
 
 void ShardRouter::FlushAll(BatchCtx& ctx) {
-  if (ctx.pending.empty()) return;
+  if (!ctx.Queued()) return;
   SimClock::FanOut fan(clock_);
   for (uint32_t s = 0; s < eps_.size(); ++s) {
     fan.Run([&] { FlushShard(ctx, s); });
   }
+}
+
+void ShardRouter::Settle(BatchCtx& ctx) {
+  std::vector<HeldDelta> waiting;
+  for (HeldDelta& h : ctx.held) {
+    if (h.op_idx >= ctx.results[h.shard].size()) {
+      waiting.push_back(std::move(h));
+      continue;
+    }
+    const ShardMap::GidInfo& info = *map_.Find(h.gid);
+    const RpcResponse& op = ctx.results[h.shard][h.op_idx];
+    const RpcResponse& old = ctx.results[h.shard][h.read_idx];
+    if (!op.ok()) {
+      // Refused: the member and its group are untouched, so nothing is sent,
+      // and the image it planned is wrong. If that image was shared, a lane
+      // record may carry it and the group is stale; otherwise the image is
+      // dropped and the next op reloads it.
+      if (h.shared) {
+        ctx.stale_groups.insert(info.group);
+      } else {
+        lane_cache_.erase(h.gid);
+      }
+    } else if (!old.ok()) {
+      ctx.stale_groups.insert(info.group);  // changed by a delta nobody knows
+    } else {
+      XorInto(&h.delta.bytes, old.data);  // the drive stops at EOF: the rest is zeros
+      // The newest image: a later op of this batch may have planned past it.
+      auto lane = lane_cache_.find(h.gid);
+      S4_CHECK(lane != lane_cache_.end());
+      QueueParityDelta(ctx, info, std::move(h.delta), lane->second);
+    }
+  }
+  ctx.held = std::move(waiting);
+}
+
+void ShardRouter::Drain(BatchCtx& ctx) {
+  Settle(ctx);
+  while (ctx.Queued()) {
+    FlushAll(ctx);
+    Settle(ctx);
+  }
+}
+
+void ShardRouter::RepairStaleGroups(BatchCtx& ctx) {
+  // A repair failure leaves parity stale, which rebuild recovers from.
+  for (int32_t group : ctx.stale_groups) (void)RepairParityGroup(group);
+  ctx.stale_groups.clear();
 }
 
 // ---------------------------------------------------------------------------
@@ -343,10 +400,19 @@ Status ShardRouter::PersistMapEverywhere() {
 // Parity plane
 // ---------------------------------------------------------------------------
 
-Result<LaneImage> ShardRouter::MemberImage(const ShardMap::GidInfo& info) {
+std::vector<RpcRequest> ShardRouter::MemberImageRequests(const ShardMap::GidInfo& info) const {
+  std::vector<RpcRequest> reqs;
+  reqs.push_back(AdminRequest(RpcOp::kGetAttr, info.backend));
+  // ACL entry 0 (the request's default index) names the owner.
+  reqs.push_back(AdminRequest(RpcOp::kGetAclByIndex, info.backend));
+  return reqs;
+}
+
+Result<LaneImage> ShardRouter::MemberImage(const ShardMap::GidInfo& info,
+                                           std::vector<RpcResponse> resps) {
   LaneImage img;
   img.gid = info.gid;
-  RpcResponse attr = SendShardOrError(info.shard, AdminRequest(RpcOp::kGetAttr, info.backend));
+  RpcResponse& attr = resps[0];
   if (IsMissing(attr.code)) {
     // Dead. Its owner stays whoever the last lane record named, so the
     // degraded array still authenticates the owner for its history. With no
@@ -378,10 +444,7 @@ Result<LaneImage> ShardRouter::MemberImage(const ShardMap::GidInfo& info) {
   img.create_time = attr.attrs.create_time;
   img.modify_time = attr.attrs.modify_time;
   img.attrs = std::move(attr.attrs.opaque);
-  // ACL entry 0 (the request's default index) names the owner.
-  RpcResponse aclr =
-      SendShardOrError(info.shard, AdminRequest(RpcOp::kGetAclByIndex, info.backend));
-  if (aclr.ok()) img.owner = aclr.acl_entry.user;
+  if (resps[1].ok()) img.owner = resps[1].acl_entry.user;
   return img;
 }
 
@@ -392,29 +455,47 @@ Result<LaneImage> ShardRouter::EnsureLane(ObjectId gid) {
   }
   const ShardMap::GidInfo* info = map_.Find(gid);
   S4_CHECK(info != nullptr);
-  S4_ASSIGN_OR_RETURN(LaneImage img, Readable(info->shard) ? MemberImage(*info)
-                                                           : ReadLaneAt(*info, std::nullopt));
+  S4_ASSIGN_OR_RETURN(
+      LaneImage img,
+      Readable(info->shard)
+          ? MemberImage(*info, SendEnvelope(info->shard, MemberImageRequests(*info)))
+          : ReadLaneAt(*info, std::nullopt));
   lane_cache_.emplace(gid, img);
   return img;
 }
 
 Result<ShardRouter::GroupImage> ShardRouter::ReadGroup(int32_t group) {
-  GroupImage image;
+  std::vector<const ShardMap::GidInfo*> members;
   for (ObjectId mgid : map_.group(group).members) {
     const ShardMap::GidInfo* mi = map_.Find(mgid);
     S4_CHECK(mi != nullptr);
     if (!Readable(mi->shard)) {
       return Status::Unavailable("group recompute needs every member shard");
     }
-    S4_ASSIGN_OR_RETURN(LaneImage img, MemberImage(*mi));
-    if (img.size > 0) {
-      RpcRequest read = AdminRequest(RpcOp::kRead, mi->backend);
-      read.length = img.size;
-      RpcResponse rr = SendShardOrError(mi->shard, std::move(read));
-      S4_RETURN_IF_ERROR(rr.ToStatus());
-      XorInto(&image.parity, rr.data);
+    members.push_back(mi);
+  }
+  // Members live on distinct shards: their envelopes (image, then all of the
+  // content) overlap.
+  std::vector<std::vector<RpcResponse>> resps(members.size());
+  {
+    SimClock::FanOut fan(clock_);
+    for (size_t i = 0; i < members.size(); ++i) {
+      std::vector<RpcRequest> reqs = MemberImageRequests(*members[i]);
+      RpcRequest read = AdminRequest(RpcOp::kRead, members[i]->backend);
+      read.length = ~uint64_t{0};  // the drive stops at EOF
+      reqs.push_back(std::move(read));
+      resps[i] = fan.Run([&] { return SendEnvelope(members[i]->shard, std::move(reqs)); });
     }
-    lane_cache_[mgid] = img;
+  }
+  GroupImage image;
+  for (size_t i = 0; i < members.size(); ++i) {
+    RpcResponse content = std::move(resps[i][2]);
+    S4_ASSIGN_OR_RETURN(LaneImage img, MemberImage(*members[i], std::move(resps[i])));
+    if (img.live) {
+      S4_RETURN_IF_ERROR(content.ToStatus());
+      XorInto(&image.parity, content.data);
+    }
+    lane_cache_[members[i]->gid] = img;
     image.lanes.push_back(std::move(img));
   }
   return image;
@@ -436,8 +517,7 @@ Status ShardRouter::WriteGroup(int32_t group, GroupImage image,
 }
 
 Result<ShardRouter::ParityDelta> ShardRouter::MutationDelta(const RpcRequest& req,
-                                                            LaneImage* lane,
-                                                            const OldBytesFn& old_bytes) {
+                                                            LaneImage* lane) {
   const SimTime now = clock_->Now();
   ParityDelta d;
   switch (req.op) {
@@ -447,10 +527,7 @@ Result<ShardRouter::ParityDelta> ShardRouter::MutationDelta(const RpcRequest& re
       d.bytes = req.data;
       uint64_t end = req.offset + req.data.size();
       uint64_t overlap_end = std::min(end, lane->size);
-      if (old_bytes && req.offset < overlap_end) {
-        S4_ASSIGN_OR_RETURN(Bytes old, old_bytes(req.offset, overlap_end - req.offset));
-        XorInto(&d.bytes, old);
-      }
+      if (req.offset < overlap_end) d.old_length = overlap_end - req.offset;
       lane->size = std::max(lane->size, end);
       break;
     }
@@ -465,16 +542,14 @@ Result<ShardRouter::ParityDelta> ShardRouter::MutationDelta(const RpcRequest& re
       lane->size += req.data.size();
       break;
     case RpcOp::kTruncate:
-      if (old_bytes && req.length < lane->size) {
+      if (req.length < lane->size) {
         d.offset = req.length;  // XOR the cut tail back out of parity
-        S4_ASSIGN_OR_RETURN(d.bytes, old_bytes(req.length, lane->size - req.length));
+        d.old_length = lane->size - req.length;
       }
       lane->size = req.length;  // a grown tail reads as zeros
       break;
     case RpcOp::kDelete:
-      if (old_bytes && lane->live && lane->size > 0) {
-        S4_ASSIGN_OR_RETURN(d.bytes, old_bytes(0, lane->size));  // remove the content
-      }
+      if (lane->live) d.old_length = lane->size;  // remove the content
       lane->live = false;
       lane->size = 0;
       break;
@@ -500,11 +575,10 @@ void ShardRouter::QueueParityDelta(BatchCtx& ctx, const ShardMap::GidInfo& info,
     return;
   }
   if (!delta.bytes.empty()) {
-    Enqueue(ctx, g.parity_shard, XorDeltaWrite(g, std::move(delta)), /*maint=*/true,
-            info.group);
+    Enqueue(ctx, g.parity_shard, XorDeltaWrite(g, std::move(delta)), /*maint=*/true);
     ++stats_.parity_deltas;
   }
-  Enqueue(ctx, g.parity_shard, LaneRecordWrite(g, info.lane, lane), /*maint=*/true, info.group);
+  Enqueue(ctx, g.parity_shard, LaneRecordWrite(g, info.lane, lane), /*maint=*/true);
 }
 
 Status ShardRouter::RepairParityGroup(int32_t group) {
@@ -705,10 +779,13 @@ RpcResponse ShardRouter::DegradedOp(const RpcRequest& req, const ShardMap::GidIn
     default:
       break;
   }
-  auto delta = MutationDelta(req, &lane, [&](uint64_t offset, uint64_t length) {
-    return ReconstructRange(info, offset, length, std::nullopt);
-  });
+  auto delta = MutationDelta(req, &lane);
   if (!delta.ok()) return StatusResp(delta.status());
+  if (delta->old_length > 0) {
+    auto old = ReconstructRange(info, delta->offset, delta->old_length, std::nullopt);
+    if (!old.ok()) return StatusResp(old.status());
+    XorInto(&delta->bytes, *old);
+  }
   // The delta and the lane record go straight to the parity shard.
   const ShardMap::Group& g = map_.group(info.group);
   if (!delta->bytes.empty()) {
@@ -741,15 +818,9 @@ Result<Bytes> ShardRouter::ReadGid(ObjectId gid, uint64_t offset, uint64_t lengt
     direct = false;  // the spare holds no pre-rebuild history
   }
   if (direct) {
-    RpcRequest attr = AdminRequest(RpcOp::kGetAttr, info->backend);
-    attr.at = at;
-    RpcResponse aresp = SendShardOrError(info->shard, std::move(attr));
-    S4_RETURN_IF_ERROR(aresp.ToStatus());
-    uint64_t size = aresp.attrs.size;
-    if (offset >= size) return Bytes{};
     RpcRequest read = AdminRequest(RpcOp::kRead, info->backend);
     read.offset = offset;
-    read.length = std::min(length, size - offset);
+    read.length = length;  // the drive stops at EOF
     read.at = at;
     RpcResponse rresp = SendShardOrError(info->shard, std::move(read));
     S4_RETURN_IF_ERROR(rresp.ToStatus());
@@ -794,7 +865,7 @@ Status ShardRouter::PTabStore(BatchCtx& ctx,
   RpcRequest w = AdminRequest(RpcOp::kWrite, kFirstUserObjectId);
   w.data = enc.Take();
   SubPlan plan = PlanSub(std::move(w), ctx);
-  FlushAll(ctx);
+  Drain(ctx);
   return ResolvePlan(plan, ctx).ToStatus();
 }
 
@@ -908,10 +979,11 @@ ShardRouter::SubPlan ShardRouter::PlanSub(RpcRequest req, BatchCtx& ctx) {
       if (a.group >= 0) {
         if (a.opens_group) {
           if (Healthy(a.parity_shard)) {
-            RpcResponse presp = SendShardOrError(a.parity_shard, AdminRequest(RpcOp::kCreate));
-            if (!presp.ok() || presp.value != a.parity_backend) {
-              ++stats_.parity_skips;  // group unprotected until repair/rebuild
-            }
+            // Rides the parity shard's envelope, ahead of the lane record. A
+            // failure or an unexpected id leaves the group unprotected until
+            // repair or rebuild (FlushShard counts it).
+            Enqueue(ctx, a.parity_shard, AdminRequest(RpcOp::kCreate), /*maint=*/true,
+                    a.parity_backend);
           } else {
             ++stats_.parity_skips;
             if (state_[a.parity_shard] == ShardState::kRebuilding && rebuild_ != nullptr) {
@@ -926,16 +998,21 @@ ShardRouter::SubPlan ShardRouter::PlanSub(RpcRequest req, BatchCtx& ctx) {
     }
 
     case RpcOp::kSync: {
+      // Every held delta settles first, so each parity shard's Sync covers it.
+      if (!ctx.held.empty()) {
+        FlushAll(ctx);
+        Settle(ctx);
+      }
       plan.kind = SubPlan::kSyncFan;
       for (uint32_t s = 0; s < eps_.size(); ++s) {
         if (!Healthy(s)) continue;  // a rebuilding spare is synced per tick
         if (map_dirty_) {
-          Enqueue(ctx, s, MapWrite(), /*maint=*/true, -1);
+          Enqueue(ctx, s, MapWrite(), /*maint=*/true);
         }
         RpcRequest sync;
         sync.op = RpcOp::kSync;
         sync.creds = req.creds;
-        size_t idx = Enqueue(ctx, s, std::move(sync), /*maint=*/false, -1);
+        size_t idx = Enqueue(ctx, s, std::move(sync), /*maint=*/false);
         plan.fan.emplace_back(s, idx);
       }
       map_dirty_ = false;
@@ -944,7 +1021,7 @@ ShardRouter::SubPlan ShardRouter::PlanSub(RpcRequest req, BatchCtx& ctx) {
 
     case RpcOp::kFlush:
     case RpcOp::kSetWindow: {
-      FlushAll(ctx);
+      Drain(ctx);
       Status merged = Status::Ok();
       SimClock::FanOut fan(clock_);
       for (uint32_t s = 0; s < eps_.size(); ++s) {
@@ -961,7 +1038,7 @@ ShardRouter::SubPlan ShardRouter::PlanSub(RpcRequest req, BatchCtx& ctx) {
     case RpcOp::kPDelete:
     case RpcOp::kPList:
     case RpcOp::kPMount: {
-      FlushAll(ctx);
+      Drain(ctx);
       plan.resp = PartitionOp(req, ctx);
       return plan;
     }
@@ -991,8 +1068,8 @@ ShardRouter::SubPlan ShardRouter::PlanSub(RpcRequest req, BatchCtx& ctx) {
   }
   if (!direct) {
     // The degraded path reads parity and sibling members immediately, so the
-    // queues must drain first to preserve op order.
-    FlushAll(ctx);
+    // queues and held deltas must drain first to preserve op order.
+    Drain(ctx);
     plan.resp = DegradedOp(req, *info);
     return plan;
   }
@@ -1002,7 +1079,7 @@ ShardRouter::SubPlan ShardRouter::PlanSub(RpcRequest req, BatchCtx& ctx) {
     sub.object = info->backend;
     plan.kind = SubPlan::kDirect;
     plan.shard = s;
-    plan.idx = Enqueue(ctx, s, std::move(sub), /*maint=*/false, -1);
+    plan.idx = Enqueue(ctx, s, std::move(sub), /*maint=*/false);
   };
 
   switch (req.op) {
@@ -1039,38 +1116,49 @@ ShardRouter::SubPlan ShardRouter::PlanSub(RpcRequest req, BatchCtx& ctx) {
     plan.resp = StatusResp(lane.status());
     return plan;
   }
+  const ObjectId gid = req.object;
+  // This op plans on the image of any op still held on `gid`, and their
+  // lane records carry its image (Settle writes the newest).
+  bool shared = false;
+  for (HeldDelta& h : ctx.held) {
+    if (h.gid == gid) h.shared = shared = true;
+  }
   if (!lane->live) {
     // A deleted object does not change: its data shard audits the attempt
     // and refuses it, so parity needs no delta, lane record or repair.
     route(std::move(req));
     return plan;
   }
-  const bool parity_live = info->group >= 0 && Healthy(map_.group(info->group).parity_shard);
-  OldBytesFn read_old;  // with parity down no delta is sent, so read nothing
-  if (parity_live) {
-    read_old = [&](uint64_t offset, uint64_t length) -> Result<Bytes> {
-      // Drain this shard's queue so the read sees its earlier subs applied.
-      FlushShard(ctx, s);
-      RpcRequest read = AdminRequest(RpcOp::kRead, info->backend);
-      read.offset = offset;
-      read.length = length;
-      RpcResponse resp = SendShardOrError(s, std::move(read));
-      S4_RETURN_IF_ERROR(resp.ToStatus());
-      return std::move(resp.data);
-    };
-  }
-  Result<ParityDelta> delta = MutationDelta(req, &*lane, read_old);
+  Result<ParityDelta> delta = MutationDelta(req, &*lane);
   if (!delta.ok()) {
     plan.resp = StatusResp(delta.status());
     return plan;
   }
-
-  const ObjectId gid = req.object;
-  route(std::move(req));
-  plan.gid = gid;
-  plan.repair_group = parity_live ? info->group : -1;
-  QueueParityDelta(ctx, *info, std::move(*delta), *lane);
   lane_cache_[gid] = std::move(*lane);
+  plan.gid = gid;
+  // With parity down no delta is sent, so nothing is read.
+  const bool parity_live = info->group >= 0 && Healthy(map_.group(info->group).parity_shard);
+  if (!parity_live || delta->old_length == 0) {
+    // The delta rides the op's own fan; a failed op repairs the group.
+    route(std::move(req));
+    plan.repair_group = parity_live ? info->group : -1;
+    QueueParityDelta(ctx, *info, std::move(*delta), lane_cache_[gid]);
+    return plan;
+  }
+  // The old bytes are read in the op's envelope, directly ahead of it; the
+  // delta waits for both (Settle).
+  RpcRequest read = AdminRequest(RpcOp::kRead, info->backend);
+  read.offset = delta->offset;
+  read.length = delta->old_length;
+  HeldDelta held;
+  held.gid = gid;
+  held.shard = s;
+  held.read_idx = Enqueue(ctx, s, std::move(read), /*maint=*/false);
+  route(std::move(req));
+  held.op_idx = plan.idx;
+  held.delta = std::move(*delta);
+  held.shared = shared;
+  ctx.held.push_back(std::move(held));
   return plan;
 }
 
@@ -1084,12 +1172,11 @@ RpcResponse ShardRouter::ResolvePlan(SubPlan& plan, BatchCtx& ctx) {
       S4_CHECK(plan.shard < ctx.results.size() && plan.idx < ctx.results[plan.shard].size());
       r = ctx.results[plan.shard][plan.idx];
       if (!r.ok()) {
-        // The data sub-op failed after its parity delta was queued (e.g. an
-        // ACL denial mid-batch): recompute the group from the members' actual
-        // contents so parity never drifts.
+        // The data sub-op failed (e.g. an ACL denial mid-batch). If its parity
+        // delta went out with it, the group is recomputed from the members'
+        // actual contents once the batch is done, so parity never drifts.
         if (plan.gid != 0) lane_cache_.erase(plan.gid);
-        // A repair failure leaves parity stale, which rebuild recovers from.
-        if (plan.repair_group >= 0) (void)RepairParityGroup(plan.repair_group);
+        if (plan.repair_group >= 0) ctx.stale_groups.insert(plan.repair_group);
       }
       break;
     case SubPlan::kSyncFan:
@@ -1114,8 +1201,10 @@ Result<RpcResponse> ShardRouter::Call(RpcRequest req) {
   req.creds = creds_;
   BatchCtx ctx;
   SubPlan plan = PlanSub(std::move(req), ctx);
-  FlushAll(ctx);
-  return ResolvePlan(plan, ctx);
+  Drain(ctx);
+  RpcResponse resp = ResolvePlan(plan, ctx);
+  RepairStaleGroups(ctx);
+  return resp;
 }
 
 Result<std::vector<RpcResponse>> ShardRouter::CallBatch(std::vector<RpcRequest> reqs) {
@@ -1131,10 +1220,13 @@ Result<std::vector<RpcResponse>> ShardRouter::CallBatch(std::vector<RpcRequest> 
     if (req.link) {
       // A Create's response is known once planned, so its id is forwarded
       // with no flush, and the append shares the batch's one fan. Anything
-      // else is flushed and resolved first. A skipped append is never sent.
+      // else is flushed and resolved first; the flush also settles its held
+      // delta, which then rides the append's fan. A skipped append is never
+      // sent.
       SubPlan& prev = plans.back();
       if (prev.kind != SubPlan::kImmediate || !prev.fan.empty()) {
         FlushAll(ctx);
+        Settle(ctx);
         SubPlan resolved;
         resolved.resp = ResolvePlan(prev, ctx);
         prev = std::move(resolved);
@@ -1148,12 +1240,13 @@ Result<std::vector<RpcResponse>> ShardRouter::CallBatch(std::vector<RpcRequest> 
     }
     plans.push_back(PlanSub(std::move(req), ctx));
   }
-  FlushAll(ctx);
+  Drain(ctx);
   std::vector<RpcResponse> out;
   out.reserve(plans.size());
   for (SubPlan& plan : plans) {
     out.push_back(ResolvePlan(plan, ctx));
   }
+  RepairStaleGroups(ctx);
   return out;
 }
 

@@ -14,8 +14,13 @@
 // Redundancy is rotating XOR parity: creates join fixed-width groups whose
 // members and parity object all live on distinct shards. Data mutations ship
 // one kXorWrite delta to the group's parity object (plus a 256-byte lane
-// directory record), so parity maintenance needs no read round-trip on
-// appends and creates. Because the parity object is itself an ordinary
+// directory record). Appends, writes past EOF and creates need no old bytes,
+// so their delta rides the op's own fan. An overwrite, a shrinking truncate
+// or a delete reads its old bytes in the data shard's envelope, directly
+// ahead of the op; the router holds its delta until that envelope returns and
+// sends it only if the op succeeded. A create that opens a group queues the
+// parity object's create in the parity shard's envelope, ahead of the new
+// member's lane record. Because the parity object is itself an ordinary
 // versioned S4 object, a lost shard's objects can be reconstructed at *any
 // time inside the detection window* — current and history reads both survive
 // a device loss, which is the property the paper's threat model needs: an
@@ -31,8 +36,9 @@
 //   - ReadGroup / WriteGroup: a group recomputed from its members' current
 //     bytes, then written as lane records followed by parity (repair,
 //     rebuild).
-//   - MutationDelta: a mutation's parity delta and lane update (healthy and
-//     degraded paths; only where the old bytes come from differs).
+//   - MutationDelta: a mutation's parity delta and lane update, plus how many
+//     old bytes are still to XOR in (healthy and degraded paths; only where
+//     the old bytes come from differs).
 //   - XorDeltaWrite, LaneRecordWrite, MapWrite, CreateMapObject: the
 //     requests that carry them.
 //
@@ -47,10 +53,11 @@
 // MaintainShards cleaner pass, a rebuild send — starts at max(the caller's
 // clock, k's busy-until) and keeps k busy until it ends (SimClock::Occupy).
 // FlushAll's per-shard envelopes, the fetches of a degraded reconstruction,
-// the kFlush/kSetWindow fan-out and MaintainShards' cleaner passes each run
-// in one SimClock::FanOut scope, so they all arrive at the scope's start and
-// the call waits for its slowest shard. Callers on different clock lanes
-// (concurrent clients) queue on the same timelines.
+// the members' envelopes of a group recompute, the kFlush/kSetWindow fan-out
+// and MaintainShards' cleaner passes each run in one SimClock::FanOut scope,
+// so they all arrive at the scope's start and the call waits for its slowest
+// shard. Callers on different clock lanes (concurrent clients) queue on the
+// same timelines.
 #ifndef S4_SRC_CLUSTER_SHARD_ROUTER_H_
 #define S4_SRC_CLUSTER_SHARD_ROUTER_H_
 
@@ -191,12 +198,42 @@ class ShardRouter : public S4ClientApi {
   struct PendingSub {
     RpcRequest req;
     bool parity_maint = false;
-    int32_t group = -1;
+    ObjectId expect_id = 0;  // a parity object's create: the id the map predicts
+  };
+  // The bytes a mutation XORs into its group's parity at `offset` of the
+  // member's content; empty when parity does not change. `old_length` old
+  // bytes at `offset` are still to be XORed in.
+  struct ParityDelta {
+    uint64_t offset = 0;
+    Bytes bytes;
+    uint64_t old_length = 0;
+  };
+  // A mutation that needs its old bytes: the admin read of them and the op
+  // itself sit in the data shard's envelope, and the delta waits for both.
+  struct HeldDelta {
+    ObjectId gid = 0;
+    uint32_t shard = 0;
+    size_t read_idx = 0;  // into results[shard]
+    size_t op_idx = 0;
+    ParityDelta delta;
+    // Another op of the batch on this member was planned while this one was
+    // held, or was itself held when this one was planned: a lane record
+    // queued for either may carry this op's image.
+    bool shared = false;
   };
   struct BatchCtx {
     std::vector<std::vector<PendingSub>> pending;    // per shard
     std::vector<std::vector<RpcResponse>> results;   // per shard, append-only
     std::vector<size_t> submitted;                   // flushed count per shard
+    std::vector<HeldDelta> held;                     // plan order
+    std::set<int32_t> stale_groups;  // recomputed once the batch is done
+
+    bool Queued() const {
+      for (const std::vector<PendingSub>& subs : pending) {
+        if (!subs.empty()) return true;
+      }
+      return false;
+    }
   };
   struct SubPlan {
     enum Kind { kImmediate, kDirect, kSyncFan };
@@ -207,7 +244,7 @@ class ShardRouter : public S4ClientApi {
     // Each shard's Sync: a kSyncFan's, or the one a sync-flagged op queued.
     std::vector<std::pair<uint32_t, size_t>> fan;
     int32_t repair_group = -1;  // recompute this group if the data sub failed
-    ObjectId gid = 0;
+    ObjectId gid = 0;           // a mutation's object: its lane is reloaded if it failed
   };
 
   ShardRouter(std::vector<ShardEndpoint> shards, SimClock* clock, Credentials creds,
@@ -228,14 +265,30 @@ class ShardRouter : public S4ClientApi {
   RpcResponse SendShardOrError(uint32_t shard, RpcRequest req);
   // SendShardOrError as one request of a fan-out scope.
   RpcResponse SendOnLane(SimClock::FanOut& fan, uint32_t shard, RpcRequest req);
+  // Prestamped requests to one shard as one kBatch envelope (a lone request
+  // as a plain frame): one response each, a transport error copied to all.
+  std::vector<RpcResponse> SendEnvelope(uint32_t shard, std::vector<RpcRequest> reqs);
 
   // Flushing cannot itself fail: transport errors become per-sub error
   // responses in ctx.results, and device loss is recorded as shard state.
   // FlushAll sends every shard's envelope in one fan-out, so it costs the
-  // slowest envelope; FlushShard alone runs on the caller's clock.
+  // slowest envelope; FlushShard alone runs on the caller's clock. A flush
+  // with nothing queued sends nothing.
   void FlushShard(BatchCtx& ctx, uint32_t shard);
   void FlushAll(BatchCtx& ctx);
-  size_t Enqueue(BatchCtx& ctx, uint32_t shard, RpcRequest req, bool maint, int32_t group);
+  size_t Enqueue(BatchCtx& ctx, uint32_t shard, RpcRequest req, bool maint,
+                 ObjectId expect_id = 0);
+  // Completes and queues each held delta whose op has returned: only if the
+  // op succeeded, with the member's newest lane image. A refused op's image
+  // is dropped from the lane cache, so the next op reloads it. A group whose
+  // parity or lane record cannot be known (the read failed, or a refused
+  // op's image was shared) goes to ctx.stale_groups.
+  void Settle(BatchCtx& ctx);
+  // Flushes and settles until nothing is queued or held. Every path that
+  // reads parity or members on the spot drains first.
+  void Drain(BatchCtx& ctx);
+  // Recomputes the groups a failed op left stale; runs after the last flush.
+  void RepairStaleGroups(BatchCtx& ctx);
 
   // The big per-op switch: translates one client request into immediate
   // and/or queued shard sub-ops. A sync-flagged request is planned as the op
@@ -249,12 +302,16 @@ class ShardRouter : public S4ClientApi {
   // degraded path (DegradedOp), repair (RepairParityGroup) and rebuild
   // (RebuildScheduler) all call it; see the file comment.
 
-  // A member's lane image from its data shard: GetAttr, then ACL entry 0 as
-  // the owner (the creator, unless SetAcl rewrote the whole list). A missing
-  // member is dead and keeps the owner its last lane record named: from the
-  // lane cache, else from the group's current lane record, else (no lane
-  // record readable) ACL entry 0 of its newest version before the delete.
-  Result<LaneImage> MemberImage(const ShardMap::GidInfo& info);
+  // What a member's lane image is read from, as one envelope on its data
+  // shard: GetAttr, then ACL entry 0 as the owner (the creator, unless SetAcl
+  // rewrote the whole list).
+  std::vector<RpcRequest> MemberImageRequests(const ShardMap::GidInfo& info) const;
+  // The lane image the first two responses to MemberImageRequests describe.
+  // A missing member is dead and keeps the owner its last lane record named:
+  // from the lane cache, else from the group's current lane record, else (no
+  // lane record readable) ACL entry 0 of its newest version before the
+  // delete. These fallbacks are serial requests.
+  Result<LaneImage> MemberImage(const ShardMap::GidInfo& info, std::vector<RpcResponse> resps);
   // `gid`'s lane image from the cache, else loaded (MemberImage, or the lane
   // record when the data shard is unreadable) and cached.
   Result<LaneImage> EnsureLane(ObjectId gid);
@@ -264,8 +321,9 @@ class ShardRouter : public S4ClientApi {
     Bytes parity;                  // XOR of the members' current bytes
     std::vector<LaneImage> lanes;  // lane order
   };
-  // Reads every member (refreshing the lane cache). kUnavailable when a
-  // member's shard is down.
+  // Reads every member (refreshing the lane cache): each member's image and
+  // bytes in one envelope, all members' envelopes in one fan-out.
+  // kUnavailable when a member's shard is down.
   Result<GroupImage> ReadGroup(int32_t group);
   // Writes `image` through `send`: the lane records, then the parity bytes.
   // The caller first makes the parity object fit: repair truncates a stale
@@ -273,21 +331,13 @@ class ShardRouter : public S4ClientApi {
   Status WriteGroup(int32_t group, GroupImage image,
                     const std::function<Status(RpcRequest)>& send);
 
-  // The bytes a mutation XORs into its group's parity at `offset` of the
-  // member's content; empty when parity does not change.
-  struct ParityDelta {
-    uint64_t offset = 0;
-    Bytes bytes;
-  };
-  // A member's current bytes over [offset, offset+length).
-  using OldBytesFn = std::function<Result<Bytes>(uint64_t offset, uint64_t length)>;
   // Applies a Write, XorWrite, Append, Truncate, Delete or SetAttr to `lane`
-  // and returns its parity delta. Overwrites, cuts and deletes need the old
-  // bytes: the healthy path reads them from the data shard, the degraded
-  // path reconstructs them. A null `old_bytes` reads nothing (no delta will
-  // be sent).
-  Result<ParityDelta> MutationDelta(const RpcRequest& req, LaneImage* lane,
-                                    const OldBytesFn& old_bytes);
+  // and returns its parity delta, reading nothing. An overwrite, a cut or a
+  // delete returns the new bytes (none for a cut or delete) and the length
+  // of the old bytes at the delta's offset: the healthy path reads them in
+  // the op's envelope (Settle XORs them in), the degraded path reconstructs
+  // them.
+  Result<ParityDelta> MutationDelta(const RpcRequest& req, LaneImage* lane);
   // Queues the delta (if any) and the lane record for a healthy-path
   // mutation of `info`. No-op (counted) when the parity shard is down.
   void QueueParityDelta(BatchCtx& ctx, const ShardMap::GidInfo& info, ParityDelta delta,

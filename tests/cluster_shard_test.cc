@@ -16,6 +16,7 @@
 
 #include "src/cluster/shard_router.h"
 #include "src/fs/s4_fs.h"
+#include "src/util/rng.h"
 #include "tests/test_util.h"
 
 namespace s4 {
@@ -223,8 +224,10 @@ class ClusterShardTest : public ::testing::Test {
     return 0;
   }
 
-  // A write by user 999, whom no ACL admits: the data sub-op fails after its
-  // parity delta was queued, so the router repairs the group.
+  // A write by user 999, whom no ACL admits. Past the object's end its delta
+  // rides the write's own fan, so the refusal makes the router repair the
+  // group. An overwrite's delta waits for the write's result, so a refused one
+  // sends nothing and repairs nothing.
   void DeniedWrite(ObjectId id, uint64_t offset = 0) {
     router_->set_creds(User(999));
     RpcRequest w;
@@ -237,9 +240,9 @@ class ClusterShardTest : public ::testing::Test {
     router_->set_creds(User(100));
   }
 
-  // Deletes a member, denies a write to a sibling so the router repairs the
-  // group, then loses the deleted member's shard: its owner must still read
-  // its history through the degraded path.
+  // Deletes a member, denies a write past a sibling's end so the router
+  // repairs the group, then loses the deleted member's shard: its owner must
+  // still read its history through the degraded path.
   void DeletedMemberOwnerSurvivesRepair(bool remount) {
     auto objs = Populate(9);
     const ObjectId deleted = objs[4].first;
@@ -250,7 +253,7 @@ class ClusterShardTest : public ::testing::Test {
       ASSERT_OK_AND_ASSIGN(
           router_, ShardRouter::Mount(Endpoints(), clock_.get(), User(100), RouterOpts()));
     }
-    DeniedWrite(GroupSibling(deleted));
+    DeniedWrite(GroupSibling(deleted), 4096);
     EXPECT_EQ(router_->rstats().parity_repairs, 1u);
     router_->FailShard(router_->map().Find(deleted)->shard);
     EXPECT_OK(router_->GetVersionList(deleted).status());
@@ -1122,15 +1125,19 @@ TEST_F(ClusterShardTest, RebuiltParityServesASecondLoss) {
 }
 
 // A data sub-op that fails after its parity delta was queued leaves the group
-// recomputed from its members, so a later loss reconstructs every member.
+// recomputed from its members, so a later loss reconstructs every member. A
+// refused overwrite never sent its delta, so its group needs no repair.
 TEST_F(ClusterShardTest, FailedSubOpRepairRestoresParity) {
   auto objs = Populate(9);
   const ObjectId target = objs[4].first;
   // One denied write overlaps the target's bytes; the other lands past every
   // member's end, so the repair must also cut parity's stale tail.
+  const uint64_t deltas = router_->rstats().parity_deltas;
   DeniedWrite(target);
+  EXPECT_EQ(router_->rstats().parity_deltas, deltas);
+  EXPECT_EQ(router_->rstats().parity_repairs, 0u);
   DeniedWrite(target, 64);
-  EXPECT_EQ(router_->rstats().parity_repairs, 2u);
+  EXPECT_EQ(router_->rstats().parity_repairs, 1u);
   ASSERT_OK(router_->Write(target, 64, BytesOf("grown later")));
   objs[4].second.resize(64, '\0');
   objs[4].second += "grown later";
@@ -1270,9 +1277,9 @@ TEST_F(ClusterShardTest, LinkedCreateSavesAFanAndLeavesTheSameArray) {
 }
 
 // A Delete the data shard refuses skips the append linked to it: the router
-// never sends the append (nor its Sync), repairs the group the Delete's delta
-// touched, and parity stays the XOR of the members. A Delete that succeeds
-// hands the append 0.
+// never sends the append (nor its Sync), nor the Delete's held delta, so no
+// group needs a repair, and parity stays the XOR of the members. A Delete
+// that succeeds hands the append 0.
 TEST_F(ClusterShardTest, LinkedAppendAfterARefusedDeleteIsSkipped) {
   auto objs = Populate(9);
   const ObjectId dir = objs[1].first;
@@ -1305,10 +1312,12 @@ TEST_F(ClusterShardTest, LinkedAppendAfterARefusedDeleteIsSkipped) {
     return std::move(*resps);
   };
 
+  const uint64_t deltas = router_->rstats().parity_deltas;
   std::vector<RpcResponse> refused = batch(User(999));  // no ACL admits user 999
   EXPECT_EQ(refused[0].code, ErrorCode::kPermissionDenied);
   EXPECT_EQ(refused[1].code, ErrorCode::kFailedPrecondition);
-  EXPECT_EQ(router_->rstats().parity_repairs, 1u);
+  EXPECT_EQ(router_->rstats().parity_repairs, 0u);
+  EXPECT_EQ(router_->rstats().parity_deltas, deltas);
   EXPECT_EQ(audited(dir_info->shard, RpcOp::kAppend), dir_appends) << "a skipped append is never sent";
   for (uint32_t i = 0; i < kShards; ++i) {
     EXPECT_EQ(audited(i, RpcOp::kSync), syncs[i]) << "shard " << i;
@@ -1327,6 +1336,314 @@ TEST_F(ClusterShardTest, LinkedAppendAfterARefusedDeleteIsSkipped) {
   want.push_back(0);
   EXPECT_EQ(dir_bytes, want);
   StoredGroups();
+}
+
+// A remove, as S4FileSystem sends it: a Delete with the directory append
+// linked to it. The Delete's old-bytes read rides its own envelope, and its
+// parity delta follows its result in the append's fan: two rounds, where a
+// serial read of the old bytes took three.
+TEST_F(ClusterShardTest, RemoveBatchTakesTwoRounds) {
+  auto objs = Populate(9);
+  const ObjectId dir = objs[1].first;
+  const ObjectId victim = GroupSibling(dir);  // one parity shard for both deltas
+  ASSERT_OK(router_->Sync());
+  MountLogged();
+  for (ObjectId id : {dir, victim}) ASSERT_OK(router_->Append(id, BytesOf("+")).status());
+  span_log_.clear();
+  RpcRequest del;
+  del.op = RpcOp::kDelete;
+  del.object = victim;
+  RpcRequest append;
+  append.op = RpcOp::kAppend;
+  append.object = dir;
+  append.data = BytesOf("rm:");
+  append.link = true;
+  ASSERT_OK_AND_ASSIGN(std::vector<RpcResponse> resps,
+                       router_->CallBatch({std::move(del), std::move(append)}));
+  ASSERT_TRUE(resps[0].ok()) << resps[0].message;
+  ASSERT_TRUE(resps[1].ok()) << resps[1].message;
+  EXPECT_EQ(Rounds(), 2u);
+  // [Read, Delete] on the victim's shard; then the append on the directory's
+  // and every parity sub-op on the group's parity shard.
+  EXPECT_EQ(span_log_.size(), 3u);
+  EXPECT_EQ(router_->Read(victim, 0, 64).status().code(), ErrorCode::kFailedPrecondition);
+  StoredGroups();
+}
+
+// A create that opens a parity group queues the parity object's create in
+// the parity shard's envelope, ahead of the new member's lane record: the
+// data create, then one fan.
+TEST_F(ClusterShardTest, GroupOpeningCreateTakesTwoRounds) {
+  Populate(3);
+  ASSERT_OK(router_->Sync());
+  MountLogged();
+  bool opened = false;
+  for (int i = 0; i < 16 && !opened; ++i) {
+    const size_t groups = router_->map().group_count();
+    span_log_.clear();
+    ASSERT_OK_AND_ASSIGN(ObjectId id, router_->Create(BytesOf("attrs")));
+    opened = router_->map().group_count() > groups;
+    EXPECT_EQ(Rounds(), 2u) << "create of " << id << (opened ? " (opens a group)" : "");
+    ASSERT_OK(router_->Write(id, 0, Pattern(i, 40)));
+  }
+  ASSERT_TRUE(opened);
+  EXPECT_EQ(router_->rstats().parity_skips, 0u);
+  StoredGroups();
+}
+
+// A mutation of an object whose lane is cold reads its image (GetAttr and
+// ACL entry 0) in one envelope, then sends the op and its delta in one fan.
+TEST_F(ClusterShardTest, ColdLaneMutationTakesTwoRounds) {
+  auto objs = Populate(6);
+  ASSERT_OK(router_->Sync());
+  MountLogged();
+  span_log_.clear();
+  ASSERT_OK(router_->Append(objs[2].first, BytesOf("+cold")).status());
+  EXPECT_EQ(Rounds(), 2u);
+  StoredGroups();
+}
+
+// A repair reads its group in one fan of one envelope per member, then cuts
+// parity's stale tail and writes the lane records and parity.
+TEST_F(ClusterShardTest, RepairReadsItsGroupInOneRound) {
+  auto objs = Populate(9);
+  const ObjectId target = objs[4].first;
+  ASSERT_OK(router_->Sync());
+  MountLogged();
+  ASSERT_OK(router_->Append(target, BytesOf("+")).status());  // warms the lane
+  const size_t members = router_->map().group(router_->map().Find(target)->group).members.size();
+  span_log_.clear();
+  DeniedWrite(target, 4096);
+  EXPECT_EQ(router_->rstats().parity_repairs, 1u);
+  // The write and its delta; the group's reads; the parity object's GetAttr
+  // and Truncate; one lane record per member; the parity bytes.
+  EXPECT_EQ(Rounds(), 1 + 1 + 2 + members + 1);
+  StoredGroups();
+}
+
+// A sync-flagged overwrite settles its held delta before the Sync is
+// planned, so the parity shard's Sync covers the delta and the lane record.
+TEST_F(ClusterShardTest, SyncFlaggedOverwriteSyncsItsHeldDelta) {
+  auto objs = Populate(9);
+  const ObjectId x = objs[4].first;
+  const ShardMap::Group& g = router_->map().group(router_->map().Find(x)->group);
+  const SimTime t0 = clock_->Now();
+  RpcRequest write;
+  write.op = RpcOp::kWrite;
+  write.object = x;
+  write.data = BytesOf("overwritten, then durable");
+  write.sync = true;
+  ASSERT_OK_AND_ASSIGN(RpcResponse resp, router_->Call(std::move(write)));
+  ASSERT_TRUE(resp.ok()) << resp.message;
+  AuditQuery q;
+  q.from = t0;
+  ASSERT_OK_AND_ASSIGN(std::vector<AuditRecord> recs,
+                       drives_[g.parity_shard]->QueryAudit(Admin(), q));
+  std::vector<RpcOp> parity_ops;  // this call's records on the parity shard, in order
+  for (const AuditRecord& r : recs) {
+    if (r.op == RpcOp::kSync || r.object == g.parity_backend) parity_ops.push_back(r.op);
+  }
+  EXPECT_EQ(parity_ops, (std::vector<RpcOp>{RpcOp::kXorWrite, RpcOp::kWrite, RpcOp::kSync}));
+  StoredGroups();
+}
+
+// An overwrite's delta waits for its result, while a later append of the
+// same batch sends its lane record at once. The held delta must then write
+// the newest lane image, not the one it planned.
+TEST_F(ClusterShardTest, HeldDeltaWritesTheNewestLaneImage) {
+  auto objs = Populate(9);
+  const ObjectId x = objs[4].first;
+  RpcRequest write;
+  write.op = RpcOp::kWrite;
+  write.object = x;
+  write.data = BytesOf("over");
+  RpcRequest append;
+  append.op = RpcOp::kAppend;
+  append.object = x;
+  append.data = BytesOf("+appended tail");
+  ASSERT_OK_AND_ASSIGN(std::vector<RpcResponse> resps,
+                       router_->CallBatch({std::move(write), std::move(append)}));
+  ASSERT_TRUE(resps[0].ok() && resps[1].ok());
+  ASSERT_OK_AND_ASSIGN(ObjectAttrs attrs, router_->GetAttr(x));
+  const ShardMap::GidInfo* info = router_->map().Find(x);
+  const LaneImage lane = StoredGroups()[static_cast<size_t>(info->group)].lanes[info->lane];
+  EXPECT_EQ(lane.gid, x);
+  EXPECT_TRUE(lane.live);
+  EXPECT_EQ(lane.size, attrs.size);
+  EXPECT_EQ(lane.attrs, attrs.opaque);
+}
+
+// A refused op whose delta was held sends nothing. User 200 may write but
+// not delete, so each batch's Delete is refused and its other ops land.
+// Another op on the object planned while the Delete was held shares the
+// image the Delete planned: an append after it builds on it, and an
+// overwrite before it settles with it as its newest image. Either way the
+// router recomputes the group. Planned after a Sync has settled the Delete,
+// the append reloads the object's image and needs no repair.
+TEST_F(ClusterShardTest, RefusedHeldOpRepairsOnlyWhenItsImageWasShared) {
+  auto objs = Populate(9);
+  const ObjectId x = objs[4].first;
+  const ShardMap::GidInfo* info = router_->map().Find(x);
+  ASSERT_OK(router_->SetAcl(x, AclEntry{200, kPermRead | kPermWrite}));
+  auto op = [&](RpcOp code, const char* data = "") {
+    RpcRequest r;
+    r.op = code;
+    r.object = code == RpcOp::kSync ? kInvalidObjectId : x;
+    r.data = BytesOf(data);
+    return r;
+  };
+  struct Case {
+    const char* name;
+    std::vector<RpcRequest> batch;
+    uint64_t repairs;
+  };
+  const Case cases[] = {
+      {"append after", {op(RpcOp::kDelete), op(RpcOp::kAppend, "+after")}, 1},
+      {"Sync between",
+       {op(RpcOp::kDelete), op(RpcOp::kSync), op(RpcOp::kAppend, "+after a Sync")},
+       0},
+      {"overwrite before", {op(RpcOp::kWrite, "over"), op(RpcOp::kDelete)}, 1},
+  };
+  std::optional<Bytes> want = BytesOf(objs[4].second);
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.name);
+    const uint64_t repairs = router_->rstats().parity_repairs;
+    router_->set_creds(User(200));
+    ASSERT_OK_AND_ASSIGN(std::vector<RpcResponse> resps, router_->CallBatch(c.batch));
+    router_->set_creds(User(100));
+    for (size_t i = 0; i < c.batch.size(); ++i) {
+      if (c.batch[i].op == RpcOp::kDelete) {
+        EXPECT_EQ(resps[i].code, ErrorCode::kPermissionDenied);
+      } else if (c.batch[i].op != RpcOp::kSync) {
+        EXPECT_TRUE(resps[i].ok()) << resps[i].message;
+        Bytes attrs;
+        ApplyToModel(c.batch[i], &want, &attrs);
+      }
+    }
+    EXPECT_EQ(router_->rstats().parity_repairs, repairs + c.repairs);
+    ASSERT_OK_AND_ASSIGN(Bytes got, router_->Read(x, 0, 4096));
+    EXPECT_EQ(got, *want);
+    const LaneImage lane = StoredGroups()[static_cast<size_t>(info->group)].lanes[info->lane];
+    EXPECT_TRUE(lane.live);
+    EXPECT_EQ(lane.size, want->size());
+  }
+}
+
+// The first slice of an array property oracle: seeded random batches of
+// mixed mutations, some refused, checked after every batch against a model
+// of every object's bytes; then a shard is lost and every object must read
+// back from the model through the degraded path.
+TEST_F(ClusterShardTest, RandomBatchesKeepParityAndLanesExact) {
+  for (uint64_t seed = 1; seed <= 12; ++seed) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    RebuildFixture();
+    Rng rng(seed);
+    std::map<ObjectId, std::optional<Bytes>> model = {{kFirstUserObjectId, Bytes{}}};
+    // Few objects, so one batch often holds several ops on one object.
+    std::vector<ObjectId> ids;
+    for (int i = 0; i < 4; ++i) {
+      ASSERT_OK_AND_ASSIGN(ObjectId id, router_->Create({}));
+      model[id] = Pattern(i + static_cast<int>(seed), rng.Range(0, 300));
+      ASSERT_OK(router_->Write(id, 0, *model[id]));
+      // User 200 may write but not delete.
+      ASSERT_OK(router_->SetAcl(id, AclEntry{200, kPermRead | kPermWrite}));
+      ids.push_back(id);
+    }
+    for (int b = 0; b < 40; ++b) {
+      // User 999 may do nothing, user 200 all but deletes.
+      const UserId user = rng.Chance(1, 5) ? 999 : rng.Chance(1, 4) ? 200 : 100;
+      std::vector<RpcRequest> batch;
+      std::vector<std::optional<ErrorCode>> want;  // unset: not checked
+      std::map<ObjectId, std::optional<Bytes>> next = model;
+      const uint64_t n = rng.Range(1, 5);
+      for (uint64_t i = 0; i < n; ++i) {
+        RpcRequest r;
+        r.object = ids[rng.Below(ids.size())];
+        const std::optional<Bytes>& cur = next[r.object];
+        const uint64_t size = cur.has_value() ? cur->size() : 0;
+        switch (rng.Below(8)) {
+          case 0:  // overlapping (or, past a short object's end, growing)
+          case 1:
+            r.op = RpcOp::kWrite;
+            r.offset = rng.Below(size + 1);
+            r.data = Pattern(static_cast<int>(rng.Below(200)), rng.Range(1, 120));
+            r.sync = rng.Chance(1, 4);
+            break;
+          case 2:  // past EOF
+            r.op = RpcOp::kWrite;
+            r.offset = size + rng.Range(1, 64);
+            r.data = Pattern(static_cast<int>(rng.Below(200)), rng.Range(1, 60));
+            break;
+          case 3:
+            r.op = RpcOp::kXorWrite;
+            r.offset = rng.Below(size + 40);
+            r.data = Pattern(static_cast<int>(rng.Below(200)), rng.Range(1, 60));
+            break;
+          case 4:
+            r.op = RpcOp::kAppend;
+            r.data = Pattern(static_cast<int>(rng.Below(200)), rng.Range(1, 60));
+            break;
+          case 5:
+            r.op = RpcOp::kTruncate;
+            r.length = rng.Below(size + 40);
+            break;
+          case 6:
+            r.op = RpcOp::kDelete;
+            break;
+          default:
+            r = RpcRequest{};
+            r.op = RpcOp::kSync;
+            break;
+        }
+        if (r.op == RpcOp::kSync) {
+          want.emplace_back(user == 100 ? std::optional<ErrorCode>(ErrorCode::kOk) : std::nullopt);
+        } else if (user == 999 || (user == 200 && r.op == RpcOp::kDelete)) {
+          want.emplace_back(std::nullopt);  // refused; the model stays
+        } else if (!next[r.object].has_value()) {
+          want.emplace_back(ErrorCode::kFailedPrecondition);
+        } else {
+          want.emplace_back(ErrorCode::kOk);
+          Bytes attrs;
+          ApplyToModel(r, &next[r.object], &attrs);
+        }
+        batch.push_back(std::move(r));
+      }
+      router_->set_creds(User(user));
+      auto resps = router_->CallBatch(batch);
+      router_->set_creds(User(100));
+      ASSERT_OK(resps.status());
+      for (size_t i = 0; i < batch.size(); ++i) {
+        SCOPED_TRACE("batch " + std::to_string(b) + " op " + std::to_string(i));
+        const bool mutation = batch[i].op != RpcOp::kSync;
+        if (want[i].has_value()) {
+          EXPECT_EQ((*resps)[i].code, *want[i]) << (*resps)[i].message;
+        } else if (mutation) {
+          EXPECT_FALSE((*resps)[i].ok());
+        }
+      }
+      model = std::move(next);
+      const std::vector<StoredGroup> groups = StoredGroups();
+      for (size_t g = 0; g < groups.size(); ++g) {
+        const ShardMap::Group& group = router_->map().group(static_cast<int32_t>(g));
+        for (size_t lane = 0; lane < group.members.size(); ++lane) {
+          const std::optional<Bytes>& m = model.at(group.members[lane]);
+          EXPECT_EQ(groups[g].lanes[lane].live, m.has_value()) << "batch " << b;
+          EXPECT_EQ(groups[g].lanes[lane].size, m.has_value() ? m->size() : 0) << "batch " << b;
+        }
+      }
+      if (HasFailure()) return;
+    }
+    router_->FailShard(seed % kShards);
+    for (const auto& [id, content] : model) {
+      auto got = router_->Read(id, 0, 1 << 20);
+      if (!content.has_value()) {
+        EXPECT_EQ(got.status().code(), ErrorCode::kFailedPrecondition) << id;
+        continue;
+      }
+      ASSERT_OK(got.status());
+      EXPECT_EQ(*got, *content) << id;
+    }
+  }
 }
 
 // The router applies the drive's rule for where a link may stand.
